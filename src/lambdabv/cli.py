@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -106,61 +107,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> ExperimentConfig:
-    ns = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        command=ns.command,
-        function_path=ns.function_path,
-        sequence_path=ns.sequence_path,
-        p=ns.p,
-        alpha=ns.alpha,
-        delta_depth=ns.delta_depth,
-        refine=ns.refine,
-        levels=ns.levels,
-        blocks=ns.blocks,
-        out=ns.out,
-        seed=ns.seed,
-        s=ns.s,
-        d_power=ns.d_power,
-    )
-    if config.delta_depth < 0:
-        raise ValidationError("delta-depth", "must be nonnegative")
-    if config.refine < 0:
-        raise ValidationError("refine", "must be nonnegative")
-    if config.blocks < 0:
-        raise ValidationError("blocks", "must be nonnegative")
-    if config.levels < 0:
-        raise ValidationError("levels", "must be nonnegative")
-    if config.d_power is not None and config.d_power < 0.0:
-        raise ValidationError("d-power", "must be nonnegative")
+    config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
+    for name in ("p", "alpha", "s", "d_power"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(name.replace("_", "-"), "must be finite")
+    for name in ("delta_depth", "refine", "blocks", "levels", "d_power"):
+        value = getattr(config, name)
+        if value is not None and value < 0:
+            raise ValidationError(name.replace("_", "-"), "must be nonnegative")
     return config
 
 
-def _load_function(config: ExperimentConfig):
-    if not config.function_path:
-        raise ValidationError("function", "a function JSON file is required for this command")
+def _load(path: str | None, field: str, parse):
+    """Read and parse the JSON input file named by the given field."""
+    if not path:
+        raise ValidationError(field, f"a {field} JSON file is required for this command")
     try:
-        with open(config.function_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ValidationError("function", str(exc)) from exc
+        raise ValidationError(field, str(exc)) from exc
     try:
-        return function_from_json(text)
+        return parse(text)
     except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError("function", f"invalid function file: {exc}") from exc
-
-
-def _load_sequence(config: ExperimentConfig):
-    if not config.sequence_path:
-        raise ValidationError("sequence", "a sequence JSON file is required for this command")
-    try:
-        with open(config.sequence_path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError("sequence", str(exc)) from exc
-    try:
-        return sequence_from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError("sequence", f"invalid sequence file: {exc}") from exc
+        raise ValidationError(field, f"invalid {field} file: {exc}") from exc
 
 
 def _check_embedding_params(config: ExperimentConfig) -> None:
@@ -173,12 +144,12 @@ def _check_embedding_params(config: ExperimentConfig) -> None:
 def _run_variation(config: ExperimentConfig):
     if config.p < 1.0:
         raise ValidationError("p", "must be at least 1")
-    f = _load_function(config)
+    f = _load(config.function_path, "function", function_from_json)
     header = ["schema_version", "functional", "p", "alpha", "delta", "value", "refinement"]
     rows = []
     values = {}
     if config.sequence_path:
-        lam = _load_sequence(config)
+        lam = _load(config.sequence_path, "sequence", sequence_from_json)
         arcs = monotone_arcs(f)
         try:
             lam.require(len(arcs.arcs))
@@ -218,7 +189,7 @@ def _run_variation(config: ExperimentConfig):
 
 def _run_criterion(config: ExperimentConfig):
     _check_embedding_params(config)
-    lam = _load_sequence(config)
+    lam = _load(config.sequence_path, "sequence", sequence_from_json)
     try:
         report = criterion_partial_sums(lam, config.p, config.alpha, config.blocks)
     except ValueError as exc:
@@ -249,7 +220,7 @@ def _run_sharpness(config: ExperimentConfig):
         raise ValidationError("levels", f"must be at most {MAX_LEVELS}")
     if config.delta_depth < 1:
         raise ValidationError("delta-depth", "must be at least 1 for ratio norms")
-    lam = _load_sequence(config)
+    lam = _load(config.sequence_path, "sequence", sequence_from_json)
     r_prime = 1.0 / (1.0 + 1.0 / config.p - config.alpha)
     header = [
         "schema_version",

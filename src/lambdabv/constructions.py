@@ -17,7 +17,6 @@ from .sequences import (
     LambdaSequence,
     dual_extremizer,
     regularize_sequence,
-    self_terms,
     weighted_block_sum,
 )
 from .variation import RatioNormReport, lambda_variation, p_cont_ratio_norm
@@ -214,7 +213,7 @@ def extremal_function(
     pair_sum = 0.0
     for idx in range(levels):
         n = idx + 1
-        lam_k = self_terms(lam, 2**n, 2 ** (n + 1) - 1)
+        lam_k = lam.terms(2 ** (n + 1) - 1)[2**n - 1 :]
         heights = (
             (2.0**-n * beta[idx]) ** a_exp
             * lam_k ** (-1.0 / (p - 1.0))

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -28,8 +30,6 @@ __all__ = [
     "sequence_to_json",
     "sequence_from_json",
 ]
-
-_FAMILIES = ("explicit", "power", "power_log", "block_power_log")
 
 # ranges at most this long are summed term by term; longer ones go through
 # Hurwitz-zeta / digamma differences
@@ -56,7 +56,125 @@ def _block_index(k: int) -> int:
     return max(int(k).bit_length() - 1, 1)
 
 
-@dataclass(frozen=True)
+class _Family(NamedTuple):
+    """Everything that differs between weight families.
+
+    params names the family's own parameters (they drive describe, the JSON
+    format, equality and the exact growth exponents); checks pairs each
+    validity condition with the error it raises; term and terms evaluate
+    lambda at one index and at a float array of indices; block_sum(lam, k_exp,
+    lam_exp, lo, hi) is the weighted block sum over lo..hi; growth maps the
+    exact parameters to (sigma, tau) with lambda_k ~ 2^(n sigma) n^tau on
+    dyadic block n.  Explicit prefixes have no growth exponents, because
+    finite data settles no convergence question.
+    """
+
+    params: tuple[str, ...]
+    checks: tuple[tuple[Callable[[LambdaSequence], bool], str], ...]
+    term: Callable[[LambdaSequence, int], float]
+    terms: Callable[[LambdaSequence, np.ndarray], np.ndarray]
+    block_sum: Callable[[LambdaSequence, float, float, int, int], float]
+    growth: Callable[..., tuple[Fraction, Fraction]] | None
+
+
+def _block_power_log_term(lam: LambdaSequence, n: int) -> float:
+    b = _block_index(n)
+    return 2.0 ** (b * (1.0 - lam.alpha)) * float(b) ** ((1.0 - lam.alpha) * lam.s)
+
+
+def _block_power_log_terms(lam: LambdaSequence, k: np.ndarray) -> np.ndarray:
+    b = np.maximum(np.floor(np.log2(np.maximum(k, 1.0))), 1.0)
+    return 2.0 ** (b * (1.0 - lam.alpha)) * b ** ((1.0 - lam.alpha) * lam.s)
+
+
+def _direct_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
+    k = np.arange(lo, hi + 1, dtype=float)
+    lam_k = _FAMILIES[lam.family].terms(lam, k)
+    return float(np.sum(k**-k_exp * lam_k**-lam_exp))
+
+
+def _power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
+    # power_log has no closed form; cap the direct summation honestly
+    if hi - lo + 1 > _POWER_LOG_LIMIT:
+        raise ValueError("range too long for direct summation of the power_log family")
+    return _direct_block_sum(lam, k_exp, lam_exp, lo, hi)
+
+
+def _block_power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
+    # lambda is constant on each dyadic block, so each block is a power sum
+    total = 0.0
+    while lo <= hi:
+        block_hi = min(hi, 2 ** (_block_index(lo) + 1) - 1)
+        total += lam.term(lo) ** -lam_exp * _power_block_sum(k_exp, lo, block_hi)
+        lo = block_hi + 1
+    return total
+
+
+_FAMILIES = {
+    "explicit": _Family(
+        params=(),
+        checks=(
+            (lambda lam: lam.explicit_terms.ndim == 1 and lam.explicit_terms.size > 0,
+             "explicit sequence needs at least one term"),
+            (lambda lam: np.all(np.isfinite(lam.explicit_terms)) and np.all(lam.explicit_terms > 0.0),
+             "sequence terms must be positive and finite"),
+            (lambda lam: np.all(np.diff(lam.explicit_terms) >= 0.0), "sequence terms must be nondecreasing"),
+        ),
+        term=lambda lam, n: float(lam.explicit_terms[n - 1]),
+        terms=lambda lam, k: lam.explicit_terms[k.astype(np.intp) - 1],
+        block_sum=_direct_block_sum,
+        growth=None,
+    ),
+    "power": _Family(
+        params=("s",),
+        checks=((lambda lam: lam.s >= 0.0, "power family needs s >= 0 to be nondecreasing"),),
+        term=lambda lam, n: float(n) ** lam.s,
+        terms=lambda lam, k: k**lam.s,
+        block_sum=lambda lam, k_exp, lam_exp, lo, hi: _power_block_sum(k_exp + lam_exp * lam.s, lo, hi),
+        growth=lambda s: (s, 0),
+    ),
+    "power_log": _Family(
+        params=("s", "t"),
+        # n^s log(n+1)^t is nondecreasing iff s*log(n+1)*(n+1)/n >= -t for all
+        # n >= 1; the left side is increasing, so the worst case is n = 1
+        checks=(
+            (lambda lam: lam.s >= 0.0, "power_log family needs s >= 0"),
+            (lambda lam: lam.s * math.log(2.0) * 2.0 + lam.t >= 0.0,
+             "power_log family decreases at n = 1 for these s, t"),
+        ),
+        term=lambda lam, n: float(n) ** lam.s * math.log(n + 1.0) ** lam.t,
+        terms=lambda lam, k: k**lam.s * np.log(k + 1.0) ** lam.t,
+        block_sum=_power_log_block_sum,
+        growth=lambda s, t: (s, t),
+    ),
+    "block_power_log": _Family(
+        params=("s", "alpha"),
+        checks=(
+            (lambda lam: 0.0 < lam.alpha < 1.0, "block_power_log family needs alpha in (0, 1)"),
+            (lambda lam: lam.s >= -1.0, "block_power_log family needs s >= -1 to be nondecreasing"),
+        ),
+        term=_block_power_log_term,
+        terms=_block_power_log_terms,
+        block_sum=_block_power_log_block_sum,
+        growth=lambda s, alpha: (1 - alpha, (1 - alpha) * s),
+    ),
+}
+
+
+def _family(name) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown sequence family {name!r}; expected one of {tuple(_FAMILIES)}") from None
+
+
+def _exact(x: float) -> Fraction:
+    """The decimal a float was written as: 0.7 becomes 7/10, not the double
+    nearest to it, so that boundaries such as s = 1 - alpha hold exactly."""
+    return Fraction(repr(float(x)))
+
+
+@dataclass(frozen=True, eq=False)
 class LambdaSequence:
     """Positive nondecreasing weight sequence, 1-indexed.
 
@@ -70,7 +188,8 @@ class LambdaSequence:
 
     Positivity and monotonicity are validated at construction: numerically on
     the accessible prefix for explicit sequences, symbolically on the
-    parameters for named families.
+    parameters for named families.  Equality and hashing go by value: the
+    family, its own parameters, and the explicit terms.
     """
 
     family: str
@@ -80,46 +199,29 @@ class LambdaSequence:
     explicit_terms: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
-        if self.family == "explicit":
-            arr = np.asarray(self.explicit_terms, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("explicit sequence needs at least one term")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ValueError("sequence terms must be positive and finite")
-            if np.any(np.diff(arr) < 0.0):
-                raise ValueError("sequence terms must be nondecreasing")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, "explicit_terms", arr)
-            return
-        for name in ("s", "t", "alpha"):
+        spec = _family(self.family)
+        for name in spec.params:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
-        if self.family == "power":
-            if self.s < 0.0:
-                raise ValueError("power family needs s >= 0 to be nondecreasing")
-        elif self.family == "power_log":
-            self._validate_power_log()
-        else:
-            if not (0.0 < self.alpha < 1.0):
-                raise ValueError("block_power_log family needs alpha in (0, 1)")
-            if self.s < -1.0:
-                raise ValueError("block_power_log family needs s >= -1 to be nondecreasing")
+        terms = np.array(self.explicit_terms, dtype=float)
+        terms.setflags(write=False)
+        object.__setattr__(self, "explicit_terms", terms)
+        for ok, message in spec.checks:
+            if not ok(self):
+                raise ValueError(message)
 
-    def _validate_power_log(self) -> None:
-        s, t = self.s, self.t
-        if s < 0.0:
-            raise ValueError("power_log family needs s >= 0")
-        if t >= 0.0:
-            return
-        if s == 0.0:
-            raise ValueError("power_log family with s = 0 needs t >= 0")
-        # n^s log(n+1)^t is nondecreasing iff s*log(n+1)*(n+1)/n >= -t for all
-        # n >= 1; the left side is increasing, so the worst case is n = 1
-        if s * math.log(2.0) * 2.0 + t < 0.0:
-            raise ValueError("power_log family decreases at n = 1 for these s, t")
+    def _key(self) -> tuple:
+        # positive finite terms are equal exactly when their bytes are
+        params = tuple(getattr(self, name) for name in _FAMILIES[self.family].params)
+        return self.family, params, self.explicit_terms.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LambdaSequence):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # constructors
 
@@ -142,9 +244,9 @@ class LambdaSequence:
     # accessors
 
     def __len__(self) -> int:
-        if self.family == "explicit":
-            return len(self.explicit_terms)
-        raise TypeError("named families have no finite length")
+        if self.family != "explicit":
+            raise TypeError("named families have no finite length")
+        return len(self.explicit_terms)
 
     def require(self, n: int) -> None:
         """Fail fast when an explicit prefix is too short for n terms; named
@@ -158,39 +260,21 @@ class LambdaSequence:
     def term(self, n: int) -> float:
         if n < 1:
             raise ValueError("sequence indices start at 1")
-        if self.family == "explicit":
-            self.require(n)
-            return float(self.explicit_terms[n - 1])
-        if self.family == "power":
-            return float(n) ** self.s
-        if self.family == "power_log":
-            return float(n) ** self.s * math.log(n + 1.0) ** self.t
-        b = _block_index(n)
-        return 2.0 ** (b * (1.0 - self.alpha)) * float(b) ** ((1.0 - self.alpha) * self.s)
+        self.require(n)
+        return _FAMILIES[self.family].term(self, n)
 
     def terms(self, n: int) -> np.ndarray:
         """First n terms as an array."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if self.family == "explicit":
-            self.require(n)
-            return self.explicit_terms[:n].copy()
-        k = np.arange(1, n + 1, dtype=float)
-        if self.family == "power":
-            return k**self.s
-        if self.family == "power_log":
-            return k**self.s * np.log(k + 1.0) ** self.t
-        b = np.maximum(np.floor(np.log2(np.maximum(k, 1.0))), 1.0)
-        return 2.0 ** (b * (1.0 - self.alpha)) * b ** ((1.0 - self.alpha) * self.s)
+        self.require(n)
+        return _FAMILIES[self.family].terms(self, np.arange(1, n + 1, dtype=float))
 
     def describe(self) -> str:
         if self.family == "explicit":
             return f"explicit[{len(self.explicit_terms)}]"
-        if self.family == "power":
-            return f"power(s={self.s:g})"
-        if self.family == "power_log":
-            return f"power_log(s={self.s:g}, t={self.t:g})"
-        return f"block_power_log(s={self.s:g}, alpha={self.alpha:g})"
+        params = ", ".join(f"{name}={getattr(self, name):g}" for name in _FAMILIES[self.family].params)
+        return f"{self.family}({params})"
 
 
 def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
@@ -201,41 +285,36 @@ def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: in
         raise ValueError("block bounds start at 1")
     if hi < lo:
         return 0.0
-    if lam.family == "power":
-        return _power_block_sum(k_exp + lam_exp * lam.s, lo, hi)
-    if lam.family == "block_power_log":
-        total = 0.0
-        n = _block_index(lo)
-        lo_n = lo
-        while lo_n <= hi:
-            block_hi = min(hi, 2 ** (n + 1) - 1)
-            lam_block = 2.0 ** (n * (1.0 - lam.alpha)) * float(n) ** ((1.0 - lam.alpha) * lam.s)
-            total += lam_block**-lam_exp * _power_block_sum(k_exp, lo_n, block_hi)
-            lo_n = block_hi + 1
-            n = _block_index(lo_n)
-        return total
-    if lam.family == "explicit":
-        lam.require(hi)
-        k = np.arange(lo, hi + 1, dtype=float)
-        return float(np.sum(k**-k_exp * self_terms(lam, lo, hi) ** -lam_exp))
-    # power_log has no closed form; cap the direct summation honestly
-    if hi - lo + 1 > _POWER_LOG_LIMIT:
-        raise ValueError("range too long for direct summation of the power_log family")
-    k = np.arange(lo, hi + 1, dtype=float)
-    lam_k = k**lam.s * np.log(k + 1.0) ** lam.t
-    return float(np.sum(k**-k_exp * lam_k**-lam_exp))
+    lam.require(hi)
+    return _FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, lo, hi)
 
 
-def self_terms(lam: LambdaSequence, lo: int, hi: int) -> np.ndarray:
-    """lambda_k for k = lo..hi."""
-    if lam.family == "explicit":
-        lam.require(hi)
-        return lam.explicit_terms[lo - 1 : hi].copy()
-    return lam.terms(hi)[lo - 1 :]
+def _growth(lam: LambdaSequence) -> tuple[Fraction, Fraction] | None:
+    spec = _FAMILIES[lam.family]
+    if spec.growth is None:
+        return None
+    return spec.growth(*(_exact(getattr(lam, name)) for name in spec.params))
 
 
-_VERDICTS = ("converges", "diverges", "undetermined")
-_MEMBER_VERDICTS = ("proved", "refuted", "undetermined-numeric")
+def _condensation(lam: LambdaSequence, a, b, c) -> bool | None:
+    """Whether sum_n (sum_{k in block n} k^-a lambda_k^-b)^c converges, for
+    exact rationals a, b and c > 0; None for an explicit prefix.
+
+    With lambda_k ~ 2^(n sigma) n^tau on block n, the block terms are
+    ~ 2^(nE) n^-F with E = c(1 - a - b sigma) and F = c b tau, and by Cauchy
+    condensation the series converges iff E < 0, or E = 0 and F > 1.
+    """
+    growth = _growth(lam)
+    if growth is None:
+        return None
+    sigma, tau = growth
+    e = c * (1 - a - b * sigma)
+    f = c * b * tau
+    return e < 0 or (e == 0 and f > 1)
+
+
+_SERIES_VERDICT = {True: "converges", False: "diverges", None: "undetermined"}
+_MEMBER_VERDICT = {True: "proved", False: "refuted", None: "undetermined-numeric"}
 
 
 @dataclass(frozen=True)
@@ -307,55 +386,15 @@ def membership_report(lam: LambdaSequence, q: float, n_terms: int) -> Membership
         s_rows.append((cp, s_total))
         q_rows.append((cp, q_total))
         prev = cp
-    in_s, in_sq = _membership_verdicts(lam, q)
-    return MembershipReport(q, in_s, tuple(s_rows), in_sq, tuple(q_rows))
-
-
-def _membership_verdicts(lam: LambdaSequence, q: float) -> tuple[str, str]:
-    if lam.family == "explicit":
-        return "undetermined-numeric", "undetermined-numeric"
-    if lam.family == "power":
-        # needs lambda_n -> infinity, so s = 0 (constant) is out
-        in_s = 0.0 < lam.s <= 1.0
-        in_sq = in_s and q * lam.s > 1.0
-    elif lam.family == "power_log":
-        s, t = lam.s, lam.t
-        to_inf = s > 0.0 or (s == 0.0 and t > 0.0)
-        harmonic_diverges = s < 1.0 or (s == 1.0 and t <= 1.0)
-        in_s = to_inf and harmonic_diverges
-        qsum_converges = q * s > 1.0 or (q * s == 1.0 and q * t > 1.0)
-        in_sq = in_s and qsum_converges
-    else:
-        # lambda_k^-1 sums to sum_n 2^(n*alpha) n^(-(1-alpha)s) over blocks,
-        # which always diverges, and lambda_k -> infinity since alpha < 1
-        in_s = True
-        qa = q * (1.0 - lam.alpha)
-        in_sq = qa > 1.0 or (qa == 1.0 and q * (1.0 - lam.alpha) * lam.s > 1.0)
-    return (
-        "proved" if in_s else "refuted",
-        "proved" if in_sq else "refuted",
+    harmonic_sums = _condensation(lam, 0, 1, 1)
+    in_s = in_sq = None
+    if harmonic_sums is not None:
+        # class S also needs lambda -> infinity: sigma > 0, or sigma = 0 and tau > 0
+        in_s = _growth(lam) > (0, 0) and not harmonic_sums
+        in_sq = in_s and _condensation(lam, 0, _exact(q), 1)
+    return MembershipReport(
+        q, _MEMBER_VERDICT[in_s], tuple(s_rows), _MEMBER_VERDICT[in_sq], tuple(q_rows)
     )
-
-
-def _criterion_verdict(lam: LambdaSequence, p: float, alpha: float, r_prime: float) -> str:
-    if lam.family == "explicit":
-        return "undetermined"
-    if lam.family == "power":
-        # block terms decay like 2^(n r' (1 - alpha - s))
-        return "converges" if lam.s > 1.0 - alpha else "diverges"
-    if lam.family == "power_log":
-        if lam.s > 1.0 - alpha:
-            return "converges"
-        if lam.s < 1.0 - alpha:
-            return "diverges"
-        return "converges" if lam.t * r_prime > 1.0 else "diverges"
-    # block_power_log: block terms behave like 2^(n r' (alpha_fam - alpha))
-    # times n^(-r' (1 - alpha_fam) s)
-    if alpha > lam.alpha:
-        return "converges"
-    if alpha < lam.alpha:
-        return "diverges"
-    return "converges" if r_prime * (1.0 - lam.alpha) * lam.s > 1.0 else "diverges"
 
 
 def criterion_partial_sums(
@@ -392,9 +431,13 @@ def criterion_partial_sums(
         total += term
         rows.append((n, inner, term))
         partial.append(total)
-    verdict = _criterion_verdict(lam, p, alpha, r_prime)
+    # the same series in exact rationals: a = p'(alpha - 1/p), b = p', c = r'/p'
+    ep, ea = _exact(p), _exact(alpha)
+    ep_prime = ep / (ep - 1)
+    er_prime = 1 / (1 + 1 / ep - ea)
+    converges = _condensation(lam, ep_prime * (ea - 1 / ep), ep_prime, er_prime / ep_prime)
     return CriterionReport(
-        p, alpha, r, r_prime, include_upper, tuple(rows), tuple(partial), verdict
+        p, alpha, r, r_prime, include_upper, tuple(rows), tuple(partial), _SERIES_VERDICT[converges]
     )
 
 
@@ -411,24 +454,8 @@ def wang_partial_sums(lam: LambdaSequence, alpha: float, n_blocks: int) -> WangR
     for m in range(n_blocks):
         total += weighted_block_sum(lam, 0.0, exponent, 2**m, 2 ** (m + 1) - 1)
         sums.append(total)
-    if lam.family == "explicit":
-        verdict = "undetermined"
-    elif lam.family == "power":
-        verdict = "diverges" if lam.s * exponent <= 1.0 else "converges"
-    elif lam.family == "power_log":
-        se, te = lam.s * exponent, lam.t * exponent
-        diverges = se < 1.0 or (se == 1.0 and te <= 1.0)
-        verdict = "diverges" if diverges else "converges"
-    else:
-        # per-block closed form: block m contributes
-        # 2^(m (1 - (1-alpha_fam)/(1-alpha))) * m^(-s (1-alpha_fam)/(1-alpha))
-        if lam.alpha > alpha:
-            verdict = "diverges"
-        elif lam.alpha < alpha:
-            verdict = "converges"
-        else:
-            verdict = "converges" if lam.s > 1.0 else "diverges"
-    return WangReport(alpha, exponent, tuple(sums), verdict)
+    converges = _condensation(lam, 0, 1 / (1 - _exact(alpha)), 1)
+    return WangReport(alpha, exponent, tuple(sums), _SERIES_VERDICT[converges])
 
 
 def regularize_sequence(a, theta: float, gamma: float) -> np.ndarray:
@@ -526,12 +553,9 @@ def sequence_to_json(lam: LambdaSequence) -> str:
     """Serialize to the sequence file format."""
     if lam.family == "explicit":
         obj = {"family": "explicit", "terms": [float(v) for v in lam.explicit_terms]}
-    elif lam.family == "power":
-        obj = {"family": "power", "params": {"s": lam.s}}
-    elif lam.family == "power_log":
-        obj = {"family": "power_log", "params": {"s": lam.s, "t": lam.t}}
     else:
-        obj = {"family": "block_power_log", "params": {"s": lam.s, "alpha": lam.alpha}}
+        params = {name: getattr(lam, name) for name in _FAMILIES[lam.family].params}
+        obj = {"family": lam.family, "params": params}
     return json.dumps(obj)
 
 
@@ -550,10 +574,5 @@ def sequence_from_json(text: str) -> LambdaSequence:
     params = obj.get("params")
     if not isinstance(params, dict):
         raise ValueError('named families need a "params" object')
-    if family == "power":
-        return LambdaSequence.power(params["s"])
-    if family == "power_log":
-        return LambdaSequence.power_log(params["s"], params["t"])
-    if family == "block_power_log":
-        return LambdaSequence.block_power_log(params["s"], params["alpha"])
-    raise ValueError(f"unknown sequence family {family!r}")
+    names = _family(family).params
+    return LambdaSequence(family, **{name: float(params[name]) for name in names})

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -17,6 +18,30 @@ from lambdabv import (
 
 TRIANGLE_JSON = '{"breakpoints": [[0.0, 0.0], [0.5, 1.0]]}\n'
 LAM_N_JSON = '{"family": "power", "params": {"s": 1.0}}\n'
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> (sequence JSON or None, CLI arguments); tests/golden/<name>.csv holds
+# the CSV these commands wrote before the weight families moved into one table
+GOLDEN_CASES = {
+    "criterion_explicit": (
+        json.dumps({"family": "explicit", "terms": [math.sqrt(k) for k in range(1, 129)]}),
+        ("--command", "criterion", "--blocks", "6"),
+    ),
+    "criterion_power": (
+        '{"family": "power", "params": {"s": 0.5}}',
+        ("--command", "criterion", "--p", "3", "--alpha", "0.7"),
+    ),
+    "criterion_power_log": (
+        '{"family": "power_log", "params": {"s": 0.3, "t": 5.0}}',
+        ("--command", "criterion", "--alpha", "0.7", "--blocks", "18"),
+    ),
+    "criterion_block_power_log": (
+        '{"family": "block_power_log", "params": {"s": 2.0, "alpha": 0.8}}',
+        ("--command", "criterion", "--p", "1.5", "--alpha", "0.8"),
+    ),
+    "wang-demo": (None, ("--command", "wang-demo", "--s", "2.5")),
+    "sharpness": (LAM_N_JSON, ("--command", "sharpness", "--levels", "6")),
+}
 
 
 def run_cli(*args):
@@ -154,6 +179,27 @@ class TestValidationFailures:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: out:")
 
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (("--command", "variation", "--p", "nan"), "p"),
+            (("--command", "variation", "--p", "inf"), "p"),
+            (("--command", "perlman-demo", "--p", "inf"), "p"),
+            (("--command", "perlman-demo", "--d-power", "nan"), "d-power"),
+            (("--command", "criterion", "--p", "inf"), "p"),
+            (("--command", "sharpness", "--p", "inf"), "p"),
+            (("--command", "criterion", "--alpha", "nan"), "alpha"),
+            (("--command", "wang-demo", "--s", "inf"), "s"),
+        ],
+    )
+    def test_non_finite_option_named(self, tmp_path, tri_file, lam_file, args, field):
+        proc = run_cli(
+            *args, "--function", tri_file, "--sequence", lam_file, "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert f"error: {field}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_command_rejected_by_parser(self, tmp_path):
         proc = run_cli("--command", "nope", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
@@ -287,6 +333,18 @@ class TestDeterminism:
             b1 = (out1 / (name + suffix)).read_bytes()
             b2 = (out2 / (name + suffix)).read_bytes()
             assert b1 == b2
+
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_csv_matches_golden(self, tmp_path, name):
+        seq, args = GOLDEN_CASES[name]
+        if seq is not None:
+            (tmp_path / "seq.json").write_text(seq)
+            args = args + ("--sequence", str(tmp_path / "seq.json"))
+        proc = run_cli(*args, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        got = (tmp_path / "out" / (args[1] + ".csv")).read_bytes()
+        assert got == (GOLDEN / (name + ".csv")).read_bytes()
 
 
 class TestParser:

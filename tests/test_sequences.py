@@ -20,6 +20,40 @@ from lambdabv import (
 from helpers import random_lambda_prefix
 
 
+def _case_ids(cases):
+    """Name each case by its index and verdict only, as pytest does for a
+    (sequence, verdict) pair, so the p and alpha columns leave ids alone."""
+    return [f"lam{i}-{case[-1]}" for i, case in enumerate(cases)]
+
+
+# (sequence, p, alpha, verdict); the last two sit on the boundary s = 1 - alpha,
+# where 1.0 - 0.7 and 1.0 - 0.9 as doubles miss the decimal value
+CRITERION_CASES = [
+    (LambdaSequence.power(0.5), 2.0, 0.75, "converges"),
+    (LambdaSequence.power(0.25), 2.0, 0.75, "diverges"),
+    (LambdaSequence.power(0.26), 2.0, 0.75, "converges"),
+    (LambdaSequence.power_log(0.25, 1.0), 2.0, 0.75, "converges"),
+    (LambdaSequence.power_log(0.25, 0.75), 2.0, 0.75, "diverges"),
+    (LambdaSequence.block_power_log(2.0, 0.75), 2.0, 0.75, "diverges"),
+    (LambdaSequence.block_power_log(4.0, 0.75), 2.0, 0.75, "converges"),
+    (LambdaSequence.explicit(np.arange(1.0, 9.0)), 2.0, 0.75, "undetermined"),
+    # t r' = 5 * 1.25 > 1
+    (LambdaSequence.power_log(0.3, 5.0), 2.0, 0.7, "converges"),
+    # t r' = 0.1 * 5/3 < 1
+    (LambdaSequence.power_log(0.1, 0.1), 2.0, 0.9, "diverges"),
+]
+
+# (sequence, alpha, verdict); the last sits on the boundary s = 1 - alpha
+WANG_CASES = [
+    (LambdaSequence.power(0.25), 0.75, "diverges"),
+    (LambdaSequence.power(0.3), 0.75, "converges"),
+    (LambdaSequence.block_power_log(2.0, 0.75), 0.75, "converges"),
+    (LambdaSequence.block_power_log(1.0, 0.75), 0.75, "diverges"),
+    (LambdaSequence.explicit([1.0, 2.0]), 0.75, "undetermined"),
+    (LambdaSequence.power(0.3), 0.7, "diverges"),
+]
+
+
 class TestLambdaSequence:
     def test_explicit_basic(self):
         lam = LambdaSequence.explicit([1.0, 2.0, 4.0])
@@ -93,6 +127,19 @@ class TestLambdaSequence:
     def test_len_only_for_explicit(self):
         with pytest.raises(TypeError):
             len(LambdaSequence.power(1.0))
+
+    def test_equality_and_hash_by_value(self):
+        assert LambdaSequence.power(1.0) == LambdaSequence.power(1.0)
+        assert LambdaSequence.power(1.0) != LambdaSequence.power(1.5)
+        assert LambdaSequence.power(1.0) != LambdaSequence.power_log(1.0, 0.0)
+        a = LambdaSequence.explicit([1.0, 2.0, 4.0])
+        b = LambdaSequence.explicit(np.array([1.0, 2.0, 4.0]))
+        assert a == b and a is not b
+        assert a != LambdaSequence.explicit([1.0, 2.0, 5.0])
+        assert a != LambdaSequence.explicit([1.0, 2.0])
+        assert hash(a) == hash(b)
+        assert hash(LambdaSequence.power(1.0)) == hash(LambdaSequence.power(1.0))
+        assert len({a, b, LambdaSequence.power(1.0), LambdaSequence.power(1.0)}) == 2
 
     def test_describe_mentions_family(self):
         assert "power" in LambdaSequence.power(1.0).describe()
@@ -176,21 +223,9 @@ class TestCriterion:
         target = 2.0 ** (rep.r_prime * (1.0 - 0.75 - 0.5))
         assert terms[-1] / terms[-2] == pytest.approx(target, abs=1e-5)
 
-    @pytest.mark.parametrize(
-        "lam,verdict",
-        [
-            (LambdaSequence.power(0.5), "converges"),
-            (LambdaSequence.power(0.25), "diverges"),
-            (LambdaSequence.power(0.26), "converges"),
-            (LambdaSequence.power_log(0.25, 1.0), "converges"),
-            (LambdaSequence.power_log(0.25, 0.75), "diverges"),
-            (LambdaSequence.block_power_log(2.0, 0.75), "diverges"),
-            (LambdaSequence.block_power_log(4.0, 0.75), "converges"),
-            (LambdaSequence.explicit(np.arange(1.0, 9.0)), "undetermined"),
-        ],
-    )
-    def test_symbolic_verdicts(self, lam, verdict):
-        rep = criterion_partial_sums(lam, 2.0, 0.75, 2)
+    @pytest.mark.parametrize("lam,p,alpha,verdict", CRITERION_CASES, ids=_case_ids(CRITERION_CASES))
+    def test_symbolic_verdicts(self, lam, p, alpha, verdict):
+        rep = criterion_partial_sums(lam, p, alpha, 2)
         assert rep.symbolic_verdict == verdict
 
     def test_block_zero_covers_one_and_two(self):
@@ -226,18 +261,9 @@ class TestWang:
         rep = wang_partial_sums(LambdaSequence.power(1.0), 0.75, 0)
         assert rep.partial_sums == ()
 
-    @pytest.mark.parametrize(
-        "lam,verdict",
-        [
-            (LambdaSequence.power(0.25), "diverges"),
-            (LambdaSequence.power(0.3), "converges"),
-            (LambdaSequence.block_power_log(2.0, 0.75), "converges"),
-            (LambdaSequence.block_power_log(1.0, 0.75), "diverges"),
-            (LambdaSequence.explicit([1.0, 2.0]), "undetermined"),
-        ],
-    )
-    def test_symbolic_verdicts(self, lam, verdict):
-        rep = wang_partial_sums(lam, 0.75, 1)
+    @pytest.mark.parametrize("lam,alpha,verdict", WANG_CASES, ids=_case_ids(WANG_CASES))
+    def test_symbolic_verdicts(self, lam, alpha, verdict):
+        rep = wang_partial_sums(lam, alpha, 1)
         assert rep.symbolic_verdict == verdict
 
     def test_exponent_recorded(self):
@@ -289,6 +315,10 @@ class TestMembership:
         assert rep4s.class_Sq == "refuted"
         rep5 = membership_report(LambdaSequence.block_power_log(2.0, 0.75), 5.0, 64)
         assert rep5.class_Sq == "proved"
+        # q(1-alpha) = 5 * 0.2 = 1 exactly, and q(1-alpha)s = 2 > 1; the
+        # doubles give 5 * (1.0 - 0.8) < 1
+        rep_edge = membership_report(LambdaSequence.block_power_log(2.0, 0.8), 5.0, 64)
+        assert rep_edge.class_Sq == "proved"
 
     def test_checkpoints_dyadic(self):
         rep = membership_report(LambdaSequence.power(1.0), 2.0, 100)
