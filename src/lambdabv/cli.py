@@ -35,7 +35,7 @@ from .sequences import (
 from .variation import (
     ModulusQuery,
     lambda_variation,
-    lp_modulus,
+    lp_modulus_profile,
     modulus_p_continuity,
     p_variation,
 )
@@ -161,13 +161,11 @@ def _run_variation(config: ExperimentConfig):
             raise ValidationError("function", str(exc)) from exc
         rows.append([SCHEMA_VERSION, "lambda_variation", "", "", "", vlam, ""])
         values["lambda_variation"] = vlam
-    for j in range(config.delta_depth + 1):
-        delta = 2.0**-j
-        value = lp_modulus(f, config.p, delta, LP_H_SAMPLES)
+    deltas = [2.0**-j for j in range(config.delta_depth + 1)]
+    for delta, value in zip(deltas, lp_modulus_profile(f, config.p, deltas, LP_H_SAMPLES)):
         rows.append([SCHEMA_VERSION, "lp_modulus", config.p, "", delta, value, LP_H_SAMPLES])
     if config.p > 1.0:
-        for j in range(config.delta_depth + 1):
-            delta = 2.0**-j
+        for delta in deltas:
             value = modulus_p_continuity(f, config.p, ModulusQuery(delta, config.refine))
             rows.append(
                 [SCHEMA_VERSION, "modulus_p_continuity", config.p, "", delta, value, config.refine]

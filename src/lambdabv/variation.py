@@ -32,6 +32,7 @@ __all__ = [
     "lambda_variation",
     "modulus_p_continuity",
     "lp_modulus",
+    "lp_modulus_profile",
     "lip_norm",
     "p_cont_ratio_norm",
     "brute_p_variation",
@@ -141,8 +142,6 @@ def _modulus_power_sum(
     refinement: int,
     cut_candidates: str,
 ) -> float:
-    if len(f.positions) == 1:
-        return 0.0
     cx, cy = _refined_cycle(f, refinement)
     if cut_candidates == "argmax":
         cuts = [int(np.argmax(cy))]
@@ -287,29 +286,42 @@ def system_lambda_sum(f: PiecewiseLinearPeriodic, system: IntervalSystem, lam: L
     return _sorted_weighted_sum(incs, lam)
 
 
-def _shift_norm(f: PiecewiseLinearPeriodic, h: float, p: float) -> float:
-    """||f(.+h) - f||_p via exact integration of the piecewise-linear
-    difference (kinks at breakpoints and at breakpoints shifted by -h)."""
-    if h == 0.0 or len(f.positions) == 1:
-        return 0.0
+# shifts per vectorized block: about this many shift x breakpoint cells
+_BLOCK_CELLS = 4096
+
+
+def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
+    """||f(.+h) - f||_p for each shift in ``hs``, by exact integration of the
+    difference, linear between its kinks (breakpoints and breakpoints shifted
+    by -h).  Kinks are sorted but not deduplicated: a repeated kink is a
+    zero-width piece and adds exactly 0.
+
+    A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
+    G(c) = sign(c)|c|^(p+1)/(p+1).  That cancels on a nearly flat piece, so
+    where |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
+    w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
+    replaces it (the dropped terms are O(x^6)).
+    """
     pos = f._pos
-    kinks = np.unique(np.concatenate([pos, np.mod(pos - h, 1.0)]))
-    x1 = np.append(kinks[1:], kinks[0] + 1.0)
-    u = f.eval(kinks + h) - f.eval(kinks)
-    v = f.eval(x1 + h) - f.eval(x1)
-    w = x1 - kinks
-    # integral of |linear u -> v|^p over a piece of width w:
-    # w * (G(v) - G(u)) / (v - u) with G(c) = sign(c)|c|^{p+1}/(p+1)
-    scale = np.maximum(np.maximum(np.abs(u), np.abs(v)), 1.0)
-    flat = np.abs(v - u) <= 1e-14 * scale
+    n = len(pos)
+    rows = max(1, _BLOCK_CELLS // n)
+    c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
     g = lambda c: np.sign(c) * np.abs(c) ** (p + 1.0) / (p + 1.0)
-    denom = np.where(flat, 1.0, v - u)
-    pieces = np.where(
-        flat,
-        w * 0.5 * (np.abs(u) ** p + np.abs(v) ** p),
-        w * (g(v) - g(u)) / denom,
-    )
-    return float(np.sum(pieces) ** (1.0 / p))
+    out = np.empty(len(hs))
+    for s in range(0, len(hs), rows):
+        h = hs[s : s + rows, None]
+        k = np.concatenate([np.broadcast_to(pos, (len(h), n)), np.mod(pos - h, 1.0)], axis=1)
+        k.sort(axis=1)
+        x1 = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1)
+        u = f.eval(k + h) - f.eval(k)
+        v = f.eval(x1 + h) - f.eval(x1)
+        m, d = 0.5 * (u + v), v - u
+        near = np.abs(d) <= 1e-3 * np.abs(m)
+        x2 = np.where(near, d / np.where(m == 0.0, 1.0, m), 0.0) ** 2
+        series = np.abs(m) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
+        closed = (g(v) - g(u)) / np.where(near, 1.0, d)
+        out[s : s + len(h)] = np.sum((x1 - k) * np.where(near, series, closed), axis=1)
+    return out ** (1.0 / p)
 
 
 _DYADIC_SHIFTS = tuple(2.0 ** (-j) for j in range(41))
@@ -333,6 +345,26 @@ def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float, h_samples: int) 
     return h[(h > 0.0) & (h <= delta)]
 
 
+def lp_modulus_profile(
+    f: PiecewiseLinearPeriodic, p: float, deltas, h_samples: int = 64
+) -> list[float]:
+    """omega(f; delta)_p for each delta in ``deltas``: the max of the shift
+    norms over the sample set of max(deltas), each shift integrated once,
+    restricted to h <= delta (0.0 if none).  On a dyadic grid, where sample
+    sets are nested, entry i equals lp_modulus(f, p, deltas[i]).
+    """
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError("p must satisfy p >= 1")
+    deltas = list(deltas)
+    if not all(math.isfinite(d) and 0.0 <= d <= 1.0 for d in deltas):
+        raise ValueError("delta must lie in [0, 1]")
+    if h_samples < 1:
+        raise ValueError("h_samples must be positive")
+    hs = _shift_candidates(f, max(deltas, default=0.0), h_samples)
+    peak = np.maximum.accumulate(_shift_norms(f, hs, p))
+    return [float(peak[e - 1]) if e else 0.0 for e in np.searchsorted(hs, deltas, side="right")]
+
+
 def lp_modulus(f: PiecewiseLinearPeriodic, p: float, delta: float, h_samples: int = 64) -> float:
     """omega(f; delta)_p: sup over shifts h in [0, delta] of ||f(.+h) - f||_p.
 
@@ -340,15 +372,7 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, delta: float, h_samples: in
     sampled shift set, so the result is a lower bound converging upward in
     h_samples (monotone in delta along dyadic grids).
     """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must satisfy p >= 1")
-    if not (math.isfinite(delta) and 0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
-    if h_samples < 1:
-        raise ValueError("h_samples must be positive")
-    if delta == 0.0 or len(f.positions) == 1:
-        return 0.0
-    return max(_shift_norm(f, float(h), p) for h in _shift_candidates(f, delta, h_samples))
+    return lp_modulus_profile(f, p, [delta], h_samples)[0]
 
 
 def _dyadic_grid(depth: int) -> list[float]:
@@ -371,18 +395,10 @@ def lip_norm(
         raise ValueError("alpha must lie in (0, 1]")
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be at least 1")
-    if len(f.positions) == 1:
-        deltas = _dyadic_grid(dyadic_depth)
-        return RatioNormReport(0.0, tuple((d, 0.0, 0.0) for d in deltas), dyadic_depth)
-    hs = _shift_candidates(f, 1.0, h_samples)
-    norms = np.asarray([_shift_norm(f, float(h), p) for h in hs])
-    rows = []
-    for d in _dyadic_grid(dyadic_depth):
-        sel = norms[hs <= d]
-        modulus = float(sel.max()) if sel.size else 0.0
-        rows.append((d, modulus, modulus / d**alpha))
-    value = max(r[2] for r in rows)
-    return RatioNormReport(value, tuple(rows), dyadic_depth)
+    deltas = _dyadic_grid(dyadic_depth)
+    moduli = lp_modulus_profile(f, p, deltas, h_samples)
+    rows = tuple((d, m, m / d**alpha) for d, m in zip(deltas, moduli))
+    return RatioNormReport(max(r[2] for r in rows), rows, dyadic_depth)
 
 
 def p_cont_ratio_norm(
@@ -405,8 +421,6 @@ def p_cont_ratio_norm(
         raise ValueError("dyadic_depth must be at least 1")
     exponent = alpha - 1.0 / p
     deltas = _dyadic_grid(dyadic_depth)
-    if len(f.positions) == 1:
-        return RatioNormReport(0.0, tuple((d, 0.0, 0.0) for d in deltas), dyadic_depth)
     cx, cy = _refined_cycle(f, grid_refinement)
     cut = int(np.argmax(cy))
     xs, ys = _chain_from_cycle(cx, cy, cut)

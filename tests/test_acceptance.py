@@ -9,8 +9,6 @@ honestly; every other clause in them is asserted and passes.
 
 import csv
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -34,7 +32,7 @@ from lambdabv import (
     wang_partial_sums,
 )
 
-from helpers import random_comb_spec, random_lambda_prefix, random_plpf
+from helpers import random_comb_spec, random_lambda_prefix, random_plpf, run_cli
 
 
 def _report(number, ok, detail):
@@ -286,13 +284,7 @@ def test_acceptance_9_cli_determinism(tmp_path):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "lambdabv", "--command", name,
-                 *extra, "--out", str(out)],
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
+            proc = run_cli("--command", name, *extra, "--out", str(out))
             assert proc.returncode == 0, (name, proc.stderr)
             outs.append((out / f"{name}.csv").read_bytes())
         if outs[0] != outs[1]:

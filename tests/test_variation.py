@@ -14,6 +14,7 @@ from lambdabv import (
     lambda_variation,
     lip_norm,
     lp_modulus,
+    lp_modulus_profile,
     make_plpf,
     modulus_p_continuity,
     monotone_arcs,
@@ -22,10 +23,13 @@ from lambdabv import (
     system_lambda_sum,
     system_p_sum,
 )
+from lambdabv.variation import _BLOCK_CELLS, _shift_candidates, _shift_norms
 
 from helpers import (
     circle_oracle,
     lambda_sum_score,
+    mp_lp_modulus_profile,
+    mp_shift_norm,
     p_sum_score,
     random_lambda_prefix,
     random_plpf,
@@ -322,6 +326,89 @@ class TestLpModulus:
             lp_modulus(TRIANGLE, 2.0, 1.5)
         with pytest.raises(ValueError):
             lp_modulus(TRIANGLE, 2.0, 0.1, 0)
+
+
+class TestLpModulusProfile:
+    # The difference f(. + 1/16) - f is nearly flat (slope -8e-13) on the
+    # pieces where x and x + 1/16 straddle the middle breakpoint.  The closed
+    # form (G(v) - G(u)) / (v - u) loses eps |G| / |v - u| there; used on
+    # every piece, it reads this case 7.9e-5 below the exact value.
+    NEARLY_FLAT = make_plpf([(0.0, 0.0), (0.25, 5.0 + 1e-13), (0.5, 10.0)])
+
+    def test_nearly_flat_piece_matches_reference(self):
+        f, h, p = self.NEARLY_FLAT, 0.0625, 1.5
+        assert _shift_norms(f, np.asarray([h]), p)[0] == pytest.approx(
+            mp_shift_norm(f, h, p), rel=1e-12
+        )
+        want = mp_lp_modulus_profile(f, p, [h])
+        assert lp_modulus(f, p, h) == pytest.approx(want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_reference_on_small_functions(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        deltas = [2.0**-j for j in range(7)]
+        for _ in range(3):
+            f = random_plpf(rng)
+            got = lp_modulus_profile(f, p, deltas)
+            assert got == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_reference_across_blocks(self, p):
+        # one function for every p, so the reference's pieces are reused
+        f = random_plpf(np.random.default_rng(20), 80, min_gap=1e-4, min_breaks=70)
+        deltas = [2.0**-6, 0.012, 2.0**-8]
+        rows = max(1, _BLOCK_CELLS // len(f.positions))
+        count = len(_shift_candidates(f, deltas[0], 64))
+        assert count > rows and count % rows != 0
+        got = lp_modulus_profile(f, p, deltas)
+        assert got == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
+
+    def test_single_breakpoint_and_zero_delta(self):
+        assert lp_modulus_profile(make_plpf([(0.3, 2.0)]), 2.0, [1.0, 0.5, 0.0]) == [0.0] * 3
+        assert lp_modulus_profile(TRIANGLE, 2.0, [0.0]) == [0.0]
+        assert lp_modulus_profile(TRIANGLE, 2.0, [0.5, 0.0])[1] == 0.0
+        assert lp_modulus_profile(TRIANGLE, 2.0, []) == []
+
+    def test_delta_below_every_candidate(self):
+        # the smallest sampled shift is the dyadic 2^-40
+        got = lp_modulus_profile(TRIANGLE, 2.0, [1.0, 2.0**-40, 2.0**-45])
+        assert got[1] > 0.0 and got[2] == 0.0
+
+    def test_single_delta_equals_lp_modulus(self):
+        rng = np.random.default_rng(121)
+        for _ in range(10):
+            f = random_plpf(rng)
+            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            for d in (1.0, 0.3, 2.0**-4, 0.0):
+                assert lp_modulus(f, p, d) == lp_modulus_profile(f, p, [d])[0]
+
+    def test_dyadic_entries_equal_lp_modulus(self):
+        # dyadic sample sets are nested, and a shift's norm does not depend on
+        # the block it is integrated in
+        rng = np.random.default_rng(122)
+        deltas = [2.0**-j for j in range(7)]
+        for n in (8, 70):
+            f = random_plpf(rng, n, min_gap=1e-4, min_breaks=n)
+            got = lp_modulus_profile(f, 2.0, deltas)
+            assert got == [lp_modulus(f, 2.0, d) for d in deltas]
+
+    def test_lip_norm_rows_equal_profile(self):
+        rng = np.random.default_rng(123)
+        for _ in range(5):
+            f = random_plpf(rng)
+            rep = lip_norm(f, 1.5, 0.75, 6)
+            deltas = [row[0] for row in rep.per_delta]
+            assert [row[1] for row in rep.per_delta] == lp_modulus_profile(f, 1.5, deltas)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            lp_modulus_profile(TRIANGLE, 0.5, [0.1])
+        with pytest.raises(ValueError):
+            lp_modulus_profile(TRIANGLE, 2.0, [0.5, 1.5])
+        with pytest.raises(ValueError):
+            lp_modulus_profile(TRIANGLE, 2.0, [math.nan])
+        with pytest.raises(ValueError):
+            lp_modulus_profile(TRIANGLE, 2.0, [0.1], 0)
 
 
 class TestNormReports:
