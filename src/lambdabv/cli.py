@@ -33,7 +33,7 @@ from .sequences import (
     wang_partial_sums,
 )
 from .variation import (
-    ModulusQuery,
+    H_SAMPLES,
     lambda_variation,
     lp_modulus_profile,
     modulus_p_continuity,
@@ -45,7 +45,10 @@ __all__ = ["ExperimentConfig", "ValidationError", "main", "run"]
 SCHEMA_VERSION = 1
 COMMANDS = ("variation", "criterion", "sharpness", "wang-demo", "perlman-demo", "hardy-demo")
 MAX_LEVELS = 12
-LP_H_SAMPLES = 64
+# 2^-1074 is the smallest positive double, and the block bound 2^(blocks + 1)
+# must be a finite double
+MAX_DELTA_DEPTH = 1074
+MAX_BLOCKS = 1022
 PERLMAN_TERMS = 1_000_000
 PERLMAN_DECADES = (10**3, 10**4, 10**5, 10**6)
 HARDY_TRIALS = 500
@@ -116,6 +119,9 @@ def _parse_args(argv) -> ExperimentConfig:
         value = getattr(config, name)
         if value is not None and value < 0:
             raise ValidationError(name.replace("_", "-"), "must be nonnegative")
+    for name, top in (("delta_depth", MAX_DELTA_DEPTH), ("blocks", MAX_BLOCKS)):
+        if getattr(config, name) > top:
+            raise ValidationError(name.replace("_", "-"), f"must be at most {top}")
     return config
 
 
@@ -162,11 +168,11 @@ def _run_variation(config: ExperimentConfig):
         rows.append([SCHEMA_VERSION, "lambda_variation", "", "", "", vlam, ""])
         values["lambda_variation"] = vlam
     deltas = [2.0**-j for j in range(config.delta_depth + 1)]
-    for delta, value in zip(deltas, lp_modulus_profile(f, config.p, deltas, LP_H_SAMPLES)):
-        rows.append([SCHEMA_VERSION, "lp_modulus", config.p, "", delta, value, LP_H_SAMPLES])
+    for delta, value in zip(deltas, lp_modulus_profile(f, config.p, deltas)):
+        rows.append([SCHEMA_VERSION, "lp_modulus", config.p, "", delta, value, H_SAMPLES])
     if config.p > 1.0:
         for delta in deltas:
-            value = modulus_p_continuity(f, config.p, ModulusQuery(delta, config.refine))
+            value = modulus_p_continuity(f, config.p, delta, config.refine)
             rows.append(
                 [SCHEMA_VERSION, "modulus_p_continuity", config.p, "", delta, value, config.refine]
             )
@@ -179,7 +185,7 @@ def _run_variation(config: ExperimentConfig):
         "p": config.p,
         "delta_depth": config.delta_depth,
         "refinement": config.refine,
-        "h_samples": LP_H_SAMPLES,
+        "h_samples": H_SAMPLES,
         "values": values,
     }
     return header, rows, summary, {}, None

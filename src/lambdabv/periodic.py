@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "PiecewiseLinearPeriodic",
     "Interval",
-    "IntervalSystem",
     "Arc",
     "MonotoneArcDecomposition",
     "make_plpf",
@@ -127,34 +126,6 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class IntervalSystem:
-    """Finite list of closed intervals with pairwise disjoint interiors whose
-    union fits inside one period."""
-
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        ivs = self.intervals
-        if not ivs:
-            return
-        total = sum(iv.length for iv in ivs)
-        if total > 1.0 + 1e-12:
-            raise ValueError("total interval length exceeds one period")
-        # a valid system leaves some interval end non-interior; cut there and
-        # check the unrolled intervals are ordered without interior overlap
-        for cut in {iv.b % 1.0 for iv in ivs}:
-            shifted = sorted(((iv.a - cut) % 1.0, iv.length) for iv in ivs)
-            ok = all(s + ln <= 1.0 + 1e-12 for s, ln in shifted)
-            for (s0, l0), (s1, _) in zip(shifted, shifted[1:]):
-                if s1 < s0 + l0 - 1e-12:
-                    ok = False
-                    break
-            if ok:
-                return
-        raise ValueError("intervals overlap or do not fit inside one period")
-
-
-@dataclass(frozen=True)
 class Arc:
     """Maximal monotone arc: start/end positions in [0, 1) (the arc wraps when
     end <= start) and its signed increment."""
@@ -216,42 +187,21 @@ def increment(f: PiecewiseLinearPeriodic, interval: Interval) -> float:
     return float(f.eval(interval.a + interval.length) - f.eval(interval.a))
 
 
-def monotone_arcs(f: PiecewiseLinearPeriodic, value_tol: float = 0.0) -> MonotoneArcDecomposition:
+def monotone_arcs(f: PiecewiseLinearPeriodic) -> MonotoneArcDecomposition:
     """Decompose ``f`` into maximal circular monotone arcs.
 
-    Consecutive equal breakpoint values (plateaus) are collapsed first;
-    ``value_tol`` widens the equality test for imported, inexact data.
-    A constant function yields an empty decomposition.
+    Consecutive equal breakpoint values (plateaus) are collapsed first.  Each
+    survivor then differs from its cyclic neighbours, so the survivors of a
+    non-constant function rise and fall at least once each; a constant
+    function yields an empty decomposition.
     """
-    if value_tol < 0.0:
-        raise ValueError("value_tol must be nonnegative")
     pos, val = f._pos, f._val
-    if len(pos) == 1:
-        return MonotoneArcDecomposition((), ())
-    prev = np.roll(val, 1)
-    if value_tol == 0.0:
-        keep = val != prev
-    else:
-        keep = np.abs(val - prev) > value_tol
+    keep = val != np.roll(val, 1)
     if not keep.any():
         return MonotoneArcDecomposition((), ())
-    kidx = np.flatnonzero(keep)
-    sp = pos[kidx].copy()
-    sv = val[kidx].copy()
-    # tolerance-based collapsing can leave exactly equal consecutive survivors
-    while len(sv) >= 2:
-        zero = np.flatnonzero(np.roll(sv, -1) == sv)
-        if zero.size == 0:
-            break
-        mask = np.ones(len(sv), dtype=bool)
-        mask[(zero + 1) % len(sv)] = False
-        sp, sv = sp[mask], sv[mask]
-    if len(sv) < 2:
-        return MonotoneArcDecomposition((), ())
+    sp, sv = pos[keep], val[keep]
     sign = np.sign(np.roll(sv, -1) - sv)
     ext = np.flatnonzero(sign != np.roll(sign, 1))
-    if ext.size == 0:
-        return MonotoneArcDecomposition((), ())
     arcs = []
     m = ext.size
     for i in range(m):

@@ -1,12 +1,13 @@
 """Variation functionals of periodic piecewise-linear functions: p-variation,
-weighted (Lambda) variation, modulus of p-continuity, L^p-modulus, ratio
-norms, and independent brute-force oracles.
+weighted (Lambda) variation, modulus of p-continuity, L^p-modulus and ratio
+norms.
 
 All suprema over interval systems are computed exactly on their grids.  Two
-reductions make this tractable and are themselves cross-checked by the oracle
-tests: a maximizing system may take all its endpoints at local extrema, and
-cutting the circle at a global maximum never loses value (splitting any
-interval at a global max point can only increase the objective).
+reductions make this tractable and are themselves cross-checked by the
+brute-force oracles of the tests: a maximizing system may take all its
+endpoints at local extrema, and cutting the circle at a global maximum never
+loses value (splitting any interval at a global max point can only increase
+the objective).
 """
 
 from __future__ import annotations
@@ -16,17 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodic import (
-    IntervalSystem,
-    MonotoneArcDecomposition,
-    PiecewiseLinearPeriodic,
-    increment,
-    monotone_arcs,
-)
+from .periodic import PiecewiseLinearPeriodic, monotone_arcs
 from .sequences import LambdaSequence
 
 __all__ = [
-    "ModulusQuery",
     "RatioNormReport",
     "p_variation",
     "lambda_variation",
@@ -35,42 +29,16 @@ __all__ = [
     "lp_modulus_profile",
     "lip_norm",
     "p_cont_ratio_norm",
-    "brute_p_variation",
-    "brute_lambda_variation",
-    "system_p_sum",
-    "system_lambda_sum",
     "MAX_EXACT_ARCS",
+    "H_SAMPLES",
 ]
 
 # subset search over local extrema is exponential; beyond this arc count only
 # baseline-separated functions are supported
 MAX_EXACT_ARCS = 16
 
-_CUT_POLICIES = ("argmax", "all")
-
-
-@dataclass(frozen=True)
-class ModulusQuery:
-    """Query for the modulus of p-continuity.
-
-    ``delta`` bounds the interval lengths; ``grid_refinement`` adds that many
-    uniform points per breakpoint segment; ``cut_candidates`` selects where
-    the circle is cut before the chain maximization ("argmax" cuts at a
-    global maximum, which is exact on the grid; "all" tries every grid point
-    and serves as a cross-check).
-    """
-
-    delta: float
-    grid_refinement: int = 0
-    cut_candidates: str = "argmax"
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and 0.0 < self.delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
-        if self.grid_refinement < 0:
-            raise ValueError("grid_refinement must be nonnegative")
-        if self.cut_candidates not in _CUT_POLICIES:
-            raise ValueError(f"cut_candidates must be one of {_CUT_POLICIES}")
+# uniform shift samples per unit shift in the L^p modulus; a power of two
+H_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -135,19 +103,15 @@ def _chain_dp(xs: np.ndarray, ys: np.ndarray, p: float, delta: float) -> float:
     return float(best[-1])
 
 
-def _modulus_power_sum(
-    f: PiecewiseLinearPeriodic,
-    p: float,
-    delta: float,
-    refinement: int,
-    cut_candidates: str,
-) -> float:
+def _p_power_profile(
+    f: PiecewiseLinearPeriodic, p: float, deltas, refinement: int = 0
+) -> list[float]:
+    """omega_{1-1/p}(f; delta) on the refined grid for each delta: the p-th
+    root of the chain maximization's p-power sum, with the circle cut once at
+    a global maximum (exact on the grid)."""
     cx, cy = _refined_cycle(f, refinement)
-    if cut_candidates == "argmax":
-        cuts = [int(np.argmax(cy))]
-    else:
-        cuts = range(len(cx))
-    return max(_chain_dp(*_chain_from_cycle(cx, cy, i), p, delta) for i in cuts)
+    xs, ys = _chain_from_cycle(cx, cy, int(np.argmax(cy)))
+    return [_chain_dp(xs, ys, p, d) ** (1.0 / p) for d in deltas]
 
 
 def p_variation(f: PiecewiseLinearPeriodic, p: float) -> float:
@@ -155,28 +119,32 @@ def p_variation(f: PiecewiseLinearPeriodic, p: float) -> float:
     intervals in a period.
 
     For piecewise-linear f the supremum is attained on the breakpoint grid,
-    so the chain maximization below is exact (cross-checked against
-    brute_p_variation).
+    so the chain maximization below is exact (cross-checked against a
+    brute-force oracle in the tests).
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
-    return _modulus_power_sum(f, p, 1.0, 0, "argmax") ** (1.0 / p)
+    return _p_power_profile(f, p, [1.0])[0]
 
 
-def modulus_p_continuity(f: PiecewiseLinearPeriodic, p: float, query: ModulusQuery) -> float:
+def modulus_p_continuity(
+    f: PiecewiseLinearPeriodic, p: float, delta: float, grid_refinement: int = 0
+) -> float:
     """omega_{1-1/p}(f; delta): the p-variation sup restricted to systems
     whose intervals have length <= delta.
 
-    Endpoints run over the refined grid, so the result is a certified lower
-    bound of the true supremum, converging upward with grid_refinement along
-    nested refinements, and exact at refinement 0 when delta = 1.
+    Endpoints run over the breakpoints plus ``grid_refinement`` uniform points
+    per segment, so the result is a certified lower bound of the true
+    supremum, converging upward with grid_refinement along nested
+    refinements, and exact at refinement 0 when delta = 1.
     """
+    if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    if grid_refinement < 0:
+        raise ValueError("grid_refinement must be nonnegative")
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
-    power = _modulus_power_sum(
-        f, p, query.delta, query.grid_refinement, query.cut_candidates
-    )
-    return power ** (1.0 / p)
+    return _p_power_profile(f, p, [delta], grid_refinement)[0]
 
 
 def _sorted_weighted_sum(d_sorted: np.ndarray, lam: LambdaSequence) -> float:
@@ -241,51 +209,6 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     )
 
 
-def brute_lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence, candidate_points) -> float:
-    """Oracle: exact max of sum |f(I_n)| / lambda_sigma(n) over all systems of
-    nonoverlapping intervals with endpoints among the candidates and all
-    weight assignments sigma (sorted-decreasing is optimal by rearrangement).
-    """
-    _validate_lambda(lam)
-    pts = np.unique(np.mod(np.asarray(candidate_points, dtype=float), 1.0))
-    if len(pts) > 14:
-        raise ValueError("brute enumeration supports at most 14 candidate points")
-    if len(pts) < 2:
-        return 0.0
-    return _cyclic_subset_max(np.asarray(f.eval(pts)), lam)
-
-
-def brute_p_variation(f: PiecewiseLinearPeriodic, p: float, candidate_points) -> float:
-    """Oracle for v_p on a finite grid: chain maximization over sorted
-    candidates, tried over every circle cut.  Returns the p-power sum."""
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must satisfy p >= 1")
-    pts = np.unique(np.mod(np.asarray(candidate_points, dtype=float), 1.0))
-    if len(pts) < 2:
-        return 0.0
-    vals = np.asarray(f.eval(pts))
-    return max(
-        _chain_dp(*_chain_from_cycle(pts, vals, i), p, 1.0) for i in range(len(pts))
-    )
-
-
-def system_p_sum(f: PiecewiseLinearPeriodic, system: IntervalSystem, p: float) -> float:
-    """(sum |f(I)|^p)^(1/p) for one explicit interval system."""
-    if not system.intervals:
-        return 0.0
-    incs = np.asarray([increment(f, iv) for iv in system.intervals])
-    return float(np.sum(np.abs(incs) ** p) ** (1.0 / p))
-
-
-def system_lambda_sum(f: PiecewiseLinearPeriodic, system: IntervalSystem, lam: LambdaSequence) -> float:
-    """Sorted-weighted increment sum for one explicit interval system."""
-    _validate_lambda(lam)
-    if not system.intervals:
-        return 0.0
-    incs = np.sort(np.abs([increment(f, iv) for iv in system.intervals]))[::-1]
-    return _sorted_weighted_sum(incs, lam)
-
-
 # shifts per vectorized block: about this many shift x breakpoint cells
 _BLOCK_CELLS = 4096
 
@@ -327,9 +250,9 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
 _DYADIC_SHIFTS = tuple(2.0 ** (-j) for j in range(41))
 
 
-def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float, h_samples: int) -> np.ndarray:
+def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float) -> np.ndarray:
     """Shift sample set on [0, delta]: breakpoint difference kinks, a uniform
-    grid of density ~h_samples per unit shift, all dyadic shifts, and delta.
+    grid of H_SAMPLES per unit shift, all dyadic shifts, and delta.
 
     The uniform grid has a fixed power-of-two step, so candidate sets are
     nested along dyadic deltas and the sampled modulus stays monotone there.
@@ -339,15 +262,12 @@ def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float, h_samples: int) 
     if len(pos) ** 2 <= 1_000_000:
         diff = np.mod(pos[None, :] - pos[:, None], 1.0).ravel()
         hs.append(diff)
-    count = 2 ** math.ceil(math.log2(max(h_samples, 1)))
-    hs.append(np.linspace(0.0, 1.0, count + 1))
+    hs.append(np.linspace(0.0, 1.0, H_SAMPLES + 1))
     h = np.unique(np.concatenate(hs))
     return h[(h > 0.0) & (h <= delta)]
 
 
-def lp_modulus_profile(
-    f: PiecewiseLinearPeriodic, p: float, deltas, h_samples: int = 64
-) -> list[float]:
+def lp_modulus_profile(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     """omega(f; delta)_p for each delta in ``deltas``: the max of the shift
     norms over the sample set of max(deltas), each shift integrated once,
     restricted to h <= delta (0.0 if none).  On a dyadic grid, where sample
@@ -358,25 +278,28 @@ def lp_modulus_profile(
     deltas = list(deltas)
     if not all(math.isfinite(d) and 0.0 <= d <= 1.0 for d in deltas):
         raise ValueError("delta must lie in [0, 1]")
-    if h_samples < 1:
-        raise ValueError("h_samples must be positive")
-    hs = _shift_candidates(f, max(deltas, default=0.0), h_samples)
+    hs = _shift_candidates(f, max(deltas, default=0.0))
     peak = np.maximum.accumulate(_shift_norms(f, hs, p))
     return [float(peak[e - 1]) if e else 0.0 for e in np.searchsorted(hs, deltas, side="right")]
 
 
-def lp_modulus(f: PiecewiseLinearPeriodic, p: float, delta: float, h_samples: int = 64) -> float:
+def lp_modulus(f: PiecewiseLinearPeriodic, p: float, delta: float) -> float:
     """omega(f; delta)_p: sup over shifts h in [0, delta] of ||f(.+h) - f||_p.
 
     The shift integral is exact in closed form; the sup is taken over the
-    sampled shift set, so the result is a lower bound converging upward in
-    h_samples (monotone in delta along dyadic grids).
+    sampled shift set, so the result is a lower bound of the true modulus
+    (monotone in delta along dyadic grids).
     """
-    return lp_modulus_profile(f, p, [delta], h_samples)[0]
+    return lp_modulus_profile(f, p, [delta])[0]
 
 
 def _dyadic_grid(depth: int) -> list[float]:
     return [2.0 ** (-j) for j in range(depth + 1)]
+
+
+def _ratio_report(deltas, moduli, exponent: float, depth: int) -> RatioNormReport:
+    rows = tuple((d, m, m / d**exponent) for d, m in zip(deltas, moduli))
+    return RatioNormReport(max(r[2] for r in rows), rows, depth)
 
 
 def lip_norm(
@@ -384,7 +307,6 @@ def lip_norm(
     p: float,
     alpha: float,
     dyadic_depth: int,
-    h_samples: int = 64,
 ) -> RatioNormReport:
     """sup over dyadic delta of omega(f; delta)_p / delta^alpha, a lower
     bound of the shift-modulus ratio norm (within a factor 2^alpha of the
@@ -396,9 +318,7 @@ def lip_norm(
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be at least 1")
     deltas = _dyadic_grid(dyadic_depth)
-    moduli = lp_modulus_profile(f, p, deltas, h_samples)
-    rows = tuple((d, m, m / d**alpha) for d, m in zip(deltas, moduli))
-    return RatioNormReport(max(r[2] for r in rows), rows, dyadic_depth)
+    return _ratio_report(deltas, lp_modulus_profile(f, p, deltas), alpha, dyadic_depth)
 
 
 def p_cont_ratio_norm(
@@ -419,14 +339,6 @@ def p_cont_ratio_norm(
         raise ValueError("alpha must lie in (1/p, 1]")
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be at least 1")
-    exponent = alpha - 1.0 / p
     deltas = _dyadic_grid(dyadic_depth)
-    cx, cy = _refined_cycle(f, grid_refinement)
-    cut = int(np.argmax(cy))
-    xs, ys = _chain_from_cycle(cx, cy, cut)
-    rows = []
-    for d in deltas:
-        modulus = _chain_dp(xs, ys, p, d) ** (1.0 / p)
-        rows.append((d, modulus, modulus / d**exponent))
-    value = max(r[2] for r in rows)
-    return RatioNormReport(value, tuple(rows), dyadic_depth)
+    moduli = _p_power_profile(f, p, deltas, grid_refinement)
+    return _ratio_report(deltas, moduli, alpha - 1.0 / p, dyadic_depth)

@@ -1,25 +1,38 @@
-"""Shared test utilities: random inputs and an exhaustive system oracle.
+"""Shared test utilities: random inputs, brute-force oracles and an
+exhaustive system oracle.
 
-The oracle here deliberately avoids the library's chain DP and subset-scan
+circle_oracle deliberately avoids the library's chain DP and subset-scan
 code paths: it enumerates every system of nonoverlapping index pairs over a
 small candidate set, cutting the circle at each candidate in turn, so the
 fast implementations can be checked against a search with no shortcuts.
+The brute_* oracles run the library's kernels on arbitrary candidate grids,
+with the circle cut at every candidate instead of at a global maximum.
+IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
 at 40 digits, one piece at a time.
 """
 
 import functools
+import math
 import os
 import pathlib
 import subprocess
 import sys
 from bisect import bisect_right
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from lambdabv import Interval, TriangleCombSpec, make_plpf
-from lambdabv.variation import _shift_candidates
+from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
+from lambdabv.variation import (
+    _chain_dp,
+    _chain_from_cycle,
+    _cyclic_subset_max,
+    _shift_candidates,
+    _sorted_weighted_sum,
+    _validate_lambda,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -58,6 +71,82 @@ def random_comb_spec(rng, max_teeth=8):
 
 def random_lambda_prefix(rng, n, start=0.2):
     return start + np.cumsum(rng.uniform(0.05, 1.0, n))
+
+
+@dataclass(frozen=True)
+class IntervalSystem:
+    """Finite list of closed intervals with pairwise disjoint interiors whose
+    union fits inside one period."""
+
+    intervals: tuple[Interval, ...]
+
+    def __post_init__(self) -> None:
+        ivs = self.intervals
+        if not ivs:
+            return
+        total = sum(iv.length for iv in ivs)
+        if total > 1.0 + 1e-12:
+            raise ValueError("total interval length exceeds one period")
+        # a valid system leaves some interval end non-interior; cut there and
+        # check the unrolled intervals are ordered without interior overlap
+        for cut in {iv.b % 1.0 for iv in ivs}:
+            shifted = sorted(((iv.a - cut) % 1.0, iv.length) for iv in ivs)
+            ok = all(s + ln <= 1.0 + 1e-12 for s, ln in shifted)
+            for (s0, l0), (s1, _) in zip(shifted, shifted[1:]):
+                if s1 < s0 + l0 - 1e-12:
+                    ok = False
+                    break
+            if ok:
+                return
+        raise ValueError("intervals overlap or do not fit inside one period")
+
+
+def system_p_sum(f, system, p):
+    """(sum |f(I)|^p)^(1/p) for one explicit interval system."""
+    if not system.intervals:
+        return 0.0
+    incs = np.asarray([increment(f, iv) for iv in system.intervals])
+    return float(np.sum(np.abs(incs) ** p) ** (1.0 / p))
+
+
+def system_lambda_sum(f, system, lam):
+    """Sorted-weighted increment sum for one explicit interval system."""
+    _validate_lambda(lam)
+    if not system.intervals:
+        return 0.0
+    incs = np.sort(np.abs([increment(f, iv) for iv in system.intervals]))[::-1]
+    return _sorted_weighted_sum(incs, lam)
+
+
+def max_over_cuts(cx, cy, p, delta):
+    """Chain maximization of the cycle (cx, cy) with the circle cut at every
+    point, not only at a global maximum.  Returns the p-power sum."""
+    return max(_chain_dp(*_chain_from_cycle(cx, cy, i), p, delta) for i in range(len(cx)))
+
+
+def brute_p_variation(f, p, candidate_points):
+    """Oracle for v_p on a finite grid: chain maximization over sorted
+    candidates, tried over every circle cut.  Returns the p-power sum."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError("p must satisfy p >= 1")
+    pts = np.unique(np.mod(np.asarray(candidate_points, dtype=float), 1.0))
+    if len(pts) < 2:
+        return 0.0
+    return max_over_cuts(pts, np.asarray(f.eval(pts)), p, 1.0)
+
+
+def brute_lambda_variation(f, lam, candidate_points):
+    """Oracle: exact max of sum |f(I_n)| / lambda_sigma(n) over all systems of
+    nonoverlapping intervals with endpoints among the candidates and all
+    weight assignments sigma (sorted-decreasing is optimal by rearrangement).
+    """
+    _validate_lambda(lam)
+    pts = np.unique(np.mod(np.asarray(candidate_points, dtype=float), 1.0))
+    if len(pts) > 14:
+        raise ValueError("brute enumeration supports at most 14 candidate points")
+    if len(pts) < 2:
+        return 0.0
+    return _cyclic_subset_max(np.asarray(f.eval(pts)), lam)
 
 
 def iter_line_systems(n):
@@ -163,9 +252,9 @@ def mp_shift_norm(f, h, p):
         return float(total ** (1 / p))
 
 
-def mp_lp_modulus_profile(f, p, deltas, h_samples=64):
+def mp_lp_modulus_profile(f, p, deltas):
     """Per delta, the max of mp_shift_norm over the library's own shift
     samples for max(deltas) that do not exceed delta (0.0 if none do)."""
-    hs = _shift_candidates(f, max(deltas), h_samples)
+    hs = _shift_candidates(f, max(deltas))
     ref = np.asarray([mp_shift_norm(f, float(h), p) for h in hs])
     return [float(ref[hs <= d].max()) if (hs <= d).any() else 0.0 for d in deltas]

@@ -15,10 +15,7 @@ import numpy as np
 
 from lambdabv import (
     LambdaSequence,
-    ModulusQuery,
     WitnessSpec,
-    brute_lambda_variation,
-    brute_p_variation,
     derivative_lp_norm,
     dual_extremizer,
     extremal_function,
@@ -32,7 +29,14 @@ from lambdabv import (
     wang_partial_sums,
 )
 
-from helpers import random_comb_spec, random_lambda_prefix, random_plpf, run_cli
+from helpers import (
+    brute_lambda_variation,
+    brute_p_variation,
+    random_comb_spec,
+    random_lambda_prefix,
+    random_plpf,
+    run_cli,
+)
 
 
 def _report(number, ok, detail):
@@ -151,10 +155,10 @@ def test_acceptance_5_modulus_inequalities():
         lam_terms = random_lambda_prefix(rng, 32)
         lam = LambdaSequence.explicit(lam_terms)
 
-        omega = modulus_p_continuity(f, p, ModulusQuery(delta, 1))
+        omega = modulus_p_continuity(f, p, delta, 1)
         if omega > derivative_lp_norm(f, p) * delta ** (1.0 - 1.0 / p) + 1e-9:
             violations += 1
-        if abs(modulus_p_continuity(f, p, ModulusQuery(1.0)) - p_variation(f, p)) > 1e-9:
+        if abs(modulus_p_continuity(f, p, 1.0) - p_variation(f, p)) > 1e-9:
             violations += 1
         k = max(len(monotone_arcs(f).arcs), 1)
         q = p / (p - 1.0)

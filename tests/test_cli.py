@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import lambdabv
 from lambdabv import (
     LambdaSequence,
     criterion_partial_sums,
@@ -195,6 +197,9 @@ class TestValidationFailures:
             (("--command", "sharpness", "--p", "inf"), "p"),
             (("--command", "criterion", "--alpha", "nan"), "alpha"),
             (("--command", "wang-demo", "--s", "inf"), "s"),
+            (("--command", "variation", "--delta-depth", "1075"), "delta-depth"),
+            (("--command", "sharpness", "--delta-depth", "1075"), "delta-depth"),
+            (("--command", "wang-demo", "--blocks", "1023"), "blocks"),
         ],
     )
     def test_non_finite_option_named(self, tmp_path, tri_file, lam_file, args, field):
@@ -365,6 +370,21 @@ class TestDeterminism:
             p, deltas = float(got_lp[0][2]), [float(r[4]) for r in got_lp]
             values = [float(r[5]) for r in got_lp]
             assert values == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
+
+
+class TestPublicSurface:
+    def test_exports_and_traced_names_resolve(self):
+        # a traced benchmark run looks up every name in perfbench's TRACED
+        for name in lambdabv.__all__:
+            assert hasattr(lambdabv, name), name
+        path = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module, names in spans.TRACED.items():
+            mod = importlib.import_module(f"lambdabv.{module}")
+            for name in names:
+                assert callable(getattr(mod, name, None)), f"{module}.{name}"
 
 
 class TestParser:

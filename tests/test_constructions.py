@@ -9,8 +9,6 @@ from lambdabv import (
     LambdaSequence,
     TriangleCombSpec,
     WitnessSpec,
-    brute_lambda_variation,
-    brute_p_variation,
     criterion_partial_sums,
     derivative_lp_norm,
     duality_weights,
@@ -28,7 +26,7 @@ from lambdabv import (
     witness_report_json,
 )
 
-from helpers import random_comb_spec
+from helpers import brute_lambda_variation, brute_p_variation, random_comb_spec
 
 LAM_N = LambdaSequence.power(1.0)
 

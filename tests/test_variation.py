@@ -5,11 +5,7 @@ import pytest
 
 from lambdabv import (
     Interval,
-    IntervalSystem,
     LambdaSequence,
-    ModulusQuery,
-    brute_lambda_variation,
-    brute_p_variation,
     derivative_lp_norm,
     lambda_variation,
     lip_norm,
@@ -20,19 +16,23 @@ from lambdabv import (
     monotone_arcs,
     p_cont_ratio_norm,
     p_variation,
-    system_lambda_sum,
-    system_p_sum,
 )
-from lambdabv.variation import _BLOCK_CELLS, _shift_candidates, _shift_norms
+from lambdabv.variation import _BLOCK_CELLS, _refined_cycle, _shift_candidates, _shift_norms
 
 from helpers import (
+    IntervalSystem,
+    brute_lambda_variation,
+    brute_p_variation,
     circle_oracle,
     lambda_sum_score,
+    max_over_cuts,
     mp_lp_modulus_profile,
     mp_shift_norm,
     p_sum_score,
     random_lambda_prefix,
     random_plpf,
+    system_lambda_sum,
+    system_p_sum,
 )
 
 TRIANGLE = make_plpf([(0.0, 0.0), (0.5, 1.0)])
@@ -211,18 +211,16 @@ class TestLambdaVariation:
 
 class TestModulus:
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            ModulusQuery(0.0)
-        with pytest.raises(ValueError):
-            ModulusQuery(1.5)
-        with pytest.raises(ValueError):
-            ModulusQuery(0.5, -1)
-        with pytest.raises(ValueError):
-            ModulusQuery(0.5, 0, "some")
+        with pytest.raises(ValueError, match="delta"):
+            modulus_p_continuity(TRIANGLE, 2.0, 0.0)
+        with pytest.raises(ValueError, match="delta"):
+            modulus_p_continuity(TRIANGLE, 2.0, 1.5)
+        with pytest.raises(ValueError, match="grid_refinement"):
+            modulus_p_continuity(TRIANGLE, 2.0, 0.5, -1)
 
     def test_triangle_quarter_delta(self):
-        assert modulus_p_continuity(TRIANGLE, 2.0, ModulusQuery(0.25, 0)) == 0.0
-        assert modulus_p_continuity(TRIANGLE, 2.0, ModulusQuery(0.25, 1)) == pytest.approx(
+        assert modulus_p_continuity(TRIANGLE, 2.0, 0.25, 0) == 0.0
+        assert modulus_p_continuity(TRIANGLE, 2.0, 0.25, 1) == pytest.approx(
             1.0, rel=1e-12
         )
 
@@ -231,7 +229,7 @@ class TestModulus:
         for _ in range(30):
             f = random_plpf(rng)
             p = float(rng.choice([1.5, 2.0, 3.0]))
-            assert modulus_p_continuity(f, p, ModulusQuery(1.0)) == p_variation(f, p)
+            assert modulus_p_continuity(f, p, 1.0) == p_variation(f, p)
 
     def test_cut_policies_agree(self):
         rng = np.random.default_rng(112)
@@ -239,10 +237,8 @@ class TestModulus:
             f = random_plpf(rng)
             p = float(rng.choice([1.5, 2.0, 3.0]))
             for j in (1, 2, 4):
-                qa = ModulusQuery(2.0**-j, 1, "argmax")
-                qb = ModulusQuery(2.0**-j, 1, "all")
-                va = modulus_p_continuity(f, p, qa)
-                vb = modulus_p_continuity(f, p, qb)
+                va = modulus_p_continuity(f, p, 2.0**-j, 1)
+                vb = max_over_cuts(*_refined_cycle(f, 1), p, 2.0**-j) ** (1.0 / p)
                 assert va == pytest.approx(vb, rel=1e-12, abs=1e-15)
 
     def test_monotone_in_delta(self):
@@ -250,7 +246,7 @@ class TestModulus:
         for _ in range(15):
             f = random_plpf(rng)
             vals = [
-                modulus_p_continuity(f, 2.0, ModulusQuery(2.0**-j, 1))
+                modulus_p_continuity(f, 2.0, 2.0**-j, 1)
                 for j in range(6)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -261,7 +257,7 @@ class TestModulus:
         for _ in range(10):
             f = random_plpf(rng)
             vals = [
-                modulus_p_continuity(f, 2.0, ModulusQuery(0.25, m))
+                modulus_p_continuity(f, 2.0, 0.25, m)
                 for m in (0, 1, 3, 7)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -273,7 +269,7 @@ class TestModulus:
             p = float(rng.choice([1.5, 2.0]))
             delta = float(rng.choice([0.25, 0.5]))
             oracle = circle_oracle(f, f.positions, p_sum_score(p), max_length=delta)
-            got = modulus_p_continuity(f, p, ModulusQuery(delta, 0))
+            got = modulus_p_continuity(f, p, delta, 0)
             assert got**p == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_holder_bound_from_derivative(self):
@@ -285,11 +281,11 @@ class TestModulus:
             for j in (1, 3, 5):
                 delta = 2.0**-j
                 bound = derivative_lp_norm(f, p) * delta**q
-                assert modulus_p_continuity(f, p, ModulusQuery(delta, 1)) <= bound + 1e-9
+                assert modulus_p_continuity(f, p, delta, 1) <= bound + 1e-9
 
     def test_requires_p_above_one(self):
         with pytest.raises(ValueError):
-            modulus_p_continuity(TRIANGLE, 1.0, ModulusQuery(0.5))
+            modulus_p_continuity(TRIANGLE, 1.0, 0.5)
 
 
 class TestLpModulus:
@@ -324,8 +320,6 @@ class TestLpModulus:
             lp_modulus(TRIANGLE, 0.5, 0.1)
         with pytest.raises(ValueError):
             lp_modulus(TRIANGLE, 2.0, 1.5)
-        with pytest.raises(ValueError):
-            lp_modulus(TRIANGLE, 2.0, 0.1, 0)
 
 
 class TestLpModulusProfile:
@@ -358,7 +352,7 @@ class TestLpModulusProfile:
         f = random_plpf(np.random.default_rng(20), 80, min_gap=1e-4, min_breaks=70)
         deltas = [2.0**-6, 0.012, 2.0**-8]
         rows = max(1, _BLOCK_CELLS // len(f.positions))
-        count = len(_shift_candidates(f, deltas[0], 64))
+        count = len(_shift_candidates(f, deltas[0]))
         assert count > rows and count % rows != 0
         got = lp_modulus_profile(f, p, deltas)
         assert got == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
@@ -407,8 +401,6 @@ class TestLpModulusProfile:
             lp_modulus_profile(TRIANGLE, 2.0, [0.5, 1.5])
         with pytest.raises(ValueError):
             lp_modulus_profile(TRIANGLE, 2.0, [math.nan])
-        with pytest.raises(ValueError):
-            lp_modulus_profile(TRIANGLE, 2.0, [0.1], 0)
 
 
 class TestNormReports:
@@ -434,6 +426,17 @@ class TestNormReports:
     def test_ratio_norm_rejects_small_alpha(self):
         with pytest.raises(ValueError):
             p_cont_ratio_norm(TRIANGLE, 2.0, 0.5, 4)
+
+    def test_ratio_norm_rows_equal_modulus(self):
+        # both go through one chain-DP profile, so the rows match bit for bit
+        rng = np.random.default_rng(124)
+        for _ in range(10):
+            f = random_plpf(rng)
+            for p in (1.5, 2.0, 3.0):
+                for m in (0, 1):
+                    rep = p_cont_ratio_norm(f, p, 0.9, 5, m)
+                    for delta, omega, _ in rep.per_delta:
+                        assert omega == modulus_p_continuity(f, p, delta, m)
 
     def test_ratio_norm_uses_exact_exponent_weights(self):
         rep = p_cont_ratio_norm(TRIANGLE, 2.0, 0.75, 3, 1)
