@@ -62,18 +62,26 @@ class TriangleCombSpec:
         return self.interval.length / self.n_teeth
 
 
-def triangle_comb(spec: TriangleCombSpec) -> PiecewiseLinearPeriodic:
+def triangle_comb(spec: TriangleCombSpec, *, end: float | None = None) -> PiecewiseLinearPeriodic:
     """Build the comb as a periodic piecewise-linear function.
 
     Nodes sit at the 2N+1 half-base marks with value exactly 0.0 at tooth
     feet and exactly heights[j] at apexes; when the interval is the whole
     circle the final node coincides with the first and is dropped.
+
+    ``end`` places the final foot at a caller's exact right end of the
+    interval, which a + length can miss by an ulp: combs tiling the circle
+    then share bit-identical feet, so their sum keeps its valleys at 0.0.
     """
     a = spec.interval.a
     length = spec.interval.length
     n = spec.n_teeth
     marks = np.arange(2 * n + 1, dtype=float) / (2 * n)
     positions = a + length * marks
+    if end is not None:
+        if not abs(end - positions[-1]) <= 1e-12:
+            raise ValueError("end must be the interval's right end a + length")
+        positions[-1] = end
     positions = np.where(positions >= 1.0, positions - 1.0, positions)
     values = np.zeros(2 * n + 1)
     values[1::2] = spec.heights
@@ -222,7 +230,8 @@ def extremal_function(
         heights_per_level.append(tuple(heights.tolist()))
         pair_sum += 2.0 * float(np.sum(heights / lam_k))
         tile = Interval(float(boundaries[idx]), float(tile_lengths[idx]))
-        combs.append(triangle_comb(TriangleCombSpec(tile, 2**n, tuple(heights.tolist()))))
+        spec_n = TriangleCombSpec(tile, 2**n, tuple(heights.tolist()))
+        combs.append(triangle_comb(spec_n, end=float(boundaries[idx + 1])))
     g = superpose(combs)
 
     analytic = 2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive))

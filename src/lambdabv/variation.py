@@ -2,12 +2,14 @@
 weighted (Lambda) variation, modulus of p-continuity, L^p-modulus and ratio
 norms.
 
-All suprema over interval systems are computed exactly on their grids.  Two
+All suprema over interval systems are computed exactly on their grids.  Three
 reductions make this tractable and are themselves cross-checked by the
 brute-force oracles of the tests: a maximizing system may take all its
-endpoints at local extrema, and cutting the circle at a global maximum never
+endpoints at local extrema; cutting the circle at a global maximum never
 loses value (splitting any interval at a global max point can only increase
-the objective).
+the objective); and neither does splitting the cut chain at every point of
+its global minimum, so the p-continuity chain maximization runs per hump
+between two such points.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ MAX_EXACT_ARCS = 16
 
 # uniform shift samples per unit shift in the L^p modulus; a power of two
 H_SAMPLES = 64
+
+# cells per vectorized block: shift x breakpoint cells in the L^p modulus,
+# hump x chain-point cells in the chain DP; temporaries stay small
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -73,45 +79,104 @@ def _refined_cycle(f: PiecewiseLinearPeriodic, refinement: int):
     return cx, cy
 
 
-def _chain_from_cycle(cx: np.ndarray, cy: np.ndarray, i: int):
-    """Cut the cycle before index ``i``: a chain spanning exactly one period
-    from cx[i] to cx[i] + 1."""
+def _chain_from_cycle(cx: np.ndarray, cy: np.ndarray, i: int | None = None):
+    """Cut the cycle before index ``i`` (by default its first global
+    maximum): a chain spanning exactly one period from cx[i] to cx[i] + 1."""
+    if i is None:
+        i = int(np.argmax(cy))
     xs = np.concatenate([cx[i:], cx[:i] + 1.0, [cx[i] + 1.0]])
     ys = np.concatenate([cy[i:], cy[:i], [cy[i]]])
     return xs, ys
 
 
-def _chain_dp(xs: np.ndarray, ys: np.ndarray, p: float, delta: float) -> float:
-    """Max of sum |y_j - y_i|^p over nonoverlapping index intervals of the
-    chain with x-length <= delta.  Returns the p-power sum."""
-    n = len(xs)
-    best = np.zeros(n)
+def _hump_dp(ys: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
+    """Per column (hump) of ``ys``, the max of sum |y_j - y_i|^p over
+    nonoverlapping row pairs i < j with i >= lo[j, hump].  Returns the
+    p-power sums.
+
+    One Python loop runs over the rows.  Row j starts at the smallest bound
+    of all humps, and the entries before a hump's own bound are masked to 0,
+    which never beats the carried best (every sum is >= 0).  Where pair
+    (j - 1, j) is admissible its candidate already carries best[j - 1] plus a
+    nonnegative increment, so only a hump without it needs the explicit carry.
+    """
+    best = np.zeros(ys.shape)
     square = p == 2.0
-    # the full-period pair is the only one whose float length can exceed 1,
-    # and its increment is exactly zero, so delta = 1 admits every pair
-    unbounded = delta >= 1.0
-    for j in range(1, n):
-        lo = 0 if unbounded else int(np.searchsorted(xs, xs[j] - delta, side="left"))
-        b = best[j - 1]
-        if lo < j:
-            d = ys[j] - ys[lo:j]
-            cand = best[lo:j] + (d * d if square else np.abs(d) ** p)
-            m = cand.max()
-            if m > b:
-                b = m
-        best[j] = b
-    return float(best[-1])
+    rows = np.arange(len(ys))[:, None]
+    first = lo.min(axis=1)
+    uneven = (lo.max(axis=1) > first).tolist()
+    for j, start in enumerate(first.tolist()):
+        if start >= j:
+            if j:
+                best[j] = best[j - 1]
+            continue
+        cand = ys[start:j] - ys[j]
+        if square:
+            cand *= cand
+        else:
+            np.abs(cand, out=cand)
+            cand **= p
+        cand += best[start:j]
+        if uneven[j]:
+            cand[rows[start:j] < lo[j]] = 0.0
+            np.maximum(best[j - 1], cand.max(axis=0), out=best[j])
+        else:
+            cand.max(axis=0, out=best[j])
+    return best[-1]
 
 
 def _p_power_profile(
     f: PiecewiseLinearPeriodic, p: float, deltas, refinement: int = 0
 ) -> list[float]:
     """omega_{1-1/p}(f; delta) on the refined grid for each delta: the p-th
-    root of the chain maximization's p-power sum, with the circle cut once at
-    a global maximum (exact on the grid)."""
-    cx, cy = _refined_cycle(f, refinement)
-    xs, ys = _chain_from_cycle(cx, cy, int(np.argmax(cy)))
-    return [_chain_dp(xs, ys, p, d) ** (1.0 / p) for d in deltas]
+    root of the max of sum |f(I)|^p over systems of grid intervals of length
+    <= delta, exact on the grid.
+
+    The circle is cut once at a global maximum, and the chain is split into
+    humps at every point where it attains its global minimum b.  An interval
+    holding such a point v splits at v into two shorter intervals that lose
+    nothing, since |A - B|^p <= A^p + B^p for A, B >= 0 measured from b; so
+    the p-power sum is the sum of the humps' own maximizations.  The pair
+    (i, j) stays admissible iff xs[i] >= xs[j] - delta on the cut chain.
+    Humps are batched in buckets of up to 2^k steps (split into blocks of
+    about _BLOCK_CELLS cells), one hump per column, each padded with copies of
+    its closing point, which add no length and no increment.
+    """
+    if refinement < 0:
+        raise ValueError("grid_refinement must be nonnegative")
+    xs, ys = _chain_from_cycle(*_refined_cycle(f, refinement))
+    is_cut = ys == ys.min()
+    is_cut[[0, -1]] = True
+    cuts = np.flatnonzero(is_cut)
+    starts, ends = cuts[:-1], cuts[1:]
+    keys = np.frexp(ends - starts - 1)[1]
+    blocks = []
+    for key in sorted(set(keys.tolist())):
+        humps = np.flatnonzero(keys == key)
+        span = np.arange(int((ends[humps] - starts[humps]).max()) + 1)[:, None]
+        per = max(1, _BLOCK_CELLS // len(span))
+        for c in range(0, len(humps), per):
+            block = humps[c : c + per]
+            idx = np.minimum(starts[block] + span, ends[block])
+            blocks.append((block, idx, ys[idx]))
+    out = []
+    for delta in deltas:
+        power = np.empty(len(starts))
+        for humps, idx, hy in blocks:
+            # the full-period pair is the only one whose float length can
+            # exceed 1, and its increment is exactly zero, so delta = 1
+            # admits every pair
+            if delta >= 1.0:
+                lo = np.zeros(idx.shape, dtype=np.intp)
+            else:
+                x = xs[idx]
+                x -= delta
+                lo = np.searchsorted(xs, x, side="left")
+                lo -= idx[0]
+                np.maximum(lo, 0, out=lo)
+            power[humps] = _hump_dp(hy, lo, p)
+        out.append(math.fsum(power) ** (1.0 / p))
+    return out
 
 
 def p_variation(f: PiecewiseLinearPeriodic, p: float) -> float:
@@ -140,8 +205,6 @@ def modulus_p_continuity(
     """
     if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    if grid_refinement < 0:
-        raise ValueError("grid_refinement must be nonnegative")
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
     return _p_power_profile(f, p, [delta], grid_refinement)[0]
@@ -207,10 +270,6 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
         f"function has {k} monotone arcs and no common baseline; the exact "
         f"search is exponential and supported only up to {MAX_EXACT_ARCS} arcs"
     )
-
-
-# shifts per vectorized block: about this many shift x breakpoint cells
-_BLOCK_CELLS = 4096
 
 
 def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:

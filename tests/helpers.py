@@ -5,8 +5,10 @@ circle_oracle deliberately avoids the library's chain DP and subset-scan
 code paths: it enumerates every system of nonoverlapping index pairs over a
 small candidate set, cutting the circle at each candidate in turn, so the
 fast implementations can be checked against a search with no shortcuts.
-The brute_* oracles run the library's kernels on arbitrary candidate grids,
-with the circle cut at every candidate instead of at a global maximum.
+chain_dp is the chain maximization one point at a time over the whole cut
+chain, with no split into humps; the brute_* oracles run it (and the subset
+search) on arbitrary candidate grids, with the circle cut at every candidate
+instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
 at 40 digits, one piece at a time.
@@ -26,9 +28,9 @@ import numpy as np
 
 from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
 from lambdabv.variation import (
-    _chain_dp,
     _chain_from_cycle,
     _cyclic_subset_max,
+    _refined_cycle,
     _shift_candidates,
     _sorted_weighted_sum,
     _validate_lambda,
@@ -118,10 +120,41 @@ def system_lambda_sum(f, system, lam):
     return _sorted_weighted_sum(incs, lam)
 
 
+def chain_dp(xs, ys, p, delta):
+    """Max of sum |y_j - y_i|^p over nonoverlapping index intervals of the
+    whole chain with x-length <= delta, one chain point at a time and with no
+    split into humps.  Returns the p-power sum."""
+    n = len(xs)
+    best = np.zeros(n)
+    square = p == 2.0
+    # the full-period pair is the only one whose float length can exceed 1,
+    # and its increment is exactly zero, so delta = 1 admits every pair
+    unbounded = delta >= 1.0
+    for j in range(1, n):
+        lo = 0 if unbounded else int(np.searchsorted(xs, xs[j] - delta, side="left"))
+        b = best[j - 1]
+        if lo < j:
+            d = ys[j] - ys[lo:j]
+            cand = best[lo:j] + (d * d if square else np.abs(d) ** p)
+            m = cand.max()
+            if m > b:
+                b = m
+        best[j] = b
+    return float(best[-1])
+
+
+def chain_dp_profile(f, p, deltas, refinement=0):
+    """Reference for the library's modulus profile: chain_dp on the refined
+    cycle cut at its global maximum, p-th root, per delta."""
+    cx, cy = _refined_cycle(f, refinement)
+    xs, ys = _chain_from_cycle(cx, cy, int(np.argmax(cy)))
+    return [chain_dp(xs, ys, p, d) ** (1.0 / p) for d in deltas]
+
+
 def max_over_cuts(cx, cy, p, delta):
     """Chain maximization of the cycle (cx, cy) with the circle cut at every
     point, not only at a global maximum.  Returns the p-power sum."""
-    return max(_chain_dp(*_chain_from_cycle(cx, cy, i), p, delta) for i in range(len(cx)))
+    return max(chain_dp(*_chain_from_cycle(cx, cy, i), p, delta) for i in range(len(cx)))
 
 
 def brute_p_variation(f, p, candidate_points):

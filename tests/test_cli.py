@@ -10,13 +10,17 @@ import pytest
 import lambdabv
 from lambdabv import (
     LambdaSequence,
+    WitnessSpec,
     criterion_partial_sums,
+    extremal_function,
     function_from_json,
     lambda_variation,
     make_plpf,
+    monotone_arcs,
+    sequence_from_json,
 )
 
-from helpers import mp_lp_modulus_profile, run_cli
+from helpers import chain_dp_profile, mp_lp_modulus_profile, run_cli
 
 TRIANGLE_JSON = '{"breakpoints": [[0.0, 0.0], [0.5, 1.0]]}\n'
 LAM_N_JSON = '{"family": "power", "params": {"s": 1.0}}\n'
@@ -263,6 +267,21 @@ class TestSharpnessCommand:
         assert summary["witness"]["levels"] == 2
         assert summary["function_file"] == "sharpness_function.json"
 
+    def test_witness_keeps_its_baseline(self, tmp_path):
+        # its level-6 tiles met one ulp apart, which left valleys just above
+        # 0.0: 252 arcs with no common baseline, and exit 2
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": "block_power_log", "params": {"s": -0.4, "alpha": 0.8}}\n')
+        out = tmp_path / "out"
+        proc = run_cli(
+            "--command", "sharpness", "--sequence", str(seq), "--levels", "10",
+            "--p", "2", "--alpha", "0.6", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        g = function_from_json((out / "sharpness_function.json").read_text())
+        assert monotone_arcs(g).is_baseline_separated()
+        assert len(read_csv(out / "sharpness.csv")) == 11
+
     def test_levels_cap(self, tmp_path, lam_file):
         proc = run_cli(
             "--command", "sharpness", "--sequence", lam_file,
@@ -356,6 +375,9 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         got = (tmp_path / "out" / (args[1] + ".csv")).read_bytes().splitlines(keepends=True)
         want = (GOLDEN / (name + ".csv")).read_bytes().splitlines(keepends=True)
+        if name == "sharpness":
+            summary = json.loads((tmp_path / "out" / "sharpness.json").read_text())
+            got, want = _held_omega_cells(got, want, summary, inputs["--sequence"])
         # lp_modulus values may move in their last bits with the summation
         # order, so their value cells are held to the mpmath reference instead
         lp_rows = lambda lines: [
@@ -370,6 +392,31 @@ class TestDeterminism:
             p, deltas = float(got_lp[0][2]), [float(r[4]) for r in got_lp]
             values = [float(r[5]) for r in got_lp]
             assert values == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
+
+
+def _held_omega_cells(got, want, summary, sequence_json):
+    """Check the sharpness CSV's omega_ratio and omega_quotient cells, whose
+    last bits move with the chain DP's summation order, against the whole-chain
+    reference at 1e-12 relative (the golden's own cells included), and return
+    both CSVs with those cells blanked for the byte comparison."""
+    lam = sequence_from_json(sequence_json)
+    p, alpha = summary["witness"]["p"], summary["witness"]["alpha"]
+    deltas = [2.0**-j for j in range(summary["delta_depth"] + 1)]
+    blanked = ([], [])
+    for line_got, line_want in zip(got, want):
+        rows = [line.decode().rstrip("\n").split(",") for line in (line_got, line_want)]
+        if rows[0][0] != "schema_version":
+            g, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])), ratio_depth=1)
+            moduli = chain_dp_profile(g, p, deltas, summary["refinement"])
+            omega = max(m / d ** (alpha - 1.0 / p) for m, d in zip(moduli, deltas))
+            for row in rows:
+                assert float(row[4]) == pytest.approx(omega, rel=1e-12)
+                assert float(row[6]) == pytest.approx(float(row[3]) / omega, rel=1e-12)
+                row[4] = row[6] = ""
+        for out, row in zip(blanked, rows):
+            out.append(",".join(row).encode() + b"\n")
+    assert len(got) == len(want)
+    return blanked
 
 
 class TestPublicSurface:

@@ -20,6 +20,7 @@ from lambdabv import (
     p_cont_ratio_norm,
     p_variation,
     perlman_witness,
+    superpose,
     triangle_comb,
     wang_gap_family,
     wang_partial_sums,
@@ -40,6 +41,12 @@ def comb_derivative_norm(spec, p):
     halfw = spec.tooth_width / 2.0
     h = np.asarray(spec.heights)
     return float(np.sum(2.0 * h**p * halfw ** (1.0 - p)) ** (1.0 / p))
+
+
+def valleys(f):
+    """Values of f at its local minima, in cyclic order."""
+    dec = monotone_arcs(f)
+    return np.asarray(dec.start_values)[dec.increments > 0].tolist()
 
 
 class TestTriangleComb:
@@ -85,6 +92,20 @@ class TestTriangleComb:
         mags = sorted(np.abs(dec.increments).tolist())
         assert mags == pytest.approx([0.5, 0.5, 1.0, 1.0, 2.0, 2.0])
         assert dec.is_baseline_separated()
+
+    def test_end_pins_the_shared_foot(self):
+        # 0.282 + (0.836 - 0.282) rounds one ulp above 0.836: without end the
+        # two combs' feet differ, and their sum has valleys just above 0.0
+        a, b = 0.282, 0.836
+        left = TriangleCombSpec(Interval(a, b - a), 2, (1.0, 2.0))
+        right = TriangleCombSpec(Interval(b, 0.1), 1, (3.0,))
+        assert a + (b - a) != b
+        f = triangle_comb(left, end=b)
+        assert max(f.positions) == b
+        assert valleys(superpose([f, triangle_comb(right)])) == [0.0] * 3
+        assert max(valleys(superpose([triangle_comb(left), triangle_comb(right)]))) > 0.0
+        with pytest.raises(ValueError, match="right end"):
+            triangle_comb(left, end=0.9)
 
     def test_all_zero_heights_constant(self):
         spec = TriangleCombSpec(Interval(0.0, 0.5), 3, (0.0,) * 3)
@@ -217,10 +238,19 @@ class TestWitness:
             assert all(t > 0.0 for t in rep.tile_lengths)
 
     def test_valleys_on_baseline(self):
-        g, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 4), ratio_depth=3)
-        assert monotone_arcs(g).is_baseline_separated()
-        vals = np.asarray(g.values)
-        assert np.min(vals) == 0.0
+        # adjacent tiles share a bit-identical foot, so no valley is left a few
+        # ulps above 0.0 (block_power_log(-0.4, 0.8) at p = 2, alpha = 0.6,
+        # level 6 was)
+        families = [LAM_N, LambdaSequence.power_log(0.3, 5.0),
+                    LambdaSequence.block_power_log(-0.4, 0.8), LambdaSequence.block_power_log(2.0, 0.3)]
+        for lam in families:
+            for p, alphas in ((1.5, (0.7, 0.9)), (2.0, (0.6, 0.8)), (3.0, (0.4, 0.75))):
+                for alpha in alphas:
+                    for levels in range(1, 11):
+                        spec = WitnessSpec(lam, p, alpha, levels)
+                        g, _ = extremal_function(spec, ratio_depth=1)
+                        assert min(g.values) == 0.0
+                        assert set(valleys(g)) == {0.0}, spec
 
     def test_measured_dominates_certified_bounds(self):
         for lam in (LAM_N, LambdaSequence.power(0.25)):

@@ -6,7 +6,9 @@ import pytest
 from lambdabv import (
     Interval,
     LambdaSequence,
+    WitnessSpec,
     derivative_lp_norm,
+    extremal_function,
     lambda_variation,
     lip_norm,
     lp_modulus,
@@ -17,12 +19,19 @@ from lambdabv import (
     p_cont_ratio_norm,
     p_variation,
 )
-from lambdabv.variation import _BLOCK_CELLS, _refined_cycle, _shift_candidates, _shift_norms
+from lambdabv.variation import (
+    _BLOCK_CELLS,
+    _p_power_profile,
+    _refined_cycle,
+    _shift_candidates,
+    _shift_norms,
+)
 
 from helpers import (
     IntervalSystem,
     brute_lambda_variation,
     brute_p_variation,
+    chain_dp_profile,
     circle_oracle,
     lambda_sum_score,
     max_over_cuts,
@@ -215,7 +224,7 @@ class TestModulus:
             modulus_p_continuity(TRIANGLE, 2.0, 0.0)
         with pytest.raises(ValueError, match="delta"):
             modulus_p_continuity(TRIANGLE, 2.0, 1.5)
-        with pytest.raises(ValueError, match="grid_refinement"):
+        with pytest.raises(ValueError, match="grid_refinement must be nonnegative"):
             modulus_p_continuity(TRIANGLE, 2.0, 0.5, -1)
 
     def test_triangle_quarter_delta(self):
@@ -286,6 +295,73 @@ class TestModulus:
     def test_requires_p_above_one(self):
         with pytest.raises(ValueError):
             modulus_p_continuity(TRIANGLE, 1.0, 0.5)
+
+
+DYADIC = [2.0**-j for j in range(7)]
+
+# baseline 0 with zero plateaus (two consecutive minima), one-apex teeth, a
+# two-apex hump and one long hump, so humps of 1 to 13 steps fall in several
+# length buckets and are padded to different lengths inside them
+PLATEAU_HUMPS = make_plpf(
+    [(0.0, 0.0), (0.05, 0.0), (0.08, 1.0), (0.1, 0.0), (0.13, 0.7), (0.15, 0.2), (0.2, 1.1),
+     (0.22, 0.0), (0.3, 0.0), (0.32, 0.4), (0.34, 0.0)]
+    + [(0.4 + 0.03 * k, v) for k, v in enumerate(
+        [0.0, 0.9, 0.3, 1.4, 0.6, 0.8, 0.1, 1.9, 0.5, 1.2, 0.2, 0.7, 0.4, 0.0])]
+    + [(0.85, 0.3), (0.9, 0.0), (0.95, 0.0)]
+)
+
+
+def assert_profile_matches_chain_dp(f, p, m):
+    got = _p_power_profile(f, p, DYADIC, m)
+    assert got == pytest.approx(chain_dp_profile(f, p, DYADIC, m), rel=1e-12, abs=0.0)
+
+
+class TestHumpProfile:
+    """The per-hump profile against the whole-chain DP it replaces."""
+
+    @pytest.mark.parametrize("levels", [6, 7, 8, 9, 10])
+    def test_witnesses(self, levels):
+        for p in (1.5, 2.0, 3.0):
+            g, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels), ratio_depth=1)
+            for m in (0, 1, 3):
+                assert_profile_matches_chain_dp(g, p, m)
+
+    def test_random_generic_functions(self):
+        rng = np.random.default_rng(125)
+        for _ in range(40):
+            f = random_plpf(rng, 24)
+            for p in (1.5, 2.0, 3.0):
+                for m in (0, 1):
+                    assert_profile_matches_chain_dp(f, p, m)
+
+    def test_plateaus_and_uneven_humps(self):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for m in (0, 1, 3):
+                assert_profile_matches_chain_dp(PLATEAU_HUMPS, p, m)
+            assert p_variation(PLATEAU_HUMPS, p) ** p == pytest.approx(
+                brute_p_variation(PLATEAU_HUMPS, p, PLATEAU_HUMPS.positions), rel=1e-12
+            )
+
+    def test_small_multi_minimum_functions_match_brute(self):
+        rng = np.random.default_rng(126)
+        for _ in range(20):
+            f = random_plpf(rng, 8)
+            # pull a few breakpoints down to the global minimum
+            vals = np.asarray(f.values)
+            vals[rng.random(len(vals)) < 0.4] = vals.min()
+            g = make_plpf(list(zip(f.positions, vals.tolist())))
+            p = float(rng.choice([1.5, 2.0, 3.0]))
+            assert_profile_matches_chain_dp(g, p, 1)
+            assert p_variation(g, p) ** p == pytest.approx(
+                brute_p_variation(g, p, g.positions), rel=1e-12, abs=1e-15
+            )
+
+    def test_single_minimum_and_constant(self):
+        constant = make_plpf([(0.0, 2.0), (0.5, 2.0)])
+        for p in (1.5, 2.0):
+            for m in (0, 1, 3):
+                assert_profile_matches_chain_dp(SPLIT_RISE, p, m)
+                assert _p_power_profile(constant, p, DYADIC, m) == [0.0] * len(DYADIC)
 
 
 class TestLpModulus:
@@ -426,6 +502,10 @@ class TestNormReports:
     def test_ratio_norm_rejects_small_alpha(self):
         with pytest.raises(ValueError):
             p_cont_ratio_norm(TRIANGLE, 2.0, 0.5, 4)
+
+    def test_ratio_norm_rejects_negative_refinement(self):
+        with pytest.raises(ValueError, match="grid_refinement must be nonnegative"):
+            p_cont_ratio_norm(TRIANGLE, 2.0, 0.75, 3, -1)
 
     def test_ratio_norm_rows_equal_modulus(self):
         # both go through one chain-DP profile, so the rows match bit for bit
