@@ -158,7 +158,7 @@ def _run_variation(config: ExperimentConfig):
         lam = _load(config.sequence_path, "sequence", sequence_from_json)
         arcs = monotone_arcs(f)
         try:
-            lam.require(len(arcs.arcs))
+            lam.require(len(arcs))
         except ValueError as exc:
             raise ValidationError("sequence", str(exc)) from exc
         try:
@@ -211,7 +211,7 @@ def _run_criterion(config: ExperimentConfig):
         "r": report.r,
         "r_prime": report.r_prime,
         "n_blocks": config.blocks,
-        "include_upper": report.include_upper,
+        "include_upper": True,
         "verdict": report.symbolic_verdict,
         "sequence": lam.describe(),
     }

@@ -88,7 +88,7 @@ def triangle_comb(spec: TriangleCombSpec, *, end: float | None = None) -> Piecew
     if length == 1.0:
         positions = positions[:-1]
         values = values[:-1]
-    return make_plpf(list(zip(positions.tolist(), values.tolist())))
+    return make_plpf(np.column_stack([positions, values]))
 
 
 def duality_weights(l_terms, p: float, alpha: float) -> np.ndarray:
@@ -119,7 +119,6 @@ class WitnessSpec:
     p: float
     alpha: float
     levels: int
-    delta_seq: object = "auto"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and self.p > 1.0):
@@ -129,18 +128,6 @@ class WitnessSpec:
         if not (1 <= self.levels <= MAX_WITNESS_LEVELS):
             raise ValueError(f"levels must lie in 1..{MAX_WITNESS_LEVELS}")
         self.lam.require(2 ** (self.levels + 1))
-        if isinstance(self.delta_seq, str):
-            if self.delta_seq != "auto":
-                raise ValueError('delta_seq must be "auto" or an explicit sequence')
-            return
-        seq = tuple(float(d) for d in self.delta_seq)
-        if len(seq) != self.levels:
-            raise ValueError("delta_seq must have one weight per level")
-        if any(not math.isfinite(d) or d <= 0.0 for d in seq):
-            raise ValueError("delta_seq entries must be positive and finite")
-        if sum(seq) > 1.0 + 1e-12:
-            raise ValueError("delta_seq must sum to at most 1")
-        object.__setattr__(self, "delta_seq", seq)
 
 
 @dataclass(frozen=True)
@@ -200,10 +187,7 @@ def extremal_function(
         ]
     )
     l_inclusive = inner ** (1.0 / p_prime)
-    if isinstance(spec.delta_seq, str):
-        delta = duality_weights(l_inclusive, p, alpha)
-    else:
-        delta = np.asarray(spec.delta_seq, dtype=float)
+    delta = duality_weights(l_inclusive, p, alpha)
     beta = regularize_sequence(delta, 1.5, 1.0)
     cuts = np.cumsum(beta)
     boundaries = np.concatenate([[0.0], cuts / cuts[-1]])

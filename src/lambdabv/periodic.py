@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "PiecewiseLinearPeriodic",
     "Interval",
-    "Arc",
     "MonotoneArcDecomposition",
     "make_plpf",
     "increment",
@@ -26,61 +25,70 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearPeriodic:
     """A continuous 1-periodic function, linear between breakpoints.
 
     ``positions`` are strictly increasing and lie in [0, 1).  The function
     interpolates linearly between consecutive breakpoints and between the
     last breakpoint and the first one shifted by the period, which forces
-    continuity and 1-periodicity by construction.
+    continuity and 1-periodicity by construction.  Both fields are read-only
+    float arrays copied from the input; equality and hashing go by value.
     """
 
-    positions: tuple[float, ...]
-    values: tuple[float, ...]
+    positions: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.positions) == 0:
+        pos, val = _frozen(self.positions), _frozen(self.values)
+        if pos.ndim != 1 or val.ndim != 1:
+            raise ValueError("positions and values must be one-dimensional")
+        if len(pos) == 0:
             raise ValueError("need at least one breakpoint")
-        if len(self.positions) != len(self.values):
+        if len(pos) != len(val):
             raise ValueError("positions and values must have equal length")
-        for x in self.positions:
-            if not (math.isfinite(x) and 0.0 <= x < 1.0):
-                raise ValueError("breakpoint positions must lie in [0, 1)")
-        for y in self.values:
-            if not math.isfinite(y):
-                raise ValueError("breakpoint values must be finite")
-        for i in range(len(self.positions) - 1):
-            if self.positions[i] >= self.positions[i + 1]:
-                raise ValueError("breakpoint positions must be strictly increasing")
+        # NaN fails both comparisons
+        if not np.all((pos >= 0.0) & (pos < 1.0)):
+            raise ValueError("breakpoint positions must lie in [0, 1)")
+        if not np.all(np.isfinite(val)):
+            raise ValueError("breakpoint values must be finite")
+        if np.any(pos[1:] <= pos[:-1]):
+            raise ValueError("breakpoint positions must be strictly increasing")
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "values", val)
 
-    @cached_property
-    def _pos(self) -> np.ndarray:
-        a = np.asarray(self.positions, dtype=float)
-        a.setflags(write=False)
-        return a
+    def _key(self) -> tuple:
+        # adding 0.0 maps -0.0 to 0.0, so finite values are equal exactly
+        # when their bytes are
+        return (self.positions + 0.0).tobytes(), (self.values + 0.0).tobytes()
 
-    @cached_property
-    def _val(self) -> np.ndarray:
-        a = np.asarray(self.values, dtype=float)
-        a.setflags(write=False)
-        return a
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PiecewiseLinearPeriodic):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def _pos_ext(self) -> np.ndarray:
         # one wrapped segment on each side so every x in [0, 1) falls strictly
-        # inside some segment of the extended table
-        p = self._pos
-        a = np.concatenate([[p[-1] - 1.0], p, [p[0] + 1.0]])
-        a.setflags(write=False)
-        return a
+        # inside some segment of the extended table, plus a constant segment
+        # after p[0] + 1: an x just below an integer rounds to frac = 1.0,
+        # which is p[0] + 1 when the first breakpoint sits at 0.0
+        p = self.positions
+        return _frozen(np.concatenate([[p[-1] - 1.0], p, [p[0] + 1.0, p[0] + 2.0]]))
 
     @cached_property
     def _val_ext(self) -> np.ndarray:
-        v = self._val
-        a = np.concatenate([[v[-1]], v, [v[0]]])
-        a.setflags(write=False)
-        return a
+        v = self.values
+        return _frozen(np.concatenate([[v[-1]], v, [v[0], v[0]]]))
 
     def eval(self, x):
         """Evaluate at ``x`` (scalar or array); ``x`` is reduced modulo 1.
@@ -91,9 +99,6 @@ class PiecewiseLinearPeriodic:
         scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
         xs = np.asarray(x, dtype=float)
         frac = xs - np.floor(xs)
-        if len(self.positions) == 1:
-            out = np.full(frac.shape, self.values[0])
-            return float(out) if scalar else out
         pe, ve = self._pos_ext, self._val_ext
         idx = np.searchsorted(pe, frac, side="right") - 1
         x0 = pe[idx]
@@ -102,9 +107,6 @@ class PiecewiseLinearPeriodic:
         return float(out) if scalar else out
 
     __call__ = eval
-
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.positions, self.values))
 
 
 @dataclass(frozen=True)
@@ -125,40 +127,31 @@ class Interval:
         return self.a + self.length
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Maximal monotone arc: start/end positions in [0, 1) (the arc wraps when
-    end <= start) and its signed increment."""
-
-    start: float
-    end: float
-    increment: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneArcDecomposition:
-    """Circular list of maximal monotone arcs of a piecewise-linear function.
+    """Maximal monotone arcs of a piecewise-linear function, as arrays in
+    cyclic order.
 
-    ``start_values`` holds the function value at each arc start, in the same
-    cyclic order as ``arcs``; arc starts are exactly the local extrema.
+    Arc i runs from ``starts[i]`` to ``ends[i]`` (it wraps when
+    ends[i] <= starts[i]) and rises by the signed ``increments[i]``;
+    ``start_values[i]`` is the function value at its start.  Arc starts are
+    exactly the local extrema.
     """
 
-    arcs: tuple[Arc, ...]
-    start_values: tuple[float, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    increments: np.ndarray
+    start_values: np.ndarray
 
-    @cached_property
-    def increments(self) -> np.ndarray:
-        a = np.asarray([arc.increment for arc in self.arcs], dtype=float)
-        a.setflags(write=False)
-        return a
+    def __len__(self) -> int:
+        return len(self.increments)
 
     def is_baseline_separated(self) -> bool:
         """True when all local minima agree exactly or all local maxima agree
         exactly; sorted arc increments then realize the variation suprema."""
-        if not self.arcs:
+        if len(self) == 0:
             return True
-        sv = np.asarray(self.start_values)
-        inc = self.increments
+        sv, inc = self.start_values, self.increments
         valleys = sv[inc > 0]
         peaks = sv[inc < 0]
         return bool(np.all(valleys == valleys[0]) or np.all(peaks == peaks[0]))
@@ -169,14 +162,17 @@ def make_plpf(points) -> PiecewiseLinearPeriodic:
 
     Positions must be distinct and lie in [0, 1); they are sorted here.
     """
-    pts = sorted((float(x), float(y)) for x, y in points)
-    if not pts:
+    pts = np.array(points, dtype=float)
+    if pts.size == 0:
         raise ValueError("need at least one breakpoint")
-    for (x0, _), (x1, _) in zip(pts, pts[1:]):
-        if x0 == x1:
-            raise ValueError(f"duplicate breakpoint position {x0!r}")
-    xs, ys = zip(*pts)
-    return PiecewiseLinearPeriodic(tuple(xs), tuple(ys))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be (position, value) pairs")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    xs = pts[:, 0]
+    dup = np.flatnonzero(xs[1:] == xs[:-1])
+    if dup.size:
+        raise ValueError(f"duplicate breakpoint position {float(xs[dup[0]])!r}")
+    return PiecewiseLinearPeriodic(xs, pts[:, 1])
 
 
 def increment(f: PiecewiseLinearPeriodic, interval: Interval) -> float:
@@ -195,19 +191,13 @@ def monotone_arcs(f: PiecewiseLinearPeriodic) -> MonotoneArcDecomposition:
     non-constant function rise and fall at least once each; a constant
     function yields an empty decomposition.
     """
-    pos, val = f._pos, f._val
+    val = f.values
     keep = val != np.roll(val, 1)
-    if not keep.any():
-        return MonotoneArcDecomposition((), ())
-    sp, sv = pos[keep], val[keep]
+    sp, sv = f.positions[keep], val[keep]
     sign = np.sign(np.roll(sv, -1) - sv)
     ext = np.flatnonzero(sign != np.roll(sign, 1))
-    arcs = []
-    m = ext.size
-    for i in range(m):
-        j0, j1 = ext[i], ext[(i + 1) % m]
-        arcs.append(Arc(float(sp[j0]), float(sp[j1]), float(sv[j1] - sv[j0])))
-    return MonotoneArcDecomposition(tuple(arcs), tuple(float(v) for v in sv[ext]))
+    nxt = np.roll(ext, -1)
+    return MonotoneArcDecomposition(sp[ext], sp[nxt], sv[nxt] - sv[ext], sv[ext])
 
 
 def superpose(fs) -> PiecewiseLinearPeriodic:
@@ -221,20 +211,18 @@ def superpose(fs) -> PiecewiseLinearPeriodic:
         raise ValueError("superpose needs at least one function")
     if len(fs) == 1:
         return fs[0]
-    pos = np.unique(np.concatenate([f._pos for f in fs]))
+    pos = np.unique(np.concatenate([f.positions for f in fs]))
     total = np.zeros(len(pos))
     for f in fs:
         total = total + f.eval(pos)
-    return PiecewiseLinearPeriodic(tuple(pos.tolist()), tuple(total.tolist()))
+    return PiecewiseLinearPeriodic(pos, total)
 
 
 def derivative_lp_norm(f: PiecewiseLinearPeriodic, p: float) -> float:
     """(sum over segments of |slope|^p * length)^(1/p), exact closed form."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
-    if len(f.positions) == 1:
-        return 0.0
-    pos, val = f._pos, f._val
+    pos, val = f.positions, f.values
     dx = np.diff(np.append(pos, pos[0] + 1.0))
     dy = np.diff(np.append(val, val[0]))
     slopes = dy / dx
@@ -243,12 +231,12 @@ def derivative_lp_norm(f: PiecewiseLinearPeriodic, p: float) -> float:
 
 def sup_norm(f: PiecewiseLinearPeriodic) -> float:
     """max |f|; attained at a breakpoint for piecewise-linear functions."""
-    return float(np.max(np.abs(f._val)))
+    return float(np.max(np.abs(f.values)))
 
 
 def function_to_json(f: PiecewiseLinearPeriodic) -> str:
     """Serialize to the breakpoint file format with full double precision."""
-    return json.dumps({"breakpoints": [[x, y] for x, y in f.breakpoints()]})
+    return json.dumps({"breakpoints": np.column_stack([f.positions, f.values]).tolist()})
 
 
 def function_from_json(text: str) -> PiecewiseLinearPeriodic:
@@ -257,6 +245,7 @@ def function_from_json(text: str) -> PiecewiseLinearPeriodic:
     if not isinstance(obj, dict) or "breakpoints" not in obj:
         raise ValueError('function JSON must be an object with a "breakpoints" key')
     bps = obj["breakpoints"]
-    if not isinstance(bps, list) or any(len(b) != 2 for b in bps):
+    pts = np.array(bps, dtype=object)
+    if not isinstance(bps, list) or (bps and pts.shape[1:] != (2,)):
         raise ValueError('"breakpoints" must be a list of [position, value] pairs')
-    return make_plpf([(float(x), float(y)) for x, y in bps])
+    return make_plpf(pts.astype(float))

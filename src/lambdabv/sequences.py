@@ -349,7 +349,6 @@ class CriterionReport:
     alpha: float
     r: float
     r_prime: float
-    include_upper: bool
     block_terms: tuple[tuple[int, float, float], ...]
     partial_sums: tuple[float, ...]
     symbolic_verdict: str
@@ -402,14 +401,12 @@ def criterion_partial_sums(
     p: float,
     alpha: float,
     n_blocks: int,
-    include_upper: bool = True,
 ) -> CriterionReport:
     """Block terms and partial sums of the embedding criterion series for
     dyadic blocks n = 0..n_blocks.
 
-    Inner sums include both block endpoints 2^n and 2^(n+1) by default; the
-    boundary double count is harmless for convergence and the exclusive
-    variant is available via include_upper=False.
+    Inner sums include both block endpoints 2^n and 2^(n+1); the boundary
+    double count is harmless for convergence.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
@@ -424,9 +421,7 @@ def criterion_partial_sums(
     partial = []
     total = 0.0
     for n in range(n_blocks + 1):
-        lo = 2**n
-        hi = 2 ** (n + 1) - (0 if include_upper else 1)
-        inner = weighted_block_sum(lam, p_prime * (alpha - 1.0 / p), p_prime, lo, hi)
+        inner = weighted_block_sum(lam, p_prime * (alpha - 1.0 / p), p_prime, 2**n, 2 ** (n + 1))
         term = inner ** (r_prime / p_prime)
         total += term
         rows.append((n, inner, term))
@@ -437,7 +432,7 @@ def criterion_partial_sums(
     er_prime = 1 / (1 + 1 / ep - ea)
     converges = _condensation(lam, ep_prime * (ea - 1 / ep), ep_prime, er_prime / ep_prime)
     return CriterionReport(
-        p, alpha, r, r_prime, include_upper, tuple(rows), tuple(partial), _SERIES_VERDICT[converges]
+        p, alpha, r, r_prime, tuple(rows), tuple(partial), _SERIES_VERDICT[converges]
     )
 
 

@@ -68,7 +68,7 @@ def _validate_lambda(lam: LambdaSequence) -> None:
 def _refined_cycle(f: PiecewiseLinearPeriodic, refinement: int):
     """Breakpoint cycle with ``refinement`` uniform interior points inserted
     per segment; positions ascend from the first breakpoint over one period."""
-    pos, val = f._pos, f._val
+    pos, val = f.positions, f.values
     if refinement == 0:
         return pos, val
     x1 = np.append(pos[1:], pos[0] + 1.0)
@@ -258,14 +258,14 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     """
     _validate_lambda(lam)
     dec = monotone_arcs(f)
-    k = len(dec.arcs)
+    k = len(dec)
     if k == 0:
         return 0.0
     if dec.is_baseline_separated():
         d = np.sort(np.abs(dec.increments))[::-1]
         return _sorted_weighted_sum(d, lam)
     if k <= MAX_EXACT_ARCS:
-        return _cyclic_subset_max(np.asarray(dec.start_values), lam)
+        return _cyclic_subset_max(dec.start_values, lam)
     raise ValueError(
         f"function has {k} monotone arcs and no common baseline; the exact "
         f"search is exponential and supported only up to {MAX_EXACT_ARCS} arcs"
@@ -284,7 +284,7 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
     w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
     replaces it (the dropped terms are O(x^6)).
     """
-    pos = f._pos
+    pos = f.positions
     n = len(pos)
     rows = max(1, _BLOCK_CELLS // n)
     c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
@@ -316,7 +316,7 @@ def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float) -> np.ndarray:
     The uniform grid has a fixed power-of-two step, so candidate sets are
     nested along dyadic deltas and the sampled modulus stays monotone there.
     """
-    pos = f._pos
+    pos = f.positions
     hs = [np.asarray([delta]), np.asarray(_DYADIC_SHIFTS)]
     if len(pos) ** 2 <= 1_000_000:
         diff = np.mod(pos[None, :] - pos[:, None], 1.0).ravel()

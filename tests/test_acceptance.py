@@ -160,7 +160,7 @@ def test_acceptance_5_modulus_inequalities():
             violations += 1
         if abs(modulus_p_continuity(f, p, 1.0) - p_variation(f, p)) > 1e-9:
             violations += 1
-        k = max(len(monotone_arcs(f).arcs), 1)
+        k = max(len(monotone_arcs(f)), 1)
         q = p / (p - 1.0)
         cap = p_variation(f, p) * float(np.sum(lam_terms[:k] ** -q) ** (1.0 / q))
         if lambda_variation(f, lam) > cap + 1e-9:

@@ -35,7 +35,9 @@ GOLDEN_FUNCTION_JSON = json.dumps({"breakpoints": [
 
 # name -> (input option -> JSON text, CLI arguments); tests/golden/<name>.csv
 # holds the CSV these commands wrote before the weight families moved into
-# one table (variation.csv: before lp_modulus moved to one vectorized pass)
+# one table (variation.csv: before lp_modulus moved to one vectorized pass),
+# and sharpness_function.json the witness file written before breakpoints
+# became arrays
 GOLDEN_CASES = {
     "criterion_explicit": (
         {"--sequence": json.dumps(
@@ -378,6 +380,8 @@ class TestDeterminism:
         if name == "sharpness":
             summary = json.loads((tmp_path / "out" / "sharpness.json").read_text())
             got, want = _held_omega_cells(got, want, summary, inputs["--sequence"])
+            witness = (tmp_path / "out" / "sharpness_function.json").read_bytes()
+            assert witness == (GOLDEN / "sharpness_function.json").read_bytes()
         # lp_modulus values may move in their last bits with the summation
         # order, so their value cells are held to the mpmath reference instead
         lp_rows = lambda lines: [
@@ -421,9 +425,11 @@ def _held_omega_cells(got, want, summary, sequence_json):
 
 class TestPublicSurface:
     def test_exports_and_traced_names_resolve(self):
+        submodules = ("cli", "constructions", "periodic", "sequences", "variation")
+        for module in [lambdabv] + [importlib.import_module(f"lambdabv.{m}") for m in submodules]:
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
         # a traced benchmark run looks up every name in perfbench's TRACED
-        for name in lambdabv.__all__:
-            assert hasattr(lambdabv, name), name
         path = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)

@@ -181,7 +181,7 @@ class TestWitness:
         expected_var = h2 + h2 / 2.0 + h3 / 3.0 + h3 / 4.0
         assert rep.measured_lambda_variation == pytest.approx(expected_var, rel=1e-13)
 
-        assert g.positions == (0.0, 0.25, 0.5, 0.75)
+        assert g.positions.tolist() == [0.0, 0.25, 0.5, 0.75]
         assert g.eval(0.25) == pytest.approx(h2, rel=1e-13)
         assert g.eval(0.75) == pytest.approx(h3, rel=1e-13)
 
@@ -195,7 +195,7 @@ class TestWitness:
         )
 
     def test_small_witness_matches_brute_force(self):
-        spec = WitnessSpec(LAM_N, 2.0, 0.75, 2, (0.6, 0.4))
+        spec = WitnessSpec(LAM_N, 2.0, 0.75, 2)
         g, rep = extremal_function(spec, ratio_depth=4)
         pts = list(g.positions)
         assert rep.measured_lambda_variation == pytest.approx(
@@ -204,13 +204,6 @@ class TestWitness:
         assert p_variation(g, 2.0) ** 2 == pytest.approx(
             brute_p_variation(g, 2.0, pts), rel=1e-12
         )
-
-    def test_explicit_delta_used_verbatim(self):
-        spec = WitnessSpec(LAM_N, 2.0, 0.75, 2, (0.6, 0.4))
-        _, rep = extremal_function(spec, ratio_depth=4)
-        assert rep.delta == (0.6, 0.4)
-        # (0.6, 0.4) already satisfies the 3/2-regularity envelope
-        assert rep.beta == pytest.approx((0.6, 0.4), rel=1e-13)
 
     def test_per_level_identities(self):
         lam = LambdaSequence.power(0.25)
@@ -295,10 +288,6 @@ class TestWitness:
         with pytest.raises(ValueError):
             WitnessSpec(LAM_N, 2.0, 0.5, 2)
         with pytest.raises(ValueError):
-            WitnessSpec(LAM_N, 2.0, 0.75, 2, (0.5,))
-        with pytest.raises(ValueError):
-            WitnessSpec(LAM_N, 2.0, 0.75, 2, (0.9, 0.2))
-        with pytest.raises(ValueError):
             WitnessSpec(LambdaSequence.explicit([1.0, 2.0]), 2.0, 0.75, 2)
 
     def test_report_json_round_trips(self):
@@ -315,7 +304,7 @@ class TestEmbeddingBoundCheck:
     def test_scale_invariant_ratio(self):
         spec = TriangleCombSpec(Interval(0.1, 0.5), 3, (1.0, 0.5, 2.0))
         f = triangle_comb(spec)
-        scaled = make_plpf([(x, 7.0 * y) for x, y in f.breakpoints()])
+        scaled = make_plpf([(x, 7.0 * y) for x, y in zip(f.positions, f.values)])
         _, _, r1 = embedding_bound_check(f, LAM_N, 2.0, 0.75, 10, dyadic_depth=4)
         _, _, r2 = embedding_bound_check(scaled, LAM_N, 2.0, 0.75, 10, dyadic_depth=4)
         assert r1 == pytest.approx(r2, rel=1e-9)

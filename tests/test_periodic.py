@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lambdabv import (
     Interval,
+    PiecewiseLinearPeriodic,
     derivative_lp_norm,
     function_from_json,
     function_to_json,
@@ -40,19 +41,82 @@ def plpf_strategy(max_breaks=6):
     return st.composite(lambda draw: build(draw))()
 
 
+def arcs_by_loop(f):
+    """Per-arc reference for monotone_arcs: drop each breakpoint whose value
+    repeats its predecessor's, then walk the survivors' extrema."""
+    pts = list(zip(f.positions.tolist(), f.values.tolist()))
+    kept = [pt for i, pt in enumerate(pts) if pt[1] != pts[i - 1][1]]
+    m = len(kept)
+    ext = [
+        i for i in range(m)
+        if (kept[(i + 1) % m][1] > kept[i][1]) != (kept[i][1] > kept[i - 1][1])
+    ]
+    arcs = []
+    for k, j0 in enumerate(ext):
+        j1 = ext[(k + 1) % len(ext)]
+        (x0, y0), (x1, y1) = kept[j0], kept[j1]
+        arcs.append((x0, x1, y1 - y0, y0))
+    return arcs
+
+
 class TestConstruction:
     def test_points_sorted_on_input_order(self):
         f = make_plpf([(0.75, 2.0), (0.25, 1.0)])
-        assert f.positions == (0.25, 0.75)
-        assert f.values == (1.0, 2.0)
+        assert f.positions.tolist() == [0.25, 0.75]
+        assert f.values.tolist() == [1.0, 2.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one breakpoint$"):
             make_plpf([])
 
     def test_duplicate_position_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            make_plpf([(0.25, 1.0), (0.25, 2.0)])
+        with pytest.raises(ValueError, match="^duplicate breakpoint position 0.25$"):
+            make_plpf([(0.75, 0.0), (0.25, 1.0), (0.25, 2.0)])
+
+    @pytest.mark.parametrize(
+        "positions,values,message",
+        [
+            ((), (), "need at least one breakpoint"),
+            ((0.0, 0.5), (1.0,), "positions and values must have equal length"),
+            ((0.0, math.nan), (0.0, 1.0), r"breakpoint positions must lie in \[0, 1\)"),
+            ((0.0, math.inf), (0.0, 1.0), r"breakpoint positions must lie in \[0, 1\)"),
+            ((-0.25, 0.5), (0.0, 1.0), r"breakpoint positions must lie in \[0, 1\)"),
+            ((0.0, 1.0), (0.0, 1.0), r"breakpoint positions must lie in \[0, 1\)"),
+            ((0.0, 0.5), (0.0, math.inf), "breakpoint values must be finite"),
+            ((0.0, 0.5), (math.nan, 1.0), "breakpoint values must be finite"),
+            ((0.5, 0.25), (0.0, 1.0), "breakpoint positions must be strictly increasing"),
+            ((0.25, 0.25), (0.0, 1.0), "breakpoint positions must be strictly increasing"),
+            (((0.0, 0.5),), ((0.0, 1.0),), "positions and values must be one-dimensional"),
+        ],
+    )
+    def test_constructor_rejection_messages(self, positions, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PiecewiseLinearPeriodic(positions, values)
+
+    def test_fields_are_read_only_copies(self):
+        pos, val = np.array([0.0, 0.5]), np.array([1.0, 2.0])
+        f = PiecewiseLinearPeriodic(pos, val)
+        pos[1], val[0] = 0.75, 9.0
+        assert f.positions.tolist() == [0.0, 0.5]
+        assert f.values.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            f.values[0] = 3.0
+        with pytest.raises(ValueError):
+            f.positions[0] = 0.25
+
+    def test_equality_and_hash_by_value(self):
+        f = PiecewiseLinearPeriodic((0.0, 0.5), (1.0, -0.0))
+        same = [
+            PiecewiseLinearPeriodic(np.array([-0.0, 0.5]), np.array([1.0, 0.0])),
+            make_plpf([(0.5, 0), (0, 1)]),
+            function_from_json(function_to_json(f)),
+        ]
+        for g in same:
+            assert f == g and hash(f) == hash(g)
+        assert len({f, *same}) == 1
+        assert f != make_plpf([(0.0, 1.0), (0.5, 1e-300)])
+        assert f != make_plpf([(0.0, 1.0), (0.25, 0.0)])
+        assert f != (0.0, 0.5)
 
     def test_position_outside_period_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +132,7 @@ class TestEval:
         rng = np.random.default_rng(11)
         for _ in range(10):
             f = random_plpf(rng)
-            for x, y in f.breakpoints():
+            for x, y in zip(f.positions, f.values):
                 assert f.eval(x) == y
 
     def test_linear_between_breakpoints(self):
@@ -96,6 +160,14 @@ class TestEval:
         f = make_plpf([(0.3, 2.5)])
         assert f.eval(0.0) == 2.5
         assert f.eval(0.99) == 2.5
+        assert f.eval(np.linspace(-2.0, 2.0, 41)).tolist() == [2.5] * 41
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert derivative_lp_norm(f, p) == 0.0
+
+    def test_tiny_negative_argument(self):
+        # -1e-20 - floor(-1e-20) rounds to 1.0, one period past the first breakpoint
+        f = make_plpf([(0.0, 0.25), (0.5, 1.0)])
+        assert f.eval(-1e-20) == f.eval(np.array([-1e-20]))[0] == 0.25
 
     @given(plpf_strategy())
     def test_values_within_breakpoint_range(self, f):
@@ -149,8 +221,8 @@ class TestIncrement:
 class TestMonotoneArcs:
     def test_triangle_decomposition(self):
         dec = monotone_arcs(TRIANGLE)
-        assert len(dec.arcs) == 2
-        assert sorted(a.increment for a in dec.arcs) == [-1.0, 1.0]
+        assert len(dec) == 2
+        assert sorted(dec.increments.tolist()) == [-1.0, 1.0]
         assert dec.is_baseline_separated()
 
     def test_signs_alternate_and_sum_to_zero(self):
@@ -169,16 +241,34 @@ class TestMonotoneArcs:
         rng = np.random.default_rng(16)
         f = random_plpf(rng)
         dec = monotone_arcs(f)
-        for arc, sv in zip(dec.arcs, dec.start_values):
-            assert f.eval(arc.start) == pytest.approx(sv, abs=1e-12)
+        for start, sv in zip(dec.starts, dec.start_values):
+            assert f.eval(start) == pytest.approx(sv, abs=1e-12)
 
     def test_constant_gives_no_arcs(self):
         dec = monotone_arcs(make_plpf([(0.0, 1.0)]))
-        assert dec.arcs == ()
+        assert len(dec) == 0
 
     def test_value_tol_merges_shallow_wiggle(self):
         f = make_plpf([(0.0, 0.0), (0.25, 1.0), (0.5, 0.999), (0.75, 1.5)])
-        assert len(monotone_arcs(f).arcs) == 4
+        assert len(monotone_arcs(f)) == 4
+
+    def test_arrays_match_per_arc_loop(self):
+        rng = np.random.default_rng(20)
+        wrapped = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            pos = np.sort(rng.choice(64, n, replace=False)) / 64.0
+            # few distinct values, so plateaus and repeated extrema are common
+            vals = rng.integers(-2, 3, n).astype(float)
+            f = make_plpf(np.column_stack([pos, vals]))
+            dec = monotone_arcs(f)
+            want = arcs_by_loop(f)
+            got = list(zip(dec.starts.tolist(), dec.ends.tolist(),
+                           dec.increments.tolist(), dec.start_values.tolist()))
+            assert got == want
+            assert len(dec) == len(want)
+            wrapped += any(end <= start for start, end, _, _ in want)
+        assert wrapped > 50
 
 
 class TestSuperposeAndNorms:
@@ -224,8 +314,8 @@ class TestJson:
         rng = np.random.default_rng(19)
         f = random_plpf(rng)
         g = function_from_json(function_to_json(f))
-        assert g.positions == f.positions
-        assert g.values == f.values
+        assert g.positions.tolist() == f.positions.tolist()
+        assert g.values.tolist() == f.values.tolist()
 
     @pytest.mark.parametrize(
         "text",

@@ -198,14 +198,6 @@ class TestCriterion:
         assert np.all(np.diff(ps) >= 0.0)
         assert len(ps) == 21
 
-    def test_exclusive_upper_bounded_by_inclusive(self):
-        lam = LambdaSequence.power(1.0)
-        inc = criterion_partial_sums(lam, 2.0, 0.75, 8, include_upper=True)
-        exc = criterion_partial_sums(lam, 2.0, 0.75, 8, include_upper=False)
-        assert exc.include_upper is False
-        for a, b in zip(exc.partial_sums, inc.partial_sums):
-            assert a <= b + 1e-15
-
     def test_scale_covariance(self):
         rng = np.random.default_rng(7)
         base = random_lambda_prefix(rng, 64)

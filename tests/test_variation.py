@@ -108,8 +108,8 @@ class TestPVariation:
         for _ in range(10):
             f = random_plpf(rng)
             c = float(rng.uniform(0.5, 3.0))
-            scaled = make_plpf([(x, c * y) for x, y in f.breakpoints()])
-            neg = make_plpf([(x, -y) for x, y in f.breakpoints()])
+            scaled = make_plpf([(x, c * y) for x, y in zip(f.positions, f.values)])
+            neg = make_plpf([(x, -y) for x, y in zip(f.positions, f.values)])
             v = p_variation(f, 2.0)
             assert p_variation(scaled, 2.0) == pytest.approx(c * v, rel=1e-12)
             assert p_variation(neg, 2.0) == pytest.approx(v, rel=1e-12)
@@ -187,7 +187,7 @@ class TestLambdaVariation:
         for _ in range(10):
             f = random_plpf(rng, 6)
             c = float(rng.uniform(0.5, 3.0))
-            scaled = make_plpf([(x, c * y) for x, y in f.breakpoints()])
+            scaled = make_plpf([(x, c * y) for x, y in zip(f.positions, f.values)])
             assert lambda_variation(scaled, LAM_N) == pytest.approx(
                 c * lambda_variation(f, LAM_N), rel=1e-12
             )
@@ -211,7 +211,7 @@ class TestLambdaVariation:
             f = random_plpf(rng)
             lam_terms = random_lambda_prefix(rng, 32)
             lam = LambdaSequence.explicit(lam_terms)
-            k = len(monotone_arcs(f).arcs)
+            k = len(monotone_arcs(f))
             cap = p_variation(f, pp) * float(
                 np.sum(lam_terms[: max(k, 1)] ** -2.0) ** 0.5
             )
@@ -347,7 +347,7 @@ class TestHumpProfile:
         for _ in range(20):
             f = random_plpf(rng, 8)
             # pull a few breakpoints down to the global minimum
-            vals = np.asarray(f.values)
+            vals = np.array(f.values)
             vals[rng.random(len(vals)) < 0.4] = vals.min()
             g = make_plpf(list(zip(f.positions, vals.tolist())))
             p = float(rng.choice([1.5, 2.0, 3.0]))
