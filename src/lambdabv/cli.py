@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import (
+    MAX_WITNESS_LEVELS,
     WitnessSpec,
     extremal_function,
     perlman_witness,
@@ -35,7 +36,7 @@ from .sequences import (
 from .variation import (
     H_SAMPLES,
     lambda_variation,
-    lp_modulus_profile,
+    lp_modulus,
     modulus_p_continuity,
     p_variation,
 )
@@ -44,7 +45,6 @@ __all__ = ["ExperimentConfig", "ValidationError", "main", "run"]
 
 SCHEMA_VERSION = 1
 COMMANDS = ("variation", "criterion", "sharpness", "wang-demo", "perlman-demo", "hardy-demo")
-MAX_LEVELS = 12
 # 2^-1074 is the smallest positive double, and the block bound 2^(blocks + 1)
 # must be a finite double
 MAX_DELTA_DEPTH = 1074
@@ -168,11 +168,10 @@ def _run_variation(config: ExperimentConfig):
         rows.append([SCHEMA_VERSION, "lambda_variation", "", "", "", vlam, ""])
         values["lambda_variation"] = vlam
     deltas = [2.0**-j for j in range(config.delta_depth + 1)]
-    for delta, value in zip(deltas, lp_modulus_profile(f, config.p, deltas)):
+    for delta, value in zip(deltas, lp_modulus(f, config.p, deltas)):
         rows.append([SCHEMA_VERSION, "lp_modulus", config.p, "", delta, value, H_SAMPLES])
     if config.p > 1.0:
-        for delta in deltas:
-            value = modulus_p_continuity(f, config.p, delta, config.refine)
+        for delta, value in zip(deltas, modulus_p_continuity(f, config.p, deltas, config.refine)):
             rows.append(
                 [SCHEMA_VERSION, "modulus_p_continuity", config.p, "", delta, value, config.refine]
             )
@@ -220,8 +219,8 @@ def _run_criterion(config: ExperimentConfig):
 
 def _run_sharpness(config: ExperimentConfig):
     _check_embedding_params(config)
-    if config.levels > MAX_LEVELS:
-        raise ValidationError("levels", f"must be at most {MAX_LEVELS}")
+    if config.levels > MAX_WITNESS_LEVELS:
+        raise ValidationError("levels", f"must be at most {MAX_WITNESS_LEVELS}")
     if config.delta_depth < 1:
         raise ValidationError("delta-depth", "must be at least 1 for ratio norms")
     lam = _load(config.sequence_path, "sequence", sequence_from_json)

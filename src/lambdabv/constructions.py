@@ -50,12 +50,12 @@ class TriangleCombSpec:
     def __post_init__(self) -> None:
         if self.n_teeth < 1:
             raise ValueError("n_teeth must be at least 1")
-        heights = tuple(float(h) for h in self.heights)
-        if len(heights) != self.n_teeth:
+        heights = np.asarray(self.heights, dtype=float)
+        if heights.shape != (self.n_teeth,):
             raise ValueError("heights must have one entry per tooth")
-        if any(not math.isfinite(h) or h < 0.0 for h in heights):
+        if not np.all(np.isfinite(heights) & (heights >= 0.0)):
             raise ValueError("heights must be nonnegative and finite")
-        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "heights", tuple(heights.tolist()))
 
     @property
     def tooth_width(self) -> float:
@@ -211,10 +211,10 @@ def extremal_function(
             * lam_k ** (-1.0 / (p - 1.0))
             * s_norms[idx] ** (-p_prime / p)
         )
-        heights_per_level.append(tuple(heights.tolist()))
         pair_sum += 2.0 * float(np.sum(heights / lam_k))
         tile = Interval(float(boundaries[idx]), float(tile_lengths[idx]))
-        spec_n = TriangleCombSpec(tile, 2**n, tuple(heights.tolist()))
+        spec_n = TriangleCombSpec(tile, 2**n, heights)
+        heights_per_level.append(spec_n.heights)
         combs.append(triangle_comb(spec_n, end=float(boundaries[idx + 1])))
     g = superpose(combs)
 

@@ -94,13 +94,16 @@ class PiecewiseLinearPeriodic:
         """Evaluate at ``x`` (scalar or array); ``x`` is reduced modulo 1.
 
         Breakpoint values are reproduced exactly.  Periodicity is exact
-        whenever the fractional part of ``x`` is exactly representable.
+        whenever the fractional part of ``x`` is exactly representable.  A
+        NaN or infinite ``x`` evaluates to NaN.
         """
         scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
         xs = np.asarray(x, dtype=float)
         frac = xs - np.floor(xs)
         pe, ve = self._pos_ext, self._val_ext
-        idx = np.searchsorted(pe, frac, side="right") - 1
+        # a non-finite x has frac NaN, which sorts past the end of the table;
+        # the clamp puts it on the last segment, where it interpolates to NaN
+        idx = np.minimum(np.searchsorted(pe, frac, side="right"), len(pe) - 1) - 1
         x0 = pe[idx]
         y0 = ve[idx]
         out = y0 + (frac - x0) * (ve[idx + 1] - y0) / (pe[idx + 1] - x0)

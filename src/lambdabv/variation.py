@@ -28,7 +28,6 @@ __all__ = [
     "lambda_variation",
     "modulus_p_continuity",
     "lp_modulus",
-    "lp_modulus_profile",
     "lip_norm",
     "p_cont_ratio_norm",
     "MAX_EXACT_ARCS",
@@ -193,21 +192,24 @@ def p_variation(f: PiecewiseLinearPeriodic, p: float) -> float:
 
 
 def modulus_p_continuity(
-    f: PiecewiseLinearPeriodic, p: float, delta: float, grid_refinement: int = 0
-) -> float:
-    """omega_{1-1/p}(f; delta): the p-variation sup restricted to systems
-    whose intervals have length <= delta.
+    f: PiecewiseLinearPeriodic, p: float, deltas, grid_refinement: int = 0
+) -> list[float]:
+    """omega_{1-1/p}(f; delta) for each delta in ``deltas``: the p-variation
+    sup restricted to systems whose intervals have length <= delta.
 
     Endpoints run over the breakpoints plus ``grid_refinement`` uniform points
-    per segment, so the result is a certified lower bound of the true
+    per segment, so each value is a certified lower bound of the true
     supremum, converging upward with grid_refinement along nested
-    refinements, and exact at refinement 0 when delta = 1.
+    refinements, and exact at refinement 0 when delta = 1.  The refined chain
+    is built once for the whole grid; entry i equals the one-element grid
+    [deltas[i]] bit for bit.
     """
-    if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
+    deltas = list(deltas)
+    if not all(math.isfinite(d) and 0.0 < d <= 1.0 for d in deltas):
         raise ValueError("delta must lie in (0, 1]")
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
-    return _p_power_profile(f, p, [delta], grid_refinement)[0]
+    return _p_power_profile(f, p, deltas, grid_refinement)
 
 
 def _sorted_weighted_sum(d_sorted: np.ndarray, lam: LambdaSequence) -> float:
@@ -326,11 +328,15 @@ def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float) -> np.ndarray:
     return h[(h > 0.0) & (h <= delta)]
 
 
-def lp_modulus_profile(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
-    """omega(f; delta)_p for each delta in ``deltas``: the max of the shift
-    norms over the sample set of max(deltas), each shift integrated once,
-    restricted to h <= delta (0.0 if none).  On a dyadic grid, where sample
-    sets are nested, entry i equals lp_modulus(f, p, deltas[i]).
+def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
+    """omega(f; delta)_p for each delta in ``deltas``: sup over shifts h in
+    [0, delta] of ||f(.+h) - f||_p.
+
+    The shift integral is exact in closed form; the sup is taken over the
+    sample set of max(deltas), each shift integrated once, restricted to
+    h <= delta (0.0 if none), so each value is a lower bound of the true
+    modulus.  On a dyadic grid, where sample sets are nested, entry i equals
+    the one-element grid [deltas[i]] and the values are monotone.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
@@ -340,16 +346,6 @@ def lp_modulus_profile(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[flo
     hs = _shift_candidates(f, max(deltas, default=0.0))
     peak = np.maximum.accumulate(_shift_norms(f, hs, p))
     return [float(peak[e - 1]) if e else 0.0 for e in np.searchsorted(hs, deltas, side="right")]
-
-
-def lp_modulus(f: PiecewiseLinearPeriodic, p: float, delta: float) -> float:
-    """omega(f; delta)_p: sup over shifts h in [0, delta] of ||f(.+h) - f||_p.
-
-    The shift integral is exact in closed form; the sup is taken over the
-    sampled shift set, so the result is a lower bound of the true modulus
-    (monotone in delta along dyadic grids).
-    """
-    return lp_modulus_profile(f, p, [delta])[0]
 
 
 def _dyadic_grid(depth: int) -> list[float]:
@@ -377,7 +373,7 @@ def lip_norm(
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be at least 1")
     deltas = _dyadic_grid(dyadic_depth)
-    return _ratio_report(deltas, lp_modulus_profile(f, p, deltas), alpha, dyadic_depth)
+    return _ratio_report(deltas, lp_modulus(f, p, deltas), alpha, dyadic_depth)
 
 
 def p_cont_ratio_norm(

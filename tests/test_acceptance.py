@@ -155,10 +155,10 @@ def test_acceptance_5_modulus_inequalities():
         lam_terms = random_lambda_prefix(rng, 32)
         lam = LambdaSequence.explicit(lam_terms)
 
-        omega = modulus_p_continuity(f, p, delta, 1)
+        omega = modulus_p_continuity(f, p, [delta], 1)[0]
         if omega > derivative_lp_norm(f, p) * delta ** (1.0 - 1.0 / p) + 1e-9:
             violations += 1
-        if abs(modulus_p_continuity(f, p, 1.0) - p_variation(f, p)) > 1e-9:
+        if abs(modulus_p_continuity(f, p, [1.0])[0] - p_variation(f, p)) > 1e-9:
             violations += 1
         k = max(len(monotone_arcs(f)), 1)
         q = p / (p - 1.0)

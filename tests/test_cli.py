@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import inspect
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import lambdabv
+from lambdabv import cli
 from lambdabv import (
     LambdaSequence,
     WitnessSpec,
@@ -64,6 +66,16 @@ GOLDEN_CASES = {
         ("--command", "variation", "--p", "2", "--refine", "1"),
     ),
 }
+
+
+def load_spans():
+    """perfbench/spans.py, whose TRACED table names the functions a traced
+    benchmark run wraps."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def read_csv(path):
@@ -126,6 +138,30 @@ class TestVariationCommand:
         for row in read_csv(out / "variation.csv")[1:]:
             if row[1] == "lambda_variation":
                 assert float(row[5]) == lambda_variation(tri, lam)
+
+    @pytest.mark.parametrize("with_sequence", [False, True])
+    def test_one_call_per_modulus(self, tmp_path, tri_file, lam_file, monkeypatch, with_sequence):
+        calls = {"lp_modulus": 0, "modulus_p_continuity": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        argv = ["--command", "variation", "--function", tri_file, "--refine", "1",
+                "--out", str(tmp_path / "out")]
+        if with_sequence:
+            argv += ["--sequence", lam_file]
+        assert cli.main(argv) == 0
+        assert calls == {"lp_modulus": 1, "modulus_p_continuity": 1}
+        rows = read_csv(tmp_path / "out" / "variation.csv")[1:]
+        assert [row[1] for row in rows].count("modulus_p_continuity") == 7
 
     def test_short_explicit_sequence_rejected(self, tmp_path, tri_file):
         lam_path = tmp_path / "short.json"
@@ -430,14 +466,30 @@ class TestPublicSurface:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
         # a traced benchmark run looks up every name in perfbench's TRACED
-        path = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = load_spans()
         for module, names in spans.TRACED.items():
             mod = importlib.import_module(f"lambdabv.{module}")
             for name in names:
                 assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+    def test_cli_imports_are_traced(self):
+        # every library function the CLI calls gets a span in a traced
+        # benchmark run, except the JSON helpers spans.py leaves unwrapped so
+        # that their time stays in cli.main
+        unwrapped = {"function_from_json", "sequence_from_json", "function_to_json",
+                     "sequence_to_json", "witness_report_json"}
+        spans = load_spans()
+        source = pathlib.Path(spans.__file__).read_text()
+        assert all(name in source for name in unwrapped)
+        imported = [
+            (value.__module__, name) for name, value in vars(cli).items()
+            if inspect.isfunction(value) and value.__module__.startswith("lambdabv.")
+            and value.__module__ != "lambdabv.cli"
+        ]
+        assert ("lambdabv.variation", "p_variation") in imported
+        for module, name in imported:
+            short = module.removeprefix("lambdabv.")
+            assert name in spans.TRACED.get(short, ()) or name in unwrapped, f"{module}.{name}"
 
 
 class TestParser:

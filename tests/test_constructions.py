@@ -52,14 +52,22 @@ def valleys(f):
 class TestTriangleComb:
     def test_spec_validation(self):
         iv = Interval(0.0, 0.5)
-        with pytest.raises(ValueError):
-            TriangleCombSpec(iv, 0, ())
-        with pytest.raises(ValueError):
-            TriangleCombSpec(iv, 2, (1.0,))
-        with pytest.raises(ValueError):
-            TriangleCombSpec(iv, 1, (-1.0,))
-        with pytest.raises(ValueError):
-            TriangleCombSpec(iv, 1, (math.nan,))
+        for n_teeth, heights, message in [
+            (0, (), "n_teeth must be at least 1"),
+            (2, (1.0,), "heights must have one entry per tooth"),
+            (2, (1.0, 2.0, 3.0), "heights must have one entry per tooth"),
+            (1, (-1.0,), "heights must be nonnegative and finite"),
+            (1, (math.nan,), "heights must be nonnegative and finite"),
+            (2, (1.0, math.inf), "heights must be nonnegative and finite"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TriangleCombSpec(iv, n_teeth, heights)
+
+    def test_heights_stored_as_float_tuple(self):
+        spec = TriangleCombSpec(Interval(0.0, 0.5), 3, np.array([1, 0, 2]))
+        assert spec.heights == (1.0, 0.0, 2.0)
+        assert all(type(h) is float for h in spec.heights)
+        assert spec == TriangleCombSpec(Interval(0.0, 0.5), 3, [1.0, 0.0, 2.0])
 
     def test_tooth_width(self):
         spec = TriangleCombSpec(Interval(0.25, 0.5), 4, (1.0,) * 4)

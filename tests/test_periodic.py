@@ -169,6 +169,36 @@ class TestEval:
         f = make_plpf([(0.0, 0.25), (0.5, 1.0)])
         assert f.eval(-1e-20) == f.eval(np.array([-1e-20]))[0] == 0.25
 
+    def test_nonfinite_argument_gives_nan(self):
+        f = make_plpf([(0.1, 0.0), (0.5, 1.0)])
+        with np.errstate(invalid="ignore"):
+            for x in (math.nan, math.inf, -math.inf):
+                assert math.isnan(f.eval(x))
+            out = f.eval(np.array([0.3, math.nan, math.inf, -math.inf, 2.7]))
+        assert np.isnan(out[1:4]).all()
+        assert out[[0, 4]].tolist() == [f.eval(0.3), f.eval(2.7)]
+
+    def test_finite_arguments_match_unclamped_lookup(self):
+        # the segment lookup before non-finite arguments were clamped
+        def unclamped(f, x):
+            p, v = f.positions, f.values
+            pe = np.concatenate([[p[-1] - 1.0], p, [p[0] + 1.0, p[0] + 2.0]])
+            ve = np.concatenate([[v[-1]], v, [v[0], v[0]]])
+            frac = x - np.floor(x)
+            i = np.searchsorted(pe, frac, side="right") - 1
+            return ve[i] + (frac - pe[i]) * (ve[i + 1] - ve[i]) / (pe[i + 1] - pe[i])
+
+        rng = np.random.default_rng(131)
+        for _ in range(50):
+            f = random_plpf(rng)
+            xs = np.concatenate([
+                rng.uniform(-3.0, 3.0, 200), f.positions, f.positions + 1.0,
+                [0.0, 1.0, -1e-20, 1.0 - 1e-17, 1e300, -1e300],
+            ])
+            want = unclamped(f, xs)
+            assert f.eval(xs).tobytes() == want.tobytes()
+            assert [f.eval(float(x)) for x in xs] == want.tolist()
+
     @given(plpf_strategy())
     def test_values_within_breakpoint_range(self, f):
         xs = np.linspace(0.0, 1.0, 101)

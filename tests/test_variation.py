@@ -12,7 +12,6 @@ from lambdabv import (
     lambda_variation,
     lip_norm,
     lp_modulus,
-    lp_modulus_profile,
     make_plpf,
     modulus_p_continuity,
     monotone_arcs,
@@ -221,15 +220,32 @@ class TestLambdaVariation:
 class TestModulus:
     def test_query_validation(self):
         with pytest.raises(ValueError, match="delta"):
-            modulus_p_continuity(TRIANGLE, 2.0, 0.0)
+            modulus_p_continuity(TRIANGLE, 2.0, [0.0])
         with pytest.raises(ValueError, match="delta"):
-            modulus_p_continuity(TRIANGLE, 2.0, 1.5)
+            modulus_p_continuity(TRIANGLE, 2.0, [1.5])
         with pytest.raises(ValueError, match="grid_refinement must be nonnegative"):
-            modulus_p_continuity(TRIANGLE, 2.0, 0.5, -1)
+            modulus_p_continuity(TRIANGLE, 2.0, [0.5], -1)
+        # one bad delta anywhere in the grid rejects the whole grid
+        for deltas in ([0.5, 0.0], [1.0, 0.25, 1.5], [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\]$"):
+                modulus_p_continuity(TRIANGLE, 2.0, deltas)
+        assert modulus_p_continuity(TRIANGLE, 2.0, []) == []
+
+    def test_grid_entries_equal_single_delta_calls(self):
+        # the chain and its hump blocks do not depend on delta, so one call
+        # over the grid gives each one-element grid's value bit for bit
+        rng = np.random.default_rng(125)
+        deltas = [2.0**-j for j in range(7)] + [0.3, 0.07]
+        for _ in range(10):
+            f = random_plpf(rng, 12)
+            for p in (1.5, 2.0, 3.0):
+                for m in (0, 1, 2):
+                    got = modulus_p_continuity(f, p, deltas, m)
+                    assert got == [modulus_p_continuity(f, p, [d], m)[0] for d in deltas]
 
     def test_triangle_quarter_delta(self):
-        assert modulus_p_continuity(TRIANGLE, 2.0, 0.25, 0) == 0.0
-        assert modulus_p_continuity(TRIANGLE, 2.0, 0.25, 1) == pytest.approx(
+        assert modulus_p_continuity(TRIANGLE, 2.0, [0.25], 0)[0] == 0.0
+        assert modulus_p_continuity(TRIANGLE, 2.0, [0.25], 1)[0] == pytest.approx(
             1.0, rel=1e-12
         )
 
@@ -238,7 +254,7 @@ class TestModulus:
         for _ in range(30):
             f = random_plpf(rng)
             p = float(rng.choice([1.5, 2.0, 3.0]))
-            assert modulus_p_continuity(f, p, 1.0) == p_variation(f, p)
+            assert modulus_p_continuity(f, p, [1.0])[0] == p_variation(f, p)
 
     def test_cut_policies_agree(self):
         rng = np.random.default_rng(112)
@@ -246,7 +262,7 @@ class TestModulus:
             f = random_plpf(rng)
             p = float(rng.choice([1.5, 2.0, 3.0]))
             for j in (1, 2, 4):
-                va = modulus_p_continuity(f, p, 2.0**-j, 1)
+                va = modulus_p_continuity(f, p, [2.0**-j], 1)[0]
                 vb = max_over_cuts(*_refined_cycle(f, 1), p, 2.0**-j) ** (1.0 / p)
                 assert va == pytest.approx(vb, rel=1e-12, abs=1e-15)
 
@@ -255,7 +271,7 @@ class TestModulus:
         for _ in range(15):
             f = random_plpf(rng)
             vals = [
-                modulus_p_continuity(f, 2.0, 2.0**-j, 1)
+                modulus_p_continuity(f, 2.0, [2.0**-j], 1)[0]
                 for j in range(6)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -266,7 +282,7 @@ class TestModulus:
         for _ in range(10):
             f = random_plpf(rng)
             vals = [
-                modulus_p_continuity(f, 2.0, 0.25, m)
+                modulus_p_continuity(f, 2.0, [0.25], m)[0]
                 for m in (0, 1, 3, 7)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -278,7 +294,7 @@ class TestModulus:
             p = float(rng.choice([1.5, 2.0]))
             delta = float(rng.choice([0.25, 0.5]))
             oracle = circle_oracle(f, f.positions, p_sum_score(p), max_length=delta)
-            got = modulus_p_continuity(f, p, delta, 0)
+            got = modulus_p_continuity(f, p, [delta], 0)[0]
             assert got**p == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_holder_bound_from_derivative(self):
@@ -290,11 +306,11 @@ class TestModulus:
             for j in (1, 3, 5):
                 delta = 2.0**-j
                 bound = derivative_lp_norm(f, p) * delta**q
-                assert modulus_p_continuity(f, p, delta, 1) <= bound + 1e-9
+                assert modulus_p_continuity(f, p, [delta], 1)[0] <= bound + 1e-9
 
     def test_requires_p_above_one(self):
         with pytest.raises(ValueError):
-            modulus_p_continuity(TRIANGLE, 1.0, 0.5)
+            modulus_p_continuity(TRIANGLE, 1.0, [0.5])
 
 
 DYADIC = [2.0**-j for j in range(7)]
@@ -367,35 +383,35 @@ class TestHumpProfile:
 class TestLpModulus:
     def test_triangle_closed_form(self):
         # shift h in [0, 0.1] moves mass linearly; the sup sits at h = 0.1
-        assert lp_modulus(TRIANGLE, 1.0, 0.1) == pytest.approx(0.18, rel=1e-12)
+        assert lp_modulus(TRIANGLE, 1.0, [0.1])[0] == pytest.approx(0.18, rel=1e-12)
 
     def test_triangle_matches_riemann_oracle(self):
         xs = (np.arange(1_000_000) + 0.5) / 1_000_000
         riemann = float(np.mean(np.abs(TRIANGLE.eval(xs + 0.1) - TRIANGLE.eval(xs))))
-        assert lp_modulus(TRIANGLE, 1.0, 0.1) == pytest.approx(riemann, abs=1e-6)
+        assert lp_modulus(TRIANGLE, 1.0, [0.1])[0] == pytest.approx(riemann, abs=1e-6)
 
     def test_zero_delta(self):
-        assert lp_modulus(TRIANGLE, 2.0, 0.0) == 0.0
+        assert lp_modulus(TRIANGLE, 2.0, [0.0])[0] == 0.0
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(117)
         for _ in range(10):
             f = random_plpf(rng)
             p = float(rng.choice([1.0, 2.0, 3.0]))
-            vals = [lp_modulus(f, p, 2.0**-j) for j in range(7)]
+            vals = [lp_modulus(f, p, [2.0**-j])[0] for j in range(7)]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_dominated_by_sup_of_shifts(self):
         rng = np.random.default_rng(118)
         f = random_plpf(rng)
         spread = float(np.max(f.values) - np.min(f.values))
-        assert lp_modulus(f, 2.0, 1.0) <= spread + 1e-12
+        assert lp_modulus(f, 2.0, [1.0])[0] <= spread + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lp_modulus(TRIANGLE, 0.5, 0.1)
+            lp_modulus(TRIANGLE, 0.5, [0.1])
         with pytest.raises(ValueError):
-            lp_modulus(TRIANGLE, 2.0, 1.5)
+            lp_modulus(TRIANGLE, 2.0, [1.5])
 
 
 class TestLpModulusProfile:
@@ -411,7 +427,7 @@ class TestLpModulusProfile:
             mp_shift_norm(f, h, p), rel=1e-12
         )
         want = mp_lp_modulus_profile(f, p, [h])
-        assert lp_modulus(f, p, h) == pytest.approx(want[0], rel=1e-12)
+        assert lp_modulus(f, p, [h])[0] == pytest.approx(want[0], rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_matches_reference_on_small_functions(self, p):
@@ -419,7 +435,7 @@ class TestLpModulusProfile:
         deltas = [2.0**-j for j in range(7)]
         for _ in range(3):
             f = random_plpf(rng)
-            got = lp_modulus_profile(f, p, deltas)
+            got = lp_modulus(f, p, deltas)
             assert got == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -430,27 +446,19 @@ class TestLpModulusProfile:
         rows = max(1, _BLOCK_CELLS // len(f.positions))
         count = len(_shift_candidates(f, deltas[0]))
         assert count > rows and count % rows != 0
-        got = lp_modulus_profile(f, p, deltas)
+        got = lp_modulus(f, p, deltas)
         assert got == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
 
     def test_single_breakpoint_and_zero_delta(self):
-        assert lp_modulus_profile(make_plpf([(0.3, 2.0)]), 2.0, [1.0, 0.5, 0.0]) == [0.0] * 3
-        assert lp_modulus_profile(TRIANGLE, 2.0, [0.0]) == [0.0]
-        assert lp_modulus_profile(TRIANGLE, 2.0, [0.5, 0.0])[1] == 0.0
-        assert lp_modulus_profile(TRIANGLE, 2.0, []) == []
+        assert lp_modulus(make_plpf([(0.3, 2.0)]), 2.0, [1.0, 0.5, 0.0]) == [0.0] * 3
+        assert lp_modulus(TRIANGLE, 2.0, [0.0]) == [0.0]
+        assert lp_modulus(TRIANGLE, 2.0, [0.5, 0.0])[1] == 0.0
+        assert lp_modulus(TRIANGLE, 2.0, []) == []
 
     def test_delta_below_every_candidate(self):
         # the smallest sampled shift is the dyadic 2^-40
-        got = lp_modulus_profile(TRIANGLE, 2.0, [1.0, 2.0**-40, 2.0**-45])
+        got = lp_modulus(TRIANGLE, 2.0, [1.0, 2.0**-40, 2.0**-45])
         assert got[1] > 0.0 and got[2] == 0.0
-
-    def test_single_delta_equals_lp_modulus(self):
-        rng = np.random.default_rng(121)
-        for _ in range(10):
-            f = random_plpf(rng)
-            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-            for d in (1.0, 0.3, 2.0**-4, 0.0):
-                assert lp_modulus(f, p, d) == lp_modulus_profile(f, p, [d])[0]
 
     def test_dyadic_entries_equal_lp_modulus(self):
         # dyadic sample sets are nested, and a shift's norm does not depend on
@@ -459,8 +467,8 @@ class TestLpModulusProfile:
         deltas = [2.0**-j for j in range(7)]
         for n in (8, 70):
             f = random_plpf(rng, n, min_gap=1e-4, min_breaks=n)
-            got = lp_modulus_profile(f, 2.0, deltas)
-            assert got == [lp_modulus(f, 2.0, d) for d in deltas]
+            got = lp_modulus(f, 2.0, deltas)
+            assert got == [lp_modulus(f, 2.0, [d])[0] for d in deltas]
 
     def test_lip_norm_rows_equal_profile(self):
         rng = np.random.default_rng(123)
@@ -468,15 +476,15 @@ class TestLpModulusProfile:
             f = random_plpf(rng)
             rep = lip_norm(f, 1.5, 0.75, 6)
             deltas = [row[0] for row in rep.per_delta]
-            assert [row[1] for row in rep.per_delta] == lp_modulus_profile(f, 1.5, deltas)
+            assert [row[1] for row in rep.per_delta] == lp_modulus(f, 1.5, deltas)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lp_modulus_profile(TRIANGLE, 0.5, [0.1])
+            lp_modulus(TRIANGLE, 0.5, [0.1])
         with pytest.raises(ValueError):
-            lp_modulus_profile(TRIANGLE, 2.0, [0.5, 1.5])
+            lp_modulus(TRIANGLE, 2.0, [0.5, 1.5])
         with pytest.raises(ValueError):
-            lp_modulus_profile(TRIANGLE, 2.0, [math.nan])
+            lp_modulus(TRIANGLE, 2.0, [math.nan])
 
 
 class TestNormReports:
@@ -516,7 +524,7 @@ class TestNormReports:
                 for m in (0, 1):
                     rep = p_cont_ratio_norm(f, p, 0.9, 5, m)
                     for delta, omega, _ in rep.per_delta:
-                        assert omega == modulus_p_continuity(f, p, delta, m)
+                        assert omega == modulus_p_continuity(f, p, [delta], m)[0]
 
     def test_ratio_norm_uses_exact_exponent_weights(self):
         rep = p_cont_ratio_norm(TRIANGLE, 2.0, 0.75, 3, 1)
