@@ -2,19 +2,22 @@
 weighted (Lambda) variation, modulus of p-continuity, L^p-modulus and ratio
 norms.
 
-All suprema over interval systems are computed exactly on their grids.  Three
+All suprema over interval systems are computed exactly on their grids.  Four
 reductions make this tractable and are themselves cross-checked by the
 brute-force oracles of the tests: a maximizing system may take all its
 endpoints at local extrema; cutting the circle at a global maximum never
 loses value (splitting any interval at a global max point can only increase
-the objective); and neither does splitting the cut chain at every point of
-its global minimum, so the p-continuity chain maximization runs per hump
-between two such points.
+the objective); neither does splitting the cut chain at every point of its
+global minimum, so the p-continuity chain maximization runs per hump between
+two such points; and for the Lambda-variation neither does inserting an
+extremum that a system's interval skips unless it lies strictly between the
+interval's end values, so its search steps only through such windows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +37,9 @@ __all__ = [
     "H_SAMPLES",
 ]
 
-# subset search over local extrema is exponential; beyond this arc count only
-# baseline-separated functions are supported
-MAX_EXACT_ARCS = 16
+# the exact search over local extrema is exponential in the worst case; beyond
+# this arc count only baseline-separated functions are supported
+MAX_EXACT_ARCS = 40
 
 # uniform shift samples per unit shift in the L^p modulus; a power of two
 H_SAMPLES = 64
@@ -220,30 +223,92 @@ def _sorted_weighted_sum(d_sorted: np.ndarray, lam: LambdaSequence) -> float:
     return float(d_sorted @ (1.0 / lam.terms(k)))
 
 
+def _window_successors(v: list[float]) -> list[list[int]]:
+    """For each i < m = len(v) - 1, the steps i -> j (i < j <= m) of the
+    reduced search: every value strictly between positions i and j lies
+    strictly inside (min(v[i], v[j]), max(v[i], v[j])).  j = i + 1 always
+    qualifies; once the skipped values span v[i], no later j can."""
+    m = len(v) - 1
+    succ = []
+    for i in range(m):
+        vi = v[i]
+        js = [i + 1]
+        lo = hi = v[i + 1]
+        for j in range(i + 2, m + 1):
+            if lo <= vi <= hi:
+                break
+            vj = v[j]
+            if min(vi, vj) < lo and hi < max(vi, vj):
+                js.append(j)
+            lo, hi = min(lo, vj), max(hi, vj)
+        succ.append(js)
+    return succ
+
+
 def _cyclic_subset_max(values: np.ndarray, lam: LambdaSequence) -> float:
-    """Exact max of the sorted-weighted increment sum over all systems whose
+    """Exact max of the sorted-weighted increment sum F over all systems whose
     endpoints take the given cyclic values.
 
     For a fixed endpoint subset, tiling the circle with all consecutive
     intervals dominates every sparser pattern (adding a nonnegative increment
-    never lowers the sorted sum against nonincreasing weights 1/lambda), so
-    only subsets need enumeration.
+    never lowers F against nonincreasing weights 1/lambda), so a system is a
+    cyclic subset.  Inserting a point into an interval never lowers F when it
+    replaces the increment d by one >= d plus one more >= 0, which prunes the
+    subsets to a depth-first search:
+
+    - anchor: an interval around a global maximum splits that way, so the
+      values are rotated to start at the first one and the search runs over
+      paths 0 -> m, position m being 0 again;
+    - window rule: a step i -> j is taken only if every value between them
+      lies strictly inside (min(v_i, v_j), max(v_i, v_j)); a value outside
+      splits the step that way, and one equal to an endpoint adds a 0;
+    - bound: a path reaching i is dropped when F of its increments joined
+      with R*(i) does not beat the best complete path.  U_b(i), the largest
+      sum of b increments along any window path from i to m, comes from one
+      backward pass, and R*(i) lists its steps U_b(i) - U_(b-1)(i).  The b
+      largest increments of every completion sum to at most U_b(i), which
+      the b largest of R*(i) reach, and F = sum over k of (w_k - w_(k+1))
+      times the sum of the k largest is nondecreasing in each such sum, so
+      the bound holds.  It is widened by a relative 1e-12 so that rounding
+      cannot drop the best path.
+
+    A complete path is scored as a scan over all subsets scores one (its
+    increments sorted against 1/lambda in one dot product); the tests hold
+    the result to that scan bit for bit.
     """
     m = len(values)
     if m < 2:
         return 0.0
     lam.require(m)
     inv = 1.0 / lam.terms(m)
+    w = inv.tolist()
+    g = int(np.argmax(values))
+    v = np.concatenate([values[g:], values[:g], values[g : g + 1]]).tolist()
+    succ = _window_successors(v)
+    top = [np.zeros(m + 1) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        for j in succ[i]:
+            np.maximum(top[i], top[j], out=top[i])
+            np.maximum(top[i][1:], top[j][:-1] + abs(v[j] - v[i]), out=top[i][1:])
+    rest = [np.diff(u)[: m - i].tolist() for i, u in enumerate(top)]
     best = 0.0
-    for mask in range(1, 1 << m):
-        if mask.bit_count() < 2:
-            continue
-        chosen = values[[i for i in range(m) if mask >> i & 1]]
-        diffs = np.abs(chosen - np.roll(chosen, -1))
-        diffs[::-1].sort()
-        s = float(diffs @ inv[: len(diffs)])
-        if s > best:
-            best = s
+    d = []
+
+    def visit(i: int) -> None:
+        nonlocal best
+        for j in succ[i]:
+            d.append(abs(v[j] - v[i]))
+            if j == m:
+                s = np.array(d)
+                s[::-1].sort()
+                s = float(s @ inv[: len(s)])
+                if s > best:
+                    best = s
+            elif sum(map(operator.mul, sorted(d + rest[j], reverse=True), w)) * (1.0 + 1e-12) > best:
+                visit(j)
+            d.pop()
+
+    visit(0)
     return best
 
 
@@ -255,8 +320,10 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     Exact for baseline-separated functions (all local minima equal, or all
     local maxima equal), where the sorted arc increments realize the
     supremum, and for functions with at most MAX_EXACT_ARCS monotone arcs via
-    subset search over the local extrema.  Other shapes raise, rather than
-    silently undercounting the supremum.
+    a pruned depth-first search over systems of local extrema anchored at a
+    global maximum, whose intervals skip only extrema strictly between their
+    end values.  Other shapes raise, rather than silently undercounting the
+    supremum.
     """
     _validate_lambda(lam)
     dec = monotone_arcs(f)

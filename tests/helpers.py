@@ -1,14 +1,16 @@
 """Shared test utilities: random inputs, brute-force oracles and an
 exhaustive system oracle.
 
-circle_oracle deliberately avoids the library's chain DP and subset-scan
-code paths: it enumerates every system of nonoverlapping index pairs over a
+circle_oracle deliberately avoids the library's chain DP and extremum
+search: it enumerates every system of nonoverlapping index pairs over a
 small candidate set, cutting the circle at each candidate in turn, so the
 fast implementations can be checked against a search with no shortcuts.
 chain_dp is the chain maximization one point at a time over the whole cut
-chain, with no split into humps; the brute_* oracles run it (and the subset
-search) on arbitrary candidate grids, with the circle cut at every candidate
-instead of at a global maximum.
+chain, with no split into humps; subset_scan_max scores every cyclic subset
+of extremum values, with no anchor, window rule or bound, and
+chunked_subset_scan_max does the same in vectorized blocks for 17 to ~22
+values.  The brute_* oracles run these on arbitrary candidate grids, with
+the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
 at 40 digits, one piece at a time.
@@ -29,7 +31,6 @@ import numpy as np
 from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
 from lambdabv.variation import (
     _chain_from_cycle,
-    _cyclic_subset_max,
     _refined_cycle,
     _shift_candidates,
     _sorted_weighted_sum,
@@ -59,6 +60,16 @@ def random_plpf(rng, max_breaks=8, scale=1.5, min_gap=1e-3, min_breaks=2):
         if np.min(gaps) > min_gap:
             break
     vals = rng.uniform(-scale, scale, n)
+    return make_plpf(list(zip(pos.tolist(), vals.tolist())))
+
+
+def alternating_plpf(rng, m):
+    """m breakpoints at jittered uniform positions whose values alternate
+    between maxima in [0.2, 1) and minima in [-1, -0.2): m monotone arcs (m
+    even) and, almost surely, no common baseline."""
+    k = np.arange(m)
+    pos = (k + rng.uniform(0.0, 0.5, m)) / m
+    vals = np.where(k % 2 == 0, rng.uniform(0.2, 1.0, m), rng.uniform(-1.0, -0.2, m))
     return make_plpf(list(zip(pos.tolist(), vals.tolist())))
 
 
@@ -168,6 +179,57 @@ def brute_p_variation(f, p, candidate_points):
     return max_over_cuts(pts, np.asarray(f.eval(pts)), p, 1.0)
 
 
+def subset_scan_max(values, lam):
+    """Max of the sorted-weighted increment sum over every cyclic subset of
+    at least two of ``values``, one subset at a time: the tiling of the
+    circle by consecutive chosen points, its increments sorted against
+    1/lambda in one dot product."""
+    m = len(values)
+    if m < 2:
+        return 0.0
+    lam.require(m)
+    inv = 1.0 / lam.terms(m)
+    bits = 1 << np.arange(m)
+    best = 0.0
+    for mask in range(1, 1 << m):
+        if mask.bit_count() < 2:
+            continue
+        chosen = values[mask & bits != 0]
+        diffs = np.abs(chosen - np.concatenate((chosen[1:], chosen[:1])))
+        diffs[::-1].sort()
+        s = float(diffs @ inv[: len(diffs)])
+        if s > best:
+            best = s
+    return best
+
+
+def chunked_subset_scan_max(values, lam):
+    """subset_scan_max over blocks of 2^13 masks at once, for 17 to ~22
+    values.  Unchosen points get increment 0; each chosen point takes the
+    value of the next chosen one, found as a running minimum of chosen
+    indices over two laps.  Sums run in another order than the one-subset
+    scan, so results agree to rounding, not bit for bit."""
+    values = np.asarray(values, dtype=float)
+    m = len(values)
+    if m < 2:
+        return 0.0
+    lam.require(m)
+    inv = 1.0 / lam.terms(m)
+    lap = np.arange(2 * m)
+    chunk = 1 << 13
+    best = 0.0
+    for start in range(0, 1 << m, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << m), dtype=np.int64)
+        chosen = (masks[:, None] >> np.arange(m)) & 1 == 1
+        marks = np.where(np.tile(chosen, 2), lap, 2 * m)
+        after = np.minimum.accumulate(marks[:, ::-1], axis=1)[:, ::-1]
+        nxt = after[:, 1 : m + 1] % m
+        diffs = np.where(chosen, np.abs(values - values[nxt]), 0.0)
+        diffs = -np.sort(-diffs, axis=1)
+        best = max(best, float((diffs @ inv).max()))
+    return best
+
+
 def brute_lambda_variation(f, lam, candidate_points):
     """Oracle: exact max of sum |f(I_n)| / lambda_sigma(n) over all systems of
     nonoverlapping intervals with endpoints among the candidates and all
@@ -179,7 +241,7 @@ def brute_lambda_variation(f, lam, candidate_points):
         raise ValueError("brute enumeration supports at most 14 candidate points")
     if len(pts) < 2:
         return 0.0
-    return _cyclic_subset_max(np.asarray(f.eval(pts)), lam)
+    return subset_scan_max(np.asarray(f.eval(pts)), lam)
 
 
 def iter_line_systems(n):

@@ -16,13 +16,20 @@ from lambdabv import (
     criterion_partial_sums,
     extremal_function,
     function_from_json,
+    function_to_json,
     lambda_variation,
     make_plpf,
     monotone_arcs,
     sequence_from_json,
 )
 
-from helpers import chain_dp_profile, mp_lp_modulus_profile, run_cli
+from helpers import (
+    alternating_plpf,
+    chain_dp_profile,
+    chunked_subset_scan_max,
+    mp_lp_modulus_profile,
+    run_cli,
+)
 
 TRIANGLE_JSON = '{"breakpoints": [[0.0, 0.0], [0.5, 1.0]]}\n'
 LAM_N_JSON = '{"family": "power", "params": {"s": 1.0}}\n'
@@ -162,6 +169,37 @@ class TestVariationCommand:
         assert calls == {"lp_modulus": 1, "modulus_p_continuity": 1}
         rows = read_csv(tmp_path / "out" / "variation.csv")[1:]
         assert [row[1] for row in rows].count("modulus_p_continuity") == 7
+
+    def test_eighteen_arcs_without_baseline(self, tmp_path, lam_file):
+        f = alternating_plpf(np.random.default_rng(130), 18)
+        arcs = monotone_arcs(f)
+        assert len(arcs) == 18 and not arcs.is_baseline_separated()
+        f_path = tmp_path / "f.json"
+        f_path.write_text(function_to_json(f))
+        out = tmp_path / "out"
+        proc = run_cli(
+            "--command", "variation", "--function", str(f_path),
+            "--sequence", lam_file, "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [r for r in read_csv(out / "variation.csv")[1:] if r[1] == "lambda_variation"]
+        assert len(rows) == 1
+        want = chunked_subset_scan_max(arcs.start_values, LambdaSequence.power(1.0))
+        assert float(rows[0][5]) == pytest.approx(want, rel=1e-12)
+
+    def test_too_many_arcs_named(self, tmp_path, lam_file):
+        f = alternating_plpf(np.random.default_rng(131), 42)
+        assert not monotone_arcs(f).is_baseline_separated()
+        f_path = tmp_path / "f.json"
+        f_path.write_text(function_to_json(f))
+        proc = run_cli(
+            "--command", "variation", "--function", str(f_path),
+            "--sequence", lam_file, "--out", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: function:")
+        assert "42 monotone arcs" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_short_explicit_sequence_rejected(self, tmp_path, tri_file):
         lam_path = tmp_path / "short.json"

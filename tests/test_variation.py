@@ -19,18 +19,23 @@ from lambdabv import (
     p_variation,
 )
 from lambdabv.variation import (
+    MAX_EXACT_ARCS,
     _BLOCK_CELLS,
+    _cyclic_subset_max,
     _p_power_profile,
     _refined_cycle,
     _shift_candidates,
     _shift_norms,
+    _window_successors,
 )
 
 from helpers import (
     IntervalSystem,
+    alternating_plpf,
     brute_lambda_variation,
     brute_p_variation,
     chain_dp_profile,
+    chunked_subset_scan_max,
     circle_oracle,
     lambda_sum_score,
     max_over_cuts,
@@ -39,6 +44,7 @@ from helpers import (
     p_sum_score,
     random_lambda_prefix,
     random_plpf,
+    subset_scan_max,
     system_lambda_sum,
     system_p_sum,
 )
@@ -170,8 +176,9 @@ class TestLambdaVariation:
 
     def test_many_arc_general_function_rejected(self):
         rng = np.random.default_rng(107)
-        pts = [(k / 40.0, float((-1) ** k) * (1.0 + rng.uniform(0, 0.5))) for k in range(40)]
+        pts = [(k / 42.0, float((-1) ** k) * (1.0 + rng.uniform(0, 0.5))) for k in range(42)]
         f = make_plpf(pts)
+        assert len(monotone_arcs(f)) == MAX_EXACT_ARCS + 2
         assert not monotone_arcs(f).is_baseline_separated()
         with pytest.raises(ValueError, match="arcs"):
             lambda_variation(f, LAM_N)
@@ -215,6 +222,75 @@ class TestLambdaVariation:
                 np.sum(lam_terms[: max(k, 1)] ** -2.0) ** 0.5
             )
             assert lambda_variation(f, lam) <= cap + 1e-9
+
+
+def _random_weights(rng, m):
+    if rng.integers(2):
+        return LambdaSequence.power(float(rng.choice([0.0, 0.1, 0.5, 1.0, 1.5])))
+    return LambdaSequence.explicit(random_lambda_prefix(rng, m))
+
+
+class TestReducedSearch:
+    """The pruned search of _cyclic_subset_max against the scan over every
+    subset of the cyclic values."""
+
+    def test_matches_subset_scan_on_random_lists(self):
+        # integer values give ties and orders that do not alternate
+        rng = np.random.default_rng(120)
+        for trial in range(320):
+            m = int(rng.integers(2, 13))
+            if trial % 3 == 0:
+                vals = rng.uniform(-1.0, 1.0, m)
+            else:
+                vals = rng.integers(0, 2 + trial % 4, m).astype(float)
+            lam = _random_weights(rng, m)
+            assert _cyclic_subset_max(vals, lam) == subset_scan_max(vals, lam), vals
+
+    @pytest.mark.parametrize("m,seed", [(14, 121), (14, 122), (16, 123), (16, 124)])
+    def test_matches_subset_scan_on_alternating_functions(self, m, seed):
+        rng = np.random.default_rng(seed)
+        f = alternating_plpf(rng, m)
+        arcs = monotone_arcs(f)
+        assert len(arcs) == m and not arcs.is_baseline_separated()
+        lam = _random_weights(rng, m)
+        assert lambda_variation(f, lam) == subset_scan_max(arcs.start_values, lam)
+
+    @pytest.mark.parametrize("m,seed", [(18, 125), (20, 126)])
+    def test_matches_chunked_scan_above_sixteen_arcs(self, m, seed):
+        rng = np.random.default_rng(seed)
+        f = alternating_plpf(rng, m)
+        arcs = monotone_arcs(f)
+        assert len(arcs) == m and not arcs.is_baseline_separated()
+        lam = LambdaSequence.power(0.5)
+        assert lambda_variation(f, lam) == pytest.approx(
+            chunked_subset_scan_max(arcs.start_values, lam), rel=1e-12
+        )
+
+    def test_window_rule_steps(self):
+        # a step i -> j is offered iff every value strictly between them lies
+        # strictly between its end values
+        rng = np.random.default_rng(127)
+        for _ in range(200):
+            v = rng.integers(0, 4, int(rng.integers(3, 12))).astype(float).tolist()
+            m = len(v) - 1
+            want = [
+                [j for j in range(i + 1, m + 1)
+                 if all(min(v[i], v[j]) < x < max(v[i], v[j]) for x in v[i + 1 : j])]
+                for i in range(m)
+            ]
+            assert _window_successors(v) == want, v
+
+    def test_forty_arcs_between_arc_bounds(self):
+        rng = np.random.default_rng(128)
+        f = alternating_plpf(rng, MAX_EXACT_ARCS)
+        lam = LambdaSequence.power(1.0)
+        got = lambda_variation(f, lam)
+        arcs = monotone_arcs(f)
+        w = 1.0 / lam.terms(MAX_EXACT_ARCS)
+        # the arc tiling is one system; the total variation against the
+        # first weight bounds every system
+        assert float(np.sort(np.abs(arcs.increments))[::-1] @ w) <= got
+        assert got <= float(np.abs(arcs.increments).sum()) * w[0]
 
 
 class TestModulus:
