@@ -115,7 +115,7 @@ def _parse_args(argv) -> ExperimentConfig:
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
             raise ValidationError(name.replace("_", "-"), "must be finite")
-    for name in ("delta_depth", "refine", "blocks", "levels", "d_power"):
+    for name in ("delta_depth", "refine", "blocks", "levels", "d_power", "seed"):
         value = getattr(config, name)
         if value is not None and value < 0:
             raise ValidationError(name.replace("_", "-"), "must be nonnegative")

@@ -570,4 +570,7 @@ def sequence_from_json(text: str) -> LambdaSequence:
     if not isinstance(params, dict):
         raise ValueError('named families need a "params" object')
     names = _family(family).params
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"{family} family is missing parameter {missing[0]!r}")
     return LambdaSequence(family, **{name: float(params[name]) for name in names})

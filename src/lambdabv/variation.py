@@ -12,6 +12,11 @@ global minimum, so the p-continuity chain maximization runs per hump between
 two such points; and for the Lambda-variation neither does inserting an
 extremum that a system's interval skips unless it lies strictly between the
 interval's end values, so its search steps only through such windows.
+
+The L^p modulus is a max over sampled shifts h of ||f(.+h) - f||_p, which is
+symmetric under h -> 1 - h and Lipschitz in h with constant ||f'||_p; so each
+shift is integrated once up to that symmetry, and a shift whose Lipschitz
+bound from integrated neighbours cannot reach the running max is skipped.
 """
 
 from __future__ import annotations
@@ -343,35 +348,44 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
 
 def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
     """||f(.+h) - f||_p for each shift in ``hs``, by exact integration of the
-    difference, linear between its kinks (breakpoints and breakpoints shifted
-    by -h).  Kinks are sorted but not deduplicated: a repeated kink is a
-    zero-width piece and adds exactly 0.
+    difference D = f(.+h) - f, linear between its kinks: the breakpoints x_i,
+    where D = f(x_i + h) - y_i, and the shifted breakpoints x_j - h, where
+    D = y_j - f(x_j - h).  So each kink takes one interpolation, and the kinks
+    are sorted together with their D values.  They are not deduplicated: a
+    repeated kink is a zero-width piece and adds exactly 0.
 
     A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
-    G(c) = sign(c)|c|^(p+1)/(p+1).  That cancels on a nearly flat piece, so
-    where |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
+    G(c) = sign(c)|c|^(p+1)/(p+1), and a piece's v is the next piece's u, so
+    G is taken once per kink.  That cancels on a nearly flat piece, so where
+    |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
     w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
-    replaces it (the dropped terms are O(x^6)).
+    replaces it (the dropped terms are O(x^6)).  Each shift's row is
+    integrated on its own, so its norm does not depend on the other shifts.
     """
-    pos = f.positions
+    pos, val = f.positions, f.values
     n = len(pos)
     rows = max(1, _BLOCK_CELLS // n)
     c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
-    g = lambda c: np.sign(c) * np.abs(c) ** (p + 1.0) / (p + 1.0)
     out = np.empty(len(hs))
     for s in range(0, len(hs), rows):
         h = hs[s : s + rows, None]
-        k = np.concatenate([np.broadcast_to(pos, (len(h), n)), np.mod(pos - h, 1.0)], axis=1)
-        k.sort(axis=1)
-        x1 = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1)
-        u = f.eval(k + h) - f.eval(k)
-        v = f.eval(x1 + h) - f.eval(x1)
+        back = np.mod(pos - h, 1.0)
+        k = np.concatenate([np.broadcast_to(pos, back.shape), back], axis=1)
+        u = np.concatenate([f.eval(pos + h) - val, val - f.eval(back)], axis=1)
+        order = np.argsort(k, axis=1)
+        k = np.take_along_axis(k, order, axis=1)
+        u = np.take_along_axis(u, order, axis=1)
+        w = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1) - k
+        g = np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
+        v = np.roll(u, -1, axis=1)
         m, d = 0.5 * (u + v), v - u
         near = np.abs(d) <= 1e-3 * np.abs(m)
-        x2 = np.where(near, d / np.where(m == 0.0, 1.0, m), 0.0) ** 2
-        series = np.abs(m) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
-        closed = (g(v) - g(u)) / np.where(near, 1.0, d)
-        out[s : s + len(h)] = np.sum((x1 - k) * np.where(near, series, closed), axis=1)
+        piece = (np.roll(g, -1, axis=1) - g) / np.where(near, 1.0, d)
+        if near.any():
+            mn = m[near]
+            x2 = (d[near] / np.where(mn == 0.0, 1.0, mn)) ** 2
+            piece[near] = np.abs(mn) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
+        out[s : s + len(h)] = np.sum(w * piece, axis=1)
     return out ** (1.0 / p)
 
 
@@ -395,15 +409,52 @@ def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float) -> np.ndarray:
     return h[(h > 0.0) & (h <= delta)]
 
 
+def _shift_bounds(
+    f: PiecewiseLinearPeriodic, p: float, hs: np.ndarray, norms: np.ndarray, done: np.ndarray
+) -> np.ndarray:
+    """Upper bounds of N(h) = ||f(.+h) - f||_p at the shifts hs[~done], from
+    the values norms[done] at the integrated ones (hs ascending, done[0] set).
+
+    |N(h1) - N(h2)| <= |h1 - h2| ||f'||_p by Minkowski, so each bound is the
+    smaller of N + |h - h'| ||f'||_p over the nearest integrated h' on either
+    side.  ||f'||_p and the bound are widened by a relative 1e-9, plus 1e-12
+    of the function's scale (max |y| + max |slope|), which covers the rounding
+    of an interpolated f(x +- h) that every computed N carries.
+    """
+    dx = np.diff(f.positions, append=f.positions[0] + 1.0)
+    slopes = np.abs(np.diff(f.values, append=f.values[0])) / dx
+    lip = float(slopes**p @ dx) ** (1.0 / p) * (1.0 + 1e-9)
+    known, rest = np.flatnonzero(done), np.flatnonzero(~done)
+    right = np.searchsorted(known, rest)
+    bound = np.minimum(
+        *(norms[nb] + np.abs(hs[rest] - hs[nb]) * lip
+          for nb in (known[right - 1], known[np.minimum(right, len(known) - 1)]))
+    )
+    return bound * (1.0 + 1e-9) + 1e-12 * (np.abs(f.values).max() + slopes.max())
+
+
 def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     """omega(f; delta)_p for each delta in ``deltas``: sup over shifts h in
-    [0, delta] of ||f(.+h) - f||_p.
+    [0, delta] of N(h) = ||f(.+h) - f||_p.
 
     The shift integral is exact in closed form; the sup is taken over the
-    sample set of max(deltas), each shift integrated once, restricted to
-    h <= delta (0.0 if none), so each value is a lower bound of the true
-    modulus.  On a dyadic grid, where sample sets are nested, entry i equals
-    the one-element grid [deltas[i]] and the values are monotone.
+    sample set of max(deltas), restricted to h <= delta (0.0 if none), so
+    each value is a lower bound of the true modulus.  On a dyadic grid, where
+    sample sets are nested, entry i equals the one-element grid [deltas[i]]
+    and the values are monotone.
+
+    Two facts skip work without changing any value:
+
+    - fold: N(h) = N(1 - h) (substitute x -> x - h), so each distinct
+      min(h, 1 - h) is integrated once (1 - h is exact for h >= 1/2) and
+      read back for every sample it stands for;
+    - pruning: N is Lipschitz with constant ||f'||_p, so a folded shift is
+      skipped when the bound of _shift_bounds from its nearest integrated
+      neighbours stays below the running max at the first delta it could
+      raise.  Every 8th folded shift is integrated first, then the survivors
+      in at most three rounds (every other one, every other one, the rest).
+      A skipped shift cannot be the max of any delta's read, so the values
+      equal integrating every folded shift, bit for bit.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
@@ -411,8 +462,24 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     if not all(math.isfinite(d) and 0.0 <= d <= 1.0 for d in deltas):
         raise ValueError("delta must lie in [0, 1]")
     hs = _shift_candidates(f, max(deltas, default=0.0))
-    peak = np.maximum.accumulate(_shift_norms(f, hs, p))
-    return [float(peak[e - 1]) if e else 0.0 for e in np.searchsorted(hs, deltas, side="right")]
+    folded, first, inv = np.unique(np.minimum(hs, 1.0 - hs), return_index=True, return_inverse=True)
+    ends = np.searchsorted(hs, deltas, side="right")
+    # per folded shift, the end of the first read whose samples include it
+    reads = np.unique(ends)
+    opens = reads[np.searchsorted(reads, first, side="right")]
+    norms = np.zeros(len(folded))
+    done = np.zeros(len(folded), dtype=bool)
+    todo = np.arange(0, len(folded), 8)
+    for step in (2, 2, 1, 0):
+        norms[todo] = _shift_norms(f, folded[todo], p)
+        done[todo] = True
+        if not step or done.all():
+            break
+        rest = np.flatnonzero(~done)
+        peak = np.maximum.accumulate(norms[inv])
+        todo = rest[_shift_bounds(f, p, folded, norms, done) >= peak[opens[rest] - 1]][::step]
+    peak = np.maximum.accumulate(norms[inv])
+    return [float(peak[e - 1]) if e else 0.0 for e in ends]
 
 
 def _dyadic_grid(depth: int) -> list[float]:

@@ -13,7 +13,8 @@ values.  The brute_* oracles run these on arbitrary candidate grids, with
 the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
-at 40 digits, one piece at a time.
+at 40 digits, one piece at a time.  folded_lp_profile is the L^p modulus with
+the fold but without the Lipschitz pruning: every folded shift integrated.
 """
 
 import functools
@@ -33,6 +34,7 @@ from lambdabv.variation import (
     _chain_from_cycle,
     _refined_cycle,
     _shift_candidates,
+    _shift_norms,
     _sorted_weighted_sum,
     _validate_lambda,
 )
@@ -353,3 +355,13 @@ def mp_lp_modulus_profile(f, p, deltas):
     hs = _shift_candidates(f, max(deltas))
     ref = np.asarray([mp_shift_norm(f, float(h), p) for h in hs])
     return [float(ref[hs <= d].max()) if (hs <= d).any() else 0.0 for d in deltas]
+
+
+def folded_lp_profile(f, p, deltas):
+    """The library's L^p modulus without its pruning: each distinct
+    min(h, 1 - h) over the shift samples of max(deltas) integrated once by
+    _shift_norms, and per delta the max over the samples h <= delta."""
+    hs = _shift_candidates(f, max(deltas, default=0.0))
+    folded, inv = np.unique(np.minimum(hs, 1.0 - hs), return_inverse=True)
+    peak = np.maximum.accumulate(_shift_norms(f, folded, p)[inv])
+    return [float(peak[e - 1]) if e else 0.0 for e in np.searchsorted(hs, deltas, side="right")]

@@ -259,6 +259,22 @@ class TestValidationFailures:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: blocks:")
 
+    def test_negative_seed(self, tmp_path):
+        proc = run_cli("--command", "hardy-demo", "--seed", "-5", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed: must be nonnegative\n"
+
+    def test_named_family_missing_parameter(self, tmp_path):
+        lam_path = tmp_path / "lam.json"
+        lam_path.write_text('{"family": "power", "params": {}}\n')
+        proc = run_cli(
+            "--command", "criterion", "--sequence", str(lam_path), "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: sequence: invalid sequence file: power family is missing parameter 's'\n"
+        )
+
     def test_out_path_is_a_file(self, tmp_path, tri_file):
         target = tmp_path / "occupied"
         target.write_text("x")

@@ -452,3 +452,16 @@ class TestJson:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             sequence_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text,name",
+        [
+            ('{"family": "power", "params": {}}', "power family is missing parameter 's'"),
+            ('{"family": "power_log", "params": {"s": 1}}', "power_log family is missing parameter 't'"),
+            ('{"family": "block_power_log", "params": {"s": 1}}',
+             "block_power_log family is missing parameter 'alpha'"),
+        ],
+    )
+    def test_missing_parameter_named(self, text, name):
+        with pytest.raises(ValueError, match=f"^{name}$"):
+            sequence_from_json(text)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lambdabv import variation
 from lambdabv import (
     Interval,
     LambdaSequence,
@@ -24,6 +25,7 @@ from lambdabv.variation import (
     _cyclic_subset_max,
     _p_power_profile,
     _refined_cycle,
+    _shift_bounds,
     _shift_candidates,
     _shift_norms,
     _window_successors,
@@ -37,6 +39,7 @@ from helpers import (
     chain_dp_profile,
     chunked_subset_scan_max,
     circle_oracle,
+    folded_lp_profile,
     lambda_sum_score,
     max_over_cuts,
     mp_lp_modulus_profile,
@@ -561,6 +564,118 @@ class TestLpModulusProfile:
             lp_modulus(TRIANGLE, 2.0, [0.5, 1.5])
         with pytest.raises(ValueError):
             lp_modulus(TRIANGLE, 2.0, [math.nan])
+
+
+def few_valued_plpf(rng, max_breaks):
+    """Breakpoints on the 1/64 lattice with values in {0, 1, 2}: tied values,
+    and shifted kinks that land exactly on breakpoints."""
+    n = int(rng.integers(2, max_breaks + 1))
+    pos = np.sort(rng.choice(64, n, replace=False)) / 64.0
+    vals = rng.integers(0, 3, n).astype(float)
+    return make_plpf(list(zip(pos.tolist(), vals.tolist())))
+
+
+def modulus_grid(rng, kind):
+    """A dyadic grid; the same with non-dyadic deltas inside; or a grid whose
+    largest delta is non-dyadic in (1/2, 1)."""
+    dyadic = [2.0**-j for j in range(int(rng.integers(1, 8)))]
+    if kind == 0:
+        return dyadic
+    if kind == 1:
+        return dyadic + rng.uniform(0.0, 1.0, 3).tolist()
+    return [float(rng.uniform(0.5, 1.0))] + dyadic[1:] + rng.uniform(0.0, 0.5, 2).tolist()
+
+
+class TestLpModulusPruning:
+    NEARLY_FLAT = TestLpModulusProfile.NEARLY_FLAT
+
+    def test_equals_every_folded_shift_integrated(self):
+        # skipped shifts never hold a delta's max, so the values are the
+        # unpruned ones bit for bit
+        rng = np.random.default_rng(1101)
+        for i in range(240):
+            shape = i % 4
+            if shape == 0:
+                f = random_plpf(rng, 80, min_gap=1e-4)
+            elif shape == 1:
+                f = random_plpf(rng, 12)
+            elif shape == 2:
+                f = few_valued_plpf(rng, 24)
+            else:
+                f = self.NEARLY_FLAT if i % 8 == 3 else few_valued_plpf(rng, 6)
+            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            deltas = modulus_grid(rng, i % 3)
+            assert lp_modulus(f, p, deltas) == folded_lp_profile(f, p, deltas), (i, p, deltas)
+
+    def test_most_shifts_skipped(self, monkeypatch):
+        f = random_plpf(np.random.default_rng(1102), 64, min_gap=1e-4, min_breaks=64)
+        hs = _shift_candidates(f, 1.0)
+        folded = np.unique(np.minimum(hs, 1.0 - hs))
+        seen = []
+
+        def counted(f, h, p):
+            seen.append(len(h))
+            return _shift_norms(f, h, p)
+
+        monkeypatch.setattr(variation, "_shift_norms", counted)
+        got = lp_modulus(f, 2.0, DYADIC)
+        assert 2 <= len(seen) <= 4 and sum(seen) < len(folded) / 2
+        monkeypatch.undo()
+        assert got == folded_lp_profile(f, 2.0, DYADIC)
+
+    def test_bounds_cover_every_skippable_shift(self):
+        # the pruning's only premise: no bound undercuts a computed norm.  The
+        # smallest samples are the dyadic 2^-40, 2^-39, ..., where N rises at
+        # almost exactly ||f'||_p, so a bound with a smaller constant fails
+        rng = np.random.default_rng(1107)
+        for i in range(30):
+            f = few_valued_plpf(rng, 24) if i % 3 == 0 else random_plpf(rng, 24)
+            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            hs = _shift_candidates(f, 0.5)
+            norms = _shift_norms(f, hs, p)
+            done = rng.uniform(size=len(hs)) < 0.1
+            done[::8] = True
+            bounds = _shift_bounds(f, p, hs, np.where(done, norms, 0.0), done)
+            assert np.all(bounds >= norms[~done])
+
+    def test_shift_norm_symmetric(self):
+        rng = np.random.default_rng(1103)
+        for _ in range(20):
+            f = random_plpf(rng, 16)
+            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            hs = rng.uniform(0.0, 1.0, 50)
+            assert _shift_norms(f, hs, p) == pytest.approx(_shift_norms(f, 1.0 - hs, p), rel=1e-12, abs=1e-15)
+
+    def test_shift_norm_lipschitz(self):
+        # Minkowski: |N(h1) - N(h2)| <= |h1 - h2| ||f'||_p, on near and far pairs
+        rng = np.random.default_rng(1104)
+        for _ in range(20):
+            f = random_plpf(rng, 16)
+            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            h1 = rng.uniform(0.0, 1.0, 200)
+            h2 = np.mod(h1 + rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-9.0, 0.0, 200), 1.0)
+            gap = np.abs(_shift_norms(f, h1, p) - _shift_norms(f, h2, p))
+            step = np.abs(h1 - h2)
+            step = np.minimum(step, 1.0 - step)
+            assert np.all(gap <= step * derivative_lp_norm(f, p) * (1.0 + 1e-9) + 1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_delta_above_half_reads_its_fold(self, p):
+        # the sample delta in (1/2, 1) folds to 1 - delta, placed where N peaks
+        # between the samples up to 1/2 (the first function of the seed that
+        # peaks there), so it raises the value above the one at 1/2; the
+        # reference integrates h = delta itself
+        rng = np.random.default_rng(1105)
+        fine = np.linspace(0.0, 0.5, 4097)[1:]
+        while True:
+            f = random_plpf(rng, 6)
+            norms = _shift_norms(f, fine, p)
+            if norms.max() > lp_modulus(f, p, [0.5])[0] * (1.0 + 1e-9):
+                break
+        delta = 1.0 - float(fine[np.argmax(norms)])
+        got = lp_modulus(f, p, [delta, 0.5, 0.25])
+        assert got[0] > got[1] * (1.0 + 1e-9)
+        assert got == pytest.approx(mp_lp_modulus_profile(f, p, [delta, 0.5, 0.25]), rel=1e-12)
 
 
 class TestNormReports:
