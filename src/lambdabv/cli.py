@@ -35,6 +35,7 @@ from .sequences import (
 )
 from .variation import (
     H_SAMPLES,
+    MAX_DELTA_DEPTH,
     lambda_variation,
     lp_modulus,
     modulus_p_continuity,
@@ -45,9 +46,7 @@ __all__ = ["ExperimentConfig", "ValidationError", "main", "run"]
 
 SCHEMA_VERSION = 1
 COMMANDS = ("variation", "criterion", "sharpness", "wang-demo", "perlman-demo", "hardy-demo")
-# 2^-1074 is the smallest positive double, and the block bound 2^(blocks + 1)
-# must be a finite double
-MAX_DELTA_DEPTH = 1074
+# the block bound 2^(blocks + 1) must be a finite double
 MAX_BLOCKS = 1022
 PERLMAN_TERMS = 1_000_000
 PERLMAN_DECADES = (10**3, 10**4, 10**5, 10**6)
@@ -247,6 +246,9 @@ def _run_sharpness(config: ExperimentConfig):
         crit_pow = report.criterion_partials[-1] ** (1.0 / r_prime)
         vlam = report.measured_lambda_variation
         omega = report.ratio_report.value
+        for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
+            if not value > 0.0:
+                raise ValidationError("p", f"the {name} underflows at this p")
         rows.append(
             [SCHEMA_VERSION, level, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega]
         )
@@ -306,9 +308,11 @@ def _run_perlman_demo(config: ExperimentConfig):
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
     w = config.d_power if config.d_power is not None else 1.0 / config.p
-    idx = np.arange(1, PERLMAN_TERMS + 1, dtype=float)
-    d = idx**-w
-    lam = perlman_witness(d, config.p)
+    d = np.arange(1, PERLMAN_TERMS + 1, dtype=float) ** -w
+    try:
+        lam = perlman_witness(d, config.p)
+    except ValueError as exc:
+        raise ValidationError("d-power", str(exc)) from exc
     terms = lam.explicit_terms
     p_prime = config.p / (config.p - 1.0)
     divergent = np.cumsum(d / terms)

@@ -313,7 +313,9 @@ def perlman_witness(d, p: float) -> LambdaSequence:
     alpha = arr ** (p - 1.0) / np.cumsum(arr**p)
     if np.any(np.diff(alpha) > 0.0):
         alpha = np.sort(alpha)[::-1]
-    return LambdaSequence.explicit(1.0 / alpha)
+    # explicit() rejects a weight past the double range
+    with np.errstate(divide="ignore", over="ignore"):
+        return LambdaSequence.explicit(1.0 / alpha)
 
 
 def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:

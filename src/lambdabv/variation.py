@@ -14,9 +14,10 @@ extremum that a system's interval skips unless it lies strictly between the
 interval's end values, so its search steps only through such windows.
 
 The L^p modulus is a max over sampled shifts h of ||f(.+h) - f||_p, which is
-symmetric under h -> 1 - h and Lipschitz in h with constant ||f'||_p; so each
-shift is integrated once up to that symmetry, and a shift whose Lipschitz
-bound from integrated neighbours cannot reach the running max is skipped.
+symmetric under h -> 1 - h and Lipschitz in h with constant ||f'||_p; so the
+samples are fixed on (0, 1/2], each delta adds only its own sample folded
+there, and a sample whose Lipschitz bound from integrated neighbours cannot
+reach the running max is skipped.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ MAX_EXACT_ARCS = 40
 
 # uniform shift samples per unit shift in the L^p modulus; a power of two
 H_SAMPLES = 64
+
+# deepest dyadic scale of a ratio norm: 2^-1074 is the smallest positive double
+MAX_DELTA_DEPTH = 1074
 
 # cells per vectorized block: shift x breakpoint cells in the L^p modulus,
 # hump x chain-point cells in the chain DP; temporaries stay small
@@ -389,24 +393,23 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
     return out ** (1.0 / p)
 
 
-_DYADIC_SHIFTS = tuple(2.0 ** (-j) for j in range(41))
+_DYADIC_SHIFTS = tuple(2.0 ** (-j) for j in range(1, 41))
 
 
-def _shift_candidates(f: PiecewiseLinearPeriodic, delta: float) -> np.ndarray:
-    """Shift sample set on [0, delta]: breakpoint difference kinks, a uniform
-    grid of H_SAMPLES per unit shift, all dyadic shifts, and delta.
+def _shift_samples(f: PiecewiseLinearPeriodic) -> np.ndarray:
+    """Shift samples on (0, 1/2], ascending: the breakpoint differences
+    (while n^2 <= 10^6), a uniform grid of H_SAMPLES per unit shift and the
+    dyadic shifts 2^-1 ... 2^-40.
 
-    The uniform grid has a fixed power-of-two step, so candidate sets are
-    nested along dyadic deltas and the sampled modulus stays monotone there.
+    They do not depend on delta, and N(h) = N(1 - h) makes samples above
+    1/2 redundant, so the sup up to any delta reads a prefix of this set.
     """
     pos = f.positions
-    hs = [np.asarray([delta]), np.asarray(_DYADIC_SHIFTS)]
+    hs = [np.asarray(_DYADIC_SHIFTS), np.linspace(0.0, 0.5, H_SAMPLES // 2 + 1)]
     if len(pos) ** 2 <= 1_000_000:
-        diff = np.mod(pos[None, :] - pos[:, None], 1.0).ravel()
-        hs.append(diff)
-    hs.append(np.linspace(0.0, 1.0, H_SAMPLES + 1))
+        hs.append(np.mod(pos[None, :] - pos[:, None], 1.0).ravel())
     h = np.unique(np.concatenate(hs))
-    return h[(h > 0.0) & (h <= delta)]
+    return h[(h > 0.0) & (h <= 0.5)]
 
 
 def _shift_bounds(
@@ -438,48 +441,47 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     [0, delta] of N(h) = ||f(.+h) - f||_p.
 
     The shift integral is exact in closed form; the sup is taken over the
-    sample set of max(deltas), restricted to h <= delta (0.0 if none), so
-    each value is a lower bound of the true modulus.  On a dyadic grid, where
-    sample sets are nested, entry i equals the one-element grid [deltas[i]]
-    and the values are monotone.
+    samples of _shift_samples up to min(delta, 1/2) and delta's own sample
+    min(delta, 1 - delta), since N(h) = N(1 - h) (substitute x -> x - h).
+    Each value is thus a lower bound of the true modulus that depends on
+    delta alone: entry i equals the one-element grid [deltas[i]] for every
+    grid, and the values are monotone along a dyadic grid.
 
-    Two facts skip work without changing any value:
-
-    - fold: N(h) = N(1 - h) (substitute x -> x - h), so each distinct
-      min(h, 1 - h) is integrated once (1 - h is exact for h >= 1/2) and
-      read back for every sample it stands for;
-    - pruning: N is Lipschitz with constant ||f'||_p, so a folded shift is
-      skipped when the bound of _shift_bounds from its nearest integrated
-      neighbours stays below the running max at the first delta it could
-      raise.  Every 8th folded shift is integrated first, then the survivors
-      in at most three rounds (every other one, every other one, the rest).
-      A skipped shift cannot be the max of any delta's read, so the values
-      equal integrating every folded shift, bit for bit.
+    N is Lipschitz with constant ||f'||_p, so a sample is skipped when the
+    bound of _shift_bounds from its nearest integrated neighbours stays below
+    the running max at the first delta whose prefix includes it.  Every 8th
+    sample and the deltas' own samples are integrated first, then the
+    survivors in at most three rounds (every other one, every other one, the
+    rest).  A skipped sample cannot be the max of any delta's read, so the
+    values equal integrating every sample, bit for bit.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
     deltas = list(deltas)
     if not all(math.isfinite(d) and 0.0 <= d <= 1.0 for d in deltas):
         raise ValueError("delta must lie in [0, 1]")
-    hs = _shift_candidates(f, max(deltas, default=0.0))
-    folded, first, inv = np.unique(np.minimum(hs, 1.0 - hs), return_index=True, return_inverse=True)
-    ends = np.searchsorted(hs, deltas, side="right")
-    # per folded shift, the end of the first read whose samples include it
+    d = np.asarray(deltas, dtype=float)
+    hs = _shift_samples(f)
+    ends = np.searchsorted(hs, np.minimum(d, 0.5), side="right")
+    hs = hs[: ends.max(initial=0)]
+    # per sample, the end of the first read whose prefix includes it
     reads = np.unique(ends)
-    opens = reads[np.searchsorted(reads, first, side="right")]
-    norms = np.zeros(len(folded))
-    done = np.zeros(len(folded), dtype=bool)
-    todo = np.arange(0, len(folded), 8)
-    for step in (2, 2, 1, 0):
-        norms[todo] = _shift_norms(f, folded[todo], p)
+    opens = reads[np.searchsorted(reads, np.arange(len(hs)), side="right")]
+    norms = np.zeros(len(hs))
+    done = np.zeros(len(hs), dtype=bool)
+    todo = np.arange(0, len(hs), 8)
+    first = np.concatenate([hs[todo], np.minimum(d, 1.0 - d)])
+    norms[todo], own = np.split(_shift_norms(f, first, p), [len(todo)])
+    for step in (2, 2, 1):
         done[todo] = True
-        if not step or done.all():
-            break
         rest = np.flatnonzero(~done)
-        peak = np.maximum.accumulate(norms[inv])
-        todo = rest[_shift_bounds(f, p, folded, norms, done) >= peak[opens[rest] - 1]][::step]
-    peak = np.maximum.accumulate(norms[inv])
-    return [float(peak[e - 1]) if e else 0.0 for e in ends]
+        if not len(rest):
+            break
+        peak = np.maximum.accumulate(norms)
+        todo = rest[_shift_bounds(f, p, hs, norms, done) >= peak[opens[rest] - 1]][::step]
+        norms[todo] = _shift_norms(f, hs[todo], p)
+    peak = np.maximum.accumulate(np.concatenate([[0.0], norms]))
+    return np.maximum(peak[ends], own).tolist()
 
 
 def _dyadic_grid(depth: int) -> list[float]:
@@ -504,8 +506,8 @@ def lip_norm(
         raise ValueError("p must satisfy p > 1")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    if dyadic_depth < 1:
-        raise ValueError("dyadic_depth must be at least 1")
+    if not 1 <= dyadic_depth <= MAX_DELTA_DEPTH:
+        raise ValueError(f"dyadic_depth must lie in [1, {MAX_DELTA_DEPTH}]")
     deltas = _dyadic_grid(dyadic_depth)
     return _ratio_report(deltas, lp_modulus(f, p, deltas), alpha, dyadic_depth)
 
@@ -526,8 +528,8 @@ def p_cont_ratio_norm(
         raise ValueError("p must satisfy p > 1")
     if not (1.0 / p < alpha <= 1.0):
         raise ValueError("alpha must lie in (1/p, 1]")
-    if dyadic_depth < 1:
-        raise ValueError("dyadic_depth must be at least 1")
+    if not 1 <= dyadic_depth <= MAX_DELTA_DEPTH:
+        raise ValueError(f"dyadic_depth must lie in [1, {MAX_DELTA_DEPTH}]")
     deltas = _dyadic_grid(dyadic_depth)
     moduli = _p_power_profile(f, p, deltas, grid_refinement)
     return _ratio_report(deltas, moduli, alpha - 1.0 / p, dyadic_depth)

@@ -13,8 +13,8 @@ values.  The brute_* oracles run these on arbitrary candidate grids, with
 the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
-at 40 digits, one piece at a time.  folded_lp_profile is the L^p modulus with
-the fold but without the Lipschitz pruning: every folded shift integrated.
+at 40 digits, one piece at a time.  folded_lp_profile is the L^p modulus
+without the Lipschitz pruning: every shift sample integrated.
 """
 
 import functools
@@ -33,8 +33,8 @@ from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
 from lambdabv.variation import (
     _chain_from_cycle,
     _refined_cycle,
-    _shift_candidates,
     _shift_norms,
+    _shift_samples,
     _sorted_weighted_sum,
     _validate_lambda,
 )
@@ -350,18 +350,25 @@ def mp_shift_norm(f, h, p):
 
 
 def mp_lp_modulus_profile(f, p, deltas):
-    """Per delta, the max of mp_shift_norm over the library's own shift
-    samples for max(deltas) that do not exceed delta (0.0 if none do)."""
-    hs = _shift_candidates(f, max(deltas))
+    """Per delta, the max of mp_shift_norm over the library's shift samples
+    up to min(delta, 1/2) and over delta's own sample min(delta, 1 - delta)."""
+    hs = _shift_samples(f)
+    hs = hs[hs <= min(max(deltas), 0.5)]
     ref = np.asarray([mp_shift_norm(f, float(h), p) for h in hs])
-    return [float(ref[hs <= d].max()) if (hs <= d).any() else 0.0 for d in deltas]
+    return [
+        max(float(ref[hs <= min(d, 0.5)].max(initial=0.0)), mp_shift_norm(f, min(d, 1.0 - d), p))
+        for d in deltas
+    ]
 
 
 def folded_lp_profile(f, p, deltas):
-    """The library's L^p modulus without its pruning: each distinct
-    min(h, 1 - h) over the shift samples of max(deltas) integrated once by
-    _shift_norms, and per delta the max over the samples h <= delta."""
-    hs = _shift_candidates(f, max(deltas, default=0.0))
-    folded, inv = np.unique(np.minimum(hs, 1.0 - hs), return_inverse=True)
-    peak = np.maximum.accumulate(_shift_norms(f, folded, p)[inv])
-    return [float(peak[e - 1]) if e else 0.0 for e in np.searchsorted(hs, deltas, side="right")]
+    """The library's L^p modulus without its pruning: every shift sample on
+    (0, 1/2] integrated by _shift_norms, and per delta the max over the
+    samples up to min(delta, 1/2) and delta's own sample min(delta, 1 - delta)."""
+    hs = _shift_samples(f)
+    norms = _shift_norms(f, hs, p)
+    return [
+        max(float(norms[hs <= min(d, 0.5)].max(initial=0.0)),
+            float(_shift_norms(f, np.asarray([min(d, 1.0 - d)]), p)[0]))
+        for d in deltas
+    ]

@@ -23,6 +23,9 @@ from lambdabv import (
     sequence_from_json,
 )
 
+from lambdabv.constructions import MAX_WITNESS_LEVELS
+from lambdabv.variation import MAX_DELTA_DEPTH
+
 from helpers import (
     alternating_plpf,
     chain_dp_profile,
@@ -312,6 +315,48 @@ class TestValidationFailures:
         assert "invalid choice" in proc.stderr
 
 
+# the numeric options each command reads
+COMMAND_OPTIONS = {
+    "variation": ("p", "delta-depth", "refine"),
+    "criterion": ("p", "alpha", "blocks"),
+    "sharpness": ("p", "alpha", "levels", "delta-depth", "refine"),
+    "wang-demo": ("p", "alpha", "s", "blocks"),
+    "perlman-demo": ("p", "d-power"),
+    "hardy-demo": ("seed",),
+}
+OPTION_CAPS = {"delta-depth": MAX_DELTA_DEPTH, "blocks": cli.MAX_BLOCKS, "levels": MAX_WITNESS_LEVELS}
+OPTION_EXTRAS = {"p": ("5000",), "d-power": ("53", "60")}
+# s must lie in (1, (1 + 1/p - alpha)/(1 - alpha)), a window that closes as p
+# grows, so a large p rejects the default s by that name
+ALSO_NAMED = {("wang-demo", "p"): "s"}
+
+
+class TestExitCodeSweep:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_extreme_values_exit_cleanly(self, tmp_path, tri_file, lam_file, capsys, command):
+        # each numeric option at 0, 1, tiny, huge, negative, NaN, its cap and
+        # one past it, with every other option at its default; the caps stay
+        # small enough here (no huge --refine or --levels is passed)
+        for option in COMMAND_OPTIONS[command]:
+            values = ("0", "1", "1e-300", "1e300", "-1", "nan") + OPTION_EXTRAS.get(option, ())
+            if option in OPTION_CAPS:
+                values += (str(OPTION_CAPS[option]), str(OPTION_CAPS[option] + 1))
+            for value in values:
+                argv = ["--command", command, f"--{option}", value, "--function", tri_file,
+                        "--sequence", lam_file, "--out", str(tmp_path / "o")]
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse rejects a non-integer
+                    code = exc.code
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (argv, err)
+                assert "Traceback" not in err, (argv, err)
+                if code == 2:
+                    names = {option, ALSO_NAMED.get((command, option), option)}
+                    assert any(f"error: {name}:" in err or f"argument --{name}:" in err
+                               for name in names), (argv, err)
+
+
 class TestCriterionCommand:
     def test_partials_match_library(self, tmp_path, lam_file):
         out = tmp_path / "out"
@@ -374,6 +419,16 @@ class TestSharpnessCommand:
         assert monotone_arcs(g).is_baseline_separated()
         assert len(read_csv(out / "sharpness.csv")) == 11
 
+    def test_witness_modulus_underflow_named(self, tmp_path, lam_file):
+        # at p = 5000 the witness's p-power sums underflow and its ratio norm
+        # reads 0, which divided the last column
+        args = ("--command", "sharpness", "--sequence", lam_file, "--alpha", "0.5")
+        proc = run_cli(*args, "--p", "5000", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: p: the witness modulus underflows at this p\n"
+        proc = run_cli(*args, "--p", "1000", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+
     def test_levels_cap(self, tmp_path, lam_file):
         proc = run_cli(
             "--command", "sharpness", "--sequence", lam_file,
@@ -422,6 +477,20 @@ class TestDemos:
         summary = json.loads((out / "perlman-demo.json").read_text())
         assert summary["d_power"] == 1.0
         assert summary["last_decade_increment_divergent"] < 0.05
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--d-power", "53"), "sequence terms must be positive and finite"),
+            (("--d-power", "60"), "d entries must be positive and finite"),
+            (("--p", "400", "--d-power", "1"), "sequence terms must be positive and finite"),
+        ],
+    )
+    def test_perlman_demo_out_of_range_named(self, tmp_path, args, message):
+        # d_n = n^-w or lambda_n leaves the double range
+        proc = run_cli("--command", "perlman-demo", *args, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: d-power: {message}\n"
 
     def test_hardy_demo(self, tmp_path):
         out = tmp_path / "out"

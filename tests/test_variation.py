@@ -20,14 +20,15 @@ from lambdabv import (
     p_variation,
 )
 from lambdabv.variation import (
+    MAX_DELTA_DEPTH,
     MAX_EXACT_ARCS,
     _BLOCK_CELLS,
     _cyclic_subset_max,
     _p_power_profile,
     _refined_cycle,
     _shift_bounds,
-    _shift_candidates,
     _shift_norms,
+    _shift_samples,
     _window_successors,
 )
 
@@ -523,7 +524,7 @@ class TestLpModulusProfile:
         f = random_plpf(np.random.default_rng(20), 80, min_gap=1e-4, min_breaks=70)
         deltas = [2.0**-6, 0.012, 2.0**-8]
         rows = max(1, _BLOCK_CELLS // len(f.positions))
-        count = len(_shift_candidates(f, deltas[0]))
+        count = int(np.sum(_shift_samples(f) <= deltas[0]))
         assert count > rows and count % rows != 0
         got = lp_modulus(f, p, deltas)
         assert got == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
@@ -535,19 +536,25 @@ class TestLpModulusProfile:
         assert lp_modulus(TRIANGLE, 2.0, []) == []
 
     def test_delta_below_every_candidate(self):
-        # the smallest sampled shift is the dyadic 2^-40
+        # the smallest sample is the dyadic 2^-40; a delta below it still
+        # reads its own sample
         got = lp_modulus(TRIANGLE, 2.0, [1.0, 2.0**-40, 2.0**-45])
-        assert got[1] > 0.0 and got[2] == 0.0
+        assert got[1] > 0.0 and got[2] > 0.0
+        assert got[2] == lp_modulus(TRIANGLE, 2.0, [2.0**-45])[0]
 
-    def test_dyadic_entries_equal_lp_modulus(self):
-        # dyadic sample sets are nested, and a shift's norm does not depend on
-        # the block it is integrated in
+    def test_grid_entries_equal_single_delta_calls(self):
+        # each value depends on its delta alone, on every kind of grid; a
+        # shift's norm does not depend on the block it is integrated in
+        tent = make_plpf([(0.0, 0.0), (0.25, 1.0), (0.5, 0.0)])
+        assert lp_modulus(tent, 2.0, [0.9, 0.3])[1] == lp_modulus(tent, 2.0, [0.3])[0]
+        assert lp_modulus(tent, 2.0, [0.3])[0] == pytest.approx(
+            mp_lp_modulus_profile(tent, 2.0, [0.3])[0], rel=1e-12
+        )
         rng = np.random.default_rng(122)
-        deltas = [2.0**-j for j in range(7)]
-        for n in (8, 70):
-            f = random_plpf(rng, n, min_gap=1e-4, min_breaks=n)
-            got = lp_modulus(f, 2.0, deltas)
-            assert got == [lp_modulus(f, 2.0, [d])[0] for d in deltas]
+        for i in range(200):
+            f, p, deltas = modulus_case(rng, i)
+            got = lp_modulus(f, p, deltas)
+            assert got == [lp_modulus(f, p, [d])[0] for d in deltas], (i, p, deltas)
 
     def test_lip_norm_rows_equal_profile(self):
         rng = np.random.default_rng(123)
@@ -576,41 +583,49 @@ def few_valued_plpf(rng, max_breaks):
 
 
 def modulus_grid(rng, kind):
-    """A dyadic grid; the same with non-dyadic deltas inside; or a grid whose
-    largest delta is non-dyadic in (1/2, 1)."""
+    """A dyadic grid; the same with non-dyadic deltas inside; a grid led by
+    a non-dyadic delta in (1/2, 1); one with a delta below every sample
+    (2^-40); or one holding 0 and 1."""
     dyadic = [2.0**-j for j in range(int(rng.integers(1, 8)))]
     if kind == 0:
         return dyadic
     if kind == 1:
         return dyadic + rng.uniform(0.0, 1.0, 3).tolist()
-    return [float(rng.uniform(0.5, 1.0))] + dyadic[1:] + rng.uniform(0.0, 0.5, 2).tolist()
+    if kind == 2:
+        return [float(rng.uniform(0.5, 1.0))] + dyadic[1:] + rng.uniform(0.0, 0.5, 2).tolist()
+    if kind == 3:
+        return dyadic + [float(2.0 ** rng.uniform(-50.0, -40.0))]
+    return [0.0] + rng.uniform(0.0, 1.0, 2).tolist() + [1.0]
+
+
+def modulus_case(rng, i):
+    """(f, p, deltas) for the i-th case of a sweep: functions of 2-80
+    breakpoints, few-valued ones with ties, and NEARLY_FLAT; every grid kind
+    of modulus_grid."""
+    shape = i % 4
+    if shape == 0:
+        f = random_plpf(rng, 80, min_gap=1e-4)
+    elif shape == 1:
+        f = random_plpf(rng, 12)
+    elif shape == 2:
+        f = few_valued_plpf(rng, 24)
+    else:
+        f = TestLpModulusProfile.NEARLY_FLAT if i % 8 == 3 else few_valued_plpf(rng, 6)
+    return f, float(rng.choice([1.0, 1.5, 2.0, 3.0])), modulus_grid(rng, i % 5)
 
 
 class TestLpModulusPruning:
-    NEARLY_FLAT = TestLpModulusProfile.NEARLY_FLAT
-
     def test_equals_every_folded_shift_integrated(self):
         # skipped shifts never hold a delta's max, so the values are the
         # unpruned ones bit for bit
         rng = np.random.default_rng(1101)
         for i in range(240):
-            shape = i % 4
-            if shape == 0:
-                f = random_plpf(rng, 80, min_gap=1e-4)
-            elif shape == 1:
-                f = random_plpf(rng, 12)
-            elif shape == 2:
-                f = few_valued_plpf(rng, 24)
-            else:
-                f = self.NEARLY_FLAT if i % 8 == 3 else few_valued_plpf(rng, 6)
-            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-            deltas = modulus_grid(rng, i % 3)
+            f, p, deltas = modulus_case(rng, i)
             assert lp_modulus(f, p, deltas) == folded_lp_profile(f, p, deltas), (i, p, deltas)
 
     def test_most_shifts_skipped(self, monkeypatch):
         f = random_plpf(np.random.default_rng(1102), 64, min_gap=1e-4, min_breaks=64)
-        hs = _shift_candidates(f, 1.0)
-        folded = np.unique(np.minimum(hs, 1.0 - hs))
+        hs = _shift_samples(f)
         seen = []
 
         def counted(f, h, p):
@@ -619,7 +634,7 @@ class TestLpModulusPruning:
 
         monkeypatch.setattr(variation, "_shift_norms", counted)
         got = lp_modulus(f, 2.0, DYADIC)
-        assert 2 <= len(seen) <= 4 and sum(seen) < len(folded) / 2
+        assert 2 <= len(seen) <= 4 and sum(seen) < len(hs) / 2
         monkeypatch.undo()
         assert got == folded_lp_profile(f, 2.0, DYADIC)
 
@@ -631,7 +646,7 @@ class TestLpModulusPruning:
         for i in range(30):
             f = few_valued_plpf(rng, 24) if i % 3 == 0 else random_plpf(rng, 24)
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-            hs = _shift_candidates(f, 0.5)
+            hs = _shift_samples(f)
             norms = _shift_norms(f, hs, p)
             done = rng.uniform(size=len(hs)) < 0.1
             done[::8] = True
@@ -701,6 +716,15 @@ class TestNormReports:
     def test_ratio_norm_rejects_small_alpha(self):
         with pytest.raises(ValueError):
             p_cont_ratio_norm(TRIANGLE, 2.0, 0.5, 4)
+
+    @pytest.mark.parametrize("report", [lip_norm, p_cont_ratio_norm])
+    def test_depth_range_named(self, report):
+        # 2^-1075 is 0.0, which divided the ratio; 2^-1074 still reads
+        message = r"^dyadic_depth must lie in \[1, 1074\]$"
+        for depth in (0, MAX_DELTA_DEPTH + 1):
+            with pytest.raises(ValueError, match=message):
+                report(TRIANGLE, 2.0, 0.75, depth)
+        assert report(TRIANGLE, 2.0, 0.75, MAX_DELTA_DEPTH).per_delta[-1][0] == 2.0**-1074
 
     def test_ratio_norm_rejects_negative_refinement(self):
         with pytest.raises(ValueError, match="grid_refinement must be nonnegative"):
