@@ -14,7 +14,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -139,10 +141,23 @@ def _load(path: str | None, field: str, parse):
         raise ValidationError(field, f"invalid {field} file: {exc}") from exc
 
 
+@contextmanager
+def _field(name: str):
+    """Report a library ValueError raised in the block as a rejection of the
+    named field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(name, str(exc)) from exc
+
+
 def _check_embedding_params(config: ExperimentConfig) -> None:
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
-    if not (1.0 / config.p < config.alpha < 1.0):
+    # the criterion's verdict reads p and alpha as the decimals they were
+    # written as, where 1/p < alpha can fail for the double just above 1.0/p
+    p, alpha = Fraction(repr(config.p)), Fraction(repr(config.alpha))
+    if not (1.0 / config.p < config.alpha < 1.0 and 1 / p < alpha):
         raise ValidationError("alpha", "must lie in (1/p, 1)")
 
 
@@ -150,36 +165,33 @@ def _run_variation(config: ExperimentConfig):
     if config.p < 1.0:
         raise ValidationError("p", "must be at least 1")
     f = _load(config.function_path, "function", function_from_json)
-    header = ["schema_version", "functional", "p", "alpha", "delta", "value", "refinement"]
+    header = ["functional", "p", "alpha", "delta", "value", "refinement"]
     rows = []
     values = {}
     if config.sequence_path:
         lam = _load(config.sequence_path, "sequence", sequence_from_json)
-        arcs = monotone_arcs(f)
-        try:
-            lam.require(len(arcs))
-        except ValueError as exc:
-            raise ValidationError("sequence", str(exc)) from exc
-        try:
+        with _field("sequence"):
+            lam.require(len(monotone_arcs(f)))
+        with _field("function"):
             vlam = lambda_variation(f, lam)
-        except ValueError as exc:
-            raise ValidationError("function", str(exc)) from exc
-        rows.append([SCHEMA_VERSION, "lambda_variation", "", "", "", vlam, ""])
+        rows.append(["lambda_variation", "", "", "", vlam, ""])
         values["lambda_variation"] = vlam
     deltas = [2.0**-j for j in range(config.delta_depth + 1)]
     for delta, value in zip(deltas, lp_modulus(f, config.p, deltas)):
-        rows.append([SCHEMA_VERSION, "lp_modulus", config.p, "", delta, value, H_SAMPLES])
+        rows.append(["lp_modulus", config.p, "", delta, value, H_SAMPLES])
     if config.p > 1.0:
         for delta, value in zip(deltas, modulus_p_continuity(f, config.p, deltas, config.refine)):
-            rows.append(
-                [SCHEMA_VERSION, "modulus_p_continuity", config.p, "", delta, value, config.refine]
-            )
+            rows.append(["modulus_p_continuity", config.p, "", delta, value, config.refine])
     vp = p_variation(f, config.p)
-    rows.append([SCHEMA_VERSION, "p_variation", config.p, "", "", vp, ""])
+    rows.append(["p_variation", config.p, "", "", vp, ""])
     values["p_variation"] = vp
+    # |increment|^p overflows at a huge p; lambda_variation does not depend
+    # on p and overflows only with the function's own scale
+    for functional, _, _, _, value, _ in rows:
+        if not math.isfinite(value):
+            field = "function" if functional == "lambda_variation" else "p"
+            raise ValidationError(field, f"{functional} is not finite ({value})")
     summary = {
-        "command": "variation",
-        "schema_version": SCHEMA_VERSION,
         "p": config.p,
         "delta_depth": config.delta_depth,
         "refinement": config.refine,
@@ -192,24 +204,16 @@ def _run_variation(config: ExperimentConfig):
 def _run_criterion(config: ExperimentConfig):
     _check_embedding_params(config)
     lam = _load(config.sequence_path, "sequence", sequence_from_json)
-    try:
+    with _field("sequence"):
         report = criterion_partial_sums(lam, config.p, config.alpha, config.blocks)
-    except ValueError as exc:
-        raise ValidationError("sequence", str(exc)) from exc
-    header = ["schema_version", "n", "inner_sum", "block_term", "partial_sum"]
-    rows = [
-        [SCHEMA_VERSION, n, inner, term, report.partial_sums[n]]
-        for n, inner, term in report.block_terms
-    ]
+    header = ["n", "inner_sum", "block_term", "partial_sum"]
+    rows = [[n, inner, term, report.partial_sums[n]] for n, inner, term in report.block_terms]
     summary = {
-        "command": "criterion",
-        "schema_version": SCHEMA_VERSION,
         "p": config.p,
         "alpha": config.alpha,
         "r": report.r,
         "r_prime": report.r_prime,
         "n_blocks": config.blocks,
-        "include_upper": True,
         "verdict": report.symbolic_verdict,
         "sequence": lam.describe(),
     }
@@ -225,7 +229,6 @@ def _run_sharpness(config: ExperimentConfig):
     lam = _load(config.sequence_path, "sequence", sequence_from_json)
     r_prime = 1.0 / (1.0 + 1.0 / config.p - config.alpha)
     header = [
-        "schema_version",
         "level",
         "criterion_partial_pow",
         "lambda_variation",
@@ -236,26 +239,20 @@ def _run_sharpness(config: ExperimentConfig):
     rows = []
     last = None
     for level in range(1, config.levels + 1):
-        try:
+        with _field("sequence"):
             spec = WitnessSpec(lam, config.p, config.alpha, level)
             g, report = extremal_function(
                 spec, ratio_depth=config.delta_depth, ratio_refinement=config.refine
             )
-        except ValueError as exc:
-            raise ValidationError("sequence", str(exc)) from exc
         crit_pow = report.criterion_partials[-1] ** (1.0 / r_prime)
         vlam = report.measured_lambda_variation
         omega = report.ratio_report.value
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
             if not value > 0.0:
                 raise ValidationError("p", f"the {name} underflows at this p")
-        rows.append(
-            [SCHEMA_VERSION, level, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega]
-        )
+        rows.append([level, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega])
         last = (g, report)
     summary = {
-        "command": "sharpness",
-        "schema_version": SCHEMA_VERSION,
         "levels": config.levels,
         "delta_depth": config.delta_depth,
         "refinement": config.refine,
@@ -272,20 +269,13 @@ def _run_sharpness(config: ExperimentConfig):
 
 def _run_wang_demo(config: ExperimentConfig):
     _check_embedding_params(config)
-    try:
+    with _field("s"):
         lam = wang_gap_family(config.p, config.alpha, config.s)
-    except ValueError as exc:
-        raise ValidationError("s", str(exc)) from exc
     wang = wang_partial_sums(lam, config.alpha, config.blocks)
     crit = criterion_partial_sums(lam, config.p, config.alpha, config.blocks)
-    header = ["schema_version", "block", "wang_partial", "criterion_partial"]
-    rows = [
-        [SCHEMA_VERSION, m, wang.partial_sums[m], crit.partial_sums[m]]
-        for m in range(config.blocks)
-    ]
+    header = ["block", "wang_partial", "criterion_partial"]
+    rows = [[m, wang.partial_sums[m], crit.partial_sums[m]] for m in range(config.blocks)]
     summary = {
-        "command": "wang-demo",
-        "schema_version": SCHEMA_VERSION,
         "p": config.p,
         "alpha": config.alpha,
         "s": config.s,
@@ -309,24 +299,17 @@ def _run_perlman_demo(config: ExperimentConfig):
         raise ValidationError("p", "must satisfy p > 1")
     w = config.d_power if config.d_power is not None else 1.0 / config.p
     d = np.arange(1, PERLMAN_TERMS + 1, dtype=float) ** -w
-    try:
+    with _field("d-power"):
         lam = perlman_witness(d, config.p)
-    except ValueError as exc:
-        raise ValidationError("d-power", str(exc)) from exc
     terms = lam.explicit_terms
     p_prime = config.p / (config.p - 1.0)
     divergent = np.cumsum(d / terms)
     convergent = np.cumsum(terms**-p_prime)
-    header = ["schema_version", "N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
-    rows = [
-        [SCHEMA_VERSION, n_top, divergent[n_top - 1], convergent[n_top - 1]]
-        for n_top in PERLMAN_DECADES
-    ]
+    header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
+    rows = [[n_top, divergent[n_top - 1], convergent[n_top - 1]] for n_top in PERLMAN_DECADES]
     inc_div = float(divergent[-1] - divergent[10**5 - 1])
     inc_conv = float(convergent[-1] - convergent[10**5 - 1])
     summary = {
-        "command": "perlman-demo",
-        "schema_version": SCHEMA_VERSION,
         "p": config.p,
         "d_power": w,
         "terms": PERLMAN_TERMS,
@@ -344,7 +327,7 @@ def _run_perlman_demo(config: ExperimentConfig):
 
 def _run_hardy_demo(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
-    header = ["schema_version", "beta", "r", "trials", "max_ratio", "mean_ratio"]
+    header = ["beta", "r", "trials", "max_ratio", "mean_ratio"]
     rows = []
     failure = None
     worst = 0.0
@@ -363,19 +346,10 @@ def _run_hardy_demo(config: ExperimentConfig):
                     continue
                 ratios[t] = lhs / rhs
             rows.append(
-                [
-                    SCHEMA_VERSION,
-                    beta,
-                    r,
-                    HARDY_TRIALS,
-                    float(np.nanmax(ratios)),
-                    float(np.nanmean(ratios)),
-                ]
+                [beta, r, HARDY_TRIALS, float(np.nanmax(ratios)), float(np.nanmean(ratios))]
             )
             worst = max(worst, float(np.nanmax(ratios)))
     summary = {
-        "command": "hardy-demo",
-        "schema_version": SCHEMA_VERSION,
         "seed": config.seed,
         "trials": HARDY_TRIALS,
         "draw_length": HARDY_DRAW,
@@ -418,13 +392,20 @@ def _write_json(path: str, obj) -> None:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment and write its artifacts into config.out."""
+    """Execute one experiment and write its artifacts into config.out: the
+    runner's rows under a leading schema_version column, and its summary with
+    the command and schema version added."""
     try:
         os.makedirs(config.out, exist_ok=True)
     except OSError as exc:
         raise ValidationError("out", str(exc)) from exc
     header, rows, summary, extras, failure = _RUNNERS[config.command](config)
-    _write_csv(os.path.join(config.out, f"{config.command}.csv"), header, rows)
+    _write_csv(
+        os.path.join(config.out, f"{config.command}.csv"),
+        ["schema_version", *header],
+        ([SCHEMA_VERSION, *row] for row in rows),
+    )
+    summary.update(command=config.command, schema_version=SCHEMA_VERSION)
     _write_json(os.path.join(config.out, f"{config.command}.json"), summary)
     for name, text in sorted(extras.items()):
         with open(os.path.join(config.out, name), "w", encoding="utf-8") as fh:

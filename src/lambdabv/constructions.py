@@ -8,14 +8,16 @@ embedding criterion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .periodic import Interval, PiecewiseLinearPeriodic, make_plpf, superpose
 from .sequences import (
     LambdaSequence,
+    criterion_partial_sums,
     dual_extremizer,
+    embedding_exponents,
     regularize_sequence,
     weighted_block_sum,
 )
@@ -96,13 +98,8 @@ def duality_weights(l_terms, p: float, alpha: float) -> np.ndarray:
     the choice for which sum delta_n^(alpha-1/p) L_n equals the l^r' norm of
     L up to normalization rounding; in particular the sum is at least half of
     ||L||_r'."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError("p must satisfy p > 1")
-    if not (1.0 / p < alpha < 1.0):
-        raise ValueError("alpha must lie in (1/p, 1)")
+    _, r, r_prime = embedding_exponents(p, alpha)
     arr = np.asarray(l_terms, dtype=float)
-    r = 1.0 / (alpha - 1.0 / p)
-    r_prime = 1.0 / (1.0 + 1.0 / p - alpha)
     u = dual_extremizer(arr, r_prime)
     delta = u**r
     return delta / delta.sum()
@@ -121,10 +118,7 @@ class WitnessSpec:
     levels: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError("p must satisfy p > 1")
-        if not (1.0 / self.p < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (1/p, 1)")
+        embedding_exponents(self.p, self.alpha)
         if not (1 <= self.levels <= MAX_WITNESS_LEVELS):
             raise ValueError(f"levels must lie in 1..{MAX_WITNESS_LEVELS}")
         self.lam.require(2 ** (self.levels + 1))
@@ -176,8 +170,7 @@ def extremal_function(
     matter how many levels are requested.
     """
     lam, p, alpha, levels = spec.lam, spec.p, spec.alpha, spec.levels
-    p_prime = p / (p - 1.0)
-    r_prime = 1.0 / (1.0 + 1.0 / p - alpha)
+    p_prime, _, r_prime = embedding_exponents(p, alpha)
     a_exp = alpha - 1.0 / p
 
     inner = np.array(
@@ -242,22 +235,14 @@ def extremal_function(
 
 
 def witness_report_json(report: WitnessReport) -> dict:
-    """Report as a JSON-ready dict."""
-    return {
-        "levels": report.levels,
-        "p": report.p,
-        "alpha": report.alpha,
-        "delta": list(report.delta),
-        "beta": list(report.beta),
-        "tile_lengths": list(report.tile_lengths),
-        "S": list(report.S),
-        "L_inclusive": list(report.L_inclusive),
-        "arc_pair_sum": report.arc_pair_sum,
-        "analytic_lower_bound": report.analytic_lower_bound,
-        "measured_lambda_variation": report.measured_lambda_variation,
-        "criterion_partials": list(report.criterion_partials),
-        "omega_ratio_norm": report.ratio_report.value,
-    }
+    """Report as a JSON-ready dict: every field but the per-level heights,
+    with the ratio report reduced to its value ``omega_ratio_norm``."""
+    out = {"omega_ratio_norm": report.ratio_report.value}
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if field.name not in ("heights", "ratio_report"):
+            out[field.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def embedding_bound_check(
@@ -278,8 +263,6 @@ def embedding_bound_check(
     reported, never asserted; it is scale invariant.  A family whose
     criterion diverges is rejected: the ratio would be meaningless.
     """
-    from .sequences import criterion_partial_sums
-
     crit = criterion_partial_sums(lam, p, alpha, n_blocks)
     if crit.symbolic_verdict == "diverges":
         raise ValueError("criterion series diverges for this family; ratio is meaningless")
@@ -323,10 +306,7 @@ def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:
     series converges) while the embedding criterion fails (its series
     diverges): lambda_k = 2^(n(1-alpha)) n^((1-alpha)s) on k in
     [2^n, 2^(n+1)), for s strictly inside (1, (1+1/p-alpha)/(1-alpha))."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError("p must satisfy p > 1")
-    if not (1.0 / p < alpha < 1.0):
-        raise ValueError("alpha must lie in (1/p, 1)")
+    embedding_exponents(p, alpha)
     upper = (1.0 + 1.0 / p - alpha) / (1.0 - alpha)
     if not (math.isfinite(s) and 1.0 < s < upper):
         raise ValueError(f"s must lie strictly inside the gap window (1, {upper:g})")

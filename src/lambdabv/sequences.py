@@ -22,6 +22,7 @@ __all__ = [
     "WangReport",
     "membership_report",
     "regularize_sequence",
+    "embedding_exponents",
     "criterion_partial_sums",
     "wang_partial_sums",
     "hardy_two_sides",
@@ -396,6 +397,19 @@ def membership_report(lam: LambdaSequence, q: float, n_terms: int) -> Membership
     )
 
 
+def embedding_exponents(p, alpha):
+    """(p', r, r') of the embedding criterion: p' = p/(p-1), r = 1/(alpha-1/p)
+    and r' = 1/(1+1/p-alpha), for p > 1 and 1/p < alpha < 1.
+
+    Floats give floats and Fractions give exact Fractions.
+    """
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError("p must satisfy p > 1")
+    if not (1 / p < alpha < 1):
+        raise ValueError("alpha must lie in (1/p, 1)")
+    return p / (p - 1), 1 / (alpha - 1 / p), 1 / (1 + 1 / p - alpha)
+
+
 def criterion_partial_sums(
     lam: LambdaSequence,
     p: float,
@@ -408,15 +422,9 @@ def criterion_partial_sums(
     Inner sums include both block endpoints 2^n and 2^(n+1); the boundary
     double count is harmless for convergence.
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError("p must satisfy p > 1")
-    if not (1.0 / p < alpha < 1.0):
-        raise ValueError("alpha must lie in (1/p, 1)")
+    p_prime, r, r_prime = embedding_exponents(p, alpha)
     if n_blocks < 0:
         raise ValueError("n_blocks must be nonnegative")
-    p_prime = p / (p - 1.0)
-    r = 1.0 / (alpha - 1.0 / p)
-    r_prime = 1.0 / (1.0 + 1.0 / p - alpha)
     rows = []
     partial = []
     total = 0.0
@@ -428,8 +436,7 @@ def criterion_partial_sums(
         partial.append(total)
     # the same series in exact rationals: a = p'(alpha - 1/p), b = p', c = r'/p'
     ep, ea = _exact(p), _exact(alpha)
-    ep_prime = ep / (ep - 1)
-    er_prime = 1 / (1 + 1 / ep - ea)
+    ep_prime, _, er_prime = embedding_exponents(ep, ea)
     converges = _condensation(lam, ep_prime * (ea - 1 / ep), ep_prime, er_prime / ep_prime)
     return CriterionReport(
         p, alpha, r, r_prime, tuple(rows), tuple(partial), _SERIES_VERDICT[converges]

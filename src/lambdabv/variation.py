@@ -485,6 +485,8 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
 
 
 def _dyadic_grid(depth: int) -> list[float]:
+    if not 1 <= depth <= MAX_DELTA_DEPTH:
+        raise ValueError(f"dyadic_depth must lie in [1, {MAX_DELTA_DEPTH}]")
     return [2.0 ** (-j) for j in range(depth + 1)]
 
 
@@ -506,8 +508,6 @@ def lip_norm(
         raise ValueError("p must satisfy p > 1")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    if not 1 <= dyadic_depth <= MAX_DELTA_DEPTH:
-        raise ValueError(f"dyadic_depth must lie in [1, {MAX_DELTA_DEPTH}]")
     deltas = _dyadic_grid(dyadic_depth)
     return _ratio_report(deltas, lp_modulus(f, p, deltas), alpha, dyadic_depth)
 
@@ -528,8 +528,6 @@ def p_cont_ratio_norm(
         raise ValueError("p must satisfy p > 1")
     if not (1.0 / p < alpha <= 1.0):
         raise ValueError("alpha must lie in (1/p, 1]")
-    if not 1 <= dyadic_depth <= MAX_DELTA_DEPTH:
-        raise ValueError(f"dyadic_depth must lie in [1, {MAX_DELTA_DEPTH}]")
     deltas = _dyadic_grid(dyadic_depth)
     moduli = _p_power_profile(f, p, deltas, grid_refinement)
     return _ratio_report(deltas, moduli, alpha - 1.0 / p, dyadic_depth)

@@ -47,9 +47,10 @@ GOLDEN_FUNCTION_JSON = json.dumps({"breakpoints": [
 
 # name -> (input option -> JSON text, CLI arguments); tests/golden/<name>.csv
 # holds the CSV these commands wrote before the weight families moved into
-# one table (variation.csv: before lp_modulus moved to one vectorized pass),
-# and sharpness_function.json the witness file written before breakpoints
-# became arrays
+# one table (variation.csv: before lp_modulus moved to one vectorized pass;
+# perlman-demo.csv and hardy-demo.csv: before the runners left the
+# schema_version column to cli.run), and sharpness_function.json the witness
+# file written before breakpoints became arrays
 GOLDEN_CASES = {
     "criterion_explicit": (
         {"--sequence": json.dumps(
@@ -75,6 +76,19 @@ GOLDEN_CASES = {
         {"--function": GOLDEN_FUNCTION_JSON, "--sequence": LAM_N_JSON},
         ("--command", "variation", "--p", "2", "--refine", "1"),
     ),
+    "perlman-demo": ({}, ("--command", "perlman-demo")),
+    "hardy-demo": ({}, ("--command", "hardy-demo", "--seed", "3")),
+}
+# command -> the golden case whose summary tests/golden/<command>.json holds,
+# written before the runners left the command and schema_version keys to
+# cli.run (criterion.json without the key include_upper, dropped since)
+COMMAND_CASES = {
+    "criterion": "criterion_power",
+    "hardy-demo": "hardy-demo",
+    "perlman-demo": "perlman-demo",
+    "sharpness": "sharpness",
+    "variation": "variation",
+    "wang-demo": "wang-demo",
 }
 
 
@@ -91,6 +105,19 @@ def load_spans():
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_golden_case(tmp_path, name):
+    """Run GOLDEN_CASES[name] with its inputs written to files; return the
+    output directory."""
+    inputs, args = GOLDEN_CASES[name]
+    for option, text in inputs.items():
+        path = tmp_path / (option.lstrip("-") + ".json")
+        path.write_text(text)
+        args = args + (option, str(path))
+    proc = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    return tmp_path / "out"
 
 
 @pytest.fixture
@@ -215,6 +242,32 @@ class TestVariationCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: sequence:")
 
+    @pytest.mark.parametrize(
+        "function,p,error",
+        [
+            # |increment|^p overflows: NaN lp_modulus rows on both functions,
+            # and inf p_variation and modulus rows on the 12-breakpoint one
+            (TRIANGLE_JSON, "1e100", "p: lp_modulus is not finite (nan)"),
+            (TRIANGLE_JSON, "1e300", "p: lp_modulus is not finite (nan)"),
+            (GOLDEN_FUNCTION_JSON, "1e100", "p: lp_modulus is not finite (nan)"),
+            (GOLDEN_FUNCTION_JSON, "1e300", "p: lp_modulus is not finite (nan)"),
+            # increments of 2e308 overflow the weighted variation itself
+            ('{"breakpoints": [[0.0, 1e308], [0.5, -1e308]]}', "2",
+             "function: lambda_variation is not finite (inf)"),
+        ],
+        ids=["triangle-1e100", "triangle-1e300", "golden-1e100", "golden-1e300", "huge-values"],
+    )
+    def test_non_finite_value_named(self, tmp_path, lam_file, function, p, error):
+        f_path = tmp_path / "f.json"
+        f_path.write_text(function)
+        out = tmp_path / "out"
+        proc = run_cli("--command", "variation", "--function", str(f_path), "--sequence", lam_file,
+                       "--p", p, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1] == f"error: {error}"
+        assert "Traceback" not in proc.stderr
+        assert not (out / "variation.csv").exists()
+
 
 class TestValidationFailures:
     def test_missing_function(self, tmp_path):
@@ -247,6 +300,18 @@ class TestValidationFailures:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: alpha:")
+
+    @pytest.mark.parametrize("command", ["criterion", "sharpness", "wang-demo"])
+    def test_alpha_below_one_over_p_in_decimals(self, tmp_path, lam_file, command):
+        # alpha is the double just above 1.0/p, but as written it is below 1/p
+        p, alpha = 1.17832403522262, 0.8486629909157973
+        assert alpha == math.nextafter(1.0 / p, 1.0)
+        proc = run_cli(
+            "--command", command, "--sequence", lam_file, "--p", repr(p),
+            "--alpha", repr(alpha), "--s", "1.5", "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: alpha: must lie in (1/p, 1)\n"
 
     def test_wang_demo_s_at_edge(self, tmp_path):
         proc = run_cli("--command", "wang-demo", "--s", "3.0", "--out", str(tmp_path / "o"))
@@ -528,12 +593,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_csv_matches_golden(self, tmp_path, name):
         inputs, args = GOLDEN_CASES[name]
-        for option, text in inputs.items():
-            path = tmp_path / (option.lstrip("-") + ".json")
-            path.write_text(text)
-            args = args + (option, str(path))
-        proc = run_cli(*args, "--out", str(tmp_path / "out"))
-        assert proc.returncode == 0, proc.stderr
+        run_golden_case(tmp_path, name)
         got = (tmp_path / "out" / (args[1] + ".csv")).read_bytes().splitlines(keepends=True)
         want = (GOLDEN / (name + ".csv")).read_bytes().splitlines(keepends=True)
         if name == "sharpness":
@@ -555,6 +615,31 @@ class TestDeterminism:
             p, deltas = float(got_lp[0][2]), [float(r[4]) for r in got_lp]
             values = [float(r[5]) for r in got_lp]
             assert values == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
+    def test_json_matches_golden(self, tmp_path, command):
+        out = run_golden_case(tmp_path, COMMAND_CASES[command])
+        got = (out / (command + ".json")).read_bytes().splitlines(keepends=True)
+        want = (GOLDEN / (command + ".json")).read_bytes().splitlines(keepends=True)
+        assert len(got) == len(want)
+        value = lambda line: float(line.split(b":")[1].rstrip(b",\n"))
+        for line_got, line_want in zip(got, want):
+            # the witness's omega_ratio_norm is the last omega_ratio cell of
+            # the sharpness CSV, held at 1e-12 relative for the same reason
+            if b'"omega_ratio_norm"' in line_want:
+                assert value(line_got) == pytest.approx(value(line_want), rel=1e-12)
+            else:
+                assert line_got == line_want
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
+    def test_every_artifact_carries_the_frame(self, tmp_path, command):
+        out = run_golden_case(tmp_path, COMMAND_CASES[command])
+        rows = read_csv(out / (command + ".csv"))
+        assert rows[0][0] == "schema_version"
+        assert len(rows) > 1 and all(row[0] == "1" for row in rows[1:])
+        summary = json.loads((out / (command + ".json")).read_text())
+        assert summary["command"] == command
+        assert summary["schema_version"] == 1
 
 
 def _held_omega_cells(got, want, summary, sequence_json):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lambdabv import (
     derivative_lp_norm,
     duality_weights,
     embedding_bound_check,
+    embedding_exponents,
     extremal_function,
     lambda_variation,
     make_plpf,
@@ -393,6 +395,34 @@ class TestPerlmanWitness:
             perlman_witness([], 2.0)
         with pytest.raises(ValueError):
             perlman_witness([1.0], 1.0)
+
+
+class TestEmbeddingParameters:
+    @pytest.mark.parametrize(
+        "p,alpha,message",
+        [
+            (1.0, 0.75, "p must satisfy p > 1"),
+            (math.inf, 0.75, "p must satisfy p > 1"),
+            (math.nan, 0.75, "p must satisfy p > 1"),
+            (2.0, 0.5, "alpha must lie in (1/p, 1)"),
+            (2.0, 1.0, "alpha must lie in (1/p, 1)"),
+            (2.0, math.nan, "alpha must lie in (1/p, 1)"),
+        ],
+    )
+    def test_every_caller_keeps_its_message(self, p, alpha, message):
+        # extremal_function takes a WitnessSpec, which rejects these first
+        tri = make_plpf([(0.0, 0.0), (0.5, 1.0)])
+        callers = [
+            lambda: embedding_exponents(p, alpha),
+            lambda: criterion_partial_sums(LAM_N, p, alpha, 4),
+            lambda: duality_weights([1.0, 0.5], p, alpha),
+            lambda: WitnessSpec(LAM_N, p, alpha, 2),
+            lambda: wang_gap_family(p, alpha, 2.0),
+            lambda: embedding_bound_check(tri, LAM_N, p, alpha, 4),
+        ]
+        for call in callers:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestWangGapFamily:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from lambdabv import (
     LambdaSequence,
     criterion_partial_sums,
     dual_extremizer,
+    embedding_exponents,
     hardy_two_sides,
     membership_report,
     regularize_sequence,
@@ -465,3 +467,21 @@ class TestJson:
     def test_missing_parameter_named(self, text, name):
         with pytest.raises(ValueError, match=f"^{name}$"):
             sequence_from_json(text)
+
+
+class TestEmbeddingExponents:
+    def test_floats_equal_the_inline_formulas(self):
+        # the expressions each caller wrote out before the rule had one home
+        for p in (1.5, 2.0, 2.5, 3.0, 4.0):
+            for alpha in (0.6, 0.7, 0.8, 0.9):
+                if not 1.0 / p < alpha:
+                    continue
+                want = (p / (p - 1.0), 1.0 / (alpha - 1.0 / p), 1.0 / (1.0 + 1.0 / p - alpha))
+                got = embedding_exponents(p, alpha)
+                assert all(type(x) is float for x in got)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_fractions_give_exact_rationals(self):
+        got = embedding_exponents(Fraction(3), Fraction(7, 10))
+        assert all(type(x) is Fraction for x in got)
+        assert got == (Fraction(3, 2), Fraction(30, 11), Fraction(30, 19))
