@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +43,7 @@ from .variation import (
     p_variation,
 )
 
-__all__ = ["ExperimentConfig", "ValidationError", "main", "run"]
+__all__ = ["ValidationError", "main", "run"]
 
 SCHEMA_VERSION = 1
 COMMANDS = ("variation", "criterion", "sharpness", "wang-demo", "perlman-demo", "hardy-demo")
@@ -66,23 +65,6 @@ class ValidationError(Exception):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.message = message
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    function_path: str | None
-    sequence_path: str | None
-    p: float
-    alpha: float
-    delta_depth: int
-    refine: int
-    levels: int
-    blocks: int
-    out: str
-    seed: int
-    s: float
-    d_power: float | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv) -> ExperimentConfig:
-    config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
+def _parse_args(argv) -> argparse.Namespace:
+    config = build_parser().parse_args(argv)
     for name in ("p", "alpha", "s", "d_power"):
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
@@ -151,7 +133,7 @@ def _field(name: str):
         raise ValidationError(name, str(exc)) from exc
 
 
-def _check_embedding_params(config: ExperimentConfig) -> None:
+def _check_embedding_params(config: argparse.Namespace) -> None:
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
     # the criterion's verdict reads p and alpha as the decimals they were
@@ -161,7 +143,10 @@ def _check_embedding_params(config: ExperimentConfig) -> None:
         raise ValidationError("alpha", "must lie in (1/p, 1)")
 
 
-def _run_variation(config: ExperimentConfig):
+# every non-finite value is rejected below, so numpy's warnings would only
+# precede the error line
+@np.errstate(over="ignore", invalid="ignore")
+def _run_variation(config: argparse.Namespace):
     if config.p < 1.0:
         raise ValidationError("p", "must be at least 1")
     f = _load(config.function_path, "function", function_from_json)
@@ -186,10 +171,11 @@ def _run_variation(config: ExperimentConfig):
     rows.append(["p_variation", config.p, "", "", vp, ""])
     values["p_variation"] = vp
     # |increment|^p overflows at a huge p; lambda_variation does not depend
-    # on p and overflows only with the function's own scale
+    # on p, and a spread of values past the double range overflows any p
+    huge = not math.isfinite(np.ptp(f.values))
     for functional, _, _, _, value, _ in rows:
         if not math.isfinite(value):
-            field = "function" if functional == "lambda_variation" else "p"
+            field = "function" if huge or functional == "lambda_variation" else "p"
             raise ValidationError(field, f"{functional} is not finite ({value})")
     summary = {
         "p": config.p,
@@ -201,7 +187,7 @@ def _run_variation(config: ExperimentConfig):
     return header, rows, summary, {}, None
 
 
-def _run_criterion(config: ExperimentConfig):
+def _run_criterion(config: argparse.Namespace):
     _check_embedding_params(config)
     lam = _load(config.sequence_path, "sequence", sequence_from_json)
     with _field("sequence"):
@@ -220,7 +206,7 @@ def _run_criterion(config: ExperimentConfig):
     return header, rows, summary, {}, None
 
 
-def _run_sharpness(config: ExperimentConfig):
+def _run_sharpness(config: argparse.Namespace):
     _check_embedding_params(config)
     if config.levels > MAX_WITNESS_LEVELS:
         raise ValidationError("levels", f"must be at most {MAX_WITNESS_LEVELS}")
@@ -267,7 +253,7 @@ def _run_sharpness(config: ExperimentConfig):
     return header, rows, summary, extras, None
 
 
-def _run_wang_demo(config: ExperimentConfig):
+def _run_wang_demo(config: argparse.Namespace):
     _check_embedding_params(config)
     with _field("s"):
         lam = wang_gap_family(config.p, config.alpha, config.s)
@@ -294,7 +280,7 @@ def _run_wang_demo(config: ExperimentConfig):
     return header, rows, summary, {}, failure
 
 
-def _run_perlman_demo(config: ExperimentConfig):
+def _run_perlman_demo(config: argparse.Namespace):
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
     w = config.d_power if config.d_power is not None else 1.0 / config.p
@@ -325,7 +311,7 @@ def _run_perlman_demo(config: ExperimentConfig):
     return header, rows, summary, {}, failure
 
 
-def _run_hardy_demo(config: ExperimentConfig):
+def _run_hardy_demo(config: argparse.Namespace):
     rng = np.random.default_rng(config.seed)
     header = ["beta", "r", "trials", "max_ratio", "mean_ratio"]
     rows = []
@@ -391,7 +377,7 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def run(config: ExperimentConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one experiment and write its artifacts into config.out: the
     runner's rows under a leading schema_version column, and its summary with
     the command and schema version added."""
@@ -418,8 +404,7 @@ def run(config: ExperimentConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = _parse_args(argv)
-        return run(config)
+        return run(_parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc.field}: {exc.message}", file=sys.stderr)
         return 2

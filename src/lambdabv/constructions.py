@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .periodic import Interval, PiecewiseLinearPeriodic, make_plpf, superpose
+from .periodic import Interval, PiecewiseLinearPeriodic, make_plpf
 from .sequences import (
     LambdaSequence,
     criterion_partial_sums,
@@ -39,6 +39,14 @@ __all__ = [
 MAX_WITNESS_LEVELS = 12
 
 
+def _heights_tuple(heights) -> tuple:
+    """Tooth heights as a tuple of floats, each nonnegative and finite."""
+    h = np.asarray(heights, dtype=float)
+    if not np.all(np.isfinite(h) & (h >= 0.0)):
+        raise ValueError("heights must be nonnegative and finite")
+    return tuple(h.tolist())
+
+
 @dataclass(frozen=True)
 class TriangleCombSpec:
     """N isosceles triangles of given heights on equal bases tiling an
@@ -52,44 +60,37 @@ class TriangleCombSpec:
     def __post_init__(self) -> None:
         if self.n_teeth < 1:
             raise ValueError("n_teeth must be at least 1")
-        heights = np.asarray(self.heights, dtype=float)
-        if heights.shape != (self.n_teeth,):
+        if np.shape(self.heights) != (self.n_teeth,):
             raise ValueError("heights must have one entry per tooth")
-        if not np.all(np.isfinite(heights) & (heights >= 0.0)):
-            raise ValueError("heights must be nonnegative and finite")
-        object.__setattr__(self, "heights", tuple(heights.tolist()))
+        object.__setattr__(self, "heights", _heights_tuple(self.heights))
 
     @property
     def tooth_width(self) -> float:
         return self.interval.length / self.n_teeth
 
 
-def triangle_comb(spec: TriangleCombSpec, *, end: float | None = None) -> PiecewiseLinearPeriodic:
+def _comb_nodes(a: float, length: float, heights) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of a comb of len(heights) teeth on [a, a + length] without its
+    final foot: the half-base marks a + length * k / (2N), k = 0..2N-1,
+    valued exactly 0.0 at feet and exactly heights[j] at apexes."""
+    n = len(heights)
+    positions = a + length * (np.arange(2 * n, dtype=float) / (2 * n))
+    values = np.zeros(2 * n)
+    values[1::2] = heights
+    return positions, values
+
+
+def triangle_comb(spec: TriangleCombSpec) -> PiecewiseLinearPeriodic:
     """Build the comb as a periodic piecewise-linear function.
 
     Nodes sit at the 2N+1 half-base marks with value exactly 0.0 at tooth
     feet and exactly heights[j] at apexes; when the interval is the whole
-    circle the final node coincides with the first and is dropped.
-
-    ``end`` places the final foot at a caller's exact right end of the
-    interval, which a + length can miss by an ulp: combs tiling the circle
-    then share bit-identical feet, so their sum keeps its valleys at 0.0.
+    circle the final foot coincides with the first and is left out.
     """
-    a = spec.interval.a
-    length = spec.interval.length
-    n = spec.n_teeth
-    marks = np.arange(2 * n + 1, dtype=float) / (2 * n)
-    positions = a + length * marks
-    if end is not None:
-        if not abs(end - positions[-1]) <= 1e-12:
-            raise ValueError("end must be the interval's right end a + length")
-        positions[-1] = end
+    positions, values = _comb_nodes(spec.interval.a, spec.interval.length, spec.heights)
+    if spec.interval.length != 1.0:
+        positions, values = np.append(positions, spec.interval.b), np.append(values, 0.0)
     positions = np.where(positions >= 1.0, positions - 1.0, positions)
-    values = np.zeros(2 * n + 1)
-    values[1::2] = spec.heights
-    if length == 1.0:
-        positions = positions[:-1]
-        values = values[:-1]
     return make_plpf(np.column_stack([positions, values]))
 
 
@@ -193,7 +194,8 @@ def extremal_function(
             for n in range(1, levels + 1)
         ]
     )
-    combs = []
+    # a tile's final foot is the next tile's first foot (the last: 0.0)
+    nodes = []
     heights_per_level = []
     pair_sum = 0.0
     for idx in range(levels):
@@ -205,11 +207,9 @@ def extremal_function(
             * s_norms[idx] ** (-p_prime / p)
         )
         pair_sum += 2.0 * float(np.sum(heights / lam_k))
-        tile = Interval(float(boundaries[idx]), float(tile_lengths[idx]))
-        spec_n = TriangleCombSpec(tile, 2**n, heights)
-        heights_per_level.append(spec_n.heights)
-        combs.append(triangle_comb(spec_n, end=float(boundaries[idx + 1])))
-    g = superpose(combs)
+        heights_per_level.append(_heights_tuple(heights))
+        nodes.append(_comb_nodes(boundaries[idx], tile_lengths[idx], heights))
+    g = PiecewiseLinearPeriodic(*map(np.concatenate, zip(*nodes)))
 
     analytic = 2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive))
     measured = lambda_variation(g, lam)

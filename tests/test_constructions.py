@@ -103,20 +103,6 @@ class TestTriangleComb:
         assert mags == pytest.approx([0.5, 0.5, 1.0, 1.0, 2.0, 2.0])
         assert dec.is_baseline_separated()
 
-    def test_end_pins_the_shared_foot(self):
-        # 0.282 + (0.836 - 0.282) rounds one ulp above 0.836: without end the
-        # two combs' feet differ, and their sum has valleys just above 0.0
-        a, b = 0.282, 0.836
-        left = TriangleCombSpec(Interval(a, b - a), 2, (1.0, 2.0))
-        right = TriangleCombSpec(Interval(b, 0.1), 1, (3.0,))
-        assert a + (b - a) != b
-        f = triangle_comb(left, end=b)
-        assert max(f.positions) == b
-        assert valleys(superpose([f, triangle_comb(right)])) == [0.0] * 3
-        assert max(valleys(superpose([triangle_comb(left), triangle_comb(right)]))) > 0.0
-        with pytest.raises(ValueError, match="right end"):
-            triangle_comb(left, end=0.9)
-
     def test_all_zero_heights_constant(self):
         spec = TriangleCombSpec(Interval(0.0, 0.5), 3, (0.0,) * 3)
         f = triangle_comb(spec)
@@ -254,6 +240,37 @@ class TestWitness:
                         g, _ = extremal_function(spec, ratio_depth=1)
                         assert min(g.values) == 0.0
                         assert set(valleys(g)) == {0.0}, spec
+
+    @pytest.mark.parametrize(
+        "lam,p,alpha",
+        [(LambdaSequence.block_power_log(-0.4, 0.8), 2.0, 0.6),
+         (LambdaSequence.power_log(0.5, 1.0), 2.0, 0.75)],
+        ids=["block_power_log", "power_log"],
+    )
+    def test_witness_is_the_sum_of_its_combs(self, lam, p, alpha):
+        # reference: one comb per level with its final foot pinned to the next
+        # tile boundary, summed with superpose; the witness lays the same
+        # nodes out in one pass and must match it bit for bit
+        for levels in range(1, 13):
+            g, rep = extremal_function(WitnessSpec(lam, p, alpha, levels), ratio_depth=1)
+            cuts = np.cumsum(rep.beta)
+            boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
+            assert tuple(np.diff(boundaries).tolist()) == rep.tile_lengths
+            combs = []
+            for idx, heights in enumerate(rep.heights):
+                n_teeth = len(heights)
+                a, length = boundaries[idx], rep.tile_lengths[idx]
+                positions = a + length * (np.arange(2 * n_teeth + 1) / (2 * n_teeth))
+                positions[-1] = boundaries[idx + 1] % 1.0
+                values = np.zeros(2 * n_teeth + 1)
+                values[1::2] = heights
+                if length == 1.0:
+                    positions, values = positions[:-1], values[:-1]
+                combs.append(make_plpf(np.column_stack([positions, values])))
+            reference = superpose(combs)
+            assert set(valleys(g)) == {0.0}, levels
+            assert g.positions.tobytes() == reference.positions.tobytes(), levels
+            assert g.values.tobytes() == reference.values.tobytes(), levels
 
     def test_measured_dominates_certified_bounds(self):
         for lam in (LAM_N, LambdaSequence.power(0.25)):
