@@ -3,100 +3,13 @@ p-variation, weighted (lambda) variation, moduli of continuity, an embedding
 criterion between the shift-modulus and weighted-variation classes, and the
 extremal constructions that probe its sharpness."""
 
-from .constructions import (
-    TriangleCombSpec,
-    WitnessReport,
-    WitnessSpec,
-    duality_weights,
-    embedding_bound_check,
-    extremal_function,
-    perlman_witness,
-    triangle_comb,
-    wang_gap_family,
-    witness_report_json,
-)
-from .periodic import (
-    Interval,
-    MonotoneArcDecomposition,
-    PiecewiseLinearPeriodic,
-    derivative_lp_norm,
-    function_from_json,
-    function_to_json,
-    increment,
-    make_plpf,
-    monotone_arcs,
-    sup_norm,
-    superpose,
-)
-from .sequences import (
-    CriterionReport,
-    LambdaSequence,
-    MembershipReport,
-    WangReport,
-    criterion_partial_sums,
-    dual_extremizer,
-    embedding_exponents,
-    hardy_two_sides,
-    membership_report,
-    regularize_sequence,
-    sequence_from_json,
-    sequence_to_json,
-    wang_partial_sums,
-    weighted_block_sum,
-)
-from .variation import (
-    RatioNormReport,
-    lambda_variation,
-    lip_norm,
-    lp_modulus,
-    modulus_p_continuity,
-    p_cont_ratio_norm,
-    p_variation,
-)
+from . import constructions, periodic, sequences, variation
+from .constructions import *
+from .periodic import *
+from .sequences import *
+from .variation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CriterionReport",
-    "Interval",
-    "LambdaSequence",
-    "MembershipReport",
-    "MonotoneArcDecomposition",
-    "PiecewiseLinearPeriodic",
-    "RatioNormReport",
-    "TriangleCombSpec",
-    "WangReport",
-    "WitnessReport",
-    "WitnessSpec",
-    "criterion_partial_sums",
-    "derivative_lp_norm",
-    "dual_extremizer",
-    "duality_weights",
-    "embedding_bound_check",
-    "embedding_exponents",
-    "extremal_function",
-    "function_from_json",
-    "function_to_json",
-    "hardy_two_sides",
-    "increment",
-    "lambda_variation",
-    "lip_norm",
-    "lp_modulus",
-    "make_plpf",
-    "membership_report",
-    "modulus_p_continuity",
-    "monotone_arcs",
-    "p_cont_ratio_norm",
-    "p_variation",
-    "perlman_witness",
-    "regularize_sequence",
-    "sequence_from_json",
-    "sequence_to_json",
-    "sup_norm",
-    "superpose",
-    "triangle_comb",
-    "wang_gap_family",
-    "wang_partial_sums",
-    "weighted_block_sum",
-    "witness_report_json",
-]
+# each public name is listed once, in its own module
+__all__ = [*constructions.__all__, *periodic.__all__, *sequences.__all__, *variation.__all__]

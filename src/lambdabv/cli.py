@@ -40,6 +40,7 @@ from .variation import (
     lambda_variation,
     lp_modulus,
     modulus_p_continuity,
+    p_cont_ratio_norm,
     p_variation,
 )
 
@@ -170,9 +171,11 @@ def _run_variation(config: argparse.Namespace):
     vp = p_variation(f, config.p)
     rows.append(["p_variation", config.p, "", "", vp, ""])
     values["p_variation"] = vp
-    # |increment|^p overflows at a huge p; lambda_variation does not depend
-    # on p, and a spread of values past the double range overflows any p
-    huge = not math.isfinite(np.ptp(f.values))
+    # |increment|^p overflows at a huge p, so a non-finite value names p. It
+    # names the function where the spread of values overflows even at
+    # min(p, 2): the L^p modulus integrates |increment|^p along segments, a
+    # power p + 1 of the spread, and lambda_variation does not depend on p
+    huge = not np.isfinite(np.ptp(f.values) ** (min(config.p, 2.0) + 1.0))
     for functional, _, _, _, value, _ in rows:
         if not math.isfinite(value):
             field = "function" if huge or functional == "lambda_variation" else "p"
@@ -206,6 +209,8 @@ def _run_criterion(config: argparse.Namespace):
     return header, rows, summary, {}, None
 
 
+# heights or power sums past the double range are rejected below, naming p
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_sharpness(config: argparse.Namespace):
     _check_embedding_params(config)
     if config.levels > MAX_WITNESS_LEVELS:
@@ -214,30 +219,26 @@ def _run_sharpness(config: argparse.Namespace):
         raise ValidationError("delta-depth", "must be at least 1 for ratio norms")
     lam = _load(config.sequence_path, "sequence", sequence_from_json)
     r_prime = 1.0 / (1.0 + 1.0 / config.p - config.alpha)
-    header = [
-        "level",
-        "criterion_partial_pow",
-        "lambda_variation",
-        "omega_ratio",
-        "vlam_quotient",
-        "omega_quotient",
-    ]
+    header = ["level", "criterion_partial_pow", "lambda_variation", "omega_ratio",
+              "vlam_quotient", "omega_quotient"]
     rows = []
-    last = None
     for level in range(1, config.levels + 1):
         with _field("sequence"):
             spec = WitnessSpec(lam, config.p, config.alpha, level)
-            g, report = extremal_function(
-                spec, ratio_depth=config.delta_depth, ratio_refinement=config.refine
-            )
+        with _field("p"):
+            g, report = extremal_function(spec)
+        # the witness has more monotone arcs than the spec requires weights
+        with _field("sequence"):
+            vlam = lambda_variation(g, lam)
+        with _field("p"):
+            omega = p_cont_ratio_norm(
+                g, config.p, config.alpha, config.delta_depth, config.refine
+            ).value
         crit_pow = report.criterion_partials[-1] ** (1.0 / r_prime)
-        vlam = report.measured_lambda_variation
-        omega = report.ratio_report.value
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
             if not value > 0.0:
                 raise ValidationError("p", f"the {name} underflows at this p")
         rows.append([level, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega])
-        last = (g, report)
     summary = {
         "levels": config.levels,
         "delta_depth": config.delta_depth,
@@ -245,9 +246,10 @@ def _run_sharpness(config: argparse.Namespace):
         "sequence": lam.describe(),
     }
     extras = {}
-    if last is not None:
-        g, report = last
+    if rows:
+        # the deepest level's witness, built and measured last in the loop
         summary["witness"] = witness_report_json(report)
+        summary["witness"].update(measured_lambda_variation=vlam, omega_ratio_norm=omega)
         summary["function_file"] = "sharpness_function.json"
         extras["sharpness_function.json"] = function_to_json(g) + "\n"
     return header, rows, summary, extras, None
@@ -316,31 +318,25 @@ def _run_hardy_demo(config: argparse.Namespace):
     header = ["beta", "r", "trials", "max_ratio", "mean_ratio"]
     rows = []
     failure = None
-    worst = 0.0
     for beta in HARDY_BETAS:
         for r in HARDY_RS:
-            ratios = np.empty(HARDY_TRIALS)
-            for t in range(HARDY_TRIALS):
-                a = rng.exponential(1.0, HARDY_DRAW)
-                lhs, rhs = hardy_two_sides(beta, r, a, HARDY_NU)
-                if rhs <= 0.0 or lhs < rhs - 1e-12:
-                    failure = (
-                        f"partial-sum comparison failed at beta={beta}, r={r}, "
-                        f"trial {t}: lhs={lhs!r}, rhs={rhs!r}"
-                    )
-                    ratios[t] = np.nan
-                    continue
-                ratios[t] = lhs / rhs
-            rows.append(
-                [beta, r, HARDY_TRIALS, float(np.nanmax(ratios)), float(np.nanmean(ratios))]
-            )
-            worst = max(worst, float(np.nanmax(ratios)))
+            a = rng.exponential(1.0, (HARDY_TRIALS, HARDY_DRAW))
+            lhs, rhs = hardy_two_sides(beta, r, a, HARDY_NU)
+            failed = (rhs <= 0.0) | (lhs < rhs - 1e-12)
+            if failed.any():
+                t = int(np.flatnonzero(failed)[-1])
+                failure = (
+                    f"partial-sum comparison failed at beta={beta}, r={r}, "
+                    f"trial {t}: lhs={float(lhs[t])!r}, rhs={float(rhs[t])!r}"
+                )
+            ratios = np.divide(lhs, rhs, out=np.full(HARDY_TRIALS, np.nan), where=~failed)
+            rows.append([beta, r, HARDY_TRIALS, float(np.nanmax(ratios)), float(np.nanmean(ratios))])
     summary = {
         "seed": config.seed,
         "trials": HARDY_TRIALS,
         "draw_length": HARDY_DRAW,
         "nu": list(HARDY_NU),
-        "max_ratio_overall": worst,
+        "max_ratio_overall": max(row[3] for row in rows),
     }
     return header, rows, summary, {}, failure
 

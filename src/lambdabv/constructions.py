@@ -21,7 +21,7 @@ from .sequences import (
     regularize_sequence,
     weighted_block_sum,
 )
-from .variation import RatioNormReport, lambda_variation, p_cont_ratio_norm
+from .variation import lambda_variation, p_cont_ratio_norm
 
 __all__ = [
     "TriangleCombSpec",
@@ -127,7 +127,7 @@ class WitnessSpec:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Everything measured and derived while building a witness.
+    """Everything derived while building a witness.
 
     S is the per-level weight norm over k in [2^n, 2^(n+1)-1]; L_inclusive
     extends the range to 2^(n+1) (the criterion's inner sums); beta is the
@@ -150,18 +150,11 @@ class WitnessReport:
     heights: tuple
     arc_pair_sum: float
     analytic_lower_bound: float
-    measured_lambda_variation: float
     criterion_partials: tuple
-    ratio_report: RatioNormReport
 
 
-def extremal_function(
-    spec: WitnessSpec,
-    *,
-    ratio_depth: int = 8,
-    ratio_refinement: int = 0,
-) -> tuple[PiecewiseLinearPeriodic, WitnessReport]:
-    """Build the truncated witness g and measure it.
+def extremal_function(spec: WitnessSpec) -> tuple[PiecewiseLinearPeriodic, WitnessReport]:
+    """Build the truncated witness g and report how it was built.
 
     Level n = 1..levels contributes a comb with 2^n teeth of heights
     H_k = (2^-n beta_n)^(alpha-1/p) lambda_k^(-1/(p-1)) S_n^(-p'/p) for
@@ -212,9 +205,7 @@ def extremal_function(
     g = PiecewiseLinearPeriodic(*map(np.concatenate, zip(*nodes)))
 
     analytic = 2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive))
-    measured = lambda_variation(g, lam)
     criterion_partials = tuple(np.cumsum(inner ** (r_prime / p_prime)).tolist())
-    ratio_report = p_cont_ratio_norm(g, p, alpha, ratio_depth, ratio_refinement)
     report = WitnessReport(
         p=p,
         alpha=alpha,
@@ -227,20 +218,17 @@ def extremal_function(
         heights=tuple(heights_per_level),
         arc_pair_sum=pair_sum,
         analytic_lower_bound=analytic,
-        measured_lambda_variation=measured,
         criterion_partials=criterion_partials,
-        ratio_report=ratio_report,
     )
     return g, report
 
 
 def witness_report_json(report: WitnessReport) -> dict:
-    """Report as a JSON-ready dict: every field but the per-level heights,
-    with the ratio report reduced to its value ``omega_ratio_norm``."""
-    out = {"omega_ratio_norm": report.ratio_report.value}
+    """Report as a JSON-ready dict: every field but the per-level heights."""
+    out = {}
     for field in fields(report):
         value = getattr(report, field.name)
-        if field.name not in ("heights", "ratio_report"):
+        if field.name != "heights":
             out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 

@@ -487,7 +487,7 @@ def regularize_sequence(a, theta: float, gamma: float) -> np.ndarray:
     return np.max(arr[None, :] * w[idx], axis=1)
 
 
-def hardy_two_sides(beta: float, r: float, a, nu) -> tuple[float, float]:
+def hardy_two_sides(beta: float, r: float, a, nu):
     """Two sides of a dyadic-weight partial-sum comparison.
 
     lhs = sum_n 2^(-n beta) (sum_{1 <= k <= nu_n} a_k)^(1/r) over all
@@ -495,6 +495,9 @@ def hardy_two_sides(beta: float, r: float, a, nu) -> tuple[float, float]:
     over the block nu_(n-1) <= k <= nu_n (inclusive real bounds on integer
     k).  The lhs dominates the rhs termwise; the interesting direction,
     lhs <= c * rhs, is observed empirically.
+
+    A 1-D ``a`` gives two floats; a 2-D ``a`` holds one draw per row and
+    gives two arrays whose entry t is the 1-D result on row t.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError("beta must be positive")
@@ -505,34 +508,33 @@ def hardy_two_sides(beta: float, r: float, a, nu) -> tuple[float, float]:
         raise ValueError("nu must be a nonempty sequence")
     if nu_arr[0] != 1.0:
         raise ValueError("nu must start at 1")
-    if np.any(np.diff(nu_arr) <= 0.0):
+    if not np.all(np.diff(nu_arr) > 0.0):
         raise ValueError("nu must be strictly increasing")
     a_arr = np.asarray(a, dtype=float)
+    if a_arr.ndim not in (1, 2):
+        raise ValueError("a must be one draw or a 2-D array of draws")
     if np.any(a_arr < 0.0):
         raise ValueError("a must be nonnegative")
-    m = len(a_arr)
-    prefix = np.concatenate([[0.0], np.cumsum(a_arr)])
-
-    def head(bound: float) -> float:
-        # sum of a_k over 1 <= k <= bound within the available prefix
-        top = min(int(math.floor(bound)), m)
-        return float(prefix[top]) if top >= 1 else 0.0
-
-    def block(lo: float, hi: float) -> float:
-        lo_i = max(int(math.ceil(lo)), 1)
-        hi_i = min(int(math.floor(hi)), m)
-        if hi_i < lo_i:
-            return 0.0
-        return float(prefix[hi_i] - prefix[lo_i - 1])
-
-    lhs = sum(
-        2.0 ** (-n * beta) * head(nu_arr[n]) ** (1.0 / r) for n in range(len(nu_arr))
+    draws = np.atleast_2d(a_arr)
+    m = draws.shape[1]
+    prefix = np.pad(np.cumsum(draws, axis=1), ((0, 0), (1, 0)))
+    # integer k bounds clipped to the draw: the head is 1..top, block n is
+    # lo..hi, empty when hi < lo
+    top = np.minimum(np.floor(nu_arr), m).astype(np.intp)
+    lo = np.minimum(np.ceil(nu_arr[:-1]), m + 1).astype(np.intp)
+    hi = np.maximum(top[1:], lo - 1)
+    heads = prefix[:, top].tolist()
+    blocks = np.where(hi >= lo, prefix[:, hi] - prefix[:, lo - 1], 0.0).tolist()
+    # term by term in Python floats, whose ** differs from numpy's array **
+    # in the last bit on some inputs
+    weights = [2.0 ** (-n * beta) for n in range(len(nu_arr))]
+    lhs, rhs = (
+        np.array([sum(w * s ** (1.0 / r) for w, s in zip(ws, row)) for row in sums], dtype=float)
+        for ws, sums in ((weights, heads), (weights[1:], blocks))
     )
-    rhs = sum(
-        2.0 ** (-n * beta) * block(nu_arr[n - 1], nu_arr[n]) ** (1.0 / r)
-        for n in range(1, len(nu_arr))
-    )
-    return float(lhs), float(rhs)
+    if a_arr.ndim == 1:
+        return float(lhs[0]), float(rhs[0])
+    return lhs, rhs
 
 
 def dual_extremizer(x, p: float) -> np.ndarray:

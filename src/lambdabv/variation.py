@@ -41,6 +41,7 @@ __all__ = [
     "p_cont_ratio_norm",
     "MAX_EXACT_ARCS",
     "H_SAMPLES",
+    "MAX_DELTA_DEPTH",
 ]
 
 # the exact search over local extrema is exponential in the worst case; beyond

@@ -22,6 +22,7 @@ from lambdabv import (
     lambda_variation,
     modulus_p_continuity,
     monotone_arcs,
+    p_cont_ratio_norm,
     p_variation,
     regularize_sequence,
     triangle_comb,
@@ -180,12 +181,10 @@ def test_acceptance_6_witness_sharpness_band():
     quotients = []
     omega_values = {}
     for levels in range(4, 11):
-        g, rep = extremal_function(
-            WitnessSpec(lam, p, alpha, levels), ratio_depth=6
-        )
+        g, rep = extremal_function(WitnessSpec(lam, p, alpha, levels))
         crit = rep.criterion_partials[-1] ** (1.0 / r_prime)
-        quotients.append(rep.measured_lambda_variation / crit)
-        omega_values[levels] = rep.ratio_report.value
+        quotients.append(lambda_variation(g, lam) / crit)
+        omega_values[levels] = p_cont_ratio_norm(g, p, alpha, 6).value
     band = min(quotients) / max(quotients)
     omega_factor = omega_values[10] / omega_values[4]
     elapsed = time.perf_counter() - t0
@@ -217,9 +216,9 @@ def test_acceptance_7_wang_refutation_demo():
     vlams = []
     omegas = {}
     for levels in range(4, 11):
-        _, rep = extremal_function(WitnessSpec(fam, p, alpha, levels), ratio_depth=6)
-        vlams.append(rep.measured_lambda_variation)
-        omegas[levels] = rep.ratio_report.value
+        g, _ = extremal_function(WitnessSpec(fam, p, alpha, levels))
+        vlams.append(lambda_variation(g, fam))
+        omegas[levels] = p_cont_ratio_norm(g, p, alpha, 6).value
     strictly_up = all(b > a for a, b in zip(vlams, vlams[1:]))
     omega_factor = omegas[10] / omegas[4]
     elapsed = time.perf_counter() - t0

@@ -18,9 +18,11 @@ from lambdabv import (
     extremal_function,
     function_from_json,
     function_to_json,
+    hardy_two_sides,
     lambda_variation,
     make_plpf,
     monotone_arcs,
+    p_cont_ratio_norm,
     sequence_from_json,
 )
 
@@ -257,9 +259,13 @@ class TestVariationCommand:
             # without it the moduli, at any p
             (HUGE_JSON, "2", True, "function: lambda_variation is not finite (inf)"),
             (HUGE_JSON, "2", False, "function: lp_modulus is not finite (nan)"),
+            # a spread of 2e200 is finite, but the L^p modulus integrates its
+            # cube at p = 2
+            ('{"breakpoints": [[0.0, 1e200], [0.5, -1e200]]}', "2", True,
+             "function: lp_modulus is not finite (nan)"),
         ],
         ids=["triangle-1e100", "triangle-1e300", "golden-1e100", "golden-1e300", "huge-values",
-             "huge-values-no-sequence"],
+             "huge-values-no-sequence", "wide-spread"],
     )
     def test_non_finite_value_named(self, tmp_path, lam_file, function, p, sequence, error):
         f_path = tmp_path / "f.json"
@@ -474,6 +480,38 @@ class TestSharpnessCommand:
         assert summary["witness"]["levels"] == 2
         assert summary["function_file"] == "sharpness_function.json"
 
+    def test_witness_measures_are_direct_calls(self, tmp_path, lam_file):
+        out = tmp_path / "out"
+        proc = run_cli(
+            "--command", "sharpness", "--sequence", lam_file, "--levels", "3",
+            "--delta-depth", "4", "--refine", "1", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lam = LambdaSequence.power(1.0)
+        g, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))
+        witness = json.loads((out / "sharpness.json").read_text())["witness"]
+        assert witness["measured_lambda_variation"] == lambda_variation(g, lam)
+        assert witness["omega_ratio_norm"] == p_cont_ratio_norm(g, 2.0, 0.75, 4, 1).value
+
+    def test_witness_heights_overflow_named(self, tmp_path, lam_file):
+        # near p = 1 the heights' exponent -1/(p-1) overflows them; the
+        # sequence itself is fine
+        proc = run_cli(
+            "--command", "sharpness", "--sequence", lam_file, "--levels", "3",
+            "--p", "1.001", "--alpha", "0.9995", "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: p: heights must be nonnegative and finite\n"
+
+    def test_short_explicit_sequence_named(self, tmp_path):
+        # 8 weights cover the level-2 spec, but its witness has 12 arcs
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": "explicit", "terms": [1, 2, 3, 4, 5, 6, 7, 8]}\n')
+        proc = run_cli("--command", "sharpness", "--sequence", str(seq), "--levels", "2",
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: sequence: explicit sequence has 8 terms, but 12 are required\n"
+
     def test_witness_keeps_its_baseline(self, tmp_path):
         # its level-6 tiles met one ulp apart, which left valleys just above
         # 0.0: 252 arcs with no common baseline, and exit 2
@@ -595,6 +633,26 @@ class TestDemos:
             assert row[3] == "500"
             assert float(row[4]) >= float(row[5]) >= 1.0
 
+    def test_hardy_demo_names_the_last_failing_trial(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def failing_at_2_and_7(beta, r, a, nu):
+            calls.append((beta, r))
+            lhs, rhs = hardy_two_sides(beta, r, a, nu)
+            rhs[[2, 7]] = lhs[[2, 7]] + 1.0
+            return lhs, rhs
+
+        monkeypatch.setattr(cli, "hardy_two_sides", failing_at_2_and_7)
+        out = tmp_path / "out"
+        assert cli.main(["--command", "hardy-demo", "--out", str(out)]) == 3
+        assert len(calls) == 9
+        err = capsys.readouterr().err
+        assert err.startswith("phenomenon check failed: partial-sum comparison failed at "
+                              "beta=1.0, r=3.0, trial 7: lhs=")
+        # the failed trials are left out of the ratios
+        for row in read_csv(out / "hardy-demo.csv")[1:]:
+            assert float(row[4]) >= float(row[5]) >= 1.0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -682,7 +740,7 @@ def _held_omega_cells(got, want, summary, sequence_json):
     for line_got, line_want in zip(got, want):
         rows = [line.decode().rstrip("\n").split(",") for line in (line_got, line_want)]
         if rows[0][0] != "schema_version":
-            g, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])), ratio_depth=1)
+            g, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))
             moduli = chain_dp_profile(g, p, deltas, summary["refinement"])
             omega = max(m / d ** (alpha - 1.0 / p) for m, d in zip(moduli, deltas))
             for row in rows:
@@ -707,6 +765,12 @@ class TestPublicSurface:
             mod = importlib.import_module(f"lambdabv.{module}")
             for name in names:
                 assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+    def test_package_exports_the_module_names(self):
+        modules = [importlib.import_module(f"lambdabv.{m}")
+                   for m in ("constructions", "periodic", "sequences", "variation")]
+        assert len(set(lambdabv.__all__)) == len(lambdabv.__all__)
+        assert set(lambdabv.__all__) == set().union(*(m.__all__ for m in modules))
 
     def test_cli_imports_are_traced(self):
         # every library function the CLI calls gets a span in a traced

@@ -19,7 +19,6 @@ from lambdabv import (
     lambda_variation,
     make_plpf,
     monotone_arcs,
-    p_cont_ratio_norm,
     p_variation,
     perlman_witness,
     superpose,
@@ -175,15 +174,15 @@ class TestWitness:
         assert rep.criterion_partials[0] == pytest.approx(inner ** (2.0 / 3.0), rel=1e-13)
         # best system stacks both sides of each tooth against weights 1..4
         expected_var = h2 + h2 / 2.0 + h3 / 3.0 + h3 / 4.0
-        assert rep.measured_lambda_variation == pytest.approx(expected_var, rel=1e-13)
+        assert lambda_variation(g, LAM_N) == pytest.approx(expected_var, rel=1e-13)
 
         assert g.positions.tolist() == [0.0, 0.25, 0.5, 0.75]
         assert g.eval(0.25) == pytest.approx(h2, rel=1e-13)
         assert g.eval(0.75) == pytest.approx(h3, rel=1e-13)
 
     def test_level_one_regression_anchor(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))
-        assert rep.measured_lambda_variation == pytest.approx(
+        g, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))
+        assert lambda_variation(g, LAM_N) == pytest.approx(
             1.321595318547927, rel=1e-12
         )
         assert rep.criterion_partials[0] ** (1.0 / (4.0 / 3.0)) == pytest.approx(
@@ -192,9 +191,9 @@ class TestWitness:
 
     def test_small_witness_matches_brute_force(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 2)
-        g, rep = extremal_function(spec, ratio_depth=4)
+        g, _ = extremal_function(spec)
         pts = list(g.positions)
-        assert rep.measured_lambda_variation == pytest.approx(
+        assert lambda_variation(g, LAM_N) == pytest.approx(
             brute_lambda_variation(g, LAM_N, pts), rel=1e-12
         )
         assert p_variation(g, 2.0) ** 2 == pytest.approx(
@@ -204,7 +203,7 @@ class TestWitness:
     def test_per_level_identities(self):
         lam = LambdaSequence.power(0.25)
         spec = WitnessSpec(lam, 2.0, 0.75, 3)
-        g, rep = extremal_function(spec, ratio_depth=4)
+        _, rep = extremal_function(spec)
         for idx in range(3):
             n = idx + 1
             k = np.arange(float(2**n), float(2 ** (n + 1)))
@@ -220,9 +219,7 @@ class TestWitness:
 
     def test_tiles_partition_the_period(self):
         for levels in (1, 3, 6):
-            _, rep = extremal_function(
-                WitnessSpec(LAM_N, 2.0, 0.75, levels), ratio_depth=3
-            )
+            _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, levels))
             assert abs(sum(rep.tile_lengths) - 1.0) < 1e-12
             assert all(t > 0.0 for t in rep.tile_lengths)
 
@@ -237,7 +234,7 @@ class TestWitness:
                 for alpha in alphas:
                     for levels in range(1, 11):
                         spec = WitnessSpec(lam, p, alpha, levels)
-                        g, _ = extremal_function(spec, ratio_depth=1)
+                        g, _ = extremal_function(spec)
                         assert min(g.values) == 0.0
                         assert set(valleys(g)) == {0.0}, spec
 
@@ -252,7 +249,7 @@ class TestWitness:
         # tile boundary, summed with superpose; the witness lays the same
         # nodes out in one pass and must match it bit for bit
         for levels in range(1, 13):
-            g, rep = extremal_function(WitnessSpec(lam, p, alpha, levels), ratio_depth=1)
+            g, rep = extremal_function(WitnessSpec(lam, p, alpha, levels))
             cuts = np.cumsum(rep.beta)
             boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
             assert tuple(np.diff(boundaries).tolist()) == rep.tile_lengths
@@ -275,16 +272,14 @@ class TestWitness:
     def test_measured_dominates_certified_bounds(self):
         for lam in (LAM_N, LambdaSequence.power(0.25)):
             for levels in (2, 4, 6):
-                _, rep = extremal_function(
-                    WitnessSpec(lam, 2.0, 0.75, levels), ratio_depth=3
-                )
-                v = rep.measured_lambda_variation
+                g, rep = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))
+                v = lambda_variation(g, lam)
                 # one arc per tooth with rank-dominated weights is always achievable
                 assert v >= 0.5 * rep.arc_pair_sum * (1.0 - 1e-12)
                 assert v >= rep.analytic_lower_bound * (1.0 - 1e-12)
 
     def test_auto_delta_attains_duality(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5), ratio_depth=3)
+        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))
         l_arr = np.asarray(rep.L_inclusive)
         delta = np.asarray(rep.delta)
         r_prime = 4.0 / 3.0
@@ -293,17 +288,10 @@ class TestWitness:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_criterion_partials_increasing(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5), ratio_depth=3)
+        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))
         ps = np.asarray(rep.criterion_partials)
         assert len(ps) == 5
         assert np.all(np.diff(ps) > 0.0)
-
-    def test_ratio_report_matches_direct_call(self):
-        g, rep = extremal_function(
-            WitnessSpec(LAM_N, 2.0, 0.75, 2), ratio_depth=4, ratio_refinement=1
-        )
-        direct = p_cont_ratio_norm(g, 2.0, 0.75, 4, 1)
-        assert rep.ratio_report.value == direct.value
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -318,13 +306,13 @@ class TestWitness:
             WitnessSpec(LambdaSequence.explicit([1.0, 2.0]), 2.0, 0.75, 2)
 
     def test_report_json_round_trips(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 2), ratio_depth=3)
+        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 2))
         blob = witness_report_json(rep)
         text = json.dumps(blob)
         back = json.loads(text)
         assert back["levels"] == 2
-        assert back["measured_lambda_variation"] == rep.measured_lambda_variation
-        assert back["omega_ratio_norm"] == rep.ratio_report.value
+        assert back["criterion_partials"] == list(rep.criterion_partials)
+        assert "heights" not in back
 
 
 class TestEmbeddingBoundCheck:

@@ -386,6 +386,21 @@ class TestHardy:
             )
             assert lhs >= rhs - 1e-12
 
+    @pytest.mark.parametrize(
+        "nu",
+        [NU, (1.0, 2.5, 7.25, 100.0, 1e6), (1.0,)],
+        ids=["dyadic-past-draw", "non-integer", "one-element"],
+    )
+    def test_rows_equal_one_draw_calls(self, nu):
+        rng = np.random.default_rng(5)
+        a = rng.exponential(1.0, (40, 64))
+        a[0] = 0.0
+        for beta, r in ((0.25, 1.5), (0.5, 2.0), (1.0, 3.0), (0.37, 1.13)):
+            lhs, rhs = hardy_two_sides(beta, r, a, nu)
+            assert lhs.shape == rhs.shape == (40,)
+            for t, row in enumerate(a):
+                assert (lhs[t], rhs[t]) == hardy_two_sides(beta, r, row, nu)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             hardy_two_sides(0.0, 2.0, [1.0], self.NU)
@@ -395,6 +410,10 @@ class TestHardy:
             hardy_two_sides(0.5, 2.0, [1.0], (2.0, 4.0))
         with pytest.raises(ValueError):
             hardy_two_sides(0.5, 2.0, [1.0], (1.0, 1.0))
+        with pytest.raises(ValueError):
+            hardy_two_sides(0.5, 2.0, [1.0], (1.0, float("nan")))
+        with pytest.raises(ValueError):
+            hardy_two_sides(0.5, 2.0, np.ones((2, 2, 2)), self.NU)
 
 
 class TestDualExtremizer:

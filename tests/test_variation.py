@@ -418,7 +418,7 @@ class TestHumpProfile:
     @pytest.mark.parametrize("levels", [6, 7, 8, 9, 10])
     def test_witnesses(self, levels):
         for p in (1.5, 2.0, 3.0):
-            g, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels), ratio_depth=1)
+            g, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels))
             for m in (0, 1, 3):
                 assert_profile_matches_chain_dp(g, p, m)
 
