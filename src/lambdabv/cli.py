@@ -218,7 +218,6 @@ def _run_sharpness(config: argparse.Namespace):
     if config.delta_depth < 1:
         raise ValidationError("delta-depth", "must be at least 1 for ratio norms")
     lam = _load(config.sequence_path, "sequence", sequence_from_json)
-    r_prime = 1.0 / (1.0 + 1.0 / config.p - config.alpha)
     header = ["level", "criterion_partial_pow", "lambda_variation", "omega_ratio",
               "vlam_quotient", "omega_quotient"]
     rows = []
@@ -234,7 +233,7 @@ def _run_sharpness(config: argparse.Namespace):
             omega = p_cont_ratio_norm(
                 g, config.p, config.alpha, config.delta_depth, config.refine
             ).value
-        crit_pow = report.criterion_partials[-1] ** (1.0 / r_prime)
+        crit_pow = report.criterion_partials[-1] ** (1.0 / spec.exponents[2])
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
             if not value > 0.0:
                 raise ValidationError("p", f"the {name} underflows at this p")

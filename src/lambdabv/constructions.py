@@ -124,6 +124,11 @@ class WitnessSpec:
             raise ValueError(f"levels must lie in 1..{MAX_WITNESS_LEVELS}")
         self.lam.require(2 ** (self.levels + 1))
 
+    @property
+    def exponents(self) -> tuple[float, float, float]:
+        """(p', r, r') of the embedding criterion at this spec's p and alpha."""
+        return embedding_exponents(self.p, self.alpha)
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -164,7 +169,7 @@ def extremal_function(spec: WitnessSpec) -> tuple[PiecewiseLinearPeriodic, Witne
     matter how many levels are requested.
     """
     lam, p, alpha, levels = spec.lam, spec.p, spec.alpha, spec.levels
-    p_prime, _, r_prime = embedding_exponents(p, alpha)
+    p_prime, _, r_prime = spec.exponents
     a_exp = alpha - 1.0 / p
 
     inner = np.array(

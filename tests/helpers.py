@@ -13,8 +13,9 @@ values.  The brute_* oracles run these on arbitrary candidate grids, with
 the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
-at 40 digits, one piece at a time.  folded_lp_profile is the L^p modulus
-without the Lipschitz pruning: every shift sample integrated.
+at 40 digits, one piece at a time.  mp_power_sum is the reference for long
+power sums: Hurwitz zeta differences at 60 digits.  folded_lp_profile is the
+L^p modulus without the Lipschitz pruning: every shift sample integrated.
 """
 
 import functools
@@ -347,6 +348,26 @@ def mp_shift_norm(f, h, p):
             else:
                 total += w * (g(v) - g(u)) / (v - u)
         return float(total ** (1 / p))
+
+
+def mp_power_sum(c, lo, hi):
+    """sum_{k=lo}^{hi} k^-c for c >= 0 as zeta(c, lo) - zeta(c, hi + 1) at 60
+    significant digits (digamma at c = 1), rounded to a double.
+
+    mpmath's Hurwitz zeta stops its tail at an absolute 2^-prec, so a sum far
+    below 1 would keep only the digits above that; the precision grows by the
+    binary exponent of the largest term lo^-c.  A sum that bounds itself below
+    2^-1100 by (hi - lo + 1) lo^-c rounds to 0.0.
+    """
+    with mpmath.workdps(60):
+        largest = mpmath.mpf(lo) ** -c
+        if largest * (hi - lo + 1) < mpmath.mpf(2) ** -1100:
+            return 0.0
+        if c == 1:
+            return float(mpmath.digamma(hi + 1) - mpmath.digamma(lo))
+        prec = mpmath.mp.prec + max(0, -mpmath.mag(largest))
+    with mpmath.workprec(prec):
+        return float(mpmath.zeta(c, lo) - mpmath.zeta(c, hi + 1))
 
 
 def mp_lp_modulus_profile(f, p, deltas):

@@ -19,7 +19,7 @@ from lambdabv import (
     weighted_block_sum,
 )
 
-from helpers import random_lambda_prefix
+from helpers import mp_power_sum, random_lambda_prefix
 
 
 def _case_ids(cases):
@@ -156,13 +156,28 @@ class TestWeightedBlockSum:
         assert got == pytest.approx(float(np.sum(k**-0.25 * k**-1.0)), rel=1e-14)
 
     def test_power_zeta_path_matches_direct(self):
-        # ranges above the direct-summation cutoff go through Hurwitz zeta
+        # ranges above the direct-summation cutoff go through the 40-digit
+        # Euler-Maclaurin sum; here it meets a float sum of every term
         lam = LambdaSequence.power(0.5)
         lo, hi = 2, 100_000
         got = weighted_block_sum(lam, 0.3, 2.0, lo, hi)
         k = np.arange(float(lo), float(hi) + 1.0)
         want = float(np.sum(k**-0.3 * (k**0.5) ** -2.0))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "c", [0.0, 0.5, 0.9999999999999999, 1.0, 1.0 + 1e-13, 1.3, 2.0, 6.0, 40.0, 1e4, 1e6]
+    )
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1, 4097), (2, 100_000), (4096, 8192), (4097, 2**20), (2**30, 2**31),
+         (2**100, 2**101), (2**1022, 2**1023)],
+    )
+    def test_long_power_sum_is_the_rounded_reference(self, c, lo, hi):
+        # the Euler-Maclaurin sum and its head, for every c: the closest
+        # double to the 60-digit zeta difference, with no fallback near c = 1
+        got = weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, lo, hi)
+        assert got == mp_power_sum(c, lo, hi)
 
     def test_harmonic_special_case(self):
         lam = LambdaSequence.power(1.0)
@@ -414,6 +429,13 @@ class TestHardy:
             hardy_two_sides(0.5, 2.0, [1.0], (1.0, float("nan")))
         with pytest.raises(ValueError):
             hardy_two_sides(0.5, 2.0, np.ones((2, 2, 2)), self.NU)
+
+    @pytest.mark.parametrize(
+        "a", [[float("nan"), 1.0], [[1.0, 2.0], [1.0, float("nan")]]], ids=["1-D", "2-D"]
+    )
+    def test_nan_draw_named(self, a):
+        with pytest.raises(ValueError, match="^a must be nonnegative$"):
+            hardy_two_sides(0.5, 2.0, a, self.NU)
 
 
 class TestDualExtremizer:
