@@ -290,8 +290,10 @@ def _run_perlman_demo(config: argparse.Namespace):
         lam = perlman_witness(d, config.p)
     terms = lam.explicit_terms
     p_prime = config.p / (config.p - 1.0)
-    divergent = np.cumsum(d / terms)
-    convergent = np.cumsum(terms**-p_prime)
+    # in place, so that at most three arrays of PERLMAN_TERMS are alive
+    divergent = np.cumsum(np.divide(d, terms, out=d), out=d)
+    convergent = terms**-p_prime
+    np.cumsum(convergent, out=convergent)
     header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
     rows = [[n_top, divergent[n_top - 1], convergent[n_top - 1]] for n_top in PERLMAN_DECADES]
     inc_div = float(divergent[-1] - divergent[10**5 - 1])

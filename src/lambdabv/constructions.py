@@ -284,14 +284,16 @@ def perlman_witness(d, p: float) -> LambdaSequence:
         raise ValueError("d must be a nonempty sequence")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("d entries must be positive and finite")
-    if np.any(np.diff(arr) > 0.0):
+    if np.any(arr[1:] > arr[:-1]):
         raise ValueError("d must be nonincreasing")
-    alpha = arr ** (p - 1.0) / np.cumsum(arr**p)
-    if np.any(np.diff(alpha) > 0.0):
+    # in place, so that at most two arrays of len(d) are alive here
+    partial = arr**p
+    alpha = np.divide(arr ** (p - 1.0), np.cumsum(partial, out=partial), out=partial)
+    if np.any(alpha[1:] > alpha[:-1]):
         alpha = np.sort(alpha)[::-1]
     # explicit() rejects a weight past the double range
     with np.errstate(divide="ignore", over="ignore"):
-        return LambdaSequence.explicit(1.0 / alpha)
+        return LambdaSequence.explicit(np.divide(1.0, alpha, out=alpha))
 
 
 def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -38,12 +37,15 @@ __all__ = [
 # sums go through a 40-digit Euler-Maclaurin sum
 _DIRECT_SUM_LIMIT = 4096
 _POWER_LOG_LIMIT = 1 << 22
+# longer direct sums run in parts of at most this many terms (256 KB a temporary)
+_SUM_CHUNK = 1 << 15
 
 
 @functools.cache
 def _em_weight(j: int):
     """B_2j / (2j)!, the weight of the j-th Euler-Maclaurin term, in the
     40-digit context of its one caller."""
+    import mpmath as mp
     return mp.bernoulli(2 * j) / mp.factorial(2 * j)
 
 
@@ -65,6 +67,7 @@ def _power_block_sum(c: float, lo: int, hi: int) -> float:
     if hi - lo + 1 <= _DIRECT_SUM_LIMIT:
         k = np.arange(lo, hi + 1, dtype=float)
         return float(np.sum(k**-c))
+    import mpmath as mp  # deferred: only long power sums need it
     with mp.workdps(40):
         c, tol = mp.mpf(c), mp.mpf(10) ** -36
         a, total = lo, mp.mpf(0)
@@ -132,6 +135,15 @@ def _block_power_log_terms(lam: LambdaSequence, k: np.ndarray) -> np.ndarray:
 
 
 def _direct_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
+    """The terms' np.sum, in temporaries of at most _SUM_CHUNK terms: a longer
+    range splits where numpy's pairwise sum splits (half, rounded down to a
+    multiple of 8), so each part is a subtree of numpy's own and the result
+    keeps its bits."""
+    n = hi - lo + 1
+    if n > _SUM_CHUNK:
+        h = n // 2 - n // 2 % 8
+        return (_direct_block_sum(lam, k_exp, lam_exp, lo, lo + h - 1)
+                + _direct_block_sum(lam, k_exp, lam_exp, lo + h, hi))
     k = np.arange(lo, hi + 1, dtype=float)
     lam_k = _FAMILIES[lam.family].terms(lam, k)
     return float(np.sum(k**-k_exp * lam_k**-lam_exp))
@@ -162,7 +174,8 @@ _FAMILIES = {
              "explicit sequence needs at least one term"),
             (lambda lam: np.all(np.isfinite(lam.explicit_terms)) and np.all(lam.explicit_terms > 0.0),
              "sequence terms must be positive and finite"),
-            (lambda lam: np.all(np.diff(lam.explicit_terms) >= 0.0), "sequence terms must be nondecreasing"),
+            (lambda lam: np.all(lam.explicit_terms[1:] >= lam.explicit_terms[:-1]),
+             "sequence terms must be nondecreasing"),
         ),
         term=lambda lam, n: float(lam.explicit_terms[n - 1]),
         terms=lambda lam, k: lam.explicit_terms[k.astype(np.intp) - 1],

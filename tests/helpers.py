@@ -14,8 +14,10 @@ the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
 at 40 digits, one piece at a time.  mp_power_sum is the reference for long
-power sums: Hurwitz zeta differences at 60 digits.  folded_lp_profile is the
-L^p modulus without the Lipschitz pruning: every shift sample integrated.
+power sums: Hurwitz zeta differences at 60 digits.  one_array_block_sum is
+a direct block sum as one np.sum over every term at once, the bitwise
+reference for the library's chunked sum.  folded_lp_profile is the L^p
+modulus without the Lipschitz pruning: every shift sample integrated.
 """
 
 import functools
@@ -31,6 +33,7 @@ import mpmath
 import numpy as np
 
 from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
+from lambdabv.sequences import _FAMILIES
 from lambdabv.variation import (
     _chain_from_cycle,
     _refined_cycle,
@@ -368,6 +371,14 @@ def mp_power_sum(c, lo, hi):
         prec = mpmath.mp.prec + max(0, -mpmath.mag(largest))
     with mpmath.workprec(prec):
         return float(mpmath.zeta(c, lo) - mpmath.zeta(c, hi + 1))
+
+
+def one_array_block_sum(lam, k_exp, lam_exp, lo, hi):
+    """sum_{k=lo}^{hi} k^-k_exp lambda_k^-lam_exp as one np.sum over arrays
+    of every term, in numpy's pairwise order."""
+    k = np.arange(lo, hi + 1, dtype=float)
+    lam_k = _FAMILIES[lam.family].terms(lam, k)
+    return float(np.sum(k**-k_exp * lam_k**-lam_exp))
 
 
 def mp_lp_modulus_profile(f, p, deltas):

@@ -4,7 +4,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from lambdabv.constructions import MAX_WITNESS_LEVELS
 from lambdabv.variation import MAX_DELTA_DEPTH
 
 from helpers import (
+    SRC,
     alternating_plpf,
     chain_dp_profile,
     chunked_subset_scan_max,
@@ -790,6 +794,14 @@ class TestPublicSurface:
         for module, name in imported:
             short = module.removeprefix("lambdabv.")
             assert name in spans.TRACED.get(short, ()) or name in unwrapped, f"{module}.{name}"
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # only long power sums need mpmath, and they import it themselves
+        code = "import sys, lambdabv.cli; print('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestParser:

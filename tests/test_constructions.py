@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,18 @@ class TestPerlmanWitness:
         lam = perlman_witness(d, 1.5)
         t = lam.terms(100)
         assert np.all(np.diff(t) >= -1e-12 * t[:-1])
+
+    def test_memory(self):
+        # the cumulative sums, the division and the reciprocal run in place:
+        # fewer than three arrays of 8 MB beside the caller's d
+        d = np.arange(1.0, 10**6 + 1.0) ** -0.5
+        tracemalloc.start()
+        try:
+            perlman_witness(d, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * d.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +20,9 @@ from lambdabv import (
     weighted_block_sum,
 )
 
-from helpers import mp_power_sum, random_lambda_prefix
+from lambdabv.sequences import _SUM_CHUNK
+
+from helpers import mp_power_sum, one_array_block_sum, random_lambda_prefix
 
 
 def _case_ids(cases):
@@ -195,6 +198,36 @@ class TestWeightedBlockSum:
         lam = LambdaSequence.power_log(1.0, 1.0)
         with pytest.raises(ValueError):
             weighted_block_sum(lam, 0.0, 1.0, 1, 1 << 23)
+
+    @pytest.mark.parametrize(
+        "length",
+        [_SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 7, 2**20 + 1, 2**21 + 1],
+    )
+    @pytest.mark.parametrize("lo", [1, 3, 2**12 + 5, 2**20 + 2**19 + 7])
+    @pytest.mark.parametrize("family", ["power_log", "explicit"])
+    def test_chunked_direct_sum_is_the_one_array_sum(self, family, lo, length):
+        # a long direct sum runs in chunks split where numpy's pairwise sum
+        # splits, so it keeps that sum's bits; a numpy that split elsewhere
+        # would fail here
+        hi = lo + length - 1
+        if family == "power_log":
+            lam = LambdaSequence.power_log(0.7, 1.3)
+        else:
+            lam = LambdaSequence.explicit(np.cumsum(np.random.default_rng(lo).uniform(0.5, 1.5, hi)))
+        got = weighted_block_sum(lam, 1.1, 0.6, lo, hi)
+        assert got == one_array_block_sum(lam, 1.1, 0.6, lo, hi)
+
+    def test_long_direct_sum_memory(self):
+        # 2^21 + 1 terms are 16 MB a float array; the chunks keep every
+        # temporary at _SUM_CHUNK terms
+        lam = LambdaSequence.power_log(0.5, 1.0)
+        tracemalloc.start()
+        try:
+            weighted_block_sum(lam, 1.2, 0.7, 2**21, 2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_block_family_blockwise_closed_form(self):
         # inside one lambda-block the weight is constant
