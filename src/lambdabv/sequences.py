@@ -465,13 +465,18 @@ def criterion_partial_sums(lam: LambdaSequence, p: float, alpha: float, n_blocks
     dyadic blocks n = 0..n_blocks.
 
     Inner sums include both block endpoints 2^n and 2^(n+1); the boundary
-    double count is harmless for convergence.
+    double count is harmless for convergence.  Every block is checked before
+    any is summed: an explicit prefix fails at the first block past it, and
+    the last, longest block meets a family's range cap first.
     """
     p_prime, r, r_prime = embedding_exponents(p, alpha)
     if n_blocks < 0:
         raise ValueError("n_blocks must be nonnegative")
-    inners = [weighted_block_sum(lam, p_prime * (alpha - 1.0 / p), p_prime, 2**n, 2 ** (n + 1))
-              for n in range(n_blocks + 1)]
+    for n in range(n_blocks + 1):
+        lam.require(2 ** (n + 1))
+    inner = functools.partial(weighted_block_sum, lam, p_prime * (alpha - 1.0 / p), p_prime)
+    last = inner(2**n_blocks, 2 ** (n_blocks + 1))
+    inners = [inner(2**n, 2 ** (n + 1)) for n in range(n_blocks)] + [last]
     terms = [inner ** (r_prime / p_prime) for inner in inners]
     # the same series in exact rationals: a = p'(alpha - 1/p), b = p', c = r'/p'
     ep, ea = _exact(p), _exact(alpha)

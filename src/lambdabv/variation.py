@@ -102,15 +102,15 @@ def _chain_from_cycle(cx: np.ndarray, cy: np.ndarray, i: int | None = None):
 
 
 def _hump_dp(ys: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
-    """Per column (hump) of ``ys``, the max of sum |y_j - y_i|^p over
-    nonoverlapping row pairs i < j with i >= lo[j, hump].  Returns the
-    p-power sums.
+    """Per column of ``ys`` (a hump under one delta), the max of sum
+    |y_j - y_i|^p over nonoverlapping row pairs i < j with i >= lo[j, column].
+    Returns the p-power sums.
 
     One Python loop runs over the rows.  Row j starts at the smallest bound
-    of all humps, and the entries before a hump's own bound are masked to 0,
-    which never beats the carried best (every sum is >= 0).  Where pair
+    of all columns, and the entries before a column's own bound are masked
+    to 0, which never beats the carried best (every sum is >= 0).  Where pair
     (j - 1, j) is admissible its candidate already carries best[j - 1] plus a
-    nonnegative increment, so only a hump without it needs the explicit carry.
+    nonnegative increment, so only a column without it needs the carry.
     """
     best = np.zeros(ys.shape)
     square = p == 2.0
@@ -152,7 +152,11 @@ def _p_power_profile(
     (i, j) stays admissible iff xs[i] >= xs[j] - delta on the cut chain.
     Humps are batched in buckets of up to 2^k steps (split into blocks of
     about _BLOCK_CELLS cells), one hump per column, each padded with copies of
-    its closing point, which add no length and no increment.
+    its closing point, which add no length and no increment.  A block with
+    cells to spare repeats its humps, one column per (delta, hump) pair, so
+    few long humps take many deltas in one DP; each column does its own
+    delta's additions, so each value is that of its delta alone.  Deltas run
+    in groups whose hump powers fill at most _BLOCK_CELLS floats.
     """
     if refinement < 0:
         raise ValueError("grid_refinement must be nonnegative")
@@ -162,6 +166,10 @@ def _p_power_profile(
     cuts = np.flatnonzero(is_cut)
     starts, ends = cuts[:-1], cuts[1:]
     keys = np.frexp(ends - starts - 1)[1]
+    # the full-period pair is the only one whose float length can exceed 1,
+    # and its increment is exactly zero, so delta = 1 admits every pair: its
+    # bounds come from x - inf
+    limits = np.array([d if d < 1.0 else math.inf for d in deltas])[:, None]
     blocks = []
     for key in sorted(set(keys.tolist())):
         humps = np.flatnonzero(keys == key)
@@ -170,24 +178,22 @@ def _p_power_profile(
         for c in range(0, len(humps), per):
             block = humps[c : c + per]
             idx = np.minimum(starts[block] + span, ends[block])
-            blocks.append((block, idx, ys[idx]))
+            reps = max(1, min(len(limits), per // len(block)))
+            blocks.append((block, idx[0], xs[idx][:, None], np.tile(ys[idx], reps), reps))
+    group = max(1, _BLOCK_CELLS // len(starts))
     out = []
-    for delta in deltas:
-        power = np.empty(len(starts))
-        for humps, idx, hy in blocks:
-            # the full-period pair is the only one whose float length can
-            # exceed 1, and its increment is exactly zero, so delta = 1
-            # admits every pair
-            if delta >= 1.0:
-                lo = np.zeros(idx.shape, dtype=np.intp)
-            else:
-                x = xs[idx]
-                x -= delta
-                lo = np.searchsorted(xs, x, side="left")
-                lo -= idx[0]
+    for g in range(0, len(limits), group):
+        ds = limits[g : g + group]
+        power = np.empty((len(ds), len(starts)))
+        for humps, first, x, hy, reps in blocks:
+            for k in range(0, len(ds), reps):
+                # rows x deltas x humps: every delta's bounds in one search
+                lo = np.searchsorted(xs, x - ds[k : k + reps], side="left")
+                lo -= first
                 np.maximum(lo, 0, out=lo)
-            power[humps] = _hump_dp(hy, lo, p)
-        out.append(math.fsum(power) ** (1.0 / p))
+                best = _hump_dp(hy[:, : lo[0].size], lo.reshape(len(lo), -1), p)
+                power[k : k + reps, humps] = best.reshape(-1, len(humps))
+        out.extend(math.fsum(row) ** (1.0 / p) for row in power.tolist())
     return out
 
 
@@ -352,9 +358,10 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
 
 
 def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
-    """||f(.+h) - f||_p for each shift in ``hs``, by exact integration of the
-    difference D = f(.+h) - f, linear between its kinks: the breakpoints x_i,
-    where D = f(x_i + h) - y_i, and the shifted breakpoints x_j - h, where
+    """||f(.+h) - f||_p for each shift h in ``hs``, 0 <= h < 1, by exact
+    integration of the difference D = f(.+h) - f, linear between its kinks:
+    the breakpoints x_i, where D = f(x_i + h) - y_i, and the shifted
+    breakpoints x_j - h (wrapped by adding 1 where negative), where
     D = y_j - f(x_j - h).  So each kink takes one interpolation, and the kinks
     are sorted together with their D values.  They are not deduplicated: a
     repeated kink is a zero-width piece and adds exactly 0.
@@ -374,7 +381,8 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
     out = np.empty(len(hs))
     for s in range(0, len(hs), rows):
         h = hs[s : s + rows, None]
-        back = np.mod(pos - h, 1.0)
+        back = pos - h
+        back += back < 0.0
         k = np.concatenate([np.broadcast_to(pos, back.shape), back], axis=1)
         u = np.concatenate([f.eval(pos + h) - val, val - f.eval(back)], axis=1)
         order = np.argsort(k, axis=1)

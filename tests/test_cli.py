@@ -342,6 +342,24 @@ class TestValidationFailures:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: blocks:")
 
+    def test_criterion_short_prefix_named(self, tmp_path):
+        # blocks 0..2 fit the ten terms; block 3 ends at 16
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": "explicit", "terms": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}\n')
+        proc = run_cli("--command", "criterion", "--sequence", str(seq), "--blocks", "6",
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: sequence: explicit sequence has 10 terms, but 16 are required\n"
+
+    def test_criterion_power_log_cap_named(self, tmp_path):
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": "power_log", "params": {"s": 0.5, "t": 1.0}}\n')
+        proc = run_cli("--command", "criterion", "--sequence", str(seq), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: sequence: range too long for direct summation of the power_log family\n"
+        )
+
     def test_negative_seed(self, tmp_path):
         proc = run_cli("--command", "hardy-demo", "--seed", "-5", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2

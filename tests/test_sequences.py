@@ -20,6 +20,7 @@ from lambdabv import (
     weighted_block_sum,
 )
 
+from lambdabv import sequences
 from lambdabv.sequences import _SUM_CHUNK
 
 from helpers import mp_power_sum, one_array_block_sum, random_lambda_prefix
@@ -278,6 +279,28 @@ class TestCriterion:
         assert rep.partial_sums[0] == pytest.approx(
             inner ** (rep.r_prime / 2.0), rel=1e-13
         )
+
+    def test_power_log_cap_raises_before_any_sum(self, monkeypatch):
+        # blocks 22..30 run past the 2^22-term cap; the last one is summed
+        # first, so blocks 0..21 never pay for their direct sums
+        calls = []
+        direct = sequences._direct_block_sum
+
+        def counted(*args):
+            calls.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(sequences, "_direct_block_sum", counted)
+        with pytest.raises(ValueError, match="^range too long for direct summation of the power_log family$"):
+            criterion_partial_sums(LambdaSequence.power_log(0.5, 1.0), 2.0, 0.75, 30)
+        assert calls == []
+        criterion_partial_sums(LambdaSequence.power_log(0.5, 1.0), 2.0, 0.75, 3)
+        assert len(calls) == 4
+
+    def test_short_prefix_names_first_block_past_it(self):
+        lam = LambdaSequence.explicit([float(k) for k in range(1, 11)])
+        with pytest.raises(ValueError, match="^explicit sequence has 10 terms, but 16 are required$"):
+            criterion_partial_sums(lam, 2.0, 0.75, 30)
 
     def test_invalid_parameters(self):
         lam = LambdaSequence.power(1.0)

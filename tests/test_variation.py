@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lambdabv.variation import (
     MAX_EXACT_ARCS,
     _BLOCK_CELLS,
     _cyclic_subset_max,
+    _dyadic_grid,
     _p_power_profile,
     _refined_cycle,
     _shift_bounds,
@@ -322,6 +324,34 @@ class TestModulus:
                 for m in (0, 1, 2):
                     got = modulus_p_continuity(f, p, deltas, m)
                     assert got == [modulus_p_continuity(f, p, [d], m)[0] for d in deltas]
+        # deltas split across DP calls: 61 deltas in one call on a
+        # 12-breakpoint function; the ~1,000 humps of a level-9 comb in
+        # groups of four deltas, its last block at refinement 1 taking four
+        # deltas a call; and the long hump of a 64-breakpoint function at
+        # refinement 2, which takes its 61 deltas in three calls
+        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 9))
+        generic = random_plpf(rng, 64, min_gap=1e-5, min_breaks=64)
+        for f, p, grid, m in (
+            (random_plpf(rng, 12, min_breaks=12), 1.5, _dyadic_grid(60), 0),
+            (comb, 2.0, deltas, 0),
+            (comb, 3.0, deltas, 1),
+            (generic, 1.5, _dyadic_grid(60), 2),
+        ):
+            got = modulus_p_continuity(f, p, grid, m)
+            assert got == [modulus_p_continuity(f, p, [d], m)[0] for d in grid]
+
+    def test_memory_bounded_across_deltas(self):
+        # the level-12 comb has 8,191 humps; holding one hump-power row per
+        # delta for a 61-delta grid would take 4 MB, and the deltas' groups
+        # keep those rows, like each DP call's cells, to _BLOCK_CELLS
+        g, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))
+        tracemalloc.start()
+        try:
+            modulus_p_continuity(g, 2.0, _dyadic_grid(60), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_triangle_quarter_delta(self):
         assert modulus_p_continuity(TRIANGLE, 2.0, [0.25], 0)[0] == 0.0
