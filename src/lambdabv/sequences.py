@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -60,8 +61,6 @@ def _power_block_sum(c: float, lo: int, hi: int) -> float:
     of term j, so from a >= |c| + 32 on, 32 terms always suffice.  For c > 1
     the head stops once the rest, at most a^-c (1 + a/(c - 1)), is that small.
     """
-    if hi < lo:
-        return 0.0
     if not math.isfinite(c):  # k^-c is 0 or inf for every k >= 2
         hi = min(hi, lo + 1)
     if hi - lo + 1 <= _DIRECT_SUM_LIMIT:
@@ -97,6 +96,13 @@ def _power_block_sum(c: float, lo: int, hi: int) -> float:
             total += term
             step = (c + (2 * j - 1)) * (c + 2 * j)
             da, db = da * step * inv_a2, db * step * inv_b2
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def _block_index(k: int) -> int:
@@ -306,8 +312,9 @@ class LambdaSequence:
         return len(self.explicit_terms)
 
     def require(self, n: int) -> None:
-        """Fail fast when an explicit prefix is too short for n terms; named
-        families extend analytically and never truncate."""
+        """Fail fast on a non-integer n or an explicit prefix too short for n
+        terms; named families extend analytically and never truncate."""
+        n = _integer(n, "n")
         if self.family == "explicit" and n > len(self.explicit_terms):
             raise ValueError(
                 f"explicit sequence has {len(self.explicit_terms)} terms, "
@@ -315,16 +322,16 @@ class LambdaSequence:
             )
 
     def term(self, n: int) -> float:
+        self.require(n)
         if n < 1:
             raise ValueError("sequence indices start at 1")
-        self.require(n)
         return _FAMILIES[self.family].term(self, n)
 
     def terms(self, n: int) -> np.ndarray:
         """First n terms as an array."""
+        self.require(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
-        self.require(n)
         return _FAMILIES[self.family].terms(self, np.arange(1, n + 1, dtype=float))
 
     def describe(self) -> str:
@@ -338,6 +345,7 @@ def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: in
     """sum_{k=lo}^{hi} k^-k_exp * lambda_k^-lam_exp, in closed form where the
     family allows it, so dyadic blocks far beyond direct summation stay exact.
     """
+    lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
     if lo < 1:
         raise ValueError("block bounds start at 1")
     if hi < lo:

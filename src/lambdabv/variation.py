@@ -81,8 +81,6 @@ def _refined_cycle(f: PiecewiseLinearPeriodic, refinement: int):
     """Breakpoint cycle with ``refinement`` uniform interior points inserted
     per segment; positions ascend from the first breakpoint over one period."""
     pos, val = f.positions, f.values
-    if refinement == 0:
-        return pos, val
     x1 = np.append(pos[1:], pos[0] + 1.0)
     y1 = np.append(val[1:], val[0])
     fr = np.arange(refinement + 1) / (refinement + 1)
@@ -108,32 +106,21 @@ def _hump_dp(ys: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
 
     One Python loop runs over the rows.  Row j starts at the smallest bound
     of all columns, and the entries before a column's own bound are masked
-    to 0, which never beats the carried best (every sum is >= 0).  Where pair
-    (j - 1, j) is admissible its candidate already carries best[j - 1] plus a
-    nonnegative increment, so only a column without it needs the carry.
+    to 0, which never beats the carried best (every sum is >= 0).
     """
     best = np.zeros(ys.shape)
-    square = p == 2.0
     rows = np.arange(len(ys))[:, None]
-    first = lo.min(axis=1)
-    uneven = (lo.max(axis=1) > first).tolist()
-    for j, start in enumerate(first.tolist()):
+    for j, start in enumerate(lo.min(axis=1).tolist()):
         if start >= j:
             if j:
                 best[j] = best[j - 1]
             continue
         cand = ys[start:j] - ys[j]
-        if square:
-            cand *= cand
-        else:
-            np.abs(cand, out=cand)
-            cand **= p
+        np.abs(cand, out=cand)
+        cand **= p
         cand += best[start:j]
-        if uneven[j]:
-            cand[rows[start:j] < lo[j]] = 0.0
-            np.maximum(best[j - 1], cand.max(axis=0), out=best[j])
-        else:
-            cand.max(axis=0, out=best[j])
+        cand[rows[start:j] < lo[j]] = 0.0
+        np.maximum(best[j - 1], cand.max(axis=0), out=best[j])
     return best[-1]
 
 
@@ -232,11 +219,7 @@ def modulus_p_continuity(
 
 
 def _sorted_weighted_sum(d_sorted: np.ndarray, lam: LambdaSequence) -> float:
-    k = len(d_sorted)
-    if k == 0:
-        return 0.0
-    lam.require(k)
-    return float(d_sorted @ (1.0 / lam.terms(k)))
+    return float(d_sorted @ (1.0 / lam.terms(len(d_sorted))))
 
 
 def _window_successors(v: list[float]) -> list[list[int]]:
@@ -293,9 +276,6 @@ def _cyclic_subset_max(values: np.ndarray, lam: LambdaSequence) -> float:
     the result to that scan bit for bit.
     """
     m = len(values)
-    if m < 2:
-        return 0.0
-    lam.require(m)
     inv = 1.0 / lam.terms(m)
     w = inv.tolist()
     g = int(np.argmax(values))
@@ -343,16 +323,13 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     """
     _validate_lambda(lam)
     dec = monotone_arcs(f)
-    k = len(dec)
-    if k == 0:
-        return 0.0
     if dec.is_baseline_separated():
         d = np.sort(np.abs(dec.increments))[::-1]
         return _sorted_weighted_sum(d, lam)
-    if k <= MAX_EXACT_ARCS:
+    if len(dec) <= MAX_EXACT_ARCS:
         return _cyclic_subset_max(dec.start_values, lam)
     raise ValueError(
-        f"function has {k} monotone arcs and no common baseline; the exact "
+        f"function has {len(dec)} monotone arcs and no common baseline; the exact "
         f"search is exponential and supported only up to {MAX_EXACT_ARCS} arcs"
     )
 
@@ -394,10 +371,9 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
         m, d = 0.5 * (u + v), v - u
         near = np.abs(d) <= 1e-3 * np.abs(m)
         piece = (np.roll(g, -1, axis=1) - g) / np.where(near, 1.0, d)
-        if near.any():
-            mn = m[near]
-            x2 = (d[near] / np.where(mn == 0.0, 1.0, mn)) ** 2
-            piece[near] = np.abs(mn) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
+        mn = m[near]
+        x2 = (d[near] / np.where(mn == 0.0, 1.0, mn)) ** 2
+        piece[near] = np.abs(mn) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
         out[s : s + len(h)] = np.sum(w * piece, axis=1)
     return out ** (1.0 / p)
 
@@ -417,8 +393,9 @@ def _shift_samples(f: PiecewiseLinearPeriodic) -> np.ndarray:
     hs = [np.asarray(_DYADIC_SHIFTS), np.linspace(0.0, 0.5, H_SAMPLES // 2 + 1)]
     if len(pos) ** 2 <= 1_000_000:
         hs.append(np.mod(pos[None, :] - pos[:, None], 1.0).ravel())
-    h = np.unique(np.concatenate(hs))
-    return h[(h > 0.0) & (h <= 0.5)]
+    h = np.concatenate(hs)
+    h = np.sort(h[(h > 0.0) & (h <= 0.5)])
+    return h[np.diff(h, prepend=0.0) > 0.0]
 
 
 def _shift_bounds(
@@ -474,7 +451,7 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     ends = np.searchsorted(hs, np.minimum(d, 0.5), side="right")
     hs = hs[: ends.max(initial=0)]
     # per sample, the end of the first read whose prefix includes it
-    reads = np.unique(ends)
+    reads = np.sort(ends)
     opens = reads[np.searchsorted(reads, np.arange(len(hs)), side="right")]
     norms = np.zeros(len(hs))
     done = np.zeros(len(hs), dtype=bool)
@@ -484,8 +461,6 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     for step in (2, 2, 1):
         done[todo] = True
         rest = np.flatnonzero(~done)
-        if not len(rest):
-            break
         peak = np.maximum.accumulate(norms)
         todo = rest[_shift_bounds(f, p, hs, norms, done) >= peak[opens[rest] - 1]][::step]
         norms[todo] = _shift_norms(f, hs[todo], p)

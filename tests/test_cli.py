@@ -821,6 +821,27 @@ class TestPublicSurface:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_commands_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; no command needs it
+        (tmp_path / "f.json").write_text(GOLDEN_FUNCTION_JSON)
+        (tmp_path / "lam.json").write_text(LAM_N_JSON)
+        seq = ["--sequence", str(tmp_path / "lam.json")]
+        runs = {
+            "variation": ["--function", str(tmp_path / "f.json"), *seq, "--refine", "1"],
+            "criterion": [*seq, "--blocks", "6"],
+            "sharpness": [*seq, "--levels", "4"],
+            "wang-demo": ["--blocks", "6"],
+            "perlman-demo": [],
+            "hardy-demo": ["--seed", "3"],
+        }
+        argvs = [["--command", name, "--out", str(tmp_path / name), *args] for name, args in runs.items()]
+        code = (f"import sys, lambdabv.cli\nfor argv in {argvs!r}:\n    assert lambdabv.cli.main(argv) == 0, argv\n"
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestParser:
     def test_help_lists_commands(self):

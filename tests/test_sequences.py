@@ -88,6 +88,18 @@ class TestLambdaSequence:
         with pytest.raises(ValueError):
             lam.require(3)
 
+    @pytest.mark.parametrize("lam", [LambdaSequence.power(1.0), LambdaSequence.explicit([1.0, 2.0, 3.0])],
+                             ids=["power", "explicit"])
+    def test_indices_must_be_integers(self, lam):
+        # a float n used to be summed or sliced as if it were an integer:
+        # terms(2.5) gave 3 terms
+        for method in (lam.term, lam.terms, lam.require):
+            for n in (2.5, 2.0, np.float64(3.0)):
+                with pytest.raises(TypeError, match="n must be an integer"):
+                    method(n)
+        assert lam.term(np.int64(3)) == lam.term(3)
+        assert np.array_equal(lam.terms(np.int32(3)), lam.terms(3))
+
     def test_power_terms(self):
         lam = LambdaSequence.power(0.5)
         assert lam.term(4) == 2.0
@@ -152,7 +164,33 @@ class TestLambdaSequence:
         assert "explicit" in LambdaSequence.explicit([1.0]).describe()
 
 
+FOUR_FAMILIES = [
+    LambdaSequence.power(0.5),
+    LambdaSequence.power_log(0.7, 1.3),
+    LambdaSequence.block_power_log(1.0, 0.75),
+    LambdaSequence.explicit(np.arange(1.0, 9000.0)),
+]
+
+
 class TestWeightedBlockSum:
+    @pytest.mark.parametrize("lo, hi, name", [(2.5, 10, "lo"), (2, 10.7, "hi"), (2.0, 10, "lo"),
+                                              (2, np.float64(10.0), "hi")])
+    def test_bounds_must_be_integers(self, lo, hi, name):
+        # lo = 2.5 used to sum over k = 2.5, 3.5, ..., and hi = 10.7 up to 11
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            weighted_block_sum(LambdaSequence.power(1.0), 1.0, 1.0, lo, hi)
+
+    @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
+    @pytest.mark.parametrize("lo, hi", [(2, 10), (4096, 8191), (3, 8999)])
+    def test_numpy_integer_bounds(self, lam, lo, hi):
+        for kind in (np.int64, np.int32, np.uint64):
+            assert weighted_block_sum(lam, 0.3, 1.5, kind(lo), kind(hi)) == weighted_block_sum(lam, 0.3, 1.5, lo, hi)
+
+    @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
+    @pytest.mark.parametrize("lo", [1, 2, 4097, 2**40])
+    def test_empty_range_is_zero(self, lam, lo):
+        assert weighted_block_sum(lam, 0.3, 1.5, lo, lo - 1) == 0.0
+
     def test_power_matches_direct_small(self):
         lam = LambdaSequence.power(0.5)
         got = weighted_block_sum(lam, 0.25, 2.0, 3, 17)

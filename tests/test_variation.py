@@ -189,6 +189,16 @@ class TestLambdaVariation:
         with pytest.raises(ValueError, match="arcs"):
             lambda_variation(f, LAM_N)
 
+    @pytest.mark.parametrize(
+        "lam",
+        [LambdaSequence.power(1.0), LambdaSequence.block_power_log(0.5, 0.5), LambdaSequence.explicit([1.0])],
+        ids=["power", "block_power_log", "explicit"],
+    )
+    def test_constant_is_zero(self, lam):
+        # no arcs: the empty sorted sum, even against a one-term prefix
+        for f in (make_plpf([(0.0, 4.0)]), make_plpf([(0.0, -0.5), (0.3, -0.5), (0.7, -0.5)])):
+            assert lambda_variation(f, lam) == 0.0
+
     def test_short_explicit_sequence_rejected(self):
         lam = LambdaSequence.explicit([1.0])
         with pytest.raises(ValueError):
@@ -481,6 +491,14 @@ class TestHumpProfile:
             assert p_variation(g, p) ** p == pytest.approx(
                 brute_p_variation(g, p, g.positions), rel=1e-12, abs=1e-15
             )
+
+    def test_refinement_zero_is_the_breakpoint_cycle(self):
+        rng = np.random.default_rng(119)
+        for f in (TRIANGLE, SPLIT_RISE, make_plpf([(0.25, -1.0)]),
+                  *(random_plpf(rng, 40, min_breaks=1) for _ in range(20))):
+            cx, cy = _refined_cycle(f, 0)
+            assert np.array_equal(cx, f.positions)
+            assert np.array_equal(cy, f.values)
 
     def test_single_minimum_and_constant(self):
         constant = make_plpf([(0.0, 2.0), (0.5, 2.0)])
