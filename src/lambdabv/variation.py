@@ -106,7 +106,9 @@ def _hump_dp(ys: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
 
     One Python loop runs over the rows.  Row j starts at the smallest bound
     of all columns, and the entries before a column's own bound are masked
-    to 0, which never beats the carried best (every sum is >= 0).
+    to 0, which never beats the carried best (every sum is >= 0).  At p = 2
+    the values match x * x bit for bit only because numpy computes an
+    in-place ``**= 2.0`` as ``np.square``.
     """
     best = np.zeros(ys.shape)
     rows = np.arange(len(ys))[:, None]

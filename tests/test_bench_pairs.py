@@ -61,3 +61,35 @@ class TestSummary:
     def test_read_result_rejects_failed_runs(self, proc, message):
         with pytest.raises(bench_pairs.BenchError, match=message):
             bench_pairs.read_result(proc, "x")
+
+
+class TestMain:
+    def test_runs_alternate_and_merge_into_the_out_file(self, tmp_path, monkeypatch):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        parent.mkdir()
+        change.mkdir()
+        spec = {"run_seconds": 7, "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}
+        (change / "BENCHMARK.json").write_text(json.dumps(spec))
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"claim": None, "workloads": {"other": {"seeds": [1]}}}))
+        calls = []
+
+        def fake_run_once(checkout, workload, seed, seconds):
+            calls.append((checkout.name, workload, seed, seconds))
+            return result(1.0 if checkout == parent else 0.5)
+
+        monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+        argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--first-seed", "40", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+        assert [c[2] for c in calls] == [40, 40, 41, 41, 42, 42]
+        assert {(c[1], c[3]) for c in calls} == {("w", 7)}
+        data = json.loads(out.read_text())
+        assert data["claim"] is None and data["workloads"]["other"] == {"seeds": [1]}
+        assert data["workloads"]["w"]["seeds"] == [40, 41, 42]
+        assert data["workloads"]["w"]["metrics"]["batch_s"]["change_wins"] == "3/3"
+
+    def test_out_is_required(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1", "--first-seed", "1"])
+        assert exc.value.code == 2

@@ -1,18 +1,18 @@
 """Alternating pairs of benchmark runs on two checkouts of lambdabv.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --first-seed S \
-        [--seconds 20] [--out BENCH.json]
+        --out BENCH.json
 
-Pair i runs `python3 perfbench/run.py --workload W --seed S+i --seconds 20
---trace 0` in each checkout, the parent first on even pairs and the change
-first on odd ones, so neither side always meets the machine's same phase.
-The summary is the `workloads` entry of a BENCH_<pr>.json: per end-to-end
-metric of BENCHMARK.json, each side's q1, median and q3 (numpy linear
-percentiles), the change's relative median difference, the pairs the change
-won and tied, and the raw runs.  With --out it goes into that file's
-`workloads` object under W, beside the other workloads already there;
-otherwise it is printed.  A run that exits non-zero or reports
-`correct: false` stops the series with an error.
+Pair i runs `python3 perfbench/run.py --workload W --seed S+i --seconds T
+--trace 0` in each checkout, T being BENCHMARK.json's `run_seconds`, the
+parent first on even pairs and the change first on odd ones, so neither
+side always meets the machine's same phase.  The summary is the
+`workloads` entry of a BENCH_<pr>.json: per end-to-end metric of
+BENCHMARK.json, each side's q1, median and q3 (numpy linear percentiles),
+the change's relative median difference, the pairs the change won and
+tied, and the raw runs.  It goes into the --out file's `workloads` object
+under W, beside the other workloads already there.  A run that exits
+non-zero or reports `correct: false` stops the series with an error.
 """
 
 from __future__ import annotations
@@ -94,29 +94,26 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", dest="first_seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--out", type=Path, help="BENCH JSON file to add this workload to")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to add this workload to")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     parent, change = [], []
     try:
         for i, seed in enumerate(seeds):
             sides = [("parent", args.parent, parent), ("change", args.change, change)]
             for label, checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-                runs.append(run_once(checkout, args.workload, seed, args.seconds))
+                runs.append(run_once(checkout, args.workload, seed, seconds))
                 print(f"{args.workload} seed {seed} {label}: batch_s "
                       f"{runs[-1]['metrics']['batch_s']['value']:.6g}", file=sys.stderr)
     except (BenchError, subprocess.TimeoutExpired) as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
     entry = summarize(seeds, parent, change, better)
-    if args.out is None:
-        print(json.dumps({args.workload: entry}, indent=2))
-        return 0
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(data, indent=2) + "\n")
