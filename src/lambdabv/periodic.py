@@ -222,14 +222,15 @@ def superpose(fs) -> PiecewiseLinearPeriodic:
 
 
 def derivative_lp_norm(f: PiecewiseLinearPeriodic, p: float) -> float:
-    """(sum over segments of |slope|^p * length)^(1/p), exact closed form."""
+    """(sum over segments of |slope|^p * length)^(1/p), exact closed form,
+    scaled by the largest |slope| so that no power overflows at a large p."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
     pos, val = f.positions, f.values
     dx = np.diff(np.append(pos, pos[0] + 1.0))
-    dy = np.diff(np.append(val, val[0]))
-    slopes = dy / dx
-    return float(np.sum(np.abs(slopes) ** p * dx) ** (1.0 / p))
+    slopes = np.abs(np.diff(np.append(val, val[0])) / dx)
+    top = float(slopes.max()) or 1.0
+    return top * float(np.sum((slopes / top) ** p * dx)) ** (1.0 / p)
 
 
 def sup_norm(f: PiecewiseLinearPeriodic) -> float:

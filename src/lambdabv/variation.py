@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodic import PiecewiseLinearPeriodic, monotone_arcs
-from .sequences import LambdaSequence
+from .periodic import PiecewiseLinearPeriodic, derivative_lp_norm, monotone_arcs
+from .sequences import LambdaSequence, _integer
 
 __all__ = [
     "RatioNormReport",
@@ -81,22 +81,10 @@ def _refined_cycle(f: PiecewiseLinearPeriodic, refinement: int):
     """Breakpoint cycle with ``refinement`` uniform interior points inserted
     per segment; positions ascend from the first breakpoint over one period."""
     pos, val = f.positions, f.values
-    x1 = np.append(pos[1:], pos[0] + 1.0)
-    y1 = np.append(val[1:], val[0])
     fr = np.arange(refinement + 1) / (refinement + 1)
-    cx = (pos[:, None] + (x1 - pos)[:, None] * fr).ravel()
-    cy = (val[:, None] + (y1 - val)[:, None] * fr).ravel()
-    return cx, cy
-
-
-def _chain_from_cycle(cx: np.ndarray, cy: np.ndarray, i: int | None = None):
-    """Cut the cycle before index ``i`` (by default its first global
-    maximum): a chain spanning exactly one period from cx[i] to cx[i] + 1."""
-    if i is None:
-        i = int(np.argmax(cy))
-    xs = np.concatenate([cx[i:], cx[:i] + 1.0, [cx[i] + 1.0]])
-    ys = np.concatenate([cy[i:], cy[:i], [cy[i]]])
-    return xs, ys
+    dx = np.concatenate([pos[1:], pos[:1] + 1.0]) - pos
+    dy = np.concatenate([val[1:], val[:1]]) - val
+    return (pos[:, None] + dx[:, None] * fr).ravel(), (val[:, None] + dy[:, None] * fr).ravel()
 
 
 def _hump_dp(ys: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
@@ -114,8 +102,7 @@ def _hump_dp(ys: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
     rows = np.arange(len(ys))[:, None]
     for j, start in enumerate(lo.min(axis=1).tolist()):
         if start >= j:
-            if j:
-                best[j] = best[j - 1]
+            best[j] = best[j - 1]
             continue
         cand = ys[start:j] - ys[j]
         np.abs(cand, out=cand)
@@ -139,50 +126,62 @@ def _p_power_profile(
     nothing, since |A - B|^p <= A^p + B^p for A, B >= 0 measured from b; so
     the p-power sum is the sum of the humps' own maximizations.  The pair
     (i, j) stays admissible iff xs[i] >= xs[j] - delta on the cut chain.
-    Humps are batched in buckets of up to 2^k steps (split into blocks of
-    about _BLOCK_CELLS cells), one hump per column, each padded with copies of
-    its closing point, which add no length and no increment.  A block with
-    cells to spare repeats its humps, one column per (delta, hump) pair, so
-    few long humps take many deltas in one DP; each column does its own
-    delta's additions, so each value is that of its delta alone.  Deltas run
-    in groups whose hump powers fill at most _BLOCK_CELLS floats.
+
+    A (delta, hump) pair is free if the hump's end points pass that test,
+    and reads the hump's unconstrained value: one DP column, bounds from
+    x - inf, per hump the largest delta frees (the test is monotone in delta).
+    A pair is empty (0) if delta is below the hump's shortest step less a
+    2^-50 slack that covers the rounding of x - delta for x < 2.  Any other
+    pair takes its own column.  Columns of humps of up to 2^k steps (1 and 2
+    together; all together when every hump fits in _BLOCK_CELLS cells at the
+    longest one's rows) share blocks of at most _BLOCK_CELLS cells, each hump
+    padded with copies of its closing point, which add no length and no
+    increment.  A column does only its own delta's additions and max is
+    exact, so each value is that of its delta alone.  The deltas run in
+    groups of at most 16 * _BLOCK_CELLS pairs.
     """
-    if refinement < 0:
+    if _integer(refinement, "grid_refinement") < 0:
         raise ValueError("grid_refinement must be nonnegative")
-    xs, ys = _chain_from_cycle(*_refined_cycle(f, refinement))
-    is_cut = ys == ys.min()
-    is_cut[[0, -1]] = True
-    cuts = np.flatnonzero(is_cut)
+    cx, cy = _refined_cycle(f, refinement)
+    i = int(np.argmax(cy))
+    xs, ys = np.concatenate([cx[i:], cx[: i + 1] + 1.0]), np.concatenate([cy[i:], cy[: i + 1]])
+    cuts = np.flatnonzero(np.concatenate([[True], ys[1:-1] == ys.min(), [True]]))
     starts, ends = cuts[:-1], cuts[1:]
-    keys = np.frexp(ends - starts - 1)[1]
-    # the full-period pair is the only one whose float length can exceed 1,
-    # and its increment is exactly zero, so delta = 1 admits every pair: its
-    # bounds come from x - inf
-    limits = np.array([d if d < 1.0 else math.inf for d in deltas])[:, None]
-    blocks = []
-    for key in sorted(set(keys.tolist())):
-        humps = np.flatnonzero(keys == key)
-        span = np.arange(int((ends[humps] - starts[humps]).max()) + 1)[:, None]
-        per = max(1, _BLOCK_CELLS // len(span))
-        for c in range(0, len(humps), per):
-            block = humps[c : c + per]
-            idx = np.minimum(starts[block] + span, ends[block])
-            reps = max(1, min(len(limits), per // len(block)))
-            blocks.append((block, idx[0], xs[idx][:, None], np.tile(ys[idx], reps), reps))
-    group = max(1, _BLOCK_CELLS // len(starts))
-    out = []
+    width = ends - starts
+    keys = np.frexp((width - 1) | 1)[1]
+    if len(width) * (width.max() + 1) <= _BLOCK_CELLS:
+        keys[:] = keys.max()
+    short = np.minimum.reduceat(xs[1:] - xs[:-1], starts) * (1.0 - 2.0**-50) - 2.0**-50
+    # only the full period, of increment 0, can exceed 1: delta = 1 admits all
+    limits = [d if d < 1.0 else math.inf for d in deltas]
+    free_power, whole, out = np.zeros(len(starts)), 0.0, []
+    group = max(1, 16 * _BLOCK_CELLS // len(starts))
     for g in range(0, len(limits), group):
-        ds = limits[g : g + group]
-        power = np.empty((len(ds), len(starts)))
-        for humps, first, x, hy, reps in blocks:
-            for k in range(0, len(ds), reps):
-                # rows x deltas x humps: every delta's bounds in one search
-                lo = np.searchsorted(xs, x - ds[k : k + reps], side="left")
-                lo -= first
-                np.maximum(lo, 0, out=lo)
-                best = _hump_dp(hy[:, : lo[0].size], lo.reshape(len(lo), -1), p)
-                power[k : k + reps, humps] = best.reshape(-1, len(humps))
-        out.extend(math.fsum(row) ** (1.0 / p) for row in power.tolist())
+        ds = np.array([math.inf] + limits[g : g + group])[:, None]
+        free = xs[starts] >= xs[ends] - ds
+        pick = ~free & (ds >= short)
+        pick[0] = xs[starts] >= xs[ends] - max(limits) if g == 0 else False
+        rows, hump = np.nonzero(pick)
+        power = np.empty(len(hump))
+        for key in range(keys.min(), keys.max() + 1):
+            sel = np.flatnonzero(keys[hump] == key)
+            per = max(1, _BLOCK_CELLS // (2**key + 1))
+            for c in range(0, len(sel), per):
+                block = sel[c : c + per]
+                h = hump[block]
+                span = np.arange(width[h].max() + 1)[:, None]
+                idx = np.minimum(starts[h] + span, ends[h])
+                lo = np.searchsorted(xs, xs[idx] - ds[rows[block]].T, side="left") - starts[h]
+                power[block] = _hump_dp(ys[idx], np.maximum(lo, 0), p)
+        split = np.searchsorted(rows, np.arange(len(ds) + 1)).tolist()
+        free_power[hump[: split[1]]] = power[: split[1]]
+        for r, n_free in enumerate(free.sum(axis=1).tolist()[1:], 1):
+            if split[r] == split[r + 1] and n_free == len(starts):
+                whole = whole or math.fsum(free_power.tolist()) ** (1.0 / p)
+                out.append(whole)
+            else:
+                terms = free_power[free[r]].tolist() + power[split[r] : split[r + 1]].tolist()
+                out.append(math.fsum(terms) ** (1.0 / p) if terms else 0.0)
     return out
 
 
@@ -401,24 +400,23 @@ def _shift_samples(f: PiecewiseLinearPeriodic) -> np.ndarray:
 
 
 def _shift_bounds(
-    f: PiecewiseLinearPeriodic, p: float, hs: np.ndarray, norms: np.ndarray, done: np.ndarray
+    f: PiecewiseLinearPeriodic, hs: np.ndarray, norms: np.ndarray, done: np.ndarray, lip: float
 ) -> np.ndarray:
     """Upper bounds of N(h) = ||f(.+h) - f||_p at the shifts hs[~done], from
     the values norms[done] at the integrated ones (hs ascending, done[0] set).
 
-    |N(h1) - N(h2)| <= |h1 - h2| ||f'||_p by Minkowski, so each bound is the
-    smaller of N + |h - h'| ||f'||_p over the nearest integrated h' on either
-    side.  ||f'||_p and the bound are widened by a relative 1e-9, plus 1e-12
+    |N(h1) - N(h2)| <= |h1 - h2| lip by Minkowski, lip = ||f'||_p, so each
+    bound is the smaller of N + |h - h'| lip over the nearest integrated h' on
+    either side.  lip and the bound are widened by a relative 1e-9, plus 1e-12
     of the function's scale (max |y| + max |slope|), which covers the rounding
     of an interpolated f(x +- h) that every computed N carries.
     """
     dx = np.diff(f.positions, append=f.positions[0] + 1.0)
     slopes = np.abs(np.diff(f.values, append=f.values[0])) / dx
-    lip = float(slopes**p @ dx) ** (1.0 / p) * (1.0 + 1e-9)
     known, rest = np.flatnonzero(done), np.flatnonzero(~done)
     right = np.searchsorted(known, rest)
     bound = np.minimum(
-        *(norms[nb] + np.abs(hs[rest] - hs[nb]) * lip
+        *(norms[nb] + np.abs(hs[rest] - hs[nb]) * (lip * (1.0 + 1e-9))
           for nb in (known[right - 1], known[np.minimum(right, len(known) - 1)]))
     )
     return bound * (1.0 + 1e-9) + 1e-12 * (np.abs(f.values).max() + slopes.max())
@@ -460,11 +458,12 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     todo = np.arange(0, len(hs), 8)
     first = np.concatenate([hs[todo], np.minimum(d, 1.0 - d)])
     norms[todo], own = np.split(_shift_norms(f, first, p), [len(todo)])
+    lip = derivative_lp_norm(f, p)
     for step in (2, 2, 1):
         done[todo] = True
         rest = np.flatnonzero(~done)
         peak = np.maximum.accumulate(norms)
-        todo = rest[_shift_bounds(f, p, hs, norms, done) >= peak[opens[rest] - 1]][::step]
+        todo = rest[_shift_bounds(f, hs, norms, done, lip) >= peak[opens[rest] - 1]][::step]
         norms[todo] = _shift_norms(f, hs[todo], p)
     peak = np.maximum.accumulate(np.concatenate([[0.0], norms]))
     return np.maximum(peak[ends], own).tolist()

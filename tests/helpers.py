@@ -6,7 +6,8 @@ search: it enumerates every system of nonoverlapping index pairs over a
 small candidate set, cutting the circle at each candidate in turn, so the
 fast implementations can be checked against a search with no shortcuts.
 chain_dp is the chain maximization one point at a time over the whole cut
-chain, with no split into humps; subset_scan_max scores every cyclic subset
+chain (chain_from_cycle), with no split into humps, and hump_pair_classes
+classes each (delta, hump) pair of the modulus profile one step at a time; subset_scan_max scores every cyclic subset
 of extremum values, with no anchor, window rule or bound, and
 chunked_subset_scan_max does the same in vectorized blocks for 17 to ~22
 values.  The brute_* oracles run these on arbitrary candidate grids, with
@@ -35,7 +36,6 @@ import numpy as np
 from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
 from lambdabv.sequences import _FAMILIES
 from lambdabv.variation import (
-    _chain_from_cycle,
     _refined_cycle,
     _shift_norms,
     _shift_samples,
@@ -160,18 +160,45 @@ def chain_dp(xs, ys, p, delta):
     return float(best[-1])
 
 
+def chain_from_cycle(cx, cy, i):
+    """Cut the cycle (cx, cy) before index i: a chain spanning exactly one
+    period from cx[i] to cx[i] + 1."""
+    return np.concatenate([cx[i:], cx[: i + 1] + 1.0]), np.concatenate([cy[i:], cy[: i + 1]])
+
+
 def chain_dp_profile(f, p, deltas, refinement=0):
     """Reference for the library's modulus profile: chain_dp on the refined
     cycle cut at its global maximum, p-th root, per delta."""
     cx, cy = _refined_cycle(f, refinement)
-    xs, ys = _chain_from_cycle(cx, cy, int(np.argmax(cy)))
+    xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
     return [chain_dp(xs, ys, p, d) ** (1.0 / p) for d in deltas]
+
+
+def hump_pair_classes(f, deltas, refinement=0):
+    """Reference classes of the modulus profile's (delta, hump) pairs: one row
+    per delta, one column per hump between points of the global minimum on
+    the cut chain; 2 free (the hump's first and last points admissible),
+    1 constrained (some consecutive step admissible), 0 empty (none).  Every
+    step is tested with the chain DP's own test xs[i] >= xs[j] - delta, with
+    delta >= 1 admitting every pair."""
+    cx, cy = _refined_cycle(f, refinement)
+    xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
+    is_cut = ys == ys.min()
+    is_cut[[0, -1]] = True
+    cuts = np.flatnonzero(is_cut)
+    starts, ends = cuts[:-1], cuts[1:]
+    out = np.zeros((len(deltas), len(starts)), dtype=int)
+    for row, d in zip(out, deltas):
+        lim = d if d < 1.0 else math.inf
+        row[np.logical_or.reduceat(xs[:-1] >= xs[1:] - lim, starts)] = 1
+        row[xs[starts] >= xs[ends] - lim] = 2
+    return out
 
 
 def max_over_cuts(cx, cy, p, delta):
     """Chain maximization of the cycle (cx, cy) with the circle cut at every
     point, not only at a global maximum.  Returns the p-power sum."""
-    return max(chain_dp(*_chain_from_cycle(cx, cy, i), p, delta) for i in range(len(cx)))
+    return max(chain_dp(*chain_from_cycle(cx, cy, i), p, delta) for i in range(len(cx)))
 
 
 def brute_p_variation(f, p, candidate_points):

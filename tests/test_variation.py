@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lambdabv.variation import (
     _BLOCK_CELLS,
     _cyclic_subset_max,
     _dyadic_grid,
+    _hump_dp,
     _p_power_profile,
     _refined_cycle,
     _shift_bounds,
@@ -40,9 +42,11 @@ from helpers import (
     brute_lambda_variation,
     brute_p_variation,
     chain_dp_profile,
+    chain_from_cycle,
     chunked_subset_scan_max,
     circle_oracle,
     folded_lp_profile,
+    hump_pair_classes,
     lambda_sum_score,
     max_over_cuts,
     mp_lp_modulus_profile,
@@ -350,14 +354,16 @@ class TestModulus:
             got = modulus_p_continuity(f, p, grid, m)
             assert got == [modulus_p_continuity(f, p, [d], m)[0] for d in grid]
 
-    def test_memory_bounded_across_deltas(self):
+    @pytest.mark.parametrize("depth", [60, 1074])
+    def test_memory_bounded_across_deltas(self, depth):
         # the level-12 comb has 8,191 humps; holding one hump-power row per
-        # delta for a 61-delta grid would take 4 MB, and the deltas' groups
-        # keep those rows, like each DP call's cells, to _BLOCK_CELLS
+        # delta would take 4 MB for a 61-delta grid and 70 MB for the
+        # 1,075-delta one, and the deltas' groups keep their (delta, hump)
+        # pairs to 16 * _BLOCK_CELLS, like each DP call's cells to _BLOCK_CELLS
         g, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))
         tracemalloc.start()
         try:
-            modulus_p_continuity(g, 2.0, _dyadic_grid(60), 0)
+            modulus_p_continuity(g, 2.0, _dyadic_grid(depth), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -432,6 +438,16 @@ class TestModulus:
         with pytest.raises(ValueError):
             modulus_p_continuity(TRIANGLE, 1.0, [0.5])
 
+    def test_grid_refinement_must_be_an_integer(self):
+        # 1.5 would lay 2.5 points per segment at arange(2.5) / 2.5, a grid
+        # that is not uniform
+        f = make_plpf([(0.0, 0.0), (0.3, 1.0), (0.5, 0.2), (0.7, 0.9)])
+        for call in (lambda m: modulus_p_continuity(f, 2.0, [0.25, 0.125], m),
+                     lambda m: p_cont_ratio_norm(f, 2.0, 0.75, 3, m)):
+            with pytest.raises(TypeError, match="^grid_refinement must be an integer, not float$"):
+                call(1.5)
+            assert call(1) == call(True) == call(np.int64(1))
+
 
 DYADIC = [2.0**-j for j in range(7)]
 
@@ -499,6 +515,60 @@ class TestHumpProfile:
             cx, cy = _refined_cycle(f, 0)
             assert np.array_equal(cx, f.positions)
             assert np.array_equal(cy, f.values)
+
+    def test_columns_only_for_free_humps_and_constrained_pairs(self, monkeypatch):
+        # one limit-inf column (bounds all 0) per hump that some delta frees,
+        # one column per constrained pair, none for an empty pair; no delta
+        # here lies within the 2^-50 slack of a step, where an empty pair
+        # would go to the DP
+        columns = []
+
+        def recorded(ys, lo, p):
+            columns.append((lo.shape[1], int(np.count_nonzero(~lo.any(axis=0)))))
+            return _hump_dp(ys, lo, p)
+
+        monkeypatch.setattr(variation, "_hump_dp", recorded)
+        empty = 0
+        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))
+        generic = random_plpf(np.random.default_rng(127), 64, min_gap=1e-5, min_breaks=64)
+        for f, grid, m in ((comb, _dyadic_grid(1074), 0), (comb, DYADIC, 1),
+                           (PLATEAU_HUMPS, DYADIC + [0.03, 0.011], 3), (generic, _dyadic_grid(60), 1)):
+            classes = hump_pair_classes(f, grid, m)
+            columns.clear()
+            _p_power_profile(f, 2.0, grid, m)
+            unbounded = sum(z for _, z in columns)
+            assert unbounded == np.count_nonzero((classes == 2).any(axis=0))
+            assert sum(c for c, _ in columns) - unbounded == np.count_nonzero(classes == 1)
+            empty += np.count_nonzero(classes == 0)
+        assert empty > 8191 * 1000
+
+    def test_class_boundaries_equal_single_delta_calls(self):
+        # deltas on the class boundaries: each hump's float extent, at which
+        # xs[end] - delta == xs[start] frees it by the search's own test, its
+        # shortest step, and their neighbouring doubles
+        for m in (0, 1, 3):
+            cx, cy = _refined_cycle(PLATEAU_HUMPS, m)
+            xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
+            cuts = np.flatnonzero(ys == ys.min()).tolist()
+            extents = [xs[e] - xs[s] for s, e in zip(cuts, cuts[1:])]
+            assert any(xs[e] - d == xs[s] for (s, e), d in zip(zip(cuts, cuts[1:]), extents))
+            steps = [float(np.min(np.diff(xs[s : e + 1]))) for s, e in zip(cuts, cuts[1:])]
+            grid = sorted({float(np.nextafter(d, t)) for d in extents + steps for t in (0.0, d, 1.0)})
+            grid = [d for d in grid if 0.0 < d <= 1.0]
+            for p in (1.5, 2.0, 3.0):
+                got = _p_power_profile(PLATEAU_HUMPS, p, grid, m)
+                assert got == [_p_power_profile(PLATEAU_HUMPS, p, [d], m)[0] for d in grid]
+                assert got == pytest.approx(chain_dp_profile(PLATEAU_HUMPS, p, grid, m), rel=1e-12, abs=0.0)
+
+    def test_hump_in_every_class_across_one_grid(self):
+        # the triangle's first hump at refinement 1 has two steps of 1/4: free
+        # at delta 1/2, constrained at 0.3, empty at 0.1
+        grid = [1.0, 0.5, 0.3, 0.1, 0.25]
+        assert hump_pair_classes(TRIANGLE, grid, 1)[:, 0].tolist() == [2, 2, 1, 0, 1]
+        for p in (1.5, 2.0, 3.0):
+            got = _p_power_profile(TRIANGLE, p, grid, 1)
+            assert got == [_p_power_profile(TRIANGLE, p, [d], 1)[0] for d in grid]
+            assert got == pytest.approx(chain_dp_profile(TRIANGLE, p, grid, 1), rel=1e-12, abs=0.0)
 
     def test_single_minimum_and_constant(self):
         constant = make_plpf([(0.0, 2.0), (0.5, 2.0)])
@@ -698,8 +768,18 @@ class TestLpModulusPruning:
             norms = _shift_norms(f, hs, p)
             done = rng.uniform(size=len(hs)) < 0.1
             done[::8] = True
-            bounds = _shift_bounds(f, p, hs, np.where(done, norms, 0.0), done)
+            bounds = _shift_bounds(f, hs, np.where(done, norms, 0.0), done, derivative_lp_norm(f, p))
             assert np.all(bounds >= norms[~done])
+
+    def test_huge_p_does_not_overflow(self):
+        # ||f'||_p is taken over the largest slope, so the pruning bound stays
+        # finite where slope^p overflows; the values are the unpruned ones
+        tent = make_plpf([(0.0, 0.0), (0.5, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_modulus(tent, 1e20, DYADIC)
+            assert derivative_lp_norm(tent, 1e20) == 2.0
+        assert got == folded_lp_profile(tent, 1e20, DYADIC)
 
     def test_shift_norm_symmetric(self):
         rng = np.random.default_rng(1103)
