@@ -7,10 +7,10 @@ small candidate set, cutting the circle at each candidate in turn, so the
 fast implementations can be checked against a search with no shortcuts.
 chain_dp is the chain maximization one point at a time over the whole cut
 chain (chain_from_cycle), with no split into humps, and hump_pair_classes
-classes each (delta, hump) pair of the modulus profile one step at a time; subset_scan_max scores every cyclic subset
-of extremum values, with no anchor, window rule or bound, and
-chunked_subset_scan_max does the same in vectorized blocks for 17 to ~22
-values.  The brute_* oracles run these on arbitrary candidate grids, with
+classes each (delta, hump) pair of the modulus profile one step at a time;
+subset_scan_max scores every cyclic subset of extremum values, with no
+anchor, window rule or bound, and chunked_subset_scan_max does the same in
+vectorized blocks for 17 to ~22 values.  The brute_* oracles run these on arbitrary candidate grids, with
 the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath

@@ -463,6 +463,17 @@ PLATEAU_HUMPS = make_plpf(
 )
 
 
+def hump_extents(f, m):
+    """Per hump of the cut chain at refinement m, with its first and last
+    points: (xs[start], xs[end], float extent xs[end] - xs[start], shortest
+    step)."""
+    cx, cy = _refined_cycle(f, m)
+    xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
+    cuts = sorted({0, len(xs) - 1} | set(np.flatnonzero(ys == ys.min()).tolist()))
+    return [(xs[s], xs[e], xs[e] - xs[s], float(np.min(np.diff(xs[s : e + 1]))))
+            for s, e in zip(cuts, cuts[1:])]
+
+
 def assert_profile_matches_chain_dp(f, p, m):
     got = _p_power_profile(f, p, DYADIC, m)
     assert got == pytest.approx(chain_dp_profile(f, p, DYADIC, m), rel=1e-12, abs=0.0)
@@ -520,7 +531,9 @@ class TestHumpProfile:
         # one limit-inf column (bounds all 0) per hump that some delta frees,
         # one column per constrained pair, none for an empty pair; no delta
         # here lies within the 2^-50 slack of a step, where an empty pair
-        # would go to the DP
+        # would go to the DP.  The plateau grid holds the extents of its
+        # humps of several steps, where xs[end] - delta == xs[start] frees
+        # a hump only by the test's equality
         columns = []
 
         def recorded(ys, lo, p):
@@ -531,8 +544,12 @@ class TestHumpProfile:
         empty = 0
         comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))
         generic = random_plpf(np.random.default_rng(127), 64, min_gap=1e-5, min_breaks=64)
+        humps = hump_extents(PLATEAU_HUMPS, 0)
+        assert any(last - d == first for first, last, d, step in humps if d > step)
+        extents = sorted({d for _, _, d, step in humps if d > step})
         for f, grid, m in ((comb, _dyadic_grid(1074), 0), (comb, DYADIC, 1),
-                           (PLATEAU_HUMPS, DYADIC + [0.03, 0.011], 3), (generic, _dyadic_grid(60), 1)):
+                           (PLATEAU_HUMPS, DYADIC + [0.03, 0.011], 3), (PLATEAU_HUMPS, extents, 0),
+                           (generic, _dyadic_grid(60), 1)):
             classes = hump_pair_classes(f, grid, m)
             columns.clear()
             _p_power_profile(f, 2.0, grid, m)
@@ -547,13 +564,10 @@ class TestHumpProfile:
         # xs[end] - delta == xs[start] frees it by the search's own test, its
         # shortest step, and their neighbouring doubles
         for m in (0, 1, 3):
-            cx, cy = _refined_cycle(PLATEAU_HUMPS, m)
-            xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
-            cuts = np.flatnonzero(ys == ys.min()).tolist()
-            extents = [xs[e] - xs[s] for s, e in zip(cuts, cuts[1:])]
-            assert any(xs[e] - d == xs[s] for (s, e), d in zip(zip(cuts, cuts[1:]), extents))
-            steps = [float(np.min(np.diff(xs[s : e + 1]))) for s, e in zip(cuts, cuts[1:])]
-            grid = sorted({float(np.nextafter(d, t)) for d in extents + steps for t in (0.0, d, 1.0)})
+            humps = hump_extents(PLATEAU_HUMPS, m)
+            assert any(last - d == first for first, last, d, _ in humps)
+            edges = [d for _, _, d, _ in humps] + [step for _, _, _, step in humps]
+            grid = sorted({float(np.nextafter(d, t)) for d in edges for t in (0.0, d, 1.0)})
             grid = [d for d in grid if 0.0 < d <= 1.0]
             for p in (1.5, 2.0, 3.0):
                 got = _p_power_profile(PLATEAU_HUMPS, p, grid, m)
