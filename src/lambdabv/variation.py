@@ -131,14 +131,14 @@ def _p_power_profile(
     and reads the hump's unconstrained value: one DP column, bounds from
     x - inf, per hump the largest delta frees (the test is monotone in delta).
     A pair is empty (0) if delta is below the hump's shortest step less a
-    2^-50 slack that covers the rounding of x - delta for x < 2.  Any other
-    pair takes its own column.  Columns of humps of up to 2^k steps (1 and 2
-    together; all together when every hump fits in _BLOCK_CELLS cells at the
-    longest one's rows) share blocks of at most _BLOCK_CELLS cells, each hump
-    padded with copies of its closing point, which add no length and no
-    increment.  A column does only its own delta's additions and max is
-    exact, so each value is that of its delta alone.  The deltas run in
-    groups of at most 16 * _BLOCK_CELLS pairs.
+    2^-50 slack, relative and absolute: on the cut chain, in [0, 3), x - delta
+    rounds by at most 2^-52.  Other pairs take a column each.  Columns of
+    humps of up to 2^k steps (1 and 2 together; all together when every hump
+    fits in _BLOCK_CELLS cells at the longest one's rows) share blocks of at
+    most _BLOCK_CELLS cells, each hump padded with copies of its closing
+    point, which add no length and no increment.  A column does only its own
+    delta's additions and max is exact, so each value is that of its delta
+    alone.  The deltas run in groups of at most 16 * _BLOCK_CELLS pairs.
     """
     if _integer(refinement, "grid_refinement") < 0:
         raise ValueError("grid_refinement must be nonnegative")
@@ -181,7 +181,7 @@ def _p_power_profile(
                 out.append(whole)
             else:
                 terms = free_power[free[r]].tolist() + power[split[r] : split[r + 1]].tolist()
-                out.append(math.fsum(terms) ** (1.0 / p) if terms else 0.0)
+                out.append(math.fsum(terms) ** (1.0 / p))
     return out
 
 

@@ -7,10 +7,11 @@ small candidate set, cutting the circle at each candidate in turn, so the
 fast implementations can be checked against a search with no shortcuts.
 chain_dp is the chain maximization one point at a time over the whole cut
 chain (chain_from_cycle), with no split into humps, and hump_pair_classes
-classes each (delta, hump) pair of the modulus profile one step at a time;
-subset_scan_max scores every cyclic subset of extremum values, with no
-anchor, window rule or bound, and chunked_subset_scan_max does the same in
-vectorized blocks for 17 to ~22 values.  The brute_* oracles run these on arbitrary candidate grids, with
+classes each (delta, hump) pair of the modulus profile (humps from
+chain_humps) one step at a time; subset_scan_max scores every cyclic subset
+of extremum values, with no anchor, window rule or bound, and
+chunked_subset_scan_max does the same in vectorized blocks for 17 to ~22
+values.  The brute_* oracles run these on arbitrary candidate grids, with
 the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
@@ -174,19 +175,25 @@ def chain_dp_profile(f, p, deltas, refinement=0):
     return [chain_dp(xs, ys, p, d) ** (1.0 / p) for d in deltas]
 
 
-def hump_pair_classes(f, deltas, refinement=0):
-    """Reference classes of the modulus profile's (delta, hump) pairs: one row
-    per delta, one column per hump between points of the global minimum on
-    the cut chain; 2 free (the hump's first and last points admissible),
-    1 constrained (some consecutive step admissible), 0 empty (none).  Every
-    step is tested with the chain DP's own test xs[i] >= xs[j] - delta, with
-    delta >= 1 admitting every pair."""
+def chain_humps(f, refinement=0):
+    """The refined cycle cut at its global maximum, and the first and last
+    chain indices of its humps, split at every point of the global minimum:
+    (xs, starts, ends)."""
     cx, cy = _refined_cycle(f, refinement)
     xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
     is_cut = ys == ys.min()
     is_cut[[0, -1]] = True
     cuts = np.flatnonzero(is_cut)
-    starts, ends = cuts[:-1], cuts[1:]
+    return xs, cuts[:-1], cuts[1:]
+
+
+def hump_pair_classes(f, deltas, refinement=0):
+    """Reference classes of the modulus profile's (delta, hump) pairs: one row
+    per delta, one column per hump of chain_humps; 2 free (the hump's first
+    and last points admissible), 1 constrained (some consecutive step
+    admissible), 0 empty (none).  Every step is tested with the chain DP's
+    own test xs[i] >= xs[j] - delta, with delta >= 1 admitting every pair."""
+    xs, starts, ends = chain_humps(f, refinement)
     out = np.zeros((len(deltas), len(starts)), dtype=int)
     for row, d in zip(out, deltas):
         lim = d if d < 1.0 else math.inf

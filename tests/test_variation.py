@@ -42,7 +42,7 @@ from helpers import (
     brute_lambda_variation,
     brute_p_variation,
     chain_dp_profile,
-    chain_from_cycle,
+    chain_humps,
     chunked_subset_scan_max,
     circle_oracle,
     folded_lp_profile,
@@ -467,11 +467,9 @@ def hump_extents(f, m):
     """Per hump of the cut chain at refinement m, with its first and last
     points: (xs[start], xs[end], float extent xs[end] - xs[start], shortest
     step)."""
-    cx, cy = _refined_cycle(f, m)
-    xs, ys = chain_from_cycle(cx, cy, int(np.argmax(cy)))
-    cuts = sorted({0, len(xs) - 1} | set(np.flatnonzero(ys == ys.min()).tolist()))
+    xs, starts, ends = chain_humps(f, m)
     return [(xs[s], xs[e], xs[e] - xs[s], float(np.min(np.diff(xs[s : e + 1]))))
-            for s, e in zip(cuts, cuts[1:])]
+            for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def assert_profile_matches_chain_dp(f, p, m):
