@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from .constructions import (
     extremal_function,
     perlman_witness,
     wang_gap_family,
-    witness_report_json,
 )
 from .periodic import function_from_json, function_to_json, monotone_arcs
 from .sequences import (
@@ -221,11 +221,13 @@ def _run_sharpness(config: argparse.Namespace):
     header = ["level", "criterion_partial_pow", "lambda_variation", "omega_ratio",
               "vlam_quotient", "omega_quotient"]
     rows = []
-    for level in range(1, config.levels + 1):
+    builds = ()
+    if config.levels:
         with _field("sequence"):
-            spec = WitnessSpec(lam, config.p, config.alpha, level)
+            spec = WitnessSpec(lam, config.p, config.alpha, config.levels)
         with _field("p"):
-            g, report = extremal_function(spec)
+            builds = extremal_function(spec)
+    for g, report in builds:
         # the witness has more monotone arcs than the spec requires weights
         with _field("sequence"):
             vlam = lambda_variation(g, lam)
@@ -237,7 +239,7 @@ def _run_sharpness(config: argparse.Namespace):
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
             if not value > 0.0:
                 raise ValidationError("p", f"the {name} underflows at this p")
-        rows.append([level, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega])
+        rows.append([report.levels, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega])
     summary = {
         "levels": config.levels,
         "delta_depth": config.delta_depth,
@@ -247,7 +249,7 @@ def _run_sharpness(config: argparse.Namespace):
     extras = {}
     if rows:
         # the deepest level's witness, built and measured last in the loop
-        summary["witness"] = witness_report_json(report)
+        summary["witness"] = asdict(report)
         summary["witness"].update(measured_lambda_variation=vlam, omega_ratio_norm=omega)
         summary["function_file"] = "sharpness_function.json"
         extras["sharpness_function.json"] = function_to_json(g) + "\n"

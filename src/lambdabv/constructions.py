@@ -8,13 +8,14 @@ embedding criterion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .periodic import Interval, PiecewiseLinearPeriodic, make_plpf
 from .sequences import (
     LambdaSequence,
+    _integer,
     criterion_partial_sums,
     dual_extremizer,
     embedding_exponents,
@@ -30,21 +31,12 @@ __all__ = [
     "triangle_comb",
     "duality_weights",
     "extremal_function",
-    "witness_report_json",
     "embedding_bound_check",
     "perlman_witness",
     "wang_gap_family",
 ]
 
 MAX_WITNESS_LEVELS = 12
-
-
-def _heights_tuple(heights) -> tuple:
-    """Tooth heights as a tuple of floats, each nonnegative and finite."""
-    h = np.asarray(heights, dtype=float)
-    if not np.all(np.isfinite(h) & (h >= 0.0)):
-        raise ValueError("heights must be nonnegative and finite")
-    return tuple(h.tolist())
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,10 @@ class TriangleCombSpec:
             raise ValueError("n_teeth must be at least 1")
         if np.shape(self.heights) != (self.n_teeth,):
             raise ValueError("heights must have one entry per tooth")
-        object.__setattr__(self, "heights", _heights_tuple(self.heights))
+        h = np.asarray(self.heights, dtype=float)
+        if not np.all(np.isfinite(h) & (h >= 0.0)):
+            raise ValueError("heights must be nonnegative and finite")
+        object.__setattr__(self, "heights", tuple(h.tolist()))
 
     @property
     def tooth_width(self) -> float:
@@ -120,7 +115,7 @@ class WitnessSpec:
 
     def __post_init__(self) -> None:
         embedding_exponents(self.p, self.alpha)
-        if not (1 <= self.levels <= MAX_WITNESS_LEVELS):
+        if not (1 <= _integer(self.levels, "levels") <= MAX_WITNESS_LEVELS):
             raise ValueError(f"levels must lie in 1..{MAX_WITNESS_LEVELS}")
         self.lam.require(2 ** (self.levels + 1))
 
@@ -152,90 +147,72 @@ class WitnessReport:
     tile_lengths: tuple
     S: tuple
     L_inclusive: tuple
-    heights: tuple
     arc_pair_sum: float
     analytic_lower_bound: float
     criterion_partials: tuple
 
 
-def extremal_function(spec: WitnessSpec) -> tuple[PiecewiseLinearPeriodic, WitnessReport]:
-    """Build the truncated witness g and report how it was built.
+def extremal_function(spec: WitnessSpec) -> tuple[tuple[PiecewiseLinearPeriodic, WitnessReport], ...]:
+    """Build the witness truncated at each level L = 1..spec.levels and
+    report how each was built: item L - 1 is (g, report) of levels 1..L.
 
-    Level n = 1..levels contributes a comb with 2^n teeth of heights
+    Level n contributes a comb with 2^n teeth of heights
     H_k = (2^-n beta_n)^(alpha-1/p) lambda_k^(-1/(p-1)) S_n^(-p'/p) for
     k in [2^n, 2^(n+1)-1]; tiles partition the circle proportionally to the
-    regularized weights beta (theta = 3/2, gamma = 1).  Valleys are exactly
-    0.0, so the sorted-arc fast path for the weighted variation applies no
-    matter how many levels are requested.
+    regularized weights beta (theta = 3/2, gamma = 1).  The block sums, S
+    norms and weights of level n do not depend on L and are computed once;
+    each truncation has its own beta, tiles and heights.  Valleys are
+    exactly 0.0, so the sorted-arc fast path for the weighted variation
+    applies no matter how many levels are requested.
     """
     lam, p, alpha, levels = spec.lam, spec.p, spec.alpha, spec.levels
     p_prime, _, r_prime = spec.exponents
     a_exp = alpha - 1.0 / p
+    ns = range(1, levels + 1)
 
-    inner = np.array(
-        [
-            weighted_block_sum(lam, p_prime * a_exp, p_prime, 2**n, 2 ** (n + 1))
-            for n in range(1, levels + 1)
-        ]
-    )
+    inner = np.array([weighted_block_sum(lam, p_prime * a_exp, p_prime, 2**n, 2 ** (n + 1)) for n in ns])
     l_inclusive = inner ** (1.0 / p_prime)
-    delta = duality_weights(l_inclusive, p, alpha)
-    beta = regularize_sequence(delta, 1.5, 1.0)
-    cuts = np.cumsum(beta)
-    boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
-    tile_lengths = np.diff(boundaries)
-
     s_norms = np.array(
-        [
-            weighted_block_sum(lam, 0.0, p_prime, 2**n, 2 ** (n + 1) - 1)
-            ** (1.0 / p_prime)
-            for n in range(1, levels + 1)
-        ]
+        [weighted_block_sum(lam, 0.0, p_prime, 2**n, 2 ** (n + 1) - 1) ** (1.0 / p_prime) for n in ns]
     )
-    # a tile's final foot is the next tile's first foot (the last: 0.0)
-    nodes = []
-    heights_per_level = []
-    pair_sum = 0.0
-    for idx in range(levels):
-        n = idx + 1
-        lam_k = lam.terms(2 ** (n + 1) - 1)[2**n - 1 :]
-        heights = (
-            (2.0**-n * beta[idx]) ** a_exp
-            * lam_k ** (-1.0 / (p - 1.0))
-            * s_norms[idx] ** (-p_prime / p)
-        )
-        pair_sum += 2.0 * float(np.sum(heights / lam_k))
-        heights_per_level.append(_heights_tuple(heights))
-        nodes.append(_comb_nodes(boundaries[idx], tile_lengths[idx], heights))
-    g = PiecewiseLinearPeriodic(*map(np.concatenate, zip(*nodes)))
-
-    analytic = 2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive))
     criterion_partials = tuple(np.cumsum(inner ** (r_prime / p_prime)).tolist())
-    report = WitnessReport(
-        p=p,
-        alpha=alpha,
-        levels=levels,
-        delta=tuple(delta.tolist()),
-        beta=tuple(beta.tolist()),
-        tile_lengths=tuple(tile_lengths.tolist()),
-        S=tuple(s_norms.tolist()),
-        L_inclusive=tuple(l_inclusive.tolist()),
-        heights=tuple(heights_per_level),
-        arc_pair_sum=pair_sum,
-        analytic_lower_bound=analytic,
-        criterion_partials=criterion_partials,
-    )
-    return g, report
+    terms = lam.terms(2 ** (levels + 1) - 1)
+    lam_k = [terms[2**n - 1 : 2 ** (n + 1) - 1] for n in ns]
+    lam_pow = [lam_n ** (-1.0 / (p - 1.0)) for lam_n in lam_k]
 
-
-def witness_report_json(report: WitnessReport) -> dict:
-    """Report as a JSON-ready dict: every field but the per-level heights."""
-    out = {}
-    for field in fields(report):
-        value = getattr(report, field.name)
-        if field.name != "heights":
-            out[field.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    builds = []
+    for top in ns:
+        delta = duality_weights(l_inclusive[:top], p, alpha)
+        beta = regularize_sequence(delta, 1.5, 1.0)
+        cuts = np.cumsum(beta)
+        boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
+        tile_lengths = np.diff(boundaries)
+        # a tile's final foot is the next tile's first foot (the last: 0.0)
+        nodes = []
+        pair_sum = 0.0
+        for idx in range(top):
+            scale = (2.0 ** -(idx + 1) * beta[idx]) ** a_exp
+            heights = scale * lam_pow[idx] * s_norms[idx] ** (-p_prime / p)
+            pair_sum += 2.0 * float(np.sum(heights / lam_k[idx]))
+            nodes.append(_comb_nodes(boundaries[idx], tile_lengths[idx], heights))
+        positions, values = map(np.concatenate, zip(*nodes))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("heights must be nonnegative and finite")
+        report = WitnessReport(
+            p=p,
+            alpha=alpha,
+            levels=top,
+            delta=tuple(delta.tolist()),
+            beta=tuple(beta.tolist()),
+            tile_lengths=tuple(tile_lengths.tolist()),
+            S=tuple(s_norms[:top].tolist()),
+            L_inclusive=tuple(l_inclusive[:top].tolist()),
+            arc_pair_sum=pair_sum,
+            analytic_lower_bound=2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive[:top])),
+            criterion_partials=criterion_partials[:top],
+        )
+        builds.append((PiecewiseLinearPeriodic(positions, values), report))
+    return tuple(builds)
 
 
 def embedding_bound_check(

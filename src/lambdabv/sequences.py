@@ -437,7 +437,7 @@ def membership_report(lam: LambdaSequence, q: float, n_terms: int) -> Membership
     checkpoints up to n_terms, with symbolic verdicts for named families."""
     if not (math.isfinite(q) and q > 1.0):
         raise ValueError("q must satisfy q > 1")
-    if n_terms < 1:
+    if _integer(n_terms, "n_terms") < 1:
         raise ValueError("n_terms must be at least 1")
     lam.require(n_terms)
     checkpoints = sorted({2**j for j in range(0, 64) if 2**j <= n_terms} | {n_terms})
@@ -478,7 +478,7 @@ def criterion_partial_sums(lam: LambdaSequence, p: float, alpha: float, n_blocks
     the last, longest block meets a family's range cap first.
     """
     p_prime, r, r_prime = embedding_exponents(p, alpha)
-    if n_blocks < 0:
+    if _integer(n_blocks, "n_blocks") < 0:
         raise ValueError("n_blocks must be nonnegative")
     for n in range(n_blocks + 1):
         lam.require(2 ** (n + 1))
@@ -499,7 +499,7 @@ def wang_partial_sums(lam: LambdaSequence, alpha: float, n_blocks: int) -> WangR
     checkpoints 2^(m+1) - 1 for m = 0..n_blocks-1 (empty for n_blocks = 0)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if n_blocks < 0:
+    if _integer(n_blocks, "n_blocks") < 0:
         raise ValueError("n_blocks must be nonnegative")
     exponent = 1.0 / (1.0 - alpha)
     sums = itertools.accumulate(
@@ -631,4 +631,7 @@ def sequence_from_json(text: str) -> LambdaSequence:
     missing = [name for name in names if name not in params]
     if missing:
         raise ValueError(f"{family} family is missing parameter {missing[0]!r}")
+    unknown = [name for name in params if name not in names]
+    if unknown:
+        raise ValueError(f"{family} family has no parameter {unknown[0]!r}")
     return LambdaSequence(family, **{name: float(params[name]) for name in names})

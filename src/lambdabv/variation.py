@@ -470,7 +470,7 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
 
 
 def _dyadic_grid(depth: int) -> list[float]:
-    if not 1 <= depth <= MAX_DELTA_DEPTH:
+    if not 1 <= _integer(depth, "dyadic_depth") <= MAX_DELTA_DEPTH:
         raise ValueError(f"dyadic_depth must lie in [1, {MAX_DELTA_DEPTH}]")
     return [2.0 ** (-j) for j in range(depth + 1)]
 

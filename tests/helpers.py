@@ -20,6 +20,7 @@ power sums: Hurwitz zeta differences at 60 digits.  one_array_block_sum is
 a direct block sum as one np.sum over every term at once, the bitwise
 reference for the library's chunked sum.  folded_lp_profile is the L^p
 modulus without the Lipschitz pruning: every shift sample integrated.
+witness_heights reads each level's tooth heights back off a witness.
 """
 
 import functools
@@ -87,6 +88,12 @@ def random_comb_spec(rng, max_teeth=8):
     heights = rng.uniform(0.0, 2.0, n)
     heights[int(rng.integers(0, n))] += 0.05  # keep at least one tooth real
     return TriangleCombSpec(Interval(a, length), n, tuple(heights.tolist()))
+
+
+def witness_heights(g, levels):
+    """Tooth heights of a witness of levels 1..levels, one array per level:
+    its apexes g.values[1::2] in layout order, 2^n of them for level n."""
+    return np.split(g.values[1::2], np.cumsum([2**n for n in range(1, levels)]))
 
 
 def random_lambda_prefix(rng, n, start=0.2):

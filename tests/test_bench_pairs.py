@@ -79,15 +79,20 @@ class TestMain:
             return result(1.0 if checkout == parent else 0.5)
 
         monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
-        argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--first-seed", "40", "--out", str(out)]
+        argv = [str(parent), str(change), "--workload", "w", "--workload", "v", "--pairs", "3",
+                "--first-seed", "40", "--out", str(out)]
         assert bench_pairs.main(argv) == 0
-        assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
-        assert [c[2] for c in calls] == [40, 40, 41, 41, 42, 42]
-        assert {(c[1], c[3]) for c in calls} == {("w", 7)}
+        # each workload runs its own alternating series, one after the other
+        assert [c[1] for c in calls] == ["w"] * 6 + ["v"] * 6
+        for series in (calls[:6], calls[6:]):
+            assert [c[0] for c in series] == ["parent", "change", "change", "parent", "parent", "change"]
+            assert [c[2] for c in series] == [40, 40, 41, 41, 42, 42]
+        assert {c[3] for c in calls} == {7}
         data = json.loads(out.read_text())
         assert data["claim"] is None and data["workloads"]["other"] == {"seeds": [1]}
-        assert data["workloads"]["w"]["seeds"] == [40, 41, 42]
-        assert data["workloads"]["w"]["metrics"]["batch_s"]["change_wins"] == "3/3"
+        for workload in ("w", "v"):
+            assert data["workloads"][workload]["seeds"] == [40, 41, 42]
+            assert data["workloads"][workload]["metrics"]["batch_s"]["change_wins"] == "3/3"
 
     def test_out_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

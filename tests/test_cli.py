@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lambdabv
-from lambdabv import cli
+from lambdabv import cli, constructions
 from lambdabv import (
     LambdaSequence,
     WitnessSpec,
@@ -376,6 +376,18 @@ class TestValidationFailures:
             "error: sequence: invalid sequence file: power family is missing parameter 's'\n"
         )
 
+    def test_named_family_unknown_parameter(self, tmp_path):
+        # power(1) used to load and drop the t
+        lam_path = tmp_path / "lam.json"
+        lam_path.write_text('{"family": "power", "params": {"s": 1, "t": 5}}\n')
+        proc = run_cli(
+            "--command", "sharpness", "--sequence", str(lam_path), "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: sequence: invalid sequence file: power family has no parameter 't'\n"
+        )
+
     def test_out_path_is_a_file(self, tmp_path, tri_file):
         target = tmp_path / "occupied"
         target.write_text("x")
@@ -510,10 +522,32 @@ class TestSharpnessCommand:
         )
         assert proc.returncode == 0, proc.stderr
         lam = LambdaSequence.power(1.0)
-        g, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))
+        g, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))[-1]
         witness = json.loads((out / "sharpness.json").read_text())["witness"]
         assert witness["measured_lambda_variation"] == lambda_variation(g, lam)
         assert witness["omega_ratio_norm"] == p_cont_ratio_norm(g, 2.0, 0.75, 4, 1).value
+
+    def test_one_build_for_every_level(self, tmp_path, lam_file, monkeypatch):
+        # levels 1..11 come from one call, which takes the inner sum and the
+        # S norm of each level once: 2 block sums a level, not 2 per truncation
+        calls = {"extremal_function": 0, "weighted_block_sum": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "extremal_function")
+        counted(constructions, "weighted_block_sum")
+        out = tmp_path / "out"
+        argv = ["--command", "sharpness", "--sequence", lam_file, "--levels", "11", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert calls == {"extremal_function": 1, "weighted_block_sum": 22}
+        assert [row[1] for row in read_csv(out / "sharpness.csv")[1:]] == [str(n) for n in range(1, 12)]
 
     def test_witness_heights_overflow_named(self, tmp_path, lam_file):
         # near p = 1 the heights' exponent -1/(p-1) overflows them; the
@@ -762,7 +796,7 @@ def _held_omega_cells(got, want, summary, sequence_json):
     for line_got, line_want in zip(got, want):
         rows = [line.decode().rstrip("\n").split(",") for line in (line_got, line_want)]
         if rows[0][0] != "schema_version":
-            g, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))
+            g, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))[-1]
             moduli = chain_dp_profile(g, p, deltas, summary["refinement"])
             omega = max(m / d ** (alpha - 1.0 / p) for m, d in zip(moduli, deltas))
             for row in rows:
@@ -799,7 +833,7 @@ class TestPublicSurface:
         # benchmark run, except the JSON helpers spans.py leaves unwrapped so
         # that their time stays in cli.main
         unwrapped = {"function_from_json", "sequence_from_json", "function_to_json",
-                     "sequence_to_json", "witness_report_json"}
+                     "sequence_to_json"}
         spans = load_spans()
         source = pathlib.Path(spans.__file__).read_text()
         assert all(name in source for name in unwrapped)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -26,10 +27,9 @@ from lambdabv import (
     triangle_comb,
     wang_gap_family,
     wang_partial_sums,
-    witness_report_json,
 )
 
-from helpers import brute_lambda_variation, brute_p_variation, random_comb_spec
+from helpers import brute_lambda_variation, brute_p_variation, random_comb_spec, witness_heights
 
 LAM_N = LambdaSequence.power(1.0)
 
@@ -155,7 +155,7 @@ class TestDualityWeights:
 class TestWitness:
     def test_level_one_from_first_principles(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 1)
-        g, rep = extremal_function(spec)
+        g, rep = extremal_function(spec)[-1]
 
         k = np.arange(2.0, 5.0)
         inner = float(np.sum(k**-2.5))
@@ -169,7 +169,7 @@ class TestWitness:
         assert rep.tile_lengths == (1.0,)
         assert rep.L_inclusive[0] == pytest.approx(l1, rel=1e-13)
         assert rep.S[0] == pytest.approx(s1, rel=1e-13)
-        assert rep.heights[0] == pytest.approx((h2, h3), rel=1e-13)
+        assert witness_heights(g, 1)[0] == pytest.approx((h2, h3), rel=1e-13)
         assert rep.arc_pair_sum == pytest.approx(2.0 * (h2 / 2.0 + h3 / 3.0), rel=1e-13)
         assert rep.analytic_lower_bound == pytest.approx(2.0**0.25 * l1, rel=1e-13)
         assert rep.criterion_partials[0] == pytest.approx(inner ** (2.0 / 3.0), rel=1e-13)
@@ -182,7 +182,7 @@ class TestWitness:
         assert g.eval(0.75) == pytest.approx(h3, rel=1e-13)
 
     def test_level_one_regression_anchor(self):
-        g, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))
+        g, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))[-1]
         assert lambda_variation(g, LAM_N) == pytest.approx(
             1.321595318547927, rel=1e-12
         )
@@ -192,7 +192,7 @@ class TestWitness:
 
     def test_small_witness_matches_brute_force(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 2)
-        g, _ = extremal_function(spec)
+        g, _ = extremal_function(spec)[-1]
         pts = list(g.positions)
         assert lambda_variation(g, LAM_N) == pytest.approx(
             brute_lambda_variation(g, LAM_N, pts), rel=1e-12
@@ -204,12 +204,12 @@ class TestWitness:
     def test_per_level_identities(self):
         lam = LambdaSequence.power(0.25)
         spec = WitnessSpec(lam, 2.0, 0.75, 3)
-        _, rep = extremal_function(spec)
+        g, rep = extremal_function(spec)[-1]
         for idx in range(3):
             n = idx + 1
             k = np.arange(float(2**n), float(2 ** (n + 1)))
             lam_k = k**0.25
-            h = np.asarray(rep.heights[idx])
+            h = witness_heights(g, 3)[idx]
             scale = (2.0**-n * rep.beta[idx]) ** 0.25
             # sum H_k / lambda_k = (2^-n beta_n)^(alpha-1/p) S_n
             assert float(np.sum(h / lam_k)) == pytest.approx(
@@ -220,7 +220,7 @@ class TestWitness:
 
     def test_tiles_partition_the_period(self):
         for levels in (1, 3, 6):
-            _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, levels))
+            _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, levels))[-1]
             assert abs(sum(rep.tile_lengths) - 1.0) < 1e-12
             assert all(t > 0.0 for t in rep.tile_lengths)
 
@@ -233,11 +233,9 @@ class TestWitness:
         for lam in families:
             for p, alphas in ((1.5, (0.7, 0.9)), (2.0, (0.6, 0.8)), (3.0, (0.4, 0.75))):
                 for alpha in alphas:
-                    for levels in range(1, 11):
-                        spec = WitnessSpec(lam, p, alpha, levels)
-                        g, _ = extremal_function(spec)
+                    for g, rep in extremal_function(WitnessSpec(lam, p, alpha, 10)):
                         assert min(g.values) == 0.0
-                        assert set(valleys(g)) == {0.0}, spec
+                        assert set(valleys(g)) == {0.0}, (lam, p, alpha, rep.levels)
 
     @pytest.mark.parametrize(
         "lam,p,alpha",
@@ -249,13 +247,12 @@ class TestWitness:
         # reference: one comb per level with its final foot pinned to the next
         # tile boundary, summed with superpose; the witness lays the same
         # nodes out in one pass and must match it bit for bit
-        for levels in range(1, 13):
-            g, rep = extremal_function(WitnessSpec(lam, p, alpha, levels))
+        for g, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
             cuts = np.cumsum(rep.beta)
             boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
             assert tuple(np.diff(boundaries).tolist()) == rep.tile_lengths
             combs = []
-            for idx, heights in enumerate(rep.heights):
+            for idx, heights in enumerate(witness_heights(g, rep.levels)):
                 n_teeth = len(heights)
                 a, length = boundaries[idx], rep.tile_lengths[idx]
                 positions = a + length * (np.arange(2 * n_teeth + 1) / (2 * n_teeth))
@@ -266,21 +263,37 @@ class TestWitness:
                     positions, values = positions[:-1], values[:-1]
                 combs.append(make_plpf(np.column_stack([positions, values])))
             reference = superpose(combs)
-            assert set(valleys(g)) == {0.0}, levels
-            assert g.positions.tobytes() == reference.positions.tobytes(), levels
-            assert g.values.tobytes() == reference.values.tobytes(), levels
+            assert set(valleys(g)) == {0.0}, rep.levels
+            assert g.positions.tobytes() == reference.positions.tobytes(), rep.levels
+            assert g.values.tobytes() == reference.values.tobytes(), rep.levels
+
+    @pytest.mark.parametrize(
+        "lam",
+        [LambdaSequence.power(0.5), LambdaSequence.power_log(0.5, 1.0),
+         LambdaSequence.block_power_log(-0.4, 0.8)],
+        ids=lambda lam: lam.family,
+    )
+    @pytest.mark.parametrize("p,alpha", [(1.5, 0.8), (2.0, 0.75), (3.0, 0.6)])
+    def test_each_truncation_is_its_own_build(self, lam, p, alpha):
+        # one call shares the lower levels' block sums among every truncation,
+        # and each truncation keeps the bits of a build that stops at it
+        builds = extremal_function(WitnessSpec(lam, p, alpha, 12))
+        assert type(builds) is tuple and len(builds) == 12
+        for levels in range(1, 13):
+            assert builds[levels - 1] == extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
+            assert builds[levels - 1][1].levels == levels
 
     def test_measured_dominates_certified_bounds(self):
         for lam in (LAM_N, LambdaSequence.power(0.25)):
             for levels in (2, 4, 6):
-                g, rep = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))
+                g, rep = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))[-1]
                 v = lambda_variation(g, lam)
                 # one arc per tooth with rank-dominated weights is always achievable
                 assert v >= 0.5 * rep.arc_pair_sum * (1.0 - 1e-12)
                 assert v >= rep.analytic_lower_bound * (1.0 - 1e-12)
 
     def test_auto_delta_attains_duality(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))
+        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))[-1]
         l_arr = np.asarray(rep.L_inclusive)
         delta = np.asarray(rep.delta)
         r_prime = 4.0 / 3.0
@@ -289,7 +302,7 @@ class TestWitness:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_criterion_partials_increasing(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))
+        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))[-1]
         ps = np.asarray(rep.criterion_partials)
         assert len(ps) == 5
         assert np.all(np.diff(ps) > 0.0)
@@ -307,13 +320,12 @@ class TestWitness:
             WitnessSpec(LambdaSequence.explicit([1.0, 2.0]), 2.0, 0.75, 2)
 
     def test_report_json_round_trips(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 2))
-        blob = witness_report_json(rep)
-        text = json.dumps(blob)
-        back = json.loads(text)
+        # the sharpness summary writes the report through dataclasses.asdict
+        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 2))[-1]
+        back = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert back["levels"] == 2
         assert back["criterion_partials"] == list(rep.criterion_partials)
-        assert "heights" not in back
+        assert back == {k: list(v) if isinstance(v, tuple) else v for k, v in vars(rep).items()}
 
 
 class TestEmbeddingBoundCheck:

@@ -20,6 +20,7 @@ from lambdabv import (
     weighted_block_sum,
 )
 
+import lambdabv
 from lambdabv import sequences
 from lambdabv.sequences import _SUM_CHUNK
 
@@ -170,6 +171,25 @@ FOUR_FAMILIES = [
     LambdaSequence.block_power_log(1.0, 0.75),
     LambdaSequence.explicit(np.arange(1.0, 9000.0)),
 ]
+
+
+_TENT = lambdabv.make_plpf([(0.0, 0.0), (0.5, 1.0)])
+_LAM_N = LambdaSequence.power(1.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: lambdabv.WitnessSpec(_LAM_N, 2.0, 0.75, 2.0), "levels"),
+    (lambda: lambdabv.p_cont_ratio_norm(_TENT, 2.0, 0.75, 6.0), "dyadic_depth"),
+    (lambda: lambdabv.lip_norm(_TENT, 2.0, 0.75, 2.5), "dyadic_depth"),
+    (lambda: criterion_partial_sums(_LAM_N, 2.0, 0.75, 2.5), "n_blocks"),
+    (lambda: wang_partial_sums(_LAM_N, 0.5, 3.0), "n_blocks"),
+    (lambda: membership_report(_LAM_N, 2.0, 10.5), "n_terms"),
+    (lambda: lambdabv.embedding_bound_check(_TENT, _LAM_N, 2.0, 0.75, 10.0), "n_blocks"),
+], ids=["levels", "p_cont_depth", "lip_depth", "criterion", "wang", "membership", "bound_check"])
+def test_integer_arguments_named(call, name):
+    # a float count used to fail as the wrong argument, or with no name at all
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not float$"):
+        call()
 
 
 class TestWeightedBlockSum:
@@ -597,6 +617,12 @@ class TestJson:
             ('{"family": "power_log", "params": {"s": 1}}', "power_log family is missing parameter 't'"),
             ('{"family": "block_power_log", "params": {"s": 1}}',
              "block_power_log family is missing parameter 'alpha'"),
+            # a name the family lacks used to be dropped without a word
+            ('{"family": "power", "params": {"s": 1, "t": 5}}', "power family has no parameter 't'"),
+            ('{"family": "power_log", "params": {"s": 1, "t": 2, "alpha": 0.5}}',
+             "power_log family has no parameter 'alpha'"),
+            ('{"family": "block_power_log", "params": {"s": 1, "alpha": 0.5, "t": 0}}',
+             "block_power_log family has no parameter 't'"),
         ],
     )
     def test_missing_parameter_named(self, text, name):

@@ -343,7 +343,7 @@ class TestModulus:
         # groups of four deltas, its last block at refinement 1 taking four
         # deltas a call; and the long hump of a 64-breakpoint function at
         # refinement 2, which takes its 61 deltas in three calls
-        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 9))
+        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 9))[-1]
         generic = random_plpf(rng, 64, min_gap=1e-5, min_breaks=64)
         for f, p, grid, m in (
             (random_plpf(rng, 12, min_breaks=12), 1.5, _dyadic_grid(60), 0),
@@ -360,7 +360,7 @@ class TestModulus:
         # delta would take 4 MB for a 61-delta grid and 70 MB for the
         # 1,075-delta one, and the deltas' groups keep their (delta, hump)
         # pairs to 16 * _BLOCK_CELLS, like each DP call's cells to _BLOCK_CELLS
-        g, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))
+        g, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))[-1]
         tracemalloc.start()
         try:
             modulus_p_continuity(g, 2.0, _dyadic_grid(depth), 0)
@@ -483,7 +483,7 @@ class TestHumpProfile:
     @pytest.mark.parametrize("levels", [6, 7, 8, 9, 10])
     def test_witnesses(self, levels):
         for p in (1.5, 2.0, 3.0):
-            g, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels))
+            g, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels))[-1]
             for m in (0, 1, 3):
                 assert_profile_matches_chain_dp(g, p, m)
 
@@ -540,7 +540,7 @@ class TestHumpProfile:
 
         monkeypatch.setattr(variation, "_hump_dp", recorded)
         empty = 0
-        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))
+        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))[-1]
         generic = random_plpf(np.random.default_rng(127), 64, min_gap=1e-5, min_breaks=64)
         humps = hump_extents(PLATEAU_HUMPS, 0)
         assert any(last - d == first for first, last, d, step in humps if d > step)

@@ -1,18 +1,19 @@
 """Alternating pairs of benchmark runs on two checkouts of lambdabv.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --first-seed S \
-        --out BENCH.json
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] \
+        --pairs N --first-seed S --out BENCH.json
 
-Pair i runs `python3 perfbench/run.py --workload W --seed S+i --seconds T
---trace 0` in each checkout, T being BENCHMARK.json's `run_seconds`, the
-parent first on even pairs and the change first on odd ones, so neither
-side always meets the machine's same phase.  The summary is the
-`workloads` entry of a BENCH_<pr>.json: per end-to-end metric of
-BENCHMARK.json, each side's q1, median and q3 (numpy linear percentiles),
-the change's relative median difference, the pairs the change won and
-tied, and the raw runs.  It goes into the --out file's `workloads` object
-under W, beside the other workloads already there.  A run that exits
-non-zero or reports `correct: false` stops the series with an error.
+For each workload W in turn, pair i runs `python3 perfbench/run.py
+--workload W --seed S+i --seconds T --trace 0` in each checkout, T being
+BENCHMARK.json's `run_seconds`, the parent first on even pairs and the
+change first on odd ones, so neither side always meets the machine's same
+phase.  The summary is the `workloads` entry of a BENCH_<pr>.json: per
+end-to-end metric of BENCHMARK.json, each side's q1, median and q3 (numpy
+linear percentiles), the change's relative median difference, the pairs
+the change won and tied, and the raw runs.  It goes into the --out file's
+`workloads` object under W, beside the other workloads already there, as
+soon as W's pairs are done.  A run that exits non-zero or reports
+`correct: false` stops the series with an error.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append", help="repeat for more workloads")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", dest="first_seed", type=int, required=True)
-    parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to add this workload to")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to add these workloads to")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -102,21 +103,21 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    parent, change = [], []
-    try:
-        for i, seed in enumerate(seeds):
-            sides = [("parent", args.parent, parent), ("change", args.change, change)]
-            for label, checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-                runs.append(run_once(checkout, args.workload, seed, seconds))
-                print(f"{args.workload} seed {seed} {label}: batch_s "
-                      f"{runs[-1]['metrics']['batch_s']['value']:.6g}", file=sys.stderr)
-    except (BenchError, subprocess.TimeoutExpired) as exc:
-        print(f"bench_pairs: {exc}", file=sys.stderr)
-        return 1
-    entry = summarize(seeds, parent, change, better)
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("workloads", {})[args.workload] = entry
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    for workload in args.workload:
+        parent, change = [], []
+        try:
+            for i, seed in enumerate(seeds):
+                sides = [("parent", args.parent, parent), ("change", args.change, change)]
+                for label, checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+                    runs.append(run_once(checkout, workload, seed, seconds))
+                    print(f"{workload} seed {seed} {label}: batch_s "
+                          f"{runs[-1]['metrics']['batch_s']['value']:.6g}", file=sys.stderr)
+        except (BenchError, subprocess.TimeoutExpired) as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
+        data = json.loads(args.out.read_text()) if args.out.exists() else {}
+        data.setdefault("workloads", {})[workload] = summarize(seeds, parent, change, better)
+        args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
 
