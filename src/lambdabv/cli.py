@@ -232,9 +232,7 @@ def _run_sharpness(config: argparse.Namespace):
         with _field("sequence"):
             vlam = lambda_variation(g, lam)
         with _field("p"):
-            omega = p_cont_ratio_norm(
-                g, config.p, config.alpha, config.delta_depth, config.refine
-            ).value
+            omega = p_cont_ratio_norm(g, config.p, config.alpha, config.delta_depth, config.refine)
         crit_pow = report.criterion_partials[-1] ** (1.0 / spec.exponents[2])
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
             if not value > 0.0:

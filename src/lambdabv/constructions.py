@@ -239,7 +239,7 @@ def embedding_bound_check(
     lhs = lambda_variation(f, lam)
     if lhs == 0.0:
         return 0.0, 0.0, 0.0
-    ratio_norm = p_cont_ratio_norm(f, p, alpha, dyadic_depth, grid_refinement).value
+    ratio_norm = p_cont_ratio_norm(f, p, alpha, dyadic_depth, grid_refinement)
     rhs_core = ratio_norm * crit.partial_sums[-1] ** (1.0 / crit.r_prime)
     return lhs, rhs_core, lhs / rhs_core
 

@@ -109,8 +109,6 @@ class PiecewiseLinearPeriodic:
         out = y0 + (frac - x0) * (ve[idx + 1] - y0) / (pe[idx + 1] - x0)
         return float(out) if scalar else out
 
-    __call__ = eval
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -135,14 +133,11 @@ class MonotoneArcDecomposition:
     """Maximal monotone arcs of a piecewise-linear function, as arrays in
     cyclic order.
 
-    Arc i runs from ``starts[i]`` to ``ends[i]`` (it wraps when
-    ends[i] <= starts[i]) and rises by the signed ``increments[i]``;
-    ``start_values[i]`` is the function value at its start.  Arc starts are
-    exactly the local extrema.
+    Arc i rises by the signed ``increments[i]``, and ``start_values[i]`` is
+    the function value at its start, a local extremum; arc i + 1 starts
+    where arc i ends.
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
     increments: np.ndarray
     start_values: np.ndarray
 
@@ -195,12 +190,10 @@ def monotone_arcs(f: PiecewiseLinearPeriodic) -> MonotoneArcDecomposition:
     function yields an empty decomposition.
     """
     val = f.values
-    keep = val != np.roll(val, 1)
-    sp, sv = f.positions[keep], val[keep]
+    sv = val[val != np.roll(val, 1)]
     sign = np.sign(np.roll(sv, -1) - sv)
-    ext = np.flatnonzero(sign != np.roll(sign, 1))
-    nxt = np.roll(ext, -1)
-    return MonotoneArcDecomposition(sp[ext], sp[nxt], sv[nxt] - sv[ext], sv[ext])
+    ext = sv[sign != np.roll(sign, 1)]
+    return MonotoneArcDecomposition(np.roll(ext, -1) - ext, ext)
 
 
 def superpose(fs) -> PiecewiseLinearPeriodic:
@@ -244,10 +237,14 @@ def function_to_json(f: PiecewiseLinearPeriodic) -> str:
 
 
 def function_from_json(text: str) -> PiecewiseLinearPeriodic:
-    """Parse the breakpoint file format: {"breakpoints": [[x, y], ...]}."""
+    """Parse the breakpoint file format: {"breakpoints": [[x, y], ...]}; any
+    other key is rejected."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "breakpoints" not in obj:
         raise ValueError('function JSON must be an object with a "breakpoints" key')
+    unknown = [key for key in obj if key != "breakpoints"]
+    if unknown:
+        raise ValueError(f"function JSON has no key {unknown[0]!r}")
     bps = obj["breakpoints"]
     pts = np.array(bps, dtype=object)
     if not isinstance(bps, list) or (bps and pts.shape[1:] != (2,)):

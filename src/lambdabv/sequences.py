@@ -114,8 +114,8 @@ class _Family(NamedTuple):
 
     params names the family's own parameters (they drive describe, the JSON
     format, equality and the exact growth exponents); checks pairs each
-    validity condition with the error it raises; term and terms evaluate
-    lambda at one index and at a float array of indices; block_sum(lam, k_exp,
+    validity condition with the error it raises; terms evaluates lambda at a
+    float array of indices; block_sum(lam, k_exp,
     lam_exp, lo, hi) is the weighted block sum over lo..hi; growth maps the
     exact parameters to (sigma, tau) with lambda_k ~ 2^(n sigma) n^tau on
     dyadic block n.  Explicit prefixes have no growth exponents, because
@@ -124,7 +124,6 @@ class _Family(NamedTuple):
 
     params: tuple[str, ...]
     checks: tuple[tuple[Callable[[LambdaSequence], bool], str], ...]
-    term: Callable[[LambdaSequence, int], float]
     terms: Callable[[LambdaSequence, np.ndarray], np.ndarray]
     block_sum: Callable[[LambdaSequence, float, float, int, int], float]
     growth: Callable[..., tuple[Fraction, Fraction]] | None
@@ -136,7 +135,8 @@ def _block_power_log_term(lam: LambdaSequence, n: int) -> float:
 
 
 def _block_power_log_terms(lam: LambdaSequence, k: np.ndarray) -> np.ndarray:
-    b = np.maximum(np.floor(np.log2(np.maximum(k, 1.0))), 1.0)
+    # frexp gives floor(log2 k) + 1 exactly; log2 rounds 2^m - 1 up to m from m = 50
+    b = np.maximum(np.frexp(k)[1] - 1.0, 1.0)
     return 2.0 ** (b * (1.0 - lam.alpha)) * b ** ((1.0 - lam.alpha) * lam.s)
 
 
@@ -167,7 +167,7 @@ def _block_power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float
     total = 0.0
     while lo <= hi:
         block_hi = min(hi, 2 ** (_block_index(lo) + 1) - 1)
-        total += lam.term(lo) ** -lam_exp * _power_block_sum(k_exp, lo, block_hi)
+        total += _block_power_log_term(lam, lo) ** -lam_exp * _power_block_sum(k_exp, lo, block_hi)
         lo = block_hi + 1
     return total
 
@@ -183,7 +183,6 @@ _FAMILIES = {
             (lambda lam: np.all(lam.explicit_terms[1:] >= lam.explicit_terms[:-1]),
              "sequence terms must be nondecreasing"),
         ),
-        term=lambda lam, n: float(lam.explicit_terms[n - 1]),
         terms=lambda lam, k: lam.explicit_terms[k.astype(np.intp) - 1],
         block_sum=_direct_block_sum,
         growth=None,
@@ -191,7 +190,6 @@ _FAMILIES = {
     "power": _Family(
         params=("s",),
         checks=((lambda lam: lam.s >= 0.0, "power family needs s >= 0 to be nondecreasing"),),
-        term=lambda lam, n: float(n) ** lam.s,
         terms=lambda lam, k: k**lam.s,
         block_sum=lambda lam, k_exp, lam_exp, lo, hi: _power_block_sum(k_exp + lam_exp * lam.s, lo, hi),
         growth=lambda s: (s, 0),
@@ -205,7 +203,6 @@ _FAMILIES = {
             (lambda lam: lam.s * math.log(2.0) * 2.0 + lam.t >= 0.0,
              "power_log family decreases at n = 1 for these s, t"),
         ),
-        term=lambda lam, n: float(n) ** lam.s * math.log(n + 1.0) ** lam.t,
         terms=lambda lam, k: k**lam.s * np.log(k + 1.0) ** lam.t,
         block_sum=_power_log_block_sum,
         growth=lambda s, t: (s, t),
@@ -216,7 +213,6 @@ _FAMILIES = {
             (lambda lam: 0.0 < lam.alpha < 1.0, "block_power_log family needs alpha in (0, 1)"),
             (lambda lam: lam.s >= -1.0, "block_power_log family needs s >= -1 to be nondecreasing"),
         ),
-        term=_block_power_log_term,
         terms=_block_power_log_terms,
         block_sum=_block_power_log_block_sum,
         growth=lambda s, alpha: (1 - alpha, (1 - alpha) * s),
@@ -306,11 +302,6 @@ class LambdaSequence:
 
     # accessors
 
-    def __len__(self) -> int:
-        if self.family != "explicit":
-            raise TypeError("named families have no finite length")
-        return len(self.explicit_terms)
-
     def require(self, n: int) -> None:
         """Fail fast on a non-integer n or an explicit prefix too short for n
         terms; named families extend analytically and never truncate."""
@@ -325,7 +316,7 @@ class LambdaSequence:
         self.require(n)
         if n < 1:
             raise ValueError("sequence indices start at 1")
-        return _FAMILIES[self.family].term(self, n)
+        return float(_FAMILIES[self.family].terms(self, np.array([float(n)]))[0])
 
     def terms(self, n: int) -> np.ndarray:
         """First n terms as an array."""
@@ -545,8 +536,8 @@ def hardy_two_sides(beta: float, r: float, a, nu):
     k).  The lhs dominates the rhs termwise; the interesting direction,
     lhs <= c * rhs, is observed empirically.
 
-    A 1-D ``a`` gives two floats; a 2-D ``a`` holds one draw per row and
-    gives two arrays whose entry t is the 1-D result on row t.
+    ``a`` is a 2-D array with one draw per row; entry t of each returned
+    array is the result on row t.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError("beta must be positive")
@@ -560,13 +551,12 @@ def hardy_two_sides(beta: float, r: float, a, nu):
     if not np.all(np.diff(nu_arr) > 0.0):
         raise ValueError("nu must be strictly increasing")
     a_arr = np.asarray(a, dtype=float)
-    if a_arr.ndim not in (1, 2):
-        raise ValueError("a must be one draw or a 2-D array of draws")
+    if a_arr.ndim != 2:
+        raise ValueError("a must be a 2-D array of draws")
     if not np.all(a_arr >= 0.0):
         raise ValueError("a must be nonnegative")
-    draws = np.atleast_2d(a_arr)
-    m = draws.shape[1]
-    prefix = np.pad(np.cumsum(draws, axis=1), ((0, 0), (1, 0)))
+    m = a_arr.shape[1]
+    prefix = np.pad(np.cumsum(a_arr, axis=1), ((0, 0), (1, 0)))
     # integer k bounds clipped to the draw: the head is 1..top, block n is
     # lo..hi, empty when hi < lo
     top = np.minimum(np.floor(nu_arr), m).astype(np.intp)
@@ -581,8 +571,6 @@ def hardy_two_sides(beta: float, r: float, a, nu):
         np.array([sum(w * s ** (1.0 / r) for w, s in zip(ws, row)) for row in sums], dtype=float)
         for ws, sums in ((weights, heads), (weights[1:], blocks))
     )
-    if a_arr.ndim == 1:
-        return float(lhs[0]), float(rhs[0])
     return lhs, rhs
 
 
@@ -598,7 +586,8 @@ def dual_extremizer(x, p: float) -> np.ndarray:
         raise ValueError("input terms must be nonnegative and finite")
     norm = float(np.sum(arr**p) ** (1.0 / p))
     if norm == 0.0:
-        raise ValueError("input must not be all zero")
+        raise ValueError(f"the l^{p:g} norm of the input underflows to 0"
+                         if np.any(arr > 0.0) else "input must not be all zero")
     return (arr / norm) ** (p - 1.0)
 
 
@@ -615,11 +604,15 @@ def sequence_to_json(lam: LambdaSequence) -> str:
 def sequence_from_json(text: str) -> LambdaSequence:
     """Parse the sequence file format:
     {"family": "power"|"power_log"|"block_power_log"|"explicit",
-     "params": {...} | "terms": [...]}."""
+     "params": {...} | "terms": [...]}; any other key is rejected."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError('sequence JSON must be an object with a "family" key')
     family = obj["family"]
+    names = _family(family).params
+    unknown = [k for k in obj if k not in ("family", "terms" if family == "explicit" else "params")]
+    if unknown:
+        raise ValueError(f"{family} sequence JSON has no key {unknown[0]!r}")
     if family == "explicit":
         if "terms" not in obj or not isinstance(obj["terms"], list):
             raise ValueError('explicit sequences need a "terms" list')
@@ -627,7 +620,6 @@ def sequence_from_json(text: str) -> LambdaSequence:
     params = obj.get("params")
     if not isinstance(params, dict):
         raise ValueError('named families need a "params" object')
-    names = _family(family).params
     missing = [name for name in names if name not in params]
     if missing:
         raise ValueError(f"{family} family is missing parameter {missing[0]!r}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .periodic import PiecewiseLinearPeriodic, derivative_lp_norm, monotone_arcs
 from .sequences import LambdaSequence, _integer
 
 __all__ = [
-    "RatioNormReport",
     "p_variation",
     "lambda_variation",
     "modulus_p_continuity",
@@ -57,19 +55,6 @@ MAX_DELTA_DEPTH = 1074
 # cells per vectorized block: shift x breakpoint cells in the L^p modulus,
 # hump x chain-point cells in the chain DP; temporaries stay small
 _BLOCK_CELLS = 4096
-
-
-@dataclass(frozen=True)
-class RatioNormReport:
-    """Sup over a dyadic delta grid of modulus(delta) / delta^exponent.
-
-    ``per_delta`` rows are (delta, modulus, ratio) with delta decreasing from
-    1 to 2^-delta_grid; ``value`` equals the max of the ratio column.
-    """
-
-    value: float
-    per_delta: tuple[tuple[float, float, float], ...]
-    delta_grid: int
 
 
 def _validate_lambda(lam: LambdaSequence) -> None:
@@ -399,27 +384,31 @@ def _shift_samples(f: PiecewiseLinearPeriodic) -> np.ndarray:
     return h[np.diff(h, prepend=0.0) > 0.0]
 
 
+def _rounding_slack(f: PiecewiseLinearPeriodic) -> float:
+    """1e-12 of f's scale, max |y| + max |slope|: the rounding of f(x +- h) in every N."""
+    dx = np.diff(f.positions, append=f.positions[0] + 1.0)
+    slopes = np.abs(np.diff(f.values, append=f.values[0])) / dx
+    return 1e-12 * (np.abs(f.values).max() + slopes.max())
+
+
 def _shift_bounds(
-    f: PiecewiseLinearPeriodic, hs: np.ndarray, norms: np.ndarray, done: np.ndarray, lip: float
+    hs: np.ndarray, norms: np.ndarray, done: np.ndarray, lip: float, slack: float
 ) -> np.ndarray:
     """Upper bounds of N(h) = ||f(.+h) - f||_p at the shifts hs[~done], from
     the values norms[done] at the integrated ones (hs ascending, done[0] set).
 
     |N(h1) - N(h2)| <= |h1 - h2| lip by Minkowski, lip = ||f'||_p, so each
     bound is the smaller of N + |h - h'| lip over the nearest integrated h' on
-    either side.  lip and the bound are widened by a relative 1e-9, plus 1e-12
-    of the function's scale (max |y| + max |slope|), which covers the rounding
-    of an interpolated f(x +- h) that every computed N carries.
+    either side.  lip and the bound are widened by a relative 1e-9, plus
+    ``slack``, from _rounding_slack.
     """
-    dx = np.diff(f.positions, append=f.positions[0] + 1.0)
-    slopes = np.abs(np.diff(f.values, append=f.values[0])) / dx
     known, rest = np.flatnonzero(done), np.flatnonzero(~done)
     right = np.searchsorted(known, rest)
     bound = np.minimum(
         *(norms[nb] + np.abs(hs[rest] - hs[nb]) * (lip * (1.0 + 1e-9))
           for nb in (known[right - 1], known[np.minimum(right, len(known) - 1)]))
     )
-    return bound * (1.0 + 1e-9) + 1e-12 * (np.abs(f.values).max() + slopes.max())
+    return bound * (1.0 + 1e-9) + slack
 
 
 def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
@@ -458,12 +447,12 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     todo = np.arange(0, len(hs), 8)
     first = np.concatenate([hs[todo], np.minimum(d, 1.0 - d)])
     norms[todo], own = np.split(_shift_norms(f, first, p), [len(todo)])
-    lip = derivative_lp_norm(f, p)
+    lip, slack = derivative_lp_norm(f, p), _rounding_slack(f)
     for step in (2, 2, 1):
         done[todo] = True
         rest = np.flatnonzero(~done)
         peak = np.maximum.accumulate(norms)
-        todo = rest[_shift_bounds(f, hs, norms, done, lip) >= peak[opens[rest] - 1]][::step]
+        todo = rest[_shift_bounds(hs, norms, done, lip, slack) >= peak[opens[rest] - 1]][::step]
         norms[todo] = _shift_norms(f, hs[todo], p)
     peak = np.maximum.accumulate(np.concatenate([[0.0], norms]))
     return np.maximum(peak[ends], own).tolist()
@@ -475,18 +464,13 @@ def _dyadic_grid(depth: int) -> list[float]:
     return [2.0 ** (-j) for j in range(depth + 1)]
 
 
-def _ratio_report(deltas, moduli, exponent: float, depth: int) -> RatioNormReport:
-    rows = tuple((d, m, m / d**exponent) for d, m in zip(deltas, moduli))
-    return RatioNormReport(max(r[2] for r in rows), rows, depth)
-
-
 def lip_norm(
     f: PiecewiseLinearPeriodic,
     p: float,
     alpha: float,
     dyadic_depth: int,
-) -> RatioNormReport:
-    """sup over dyadic delta of omega(f; delta)_p / delta^alpha, a lower
+) -> float:
+    """max over dyadic delta of omega(f; delta)_p / delta^alpha, a lower
     bound of the shift-modulus ratio norm (within a factor 2^alpha of the
     continuum sup by subadditivity of the modulus)."""
     if not (math.isfinite(p) and p > 1.0):
@@ -494,7 +478,7 @@ def lip_norm(
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     deltas = _dyadic_grid(dyadic_depth)
-    return _ratio_report(deltas, lp_modulus(f, p, deltas), alpha, dyadic_depth)
+    return max(m / d**alpha for d, m in zip(deltas, lp_modulus(f, p, deltas)))
 
 
 def p_cont_ratio_norm(
@@ -503,8 +487,8 @@ def p_cont_ratio_norm(
     alpha: float,
     dyadic_depth: int,
     grid_refinement: int = 0,
-) -> RatioNormReport:
-    """sup over dyadic delta of omega_{1-1/p}(f; delta) / delta^(alpha - 1/p).
+) -> float:
+    """max over dyadic delta of omega_{1-1/p}(f; delta) / delta^(alpha - 1/p).
 
     Requires alpha > 1/p; below that threshold the ratio norm does not
     control bounded functions and the query is rejected.
@@ -514,5 +498,5 @@ def p_cont_ratio_norm(
     if not (1.0 / p < alpha <= 1.0):
         raise ValueError("alpha must lie in (1/p, 1]")
     deltas = _dyadic_grid(dyadic_depth)
-    moduli = _p_power_profile(f, p, deltas, grid_refinement)
-    return _ratio_report(deltas, moduli, alpha - 1.0 / p, dyadic_depth)
+    exponent = alpha - 1.0 / p
+    return max(m / d**exponent for d, m in zip(deltas, _p_power_profile(f, p, deltas, grid_refinement)))

@@ -184,7 +184,7 @@ def test_acceptance_6_witness_sharpness_band():
         g, rep = extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
         crit = rep.criterion_partials[-1] ** (1.0 / r_prime)
         quotients.append(lambda_variation(g, lam) / crit)
-        omega_values[levels] = p_cont_ratio_norm(g, p, alpha, 6).value
+        omega_values[levels] = p_cont_ratio_norm(g, p, alpha, 6)
     band = min(quotients) / max(quotients)
     omega_factor = omega_values[10] / omega_values[4]
     elapsed = time.perf_counter() - t0
@@ -218,7 +218,7 @@ def test_acceptance_7_wang_refutation_demo():
     for levels in range(4, 11):
         g, _ = extremal_function(WitnessSpec(fam, p, alpha, levels))[-1]
         vlams.append(lambda_variation(g, fam))
-        omegas[levels] = p_cont_ratio_norm(g, p, alpha, 6).value
+        omegas[levels] = p_cont_ratio_norm(g, p, alpha, 6)
     strictly_up = all(b > a for a, b in zip(vlams, vlams[1:]))
     omega_factor = omegas[10] / omegas[4]
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,8 @@ spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-BETTER = {"batch_s": "lower", "ok_ratio": "higher"}
+END_TO_END = [{"name": "batch_s", "better": "lower", "bound": 0.25},
+              {"name": "ok_ratio", "better": "higher", "bound": 0.15}]
 
 
 def result(batch_s, ok_ratio=1.0, failed=0, attempted=42, correct=True):
@@ -28,7 +29,7 @@ class TestSummary:
     def test_quartiles_wins_and_ties(self):
         parent = [result(1.0), result(2.0), result(3.0), result(4.0), result(5.0, ok_ratio=0.9, failed=4)]
         change = [result(0.5), result(2.5), result(3.0), result(3.0), result(4.0, ok_ratio=1.0)]
-        entry = bench_pairs.summarize([7, 8, 9, 10, 11], parent, change, BETTER)
+        entry = bench_pairs.summarize([7, 8, 9, 10, 11], parent, change, END_TO_END)
         batch = entry["metrics"]["batch_s"]
         assert batch["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
         assert batch["change"] == {"q1": 2.5, "median": 3.0, "q3": 3.0}
@@ -43,11 +44,13 @@ class TestSummary:
         assert entry["every_run_correct"] is True
 
     def test_relative_median_difference(self):
-        entry = bench_pairs.summarize([1, 2], [result(0.2), result(0.4)], [result(0.27), result(0.27)], BETTER)
+        entry = bench_pairs.summarize([1, 2], [result(0.2), result(0.4)], [result(0.27), result(0.27)],
+                                      END_TO_END)
         batch = entry["metrics"]["batch_s"]
         assert batch["parent"]["median"] == pytest.approx(0.3)
         assert batch["change_minus_parent_rel"] == -0.1
         assert batch["change_wins"] == "1/2"
+        assert batch["within_bound"] is True
 
     def test_read_result_takes_the_last_line(self):
         payload = result(1.25)
@@ -68,7 +71,7 @@ class TestMain:
         parent, change = tmp_path / "parent", tmp_path / "change"
         parent.mkdir()
         change.mkdir()
-        spec = {"run_seconds": 7, "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}
+        spec = {"run_seconds": 7, "end_to_end": END_TO_END}
         (change / "BENCHMARK.json").write_text(json.dumps(spec))
         out = tmp_path / "BENCH.json"
         out.write_text(json.dumps({"claim": None, "workloads": {"other": {"seeds": [1]}}}))
@@ -76,7 +79,8 @@ class TestMain:
 
         def fake_run_once(checkout, workload, seed, seconds):
             calls.append((checkout.name, workload, seed, seconds))
-            return result(1.0 if checkout == parent else 0.5)
+            # batch_s halves, inside its bound; ok_ratio falls by 20%, past its 15%
+            return result(1.0) if checkout == parent else result(0.5, ok_ratio=0.8)
 
         monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
         argv = [str(parent), str(change), "--workload", "w", "--workload", "v", "--pairs", "3",
@@ -92,7 +96,10 @@ class TestMain:
         assert data["claim"] is None and data["workloads"]["other"] == {"seeds": [1]}
         for workload in ("w", "v"):
             assert data["workloads"][workload]["seeds"] == [40, 41, 42]
-            assert data["workloads"][workload]["metrics"]["batch_s"]["change_wins"] == "3/3"
+            metrics = data["workloads"][workload]["metrics"]
+            assert metrics["batch_s"]["change_wins"] == "3/3"
+            assert metrics["batch_s"]["within_bound"] is True
+            assert metrics["ok_ratio"]["within_bound"] is False
 
     def test_out_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -388,6 +388,21 @@ class TestValidationFailures:
             "error: sequence: invalid sequence file: power family has no parameter 't'\n"
         )
 
+    def test_unknown_sequence_key_named(self, tmp_path):
+        # this loaded as power(1) and ignored the terms
+        lam_path = tmp_path / "lam.json"
+        lam_path.write_text('{"family": "power", "params": {"s": 1}, "terms": [5, 6]}\n')
+        proc = run_cli("--command", "criterion", "--sequence", str(lam_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: sequence: invalid sequence file: power sequence JSON has no key 'terms'\n"
+
+    def test_unknown_function_key_named(self, tmp_path):
+        f_path = tmp_path / "f.json"
+        f_path.write_text('{"breakpoints": [[0.0, 0.0], [0.5, 1.0]], "extra": 1}\n')
+        proc = run_cli("--command", "variation", "--function", str(f_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: function: invalid function file: function JSON has no key 'extra'\n"
+
     def test_out_path_is_a_file(self, tmp_path, tri_file):
         target = tmp_path / "occupied"
         target.write_text("x")
@@ -525,7 +540,7 @@ class TestSharpnessCommand:
         g, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))[-1]
         witness = json.loads((out / "sharpness.json").read_text())["witness"]
         assert witness["measured_lambda_variation"] == lambda_variation(g, lam)
-        assert witness["omega_ratio_norm"] == p_cont_ratio_norm(g, 2.0, 0.75, 4, 1).value
+        assert witness["omega_ratio_norm"] == p_cont_ratio_norm(g, 2.0, 0.75, 4, 1)
 
     def test_one_build_for_every_level(self, tmp_path, lam_file, monkeypatch):
         # levels 1..11 come from one call, which takes the inner sum and the
@@ -615,6 +630,14 @@ class TestSharpnessCommand:
         assert proc.stderr == "error: p: the witness modulus underflows at this p\n"
         proc = run_cli(*args, "--p", "1000", "--out", str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
+
+    def test_level_sum_norm_underflow_named(self, tmp_path, lam_file):
+        # the level sums are positive, but their l^r' norm underflows at
+        # r' ~ 2308; this read "input must not be all zero"
+        proc = run_cli("--command", "sharpness", "--sequence", lam_file, "--levels", "12",
+                       "--p", "3000", "--alpha", "0.9999", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: p: the l^2307.69 norm of the input underflows to 0\n"
 
     def test_levels_cap(self, tmp_path, lam_file):
         proc = run_cli(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestEval:
     def test_linear_between_breakpoints(self):
         assert TRIANGLE.eval(0.25) == 0.5
         assert TRIANGLE.eval(0.75) == 0.5
-        assert TRIANGLE(0.1) == pytest.approx(0.2, abs=1e-15)
+        assert TRIANGLE.eval(0.1) == pytest.approx(0.2, abs=1e-15)
 
     def test_periodic_on_representable_shifts(self):
         rng = np.random.default_rng(12)
@@ -271,7 +272,9 @@ class TestMonotoneArcs:
         rng = np.random.default_rng(16)
         f = random_plpf(rng)
         dec = monotone_arcs(f)
-        for start, sv in zip(dec.starts, dec.start_values):
+        want = arcs_by_loop(f)
+        assert dec.start_values.tolist() == [sv for _, _, _, sv in want]
+        for start, _, _, sv in want:
             assert f.eval(start) == pytest.approx(sv, abs=1e-12)
 
     def test_constant_gives_no_arcs(self):
@@ -293,9 +296,8 @@ class TestMonotoneArcs:
             f = make_plpf(np.column_stack([pos, vals]))
             dec = monotone_arcs(f)
             want = arcs_by_loop(f)
-            got = list(zip(dec.starts.tolist(), dec.ends.tolist(),
-                           dec.increments.tolist(), dec.start_values.tolist()))
-            assert got == want
+            got = list(zip(dec.increments.tolist(), dec.start_values.tolist()))
+            assert got == [(inc, sv) for _, _, inc, sv in want]
             assert len(dec) == len(want)
             wrapped += any(end <= start for start, end, _, _ in want)
         assert wrapped > 50
@@ -353,4 +355,11 @@ class TestJson:
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
+            function_from_json(text)
+
+    @pytest.mark.parametrize("extra", ["extra", "positions", "family"])
+    def test_unknown_key_named(self, extra):
+        # an unknown key used to be ignored
+        text = json.dumps({"breakpoints": [[0.0, 0.0], [0.5, 1.0]], extra: 1})
+        with pytest.raises(ValueError, match=f"^function JSON has no key '{extra}'$"):
             function_from_json(text)

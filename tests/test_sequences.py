@@ -62,9 +62,19 @@ WANG_CASES = [
 
 
 class TestLambdaSequence:
+    @pytest.mark.parametrize("lam", [
+        LambdaSequence.explicit(np.cumsum(np.linspace(0.5, 3.0, 64))),
+        LambdaSequence.power(0.7),
+        LambdaSequence.power_log(0.5, 1.3),
+        LambdaSequence.block_power_log(1.5, 0.6),
+    ], ids=lambda lam: lam.family)
+    def test_term_equals_terms(self, lam):
+        # one evaluator per family: term(n) reads entry n - 1 of terms
+        assert [lam.term(n) for n in range(1, 65)] == lam.terms(64).tolist()
+
     def test_explicit_basic(self):
         lam = LambdaSequence.explicit([1.0, 2.0, 4.0])
-        assert len(lam) == 3
+        assert len(lam.explicit_terms) == 3
         assert lam.term(2) == 2.0
         assert list(lam.terms(3)) == [1.0, 2.0, 4.0]
 
@@ -126,6 +136,9 @@ class TestLambdaSequence:
         assert lam.term(1) == lam.term(2)
         assert lam.term(3) == lam.term(2)
         assert lam.term(4) > lam.term(3)
+        # the block of 2^m - 1 is m - 1 up to 2^53
+        for m in range(2, 54):
+            assert lam.term(2**m - 1) == lam.term(2 ** (m - 1)) < lam.term(2**m)
 
     def test_block_family_validation(self):
         with pytest.raises(ValueError):
@@ -496,24 +509,24 @@ class TestHardy:
         a = np.zeros(64)
         a[0] = 1.0
         for beta, r in ((0.25, 1.5), (0.5, 2.0), (1.0, 3.0)):
-            lhs, rhs = hardy_two_sides(beta, r, a, self.NU)
-            assert lhs == pytest.approx(
+            lhs, rhs = hardy_two_sides(beta, r, a[None], self.NU)
+            assert lhs[0] == pytest.approx(
                 sum(2.0 ** (-n * beta) for n in range(11)), rel=1e-13
             )
-            assert rhs == pytest.approx(2.0**-beta, rel=1e-13)
+            assert rhs[0] == pytest.approx(2.0**-beta, rel=1e-13)
 
     def test_zero_input(self):
-        lhs, rhs = hardy_two_sides(0.5, 2.0, np.zeros(16), self.NU)
-        assert lhs == 0.0 and rhs == 0.0
+        lhs, rhs = hardy_two_sides(0.5, 2.0, np.zeros((1, 16)), self.NU)
+        assert lhs[0] == 0.0 and rhs[0] == 0.0
 
     def test_lhs_dominates_rhs_random(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
             a = rng.exponential(1.0, 64)
             lhs, rhs = hardy_two_sides(
-                float(rng.uniform(0.1, 2.0)), float(rng.uniform(1.1, 4.0)), a, self.NU
+                float(rng.uniform(0.1, 2.0)), float(rng.uniform(1.1, 4.0)), a[None], self.NU
             )
-            assert lhs >= rhs - 1e-12
+            assert lhs[0] >= rhs[0] - 1e-12
 
     @pytest.mark.parametrize(
         "nu",
@@ -528,24 +541,26 @@ class TestHardy:
             lhs, rhs = hardy_two_sides(beta, r, a, nu)
             assert lhs.shape == rhs.shape == (40,)
             for t, row in enumerate(a):
-                assert (lhs[t], rhs[t]) == hardy_two_sides(beta, r, row, nu)
+                one_lhs, one_rhs = hardy_two_sides(beta, r, row[None], nu)
+                assert (lhs[t], rhs[t]) == (one_lhs[0], one_rhs[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hardy_two_sides(0.0, 2.0, [1.0], self.NU)
+            hardy_two_sides(0.0, 2.0, [[1.0]], self.NU)
         with pytest.raises(ValueError):
-            hardy_two_sides(0.5, 1.0, [1.0], self.NU)
+            hardy_two_sides(0.5, 1.0, [[1.0]], self.NU)
         with pytest.raises(ValueError):
-            hardy_two_sides(0.5, 2.0, [1.0], (2.0, 4.0))
+            hardy_two_sides(0.5, 2.0, [[1.0]], (2.0, 4.0))
         with pytest.raises(ValueError):
-            hardy_two_sides(0.5, 2.0, [1.0], (1.0, 1.0))
+            hardy_two_sides(0.5, 2.0, [[1.0]], (1.0, 1.0))
         with pytest.raises(ValueError):
-            hardy_two_sides(0.5, 2.0, [1.0], (1.0, float("nan")))
-        with pytest.raises(ValueError):
-            hardy_two_sides(0.5, 2.0, np.ones((2, 2, 2)), self.NU)
+            hardy_two_sides(0.5, 2.0, [[1.0]], (1.0, float("nan")))
+        for a in ([1.0], np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="^a must be a 2-D array of draws$"):
+                hardy_two_sides(0.5, 2.0, a, self.NU)
 
     @pytest.mark.parametrize(
-        "a", [[float("nan"), 1.0], [[1.0, 2.0], [1.0, float("nan")]]], ids=["1-D", "2-D"]
+        "a", [[[float("nan"), 1.0]], [[1.0, 2.0], [1.0, float("nan")]]], ids=["one-row", "two-rows"]
     )
     def test_nan_draw_named(self, a):
         with pytest.raises(ValueError, match="^a must be nonnegative$"):
@@ -575,10 +590,13 @@ class TestDualExtremizer:
         assert np.allclose(u, [2.0**-0.5, 2.0**-0.5])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^input must not be all zero$"):
             dual_extremizer([0.0, 0.0], 2.0)
         with pytest.raises(ValueError):
             dual_extremizer([1.0], 1.0)
+        # positive terms whose l^p norm underflows are not all zero
+        with pytest.raises(ValueError, match=r"^the l\^2308 norm of the input underflows to 0$"):
+            dual_extremizer([0.42, 0.17], 2308.0)
 
 
 class TestJson:
@@ -594,7 +612,7 @@ class TestJson:
     def test_round_trip(self, lam):
         lam2 = sequence_from_json(sequence_to_json(lam))
         assert lam2.family == lam.family
-        n = len(lam) if lam.family == "explicit" else 8
+        n = len(lam.explicit_terms) if lam.family == "explicit" else 8
         assert np.allclose(lam2.terms(n), lam.terms(n))
 
     @pytest.mark.parametrize(
@@ -623,6 +641,14 @@ class TestJson:
              "power_log family has no parameter 'alpha'"),
             ('{"family": "block_power_log", "params": {"s": 1, "alpha": 0.5, "t": 0}}',
              "block_power_log family has no parameter 't'"),
+            # so was a top-level key the format lacks: power(1) dropped the terms
+            ('{"family": "power", "params": {"s": 1}, "terms": [5, 6]}',
+             "power sequence JSON has no key 'terms'"),
+            ('{"family": "block_power_log", "params": {"s": 1, "alpha": 0.5}, "extra": 1}',
+             "block_power_log sequence JSON has no key 'extra'"),
+            ('{"family": "explicit", "terms": [1, 2], "params": {}}',
+             "explicit sequence JSON has no key 'params'"),
+            ('{"terms": [1], "family": "explicit", "s": 2}', "explicit sequence JSON has no key 's'"),
         ],
     )
     def test_missing_parameter_named(self, text, name):

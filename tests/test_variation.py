@@ -30,6 +30,7 @@ from lambdabv.variation import (
     _hump_dp,
     _p_power_profile,
     _refined_cycle,
+    _rounding_slack,
     _shift_bounds,
     _shift_norms,
     _shift_samples,
@@ -67,6 +68,11 @@ LAM_N = LambdaSequence.power(1.0)
 # p-variation system uses the two full rises 0 -> 1.9 and 1.9 -> 0 even
 # though no single arc realizes them.
 SPLIT_RISE = make_plpf([(0.0, 0.0), (0.25, 1.0), (0.5, 0.9), (0.75, 1.9)])
+
+
+def max_ratio(deltas, moduli, exponent):
+    """The ratio norm read off a modulus profile: max of modulus / delta^exponent."""
+    return max(m / d**exponent for d, m in zip(deltas, moduli))
 
 
 class TestPVariation:
@@ -686,13 +692,12 @@ class TestLpModulusProfile:
             got = lp_modulus(f, p, deltas)
             assert got == [lp_modulus(f, p, [d])[0] for d in deltas], (i, p, deltas)
 
-    def test_lip_norm_rows_equal_profile(self):
+    def test_lip_norm_is_max_over_profile(self):
         rng = np.random.default_rng(123)
         for _ in range(5):
             f = random_plpf(rng)
-            rep = lip_norm(f, 1.5, 0.75, 6)
-            deltas = [row[0] for row in rep.per_delta]
-            assert [row[1] for row in rep.per_delta] == lp_modulus(f, 1.5, deltas)
+            deltas = _dyadic_grid(6)
+            assert lip_norm(f, 1.5, 0.75, 6) == max_ratio(deltas, lp_modulus(f, 1.5, deltas), 0.75)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -780,7 +785,8 @@ class TestLpModulusPruning:
             norms = _shift_norms(f, hs, p)
             done = rng.uniform(size=len(hs)) < 0.1
             done[::8] = True
-            bounds = _shift_bounds(f, hs, np.where(done, norms, 0.0), done, derivative_lp_norm(f, p))
+            bounds = _shift_bounds(hs, np.where(done, norms, 0.0), done, derivative_lp_norm(f, p),
+                                   _rounding_slack(f))
             assert np.all(bounds >= norms[~done])
 
     def test_huge_p_does_not_overflow(self):
@@ -835,23 +841,19 @@ class TestLpModulusPruning:
 
 class TestNormReports:
     def test_lip_value_is_max_ratio(self):
-        rep = lip_norm(TRIANGLE, 2.0, 0.75, 6)
-        assert rep.value == max(row[2] for row in rep.per_delta)
-        assert len(rep.per_delta) == rep.delta_grid + 1
-        deltas = [row[0] for row in rep.per_delta]
-        assert deltas[0] == 1.0 and deltas[-1] == 2.0**-6
+        deltas = [2.0**-j for j in range(7)]
+        want = max_ratio(deltas, lp_modulus(TRIANGLE, 2.0, deltas), 0.75)
+        assert lip_norm(TRIANGLE, 2.0, 0.75, 6) == want
 
     def test_lip_alpha_one_bounded_by_derivative(self):
         rng = np.random.default_rng(119)
         for _ in range(10):
             f = random_plpf(rng)
             p = float(rng.choice([1.5, 2.0, 3.0]))
-            rep = lip_norm(f, p, 1.0, 6)
-            assert rep.value <= derivative_lp_norm(f, p) + 1e-9
+            assert lip_norm(f, p, 1.0, 6) <= derivative_lp_norm(f, p) + 1e-9
 
     def test_ratio_norm_constant_is_zero(self):
-        rep = p_cont_ratio_norm(make_plpf([(0.0, 3.0)]), 2.0, 0.75, 4)
-        assert rep.value == 0.0
+        assert p_cont_ratio_norm(make_plpf([(0.0, 3.0)]), 2.0, 0.75, 4) == 0.0
 
     def test_ratio_norm_rejects_small_alpha(self):
         with pytest.raises(ValueError):
@@ -864,24 +866,30 @@ class TestNormReports:
         for depth in (0, MAX_DELTA_DEPTH + 1):
             with pytest.raises(ValueError, match=message):
                 report(TRIANGLE, 2.0, 0.75, depth)
-        assert report(TRIANGLE, 2.0, 0.75, MAX_DELTA_DEPTH).per_delta[-1][0] == 2.0**-1074
+        deltas = [2.0**-j for j in range(MAX_DELTA_DEPTH + 1)]
+        assert deltas[-1] == 2.0**-1074
+        if report is lip_norm:
+            want = max_ratio(deltas, lp_modulus(TRIANGLE, 2.0, deltas), 0.75)
+        else:
+            want = max_ratio(deltas, modulus_p_continuity(TRIANGLE, 2.0, deltas), 0.25)
+        assert report(TRIANGLE, 2.0, 0.75, MAX_DELTA_DEPTH) == want
 
     def test_ratio_norm_rejects_negative_refinement(self):
         with pytest.raises(ValueError, match="grid_refinement must be nonnegative"):
             p_cont_ratio_norm(TRIANGLE, 2.0, 0.75, 3, -1)
 
-    def test_ratio_norm_rows_equal_modulus(self):
-        # both go through one chain-DP profile, so the rows match bit for bit
+    def test_ratio_norm_is_max_over_modulus(self):
+        # both go through one chain-DP profile, so the moduli match bit for bit
         rng = np.random.default_rng(124)
+        deltas = _dyadic_grid(5)
         for _ in range(10):
             f = random_plpf(rng)
             for p in (1.5, 2.0, 3.0):
                 for m in (0, 1):
-                    rep = p_cont_ratio_norm(f, p, 0.9, 5, m)
-                    for delta, omega, _ in rep.per_delta:
-                        assert omega == modulus_p_continuity(f, p, [delta], m)[0]
+                    omegas = [modulus_p_continuity(f, p, [delta], m)[0] for delta in deltas]
+                    assert p_cont_ratio_norm(f, p, 0.9, 5, m) == max_ratio(deltas, omegas, 0.9 - 1.0 / p)
 
     def test_ratio_norm_uses_exact_exponent_weights(self):
-        rep = p_cont_ratio_norm(TRIANGLE, 2.0, 0.75, 3, 1)
-        for delta, omega, ratio in rep.per_delta:
-            assert ratio == pytest.approx(omega / delta**0.25, rel=1e-12)
+        deltas = [1.0, 0.5, 0.25, 0.125]
+        omegas = modulus_p_continuity(TRIANGLE, 2.0, deltas, 1)
+        assert p_cont_ratio_norm(TRIANGLE, 2.0, 0.75, 3, 1) == max_ratio(deltas, omegas, 0.25)

@@ -9,8 +9,10 @@ BENCHMARK.json's `run_seconds`, the parent first on even pairs and the
 change first on odd ones, so neither side always meets the machine's same
 phase.  The summary is the `workloads` entry of a BENCH_<pr>.json: per
 end-to-end metric of BENCHMARK.json, each side's q1, median and q3 (numpy
-linear percentiles), the change's relative median difference, the pairs
-the change won and tied, and the raw runs.  It goes into the --out file's
+linear percentiles), the change's relative median difference, whether the
+change's median is worse than the parent's by no more than the metric's
+relative `bound` (`within_bound`), the pairs the change won and tied, and
+the raw runs.  It goes into the --out file's
 `workloads` object under W, beside the other workloads already there, as
 soon as W's pairs are done.  A run that exits non-zero or reports
 `correct: false` stops the series with an error.
@@ -58,21 +60,25 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": round(float(q1), 6), "median": round(float(median), 6), "q3": round(float(q3), 6)}
 
 
-def summarize(seeds: list[int], parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def summarize(seeds: list[int], parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
     """The workloads entry for runs parent[i] and change[i] on seeds[i];
-    ``better`` maps each metric to "lower" or "higher"."""
+    ``end_to_end`` is BENCHMARK.json's list of metrics, each with its
+    ``name``, ``better`` ("lower" or "higher") and relative ``bound``."""
     metrics = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name = metric["name"]
         a = [r["metrics"][name]["value"] for r in parent]
         b = [r["metrics"][name]["value"] for r in change]
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = sum(sign * (x - y) > 0.0 for x, y in zip(a, b))
         pa, pb = _quartiles(a), _quartiles(b)
         rel = (pb["median"] - pa["median"]) / pa["median"] if pa["median"] else 0.0
+        worse = sign * (pb["median"] - pa["median"])
         metrics[name] = {
             "parent": pa,
             "change": pb,
             "change_minus_parent_rel": round(rel, 4),
+            "within_bound": bool(worse <= metric["bound"] * abs(pa["median"])),
             "change_wins": f"{wins}/{len(seeds)}",
             "ties": sum(x == y for x, y in zip(a, b)),
             "parent_runs": [round(x, 6) for x in a],
@@ -100,7 +106,6 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     for workload in args.workload:
@@ -116,7 +121,7 @@ def main(argv=None) -> int:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data.setdefault("workloads", {})[workload] = summarize(seeds, parent, change, better)
+        data.setdefault("workloads", {})[workload] = summarize(seeds, parent, change, spec["end_to_end"])
         args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
