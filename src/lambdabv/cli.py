@@ -17,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -68,7 +69,9 @@ class ValidationError(Exception):
         self.message = message
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lambdabv",
         description="Run a variation/criterion/witness experiment and write CSV + JSON artifacts.",

@@ -172,6 +172,9 @@ def extremal_function(spec: WitnessSpec) -> tuple[tuple[PiecewiseLinearPeriodic,
 
     inner = np.array([weighted_block_sum(lam, p_prime * a_exp, p_prime, 2**n, 2 ** (n + 1)) for n in ns])
     l_inclusive = inner ** (1.0 / p_prime)
+    if l_inclusive[0] == 0.0:
+        # every truncation's duality weights read L_1, a sum of positive terms
+        raise ValueError("the first level sum underflows to 0 at this p")
     s_norms = np.array(
         [weighted_block_sum(lam, 0.0, p_prime, 2**n, 2 ** (n + 1) - 1) ** (1.0 / p_prime) for n in ns]
     )

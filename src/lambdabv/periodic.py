@@ -190,10 +190,10 @@ def monotone_arcs(f: PiecewiseLinearPeriodic) -> MonotoneArcDecomposition:
     function yields an empty decomposition.
     """
     val = f.values
-    sv = val[val != np.roll(val, 1)]
-    sign = np.sign(np.roll(sv, -1) - sv)
-    ext = sv[sign != np.roll(sign, 1)]
-    return MonotoneArcDecomposition(np.roll(ext, -1) - ext, ext)
+    sv = val[val != np.concatenate([val[-1:], val[:-1]])]
+    sign = np.sign(np.diff(sv, append=sv[:1]))
+    ext = sv[sign != np.concatenate([sign[-1:], sign[:-1]])]
+    return MonotoneArcDecomposition(np.diff(ext, append=ext[:1]), ext)
 
 
 def superpose(fs) -> PiecewiseLinearPeriodic:
@@ -232,8 +232,10 @@ def sup_norm(f: PiecewiseLinearPeriodic) -> float:
 
 
 def function_to_json(f: PiecewiseLinearPeriodic) -> str:
-    """Serialize to the breakpoint file format with full double precision."""
-    return json.dumps({"breakpoints": np.column_stack([f.positions, f.values]).tolist()})
+    """Serialize to the breakpoint file format with full double precision:
+    the bytes of json.dumps, which writes each (finite) float as its repr."""
+    pairs = ", ".join([f"[{x!r}, {y!r}]" for x, y in zip(f.positions.tolist(), f.values.tolist())])
+    return '{"breakpoints": [' + pairs + "]}"
 
 
 def function_from_json(text: str) -> PiecewiseLinearPeriodic:

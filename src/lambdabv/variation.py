@@ -353,10 +353,10 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
         u = np.take_along_axis(u, order, axis=1)
         w = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1) - k
         g = np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
-        v = np.roll(u, -1, axis=1)
+        v = np.concatenate([u[:, 1:], u[:, :1]], axis=1)
         m, d = 0.5 * (u + v), v - u
         near = np.abs(d) <= 1e-3 * np.abs(m)
-        piece = (np.roll(g, -1, axis=1) - g) / np.where(near, 1.0, d)
+        piece = np.diff(g, axis=1, append=g[:, :1]) / np.where(near, 1.0, d)
         mn = m[near]
         x2 = (d[near] / np.where(mn == 0.0, 1.0, mn)) ** 2
         piece[near] = np.abs(mn) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)

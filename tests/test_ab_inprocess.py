@@ -1,0 +1,129 @@
+import importlib.util
+import json
+import pathlib
+import shutil
+import types
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_inprocess.py"
+spec = importlib.util.spec_from_file_location("ab_inprocess", TOOL)
+ab_inprocess = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_inprocess)
+
+
+class FakeCli:
+    """cli.main stand-in: logs its side, advances the fake clock by its
+    cost and writes one artifact."""
+
+    def __init__(self, side, cost, clock, calls, text="same\n"):
+        self.side, self.cost, self.clock, self.calls, self.text = side, cost, clock, calls, text
+
+    def main(self, argv):
+        self.calls.append((self.side, argv[argv.index("--cid") + 1]))
+        self.clock[0] += self.cost
+        out = pathlib.Path(argv[argv.index("--out") + 1])
+        (out / "result.txt").write_text(self.text + (out / "in.txt").read_text())
+        print("done")
+        return 0
+
+
+def fake_workloads(batches_seen):
+    def command(cid):
+        return types.SimpleNamespace(cid=cid, argv=["--cid", cid, "--in", "{dir}/in.txt"],
+                                     files={"in.txt": f"input {cid}\n"})
+
+    class Generator:
+        def __init__(self, workload, seed, tiny):
+            self.workload, self.seed, self.tiny = workload, seed, tiny
+
+        def plan(self, batches):
+            batches_seen.append((self.workload, self.seed, self.tiny, batches))
+            return [command("w0")], [[command(f"{i}.{j}") for j in range(2)] for i in range(batches)]
+
+    return types.SimpleNamespace(Generator=Generator)
+
+
+@pytest.fixture
+def stubbed(tmp_path, monkeypatch):
+    clock, calls, plans = [0.0], [], []
+    texts = {"base": "same\n", "head": "same\n"}
+    costs = {"base": 2.0, "head": 1.0}
+    monkeypatch.setattr(ab_inprocess, "CLOCK", lambda: clock[0])
+    monkeypatch.setattr(ab_inprocess, "load_cli", lambda checkout, name, into: FakeCli(
+        name.rpartition("_")[2], costs[name.rpartition("_")[2]], clock, calls, texts[name.rpartition("_")[2]]))
+    monkeypatch.setattr(ab_inprocess, "load_workloads", lambda checkout: fake_workloads(plans))
+    return types.SimpleNamespace(calls=calls, plans=plans, texts=texts)
+
+
+class TestStubbed:
+    def test_batches_alternate_and_merge_into_the_out_file(self, tmp_path, stubbed):
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"claim": None, "workloads": {"w": {"seeds": [1]}}}))
+        argv = ["base", "head", "--workload", "w", "--workload", "v", "--batches", "3", "--seed", "5",
+                "--out", str(out)]
+        assert ab_inprocess.main(argv) == 0
+        assert stubbed.plans == [("w", 5, False, 3), ("v", 5, False, 3)]
+        for series in (stubbed.calls[:14], stubbed.calls[14:]):
+            # the warm-up on each side, then each batch with BASE first on
+            # even batches and HEAD first on odd ones
+            assert [side for side, _ in series] == (["base", "head"] + ["base"] * 2 + ["head"] * 4
+                                                    + ["base"] * 4 + ["head"] * 2)
+            assert [cid for _, cid in series[2:]] == ["0.0", "0.1"] * 2 + ["1.0", "1.1"] * 2 + ["2.0", "2.1"] * 2
+        data = json.loads(out.read_text())
+        assert data["claim"] is None and data["workloads"] == {"w": {"seeds": [1]}}
+        for workload in ("w", "v"):
+            entry = data["cpu_ab"][workload]
+            assert entry["order"] == [["base", "head"], ["head", "base"], ["base", "head"]]
+            assert entry["base"] == {"slot_median_batch_s": 4.0, "batch_sums_s": [4.0] * 3}
+            assert entry["head"] == {"slot_median_batch_s": 2.0, "batch_sums_s": [2.0] * 3}
+            assert entry["head_minus_base_rel"] == -0.5 and entry["head_wins"] == "3/3"
+            # per command: its input, its result and its exit record
+            assert entry["artifacts_compared"] == 3 * 2 * 3
+            assert entry["differing_artifacts"] == 0 and entry["differences"] == []
+
+    def test_a_differing_artifact_exits_1(self, tmp_path, stubbed):
+        stubbed.texts["head"] = "other\n"
+        out = tmp_path / "BENCH.json"
+        assert ab_inprocess.main(["base", "head", "--workload", "w", "--batches", "2", "--out", str(out)]) == 1
+        entry = json.loads(out.read_text())["cpu_ab"]["w"]
+        assert entry["differing_artifacts"] == 4
+        assert entry["differences"][:2] == ["batch 0: 0.0/result.txt", "batch 0: 0.1/result.txt"]
+
+    def test_batches_must_be_positive(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            ab_inprocess.main(["a", "b", "--workload", "w", "--batches", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+
+def _checkout(root, src):
+    shutil.copytree(src, root / "src" / "lambdabv", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", root / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__"))
+    return root
+
+
+class TestRealRun:
+    def test_two_copies_of_one_src_write_the_same_bytes(self, tmp_path):
+        base = _checkout(tmp_path / "base", ROOT / "src" / "lambdabv")
+        head = _checkout(tmp_path / "head", ROOT / "src" / "lambdabv")
+        out = tmp_path / "BENCH.json"
+        argv = [str(base), str(head), "--workload", "witness-sweep", "--workload", "arcs-search",
+                "--batches", "2", "--tiny", "--out", str(out)]
+        assert ab_inprocess.main(argv) == 0
+        for entry in json.loads(out.read_text())["cpu_ab"].values():
+            assert entry["batches"] == 2 and entry["commands_per_batch"] == 3
+            assert entry["artifacts_compared"] > 0 and entry["differing_artifacts"] == 0
+
+    def test_a_changed_written_byte_is_found(self, tmp_path):
+        base = _checkout(tmp_path / "base", ROOT / "src" / "lambdabv")
+        head = _checkout(tmp_path / "head", ROOT / "src" / "lambdabv")
+        cli = head / "src" / "lambdabv" / "cli.py"
+        text = cli.read_text()
+        assert "sort_keys=True, indent=2" in text
+        cli.write_text(text.replace("sort_keys=True, indent=2", "sort_keys=True, indent=3"))
+        out = tmp_path / "BENCH.json"
+        argv = [str(base), str(head), "--workload", "witness-sweep", "--batches", "1", "--tiny", "--out", str(out)]
+        assert ab_inprocess.main(argv) == 1
+        differences = json.loads(out.read_text())["cpu_ab"]["witness-sweep"]["differences"]
+        assert differences == [f"batch 0: 0.{i}/sharpness.json" for i in range(3)]

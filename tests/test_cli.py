@@ -639,6 +639,14 @@ class TestSharpnessCommand:
         assert proc.returncode == 2
         assert proc.stderr == "error: p: the l^2307.69 norm of the input underflows to 0\n"
 
+    def test_level_sums_underflow_named(self, tmp_path, lam_file):
+        # at p' = 10^7 every level sum L_n underflows to 0; this read
+        # "input must not be all zero", the duality weights' own message
+        proc = run_cli("--command", "sharpness", "--sequence", lam_file, "--levels", "3",
+                       "--p", "1.0000001", "--alpha", "0.99999999", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: p: the first level sum underflows to 0 at this p\n"
+
     def test_levels_cap(self, tmp_path, lam_file):
         proc = run_cli(
             "--command", "sharpness", "--sequence", lam_file,
@@ -907,3 +915,15 @@ class TestParser:
         for name in ("variation", "criterion", "sharpness", "wang-demo",
                      "perlman-demo", "hardy-demo"):
             assert name in proc.stdout
+
+    def test_one_parser_per_process(self, tmp_path, tri_file):
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["--command", "variation", "--function", tri_file, "--refine", "3",
+                         "--delta-depth", "4", "--out", str(tmp_path / "a")]) == 0
+        # the options of one call do not leak into the next one's defaults
+        assert cli.main(["--command", "variation", "--function", tri_file, "--out", str(tmp_path / "b")]) == 0
+        summary = json.loads((tmp_path / "b" / "variation.json").read_text())
+        assert (summary["refinement"], summary["delta_depth"]) == (0, 6)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--command", "variation", "--delta-depth", "four", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2

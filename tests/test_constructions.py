@@ -153,6 +153,11 @@ class TestDualityWeights:
 
 
 class TestWitness:
+    def test_level_sum_underflow_named(self):
+        # p' = 10^7: every L_n is a sum of positive terms that underflows to 0
+        with pytest.raises(ValueError, match="^the first level sum underflows to 0 at this p$"):
+            extremal_function(WitnessSpec(LAM_N, 1.0000001, 0.99999999, 3))
+
     def test_level_one_from_first_principles(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 1)
         g, rep = extremal_function(spec)[-1]

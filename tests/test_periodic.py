@@ -349,6 +349,27 @@ class TestJson:
         assert g.positions.tolist() == f.positions.tolist()
         assert g.values.tolist() == f.values.tolist()
 
+    def test_bytes_equal_json_dumps(self):
+        # the writer joins reprs; json.dumps writes every finite float as its
+        # repr, so the two agree byte for byte, signed zeros and subnormals too
+        pos_edge = [-0.0, 5e-324, 1e-5, 1e-4, 0.5, 0.9999999999999999]
+        val_edge = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                    1e16, 9999999999999998.0, 1e-4, 1e-5]
+        rng = np.random.default_rng(2300)
+        for trial in range(1200):
+            n = 1 if trial % 8 == 0 else int(rng.integers(2, 24))
+            pos = np.where(rng.random(n) < 0.3, rng.choice(pos_edge, n), rng.random(n))
+            pos = np.unique(pos)
+            exps = rng.integers(-320, 308, len(pos)).astype(float)
+            vals = np.where(rng.random(len(pos)) < 0.4, rng.choice(val_edge, len(pos)),
+                            rng.uniform(-1.0, 1.0, len(pos)) * 10.0**exps)
+            f = PiecewiseLinearPeriodic(pos, vals)
+            text = function_to_json(f)
+            assert text == json.dumps({"breakpoints": np.column_stack([f.positions, f.values]).tolist()})
+            g = function_from_json(text)
+            assert g == f
+            assert g.positions.tobytes() == f.positions.tobytes() and g.values.tobytes() == f.values.tobytes()
+
     @pytest.mark.parametrize(
         "text",
         ["[]", "{}", '{"breakpoints": 5}', '{"breakpoints": [[0.1]]}'],

@@ -1,0 +1,205 @@
+"""CPU-time A/B of two checkouts of lambdabv in one process.
+
+    python3 tools/ab_inprocess.py BASE HEAD --workload W [--workload W2 ...] \
+        --batches N [--seed S] [--tiny] --out BENCH.json
+
+Each checkout's src/lambdabv is copied into a temporary directory as the
+packages lambdabv_base and lambdabv_head, and both are imported here, so the
+two sides share one interpreter, one heap and the machine's same moments.
+The commands are perfbench's: HEAD's perfbench/workloads.py draws the warm-up
+commands and N batches of workload W from seed S, as `perfbench/run.py
+--workload W --seed S` would.  Both sides run the warm-up untimed, then each
+batch in turn, BASE first on even batches and HEAD first on odd ones.  A
+command runs through the side's cli.main(argv) in the same directory on both
+sides, and is timed in CPU seconds (time.process_time); its outputs are
+not checked against perfbench's oracle.
+
+Every file a command leaves in its directory, its exit code and what it
+printed are compared byte for byte between the sides.  The summary goes
+into the --out file's `cpu_ab` object under W: each side's slot-median
+batch sum (the sum over the batch's command slots of each slot's median CPU
+time across batches, as perfbench's batch_s sums charged times), its
+per-batch CPU sums, the batches HEAD won, and the differing artifacts.  The
+exit status is 1 when any artifact differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS/OpenMP thread, fixed before numpy loads, as perfbench/run.py does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SIDES = ("base", "head")
+CLOCK = time.process_time
+# the names this tool imports, dropped again when it returns
+OWN_MODULES = ("lambdabv_base", "lambdabv_head", "workloads", "oracle")
+
+
+def load_cli(checkout: Path, name: str, into: Path):
+    """Import ``checkout``'s src/lambdabv as the package ``name`` from
+    ``into``, a directory on sys.path; return its cli module."""
+    shutil.copytree(checkout / "src" / "lambdabv", into / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    importlib.invalidate_caches()  # the import system may have listed ``into`` before the copy
+    return importlib.import_module(f"{name}.cli")
+
+
+def load_workloads(checkout: Path):
+    """``checkout``'s perfbench/workloads.py, which imports its oracle.py as
+    a top-level module."""
+    sys.path.insert(0, str(checkout / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+def run_command(cli, cmd, d: Path) -> tuple[float, str]:
+    """Write the command's inputs into ``d`` and run it there; return its CPU
+    seconds and its exit record: exit code and printed text."""
+    d.mkdir(parents=True, exist_ok=True)
+    for name, text in cmd.files.items():
+        (d / name).write_text(text, encoding="utf-8")
+    argv = [a.replace("{dir}", str(d)) for a in cmd.argv] + ["--out", str(d)]
+    sink = io.StringIO()
+    t0 = CLOCK()
+    try:
+        with redirect_stdout(sink), redirect_stderr(sink):
+            rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    except Exception as exc:  # recorded, and compared like any outcome
+        rc = f"raised {type(exc).__name__}: {exc}"
+    return CLOCK() - t0, f"exit {rc}\n{sink.getvalue()}"
+
+
+def run_batch(cli, commands, root: Path) -> tuple[list[float], dict[str, bytes]]:
+    """Run the commands in order, each in root/<cid>; return their CPU times
+    and every artifact by its path under root."""
+    times, artifacts = [], {}
+    for cmd in commands:
+        cpu, record = run_command(cli, cmd, root / cmd.cid)
+        times.append(cpu)
+        artifacts[f"{cmd.cid}/(exit)"] = record.encode()
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            artifacts[str(path.relative_to(root))] = path.read_bytes()
+    return times, artifacts
+
+
+def differing(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def slot_median_sum(batches: list[list[float]]) -> float:
+    """The sum over slots of each slot's median across batches."""
+    return sum(statistics.median(slot) for slot in zip(*batches))
+
+
+def run_series(clis: dict, plan, workdir: Path, log=None) -> dict:
+    """Run the warm-up and the batches of ``plan`` on both sides, alternating
+    which goes first; return CPU times per side and batch, the order each
+    batch ran in, and the artifacts that differ."""
+    warm, batches = plan
+    run_dir = workdir / "run"
+    for side in SIDES:
+        run_batch(clis[side], warm, run_dir)
+        shutil.rmtree(run_dir)
+    cpu = {side: [] for side in SIDES}
+    orders, diffs, compared = [], [], 0
+    for index, commands in enumerate(batches):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        seen = {}
+        for side in order:
+            # the same directory on both sides, so printed paths agree
+            times, seen[side] = run_batch(clis[side], commands, run_dir)
+            shutil.rmtree(run_dir)
+            cpu[side].append(times)
+        compared += len(seen["base"].keys() | seen["head"].keys())
+        diffs += [f"batch {index}: {k}" for k in differing(seen["base"], seen["head"])]
+        orders.append(list(order))
+        if log is not None:
+            print(f"batch {index} ({order[0]} first): base {sum(cpu['base'][-1]):.4f} s, "
+                  f"head {sum(cpu['head'][-1]):.4f} s CPU", file=log)
+    return {"cpu": cpu, "orders": orders, "differing": diffs, "compared": compared}
+
+
+def summarize(seed: int, tiny: bool, series: dict) -> dict:
+    cpu = series["cpu"]
+    sums = {side: [sum(b) for b in cpu[side]] for side in SIDES}
+    slot = {side: slot_median_sum(cpu[side]) for side in SIDES}
+    wins = sum(h < b for b, h in zip(sums["base"], sums["head"]))
+    return {
+        "seed": seed,
+        "tiny": tiny,
+        "batches": len(sums["base"]),
+        "commands_per_batch": len(cpu["base"][0]) if cpu["base"] else 0,
+        "order": series["orders"],
+        "clock": "time.process_time, CPU seconds of this process",
+        **{side: {"slot_median_batch_s": round(slot[side], 6),
+                  "batch_sums_s": [round(s, 6) for s in sums[side]]} for side in SIDES},
+        "head_minus_base_rel": round((slot["head"] - slot["base"]) / slot["base"], 4) if slot["base"] else 0.0,
+        "head_wins": f"{wins}/{len(sums['base'])}",
+        "artifacts_compared": series["compared"],
+        "differing_artifacts": len(series["differing"]),
+        "differences": series["differing"][:50],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="checkout of the base commit")
+    parser.add_argument("head", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True, action="append", help="repeat for more workloads")
+    parser.add_argument("--batches", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tiny", action="store_true", help="perfbench's small self-test batches")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to add cpu_ab entries to")
+    args = parser.parse_args(argv)
+    if args.batches < 1:
+        parser.error("--batches must be at least 1")
+    saved_path = sys.path[:]
+    try:
+        return _run(args)
+    finally:
+        sys.path[:] = saved_path
+        for name in [m for m in sys.modules if m.split(".")[0] in OWN_MODULES]:
+            del sys.modules[name]
+
+
+def _run(args) -> int:
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="ab_inprocess-") as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp))
+        clis = {side: load_cli(checkout, f"lambdabv_{side}", tmp)
+                for side, checkout in zip(SIDES, (args.base, args.head))}
+        workloads = load_workloads(args.head)
+        for workload in args.workload:
+            plan = workloads.Generator(workload, args.seed, args.tiny).plan(args.batches)
+            series = run_series(clis, plan, tmp / "work", log=sys.stderr)
+            entry = summarize(args.seed, args.tiny, series)
+            differ |= entry["differing_artifacts"] > 0
+            print(f"{workload}: head {entry['head_minus_base_rel']:+.1%} CPU ({entry['head_wins']} batches), "
+                  f"{entry['differing_artifacts']} of {entry['artifacts_compared']} artifacts differ",
+                  file=sys.stderr)
+            data = json.loads(args.out.read_text()) if args.out.exists() else {}
+            data.setdefault("cpu_ab", {})[workload] = entry
+            args.out.write_text(json.dumps(data, indent=2) + "\n")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
