@@ -128,12 +128,12 @@ def _load(path: str | None, field: str, parse):
 
 
 @contextmanager
-def _field(name: str):
-    """Report a library ValueError raised in the block as a rejection of the
-    named field."""
+def _field(name: str, error: type[Exception] = ValueError):
+    """Report an ``error``, by default a library ValueError, raised in the
+    block as a rejection of the named field."""
     try:
         yield
-    except ValueError as exc:
+    except error as exc:
         raise ValidationError(name, str(exc)) from exc
 
 
@@ -381,21 +381,20 @@ def run(config: argparse.Namespace) -> int:
     """Execute one experiment and write its artifacts into config.out: the
     runner's rows under a leading schema_version column, and its summary with
     the command and schema version added."""
-    try:
+    with _field("out", OSError):
         os.makedirs(config.out, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError("out", str(exc)) from exc
     header, rows, summary, extras, failure = _RUNNERS[config.command](config)
-    _write_csv(
-        os.path.join(config.out, f"{config.command}.csv"),
-        ["schema_version", *header],
-        ([SCHEMA_VERSION, *row] for row in rows),
-    )
     summary.update(command=config.command, schema_version=SCHEMA_VERSION)
-    _write_json(os.path.join(config.out, f"{config.command}.json"), summary)
-    for name, text in sorted(extras.items()):
-        with open(os.path.join(config.out, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _field("out", OSError):
+        _write_csv(
+            os.path.join(config.out, f"{config.command}.csv"),
+            ["schema_version", *header],
+            ([SCHEMA_VERSION, *row] for row in rows),
+        )
+        _write_json(os.path.join(config.out, f"{config.command}.json"), summary)
+        for name, text in sorted(extras.items()):
+            with open(os.path.join(config.out, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
     if failure is not None:
         print(f"phenomenon check failed: {failure}", file=sys.stderr)
         return 3

@@ -59,10 +59,6 @@ class TriangleCombSpec:
             raise ValueError("heights must be nonnegative and finite")
         object.__setattr__(self, "heights", tuple(h.tolist()))
 
-    @property
-    def tooth_width(self) -> float:
-        return self.interval.length / self.n_teeth
-
 
 def _comb_nodes(a: float, length: float, heights) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of a comb of len(heights) teeth on [a, a + length] without its

@@ -240,8 +240,8 @@ def function_to_json(f: PiecewiseLinearPeriodic) -> str:
 
 def function_from_json(text: str) -> PiecewiseLinearPeriodic:
     """Parse the breakpoint file format: {"breakpoints": [[x, y], ...]}; any
-    other key is rejected."""
-    obj = json.loads(text)
+    other key is rejected, and so is any coordinate that is not a JSON number."""
+    obj = json.loads(text, parse_int=float)
     if not isinstance(obj, dict) or "breakpoints" not in obj:
         raise ValueError('function JSON must be an object with a "breakpoints" key')
     unknown = [key for key in obj if key != "breakpoints"]
@@ -249,6 +249,7 @@ def function_from_json(text: str) -> PiecewiseLinearPeriodic:
         raise ValueError(f"function JSON has no key {unknown[0]!r}")
     bps = obj["breakpoints"]
     pts = np.array(bps, dtype=object)
-    if not isinstance(bps, list) or (bps and pts.shape[1:] != (2,)):
-        raise ValueError('"breakpoints" must be a list of [position, value] pairs')
+    numbers = all(isinstance(v, float) for v in pts.flat)
+    if not isinstance(bps, list) or (bps and pts.shape[1:] != (2,)) or not numbers:
+        raise ValueError('"breakpoints" must be a list of [position, value] pairs of numbers')
     return make_plpf(pts.astype(float))

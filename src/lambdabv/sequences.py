@@ -401,8 +401,6 @@ class CriterionReport:
     lambda; block_terms rows are (n, inner sum, block term).
     """
 
-    p: float
-    alpha: float
     r: float
     r_prime: float
     block_terms: tuple[tuple[int, float, float], ...]
@@ -417,8 +415,6 @@ class WangReport:
     must diverge for the embedding to fail, making its convergence a
     necessary condition, but not a sufficient one."""
 
-    alpha: float
-    exponent: float
     partial_sums: tuple[float, ...]
     symbolic_verdict: str
 
@@ -481,7 +477,7 @@ def criterion_partial_sums(lam: LambdaSequence, p: float, alpha: float, n_blocks
     ep, ea = _exact(p), _exact(alpha)
     ep_prime, _, er_prime = embedding_exponents(ep, ea)
     converges = _condensation(lam, ep_prime * (ea - 1 / ep), ep_prime, er_prime / ep_prime)
-    return CriterionReport(p, alpha, r, r_prime, tuple(zip(range(n_blocks + 1), inners, terms)),
+    return CriterionReport(r, r_prime, tuple(zip(range(n_blocks + 1), inners, terms)),
                            tuple(itertools.accumulate(terms)), _SERIES_VERDICT[converges])
 
 
@@ -497,7 +493,7 @@ def wang_partial_sums(lam: LambdaSequence, alpha: float, n_blocks: int) -> WangR
         weighted_block_sum(lam, 0.0, exponent, 2**m, 2 ** (m + 1) - 1) for m in range(n_blocks)
     )
     converges = _condensation(lam, 0, 1 / (1 - _exact(alpha)), 1)
-    return WangReport(alpha, exponent, tuple(sums), _SERIES_VERDICT[converges])
+    return WangReport(tuple(sums), _SERIES_VERDICT[converges])
 
 
 def regularize_sequence(a, theta: float, gamma: float) -> np.ndarray:
@@ -604,8 +600,9 @@ def sequence_to_json(lam: LambdaSequence) -> str:
 def sequence_from_json(text: str) -> LambdaSequence:
     """Parse the sequence file format:
     {"family": "power"|"power_log"|"block_power_log"|"explicit",
-     "params": {...} | "terms": [...]}; any other key is rejected."""
-    obj = json.loads(text)
+     "params": {...} | "terms": [...]}; any other key is rejected, and so is
+    any parameter or term that is not a JSON number."""
+    obj = json.loads(text, parse_int=float)
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError('sequence JSON must be an object with a "family" key')
     family = obj["family"]
@@ -614,9 +611,10 @@ def sequence_from_json(text: str) -> LambdaSequence:
     if unknown:
         raise ValueError(f"{family} sequence JSON has no key {unknown[0]!r}")
     if family == "explicit":
-        if "terms" not in obj or not isinstance(obj["terms"], list):
-            raise ValueError('explicit sequences need a "terms" list')
-        return LambdaSequence.explicit(obj["terms"])
+        terms = obj.get("terms")
+        if not (isinstance(terms, list) and all(isinstance(v, float) for v in terms)):
+            raise ValueError('explicit sequences need a "terms" list of numbers')
+        return LambdaSequence.explicit(terms)
     params = obj.get("params")
     if not isinstance(params, dict):
         raise ValueError('named families need a "params" object')
@@ -626,4 +624,7 @@ def sequence_from_json(text: str) -> LambdaSequence:
     unknown = [name for name in params if name not in names]
     if unknown:
         raise ValueError(f"{family} family has no parameter {unknown[0]!r}")
-    return LambdaSequence(family, **{name: float(params[name]) for name in names})
+    bad = [name for name in names if not isinstance(params[name], float)]
+    if bad:
+        raise ValueError(f"{family} family parameter {bad[0]!r} must be a number")
+    return LambdaSequence(family, **params)

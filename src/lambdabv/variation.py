@@ -124,6 +124,9 @@ def _p_power_profile(
     point, which add no length and no increment.  A column does only its own
     delta's additions and max is exact, so each value is that of its delta
     alone.  The deltas run in groups of at most 16 * _BLOCK_CELLS pairs.
+    Each delta sums its row of a (delta, hump) table: one entry per hump,
+    summed pairwise in an order fixed by that length, so a grid entry equals
+    its one-element grid bit for bit and is monotone in delta.
     """
     if _integer(refinement, "grid_refinement") < 0:
         raise ValueError("grid_refinement must be nonnegative")
@@ -139,7 +142,7 @@ def _p_power_profile(
     short = np.minimum.reduceat(xs[1:] - xs[:-1], starts) * (1.0 - 2.0**-50) - 2.0**-50
     # only the full period, of increment 0, can exceed 1: delta = 1 admits all
     limits = [d if d < 1.0 else math.inf for d in deltas]
-    free_power, whole, out = np.zeros(len(starts)), 0.0, []
+    out = []
     group = max(1, 16 * _BLOCK_CELLS // len(starts))
     for g in range(0, len(limits), group):
         ds = np.array([math.inf] + limits[g : g + group])[:, None]
@@ -147,7 +150,7 @@ def _p_power_profile(
         pick = ~free & (ds >= short)
         pick[0] = xs[starts] >= xs[ends] - max(limits) if g == 0 else False
         rows, hump = np.nonzero(pick)
-        power = np.empty(len(hump))
+        table = np.zeros(pick.shape)
         for key in range(keys.min(), keys.max() + 1):
             sel = np.flatnonzero(keys[hump] == key)
             per = max(1, _BLOCK_CELLS // (2**key + 1))
@@ -157,16 +160,11 @@ def _p_power_profile(
                 span = np.arange(width[h].max() + 1)[:, None]
                 idx = np.minimum(starts[h] + span, ends[h])
                 lo = np.searchsorted(xs, xs[idx] - ds[rows[block]].T, side="left") - starts[h]
-                power[block] = _hump_dp(ys[idx], np.maximum(lo, 0), p)
-        split = np.searchsorted(rows, np.arange(len(ds) + 1)).tolist()
-        free_power[hump[: split[1]]] = power[: split[1]]
-        for r, n_free in enumerate(free.sum(axis=1).tolist()[1:], 1):
-            if split[r] == split[r + 1] and n_free == len(starts):
-                whole = whole or math.fsum(free_power.tolist()) ** (1.0 / p)
-                out.append(whole)
-            else:
-                terms = free_power[free[r]].tolist() + power[split[r] : split[r + 1]].tolist()
-                out.append(math.fsum(terms) ** (1.0 / p))
+                table[rows[block], h] = _hump_dp(ys[idx], np.maximum(lo, 0), p)
+        if g == 0:
+            unconstrained = table[0]
+        # Python's pow: numpy's vectorized power can differ in the last bit, by CPU
+        out += [s ** (1.0 / p) for s in np.where(free, unconstrained, table)[1:].sum(axis=1).tolist()]
     return out
 
 

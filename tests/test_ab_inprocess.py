@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import pathlib
 import shutil
 import types
@@ -82,6 +83,7 @@ class TestStubbed:
             # per command: its input, its result and its exit record
             assert entry["artifacts_compared"] == 3 * 2 * 3
             assert entry["differing_artifacts"] == 0 and entry["differences"] == []
+            assert entry["largest_relative_difference"] == 0.0
 
     def test_a_differing_artifact_exits_1(self, tmp_path, stubbed):
         stubbed.texts["head"] = "other\n"
@@ -90,6 +92,31 @@ class TestStubbed:
         entry = json.loads(out.read_text())["cpu_ab"]["w"]
         assert entry["differing_artifacts"] == 4
         assert entry["differences"][:2] == ["batch 0: 0.0/result.txt", "batch 0: 0.1/result.txt"]
+        # a changed word has no numeric distance
+        assert entry["largest_relative_difference"] == math.inf
+
+    def test_a_last_bit_change_reports_its_relative_size(self, tmp_path, stubbed):
+        stubbed.texts.update(base="x,0.1,2\n", head="x,0.10000000000000002,2\n")
+        out = tmp_path / "BENCH.json"
+        assert ab_inprocess.main(["base", "head", "--workload", "w", "--batches", "2", "--out", str(out)]) == 1
+        entry = json.loads(out.read_text())["cpu_ab"]["w"]
+        assert entry["differing_artifacts"] == 4
+        assert entry["largest_relative_difference"] == pytest.approx(math.ulp(0.1) / 0.1, rel=1e-6)
+        assert 1e-16 < entry["largest_relative_difference"] < 2e-16
+
+    @pytest.mark.parametrize(
+        "a,b,want",
+        [
+            (b"v,1.5e-3\n", b"v,1.5e-3\n", 0.0),
+            (b"v,2\n", b"v,-2\n", 2.0),
+            (b"v,1,2\n", b"v,1\n", math.inf),
+            (b"v 1\n", b"v  1\n", math.inf),
+            (b"v,1\n", None, math.inf),
+            (b"v,1e308\n", b"v,1e999\n", math.inf),
+        ],
+    )
+    def test_relative_difference(self, a, b, want):
+        assert ab_inprocess.relative_difference(a, b) == want
 
     def test_batches_must_be_positive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -127,3 +154,5 @@ class TestRealRun:
         assert ab_inprocess.main(argv) == 1
         differences = json.loads(out.read_text())["cpu_ab"]["witness-sweep"]["differences"]
         assert differences == [f"batch 0: 0.{i}/sharpness.json" for i in range(3)]
+        # an indentation change is not a numeric one
+        assert json.loads(out.read_text())["cpu_ab"]["witness-sweep"]["largest_relative_difference"] == math.inf

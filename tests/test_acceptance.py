@@ -53,7 +53,7 @@ def test_acceptance_1_comb_closed_forms():
         spec = random_comb_spec(rng, max_teeth=64)
         f = triangle_comb(spec)
         h = np.asarray(spec.heights)
-        w = spec.tooth_width
+        w = spec.interval.length / spec.n_teeth
         for p in (1.0, 1.5, 2.0, 3.0):
             power_sum = float(np.sum(h**p) ** (1.0 / p))
             want_v = 2.0 ** (1.0 / p) * power_sum

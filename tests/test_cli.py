@@ -409,6 +409,39 @@ class TestValidationFailures:
         proc = run_cli("--command", "variation", "--function", tri_file, "--out", str(target))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: out:")
+        # a directory where an artifact goes used to end in an IsADirectoryError traceback
+        lam_path = tmp_path / "lam.json"
+        lam_path.write_text(LAM_N_JSON)
+        for command, artifact in (("criterion", "criterion.csv"), ("sharpness", "sharpness_function.json")):
+            out = tmp_path / command
+            (out / artifact).mkdir(parents=True)
+            proc = run_cli("--command", command, "--sequence", str(lam_path), "--levels", "2",
+                           "--out", str(out))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: out:")
+            assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "option,text",
+        [
+            ("--sequence", '{"family": "power", "params": {"s": 1%s}}' % ("0" * 400)),
+            ("--sequence", '{"family": "power", "params": {"s": "1.5"}}'),
+            ("--sequence", '{"family": "explicit", "terms": [1, 2, 3, 4, 1%s]}' % ("0" * 400)),
+            ("--function", '{"breakpoints": [[0.0, 1%s], [0.5, 1.0]]}' % ("0" * 400)),
+            ("--function", '{"breakpoints": [["0.0", "1"], ["0.5", true]]}'),
+        ],
+    )
+    def test_non_number_in_input_file_named(self, tmp_path, tri_file, lam_file, option, text):
+        # a 401-digit integer ended in an OverflowError traceback, and strings
+        # and booleans loaded as numbers
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        files = {"--function": tri_file, "--sequence": lam_file, option: str(path)}
+        proc = run_cli("--command", "variation", *[a for kv in files.items() for a in kv],
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {option[2:]}: invalid {option[2:]} file: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "args,field",

@@ -40,7 +40,7 @@ def comb_p_variation(spec, p):
 
 
 def comb_derivative_norm(spec, p):
-    halfw = spec.tooth_width / 2.0
+    halfw = spec.interval.length / spec.n_teeth / 2.0
     h = np.asarray(spec.heights)
     return float(np.sum(2.0 * h**p * halfw ** (1.0 - p)) ** (1.0 / p))
 
@@ -70,10 +70,6 @@ class TestTriangleComb:
         assert spec.heights == (1.0, 0.0, 2.0)
         assert all(type(h) is float for h in spec.heights)
         assert spec == TriangleCombSpec(Interval(0.0, 0.5), 3, [1.0, 0.0, 2.0])
-
-    def test_tooth_width(self):
-        spec = TriangleCombSpec(Interval(0.25, 0.5), 4, (1.0,) * 4)
-        assert spec.tooth_width == pytest.approx(0.125, rel=1e-15)
 
     def test_breakpoint_layout(self):
         spec = TriangleCombSpec(Interval(0.25, 0.5), 2, (1.0, 2.0))

@@ -372,7 +372,19 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "text",
-        ["[]", "{}", '{"breakpoints": 5}', '{"breakpoints": [[0.1]]}'],
+        [
+            "[]",
+            "{}",
+            '{"breakpoints": 5}',
+            '{"breakpoints": [[0.1]]}',
+            # strings and booleans used to load as numbers
+            '{"breakpoints": [["0.0", "1"], ["0.5", true]]}',
+            '{"breakpoints": [[0.0, 0.0], [0.5, true]]}',
+            '{"breakpoints": [[0.0, null], [0.5, 1.0]]}',
+            # an integer past the double range used to raise OverflowError
+            '{"breakpoints": [[0.0, 1%s], [0.5, 1.0]]}' % ("0" * 400),
+            '{"breakpoints": [[1%s, 0.0], [0.5, 1.0]]}' % ("0" * 400),
+        ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):

@@ -402,11 +402,6 @@ class TestWang:
         rep = wang_partial_sums(lam, alpha, 1)
         assert rep.symbolic_verdict == verdict
 
-    def test_exponent_recorded(self):
-        # lambda_n^-exponent with exponent = 1/(1-alpha)
-        rep = wang_partial_sums(LambdaSequence.power(1.0), 0.75, 1)
-        assert rep.exponent == pytest.approx(4.0, rel=1e-12)
-
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             wang_partial_sums(LambdaSequence.power(1.0), 1.0, 1)
@@ -622,6 +617,12 @@ class TestJson:
             '{"family": "power"}',
             '{"family": "nope", "params": {}}',
             '{"family": "explicit", "terms": "x"}',
+            # strings, booleans and integers past the double range used to
+            # load as numbers or raise OverflowError
+            '{"family": "explicit", "terms": [1, "2"]}',
+            '{"family": "explicit", "terms": [1, true]}',
+            '{"family": "explicit", "terms": [1, 1%s]}' % ("0" * 400),
+            '{"family": "power", "params": {"s": 1%s}}' % ("0" * 400),
         ],
     )
     def test_malformed_rejected(self, text):
@@ -649,6 +650,15 @@ class TestJson:
             ('{"family": "explicit", "terms": [1, 2], "params": {}}',
              "explicit sequence JSON has no key 'params'"),
             ('{"terms": [1], "family": "explicit", "s": 2}', "explicit sequence JSON has no key 's'"),
+            # these loaded as power(1.5), power(1) and power_log(1, 0)
+            ('{"family": "power", "params": {"s": "1.5"}}', "power family parameter 's' must be a number"),
+            ('{"family": "power", "params": {"s": true}}', "power family parameter 's' must be a number"),
+            ('{"family": "power_log", "params": {"s": 1, "t": false}}',
+             "power_log family parameter 't' must be a number"),
+            ('{"family": "block_power_log", "params": {"s": null, "alpha": 0.5}}',
+             "block_power_log family parameter 's' must be a number"),
+            ('{"family": "explicit", "terms": [1, true]}', 'explicit sequences need a "terms" list of numbers'),
+            ('{"family": "power", "params": {"s": 1%s}}' % ("0" * 400), "parameter s must be finite"),
         ],
     )
     def test_missing_parameter_named(self, text, name):

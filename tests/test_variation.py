@@ -407,6 +407,16 @@ class TestModulus:
                 for j in range(6)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+        # a whole grid is exactly monotone: each hump's value is, and every
+        # delta sums its humps in one fixed order
+        deltas = sorted([2.0**-j for j in range(8)] + rng.random(8).tolist(), reverse=True)
+        lams = [LAM_N, LambdaSequence.power_log(0.5, 1.0), LambdaSequence.block_power_log(-0.4, 0.8)]
+        witnesses = [g for lam in lams for g, _ in extremal_function(WitnessSpec(lam, 2.0, 0.75, 12))]
+        for f in witnesses + [random_plpf(rng, max_breaks=40) for _ in range(36)]:
+            for p in (1.5, 2.0, 3.0):
+                for m in (0, 1):
+                    vals = modulus_p_continuity(f, p, deltas, m)
+                    assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_under_nested_refinement(self):
         # grids are nested only along m = 2^k - 1

@@ -19,8 +19,10 @@ printed are compared byte for byte between the sides.  The summary goes
 into the --out file's `cpu_ab` object under W: each side's slot-median
 batch sum (the sum over the batch's command slots of each slot's median CPU
 time across batches, as perfbench's batch_s sums charged times), its
-per-batch CPU sums, the batches HEAD won, and the differing artifacts.  The
-exit status is 1 when any artifact differs, 0 otherwise.
+per-batch CPU sums, the batches HEAD won, and the differing artifacts with
+their largest relative difference: the largest over their numeric tokens, or
+inf where any other text, the token count or an artifact's presence differs.
+The exit status is 1 when any artifact differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
+import re  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -48,6 +52,8 @@ SIDES = ("base", "head")
 CLOCK = time.process_time
 # the names this tool imports, dropped again when it returns
 OWN_MODULES = ("lambdabv_base", "lambdabv_head", "workloads", "oracle")
+# a decimal number; split() keeps it, so the text between numbers sits at even indices
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def load_cli(checkout: Path, name: str, into: Path):
@@ -103,6 +109,23 @@ def differing(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+def relative_difference(a: bytes | None, b: bytes | None) -> float:
+    """The largest relative difference between the numeric tokens of two
+    artifacts; inf if either is missing, or if any other text or the number
+    of tokens differs."""
+    if a is None or b is None:
+        return math.inf
+    pa, pb = (NUMBER.split(x.decode(errors="replace")) for x in (a, b))
+    if len(pa) != len(pb) or pa[::2] != pb[::2]:
+        return math.inf
+    worst = 0.0
+    for x, y in zip(map(float, pa[1::2]), map(float, pb[1::2])):
+        if x != y:
+            finite = math.isfinite(x) and math.isfinite(y)
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
+    return worst
+
+
 def slot_median_sum(batches: list[list[float]]) -> float:
     """The sum over slots of each slot's median across batches."""
     return sum(statistics.median(slot) for slot in zip(*batches))
@@ -118,7 +141,7 @@ def run_series(clis: dict, plan, workdir: Path, log=None) -> dict:
         run_batch(clis[side], warm, run_dir)
         shutil.rmtree(run_dir)
     cpu = {side: [] for side in SIDES}
-    orders, diffs, compared = [], [], 0
+    orders, diffs, compared, largest = [], [], 0, 0.0
     for index, commands in enumerate(batches):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
         seen = {}
@@ -128,12 +151,14 @@ def run_series(clis: dict, plan, workdir: Path, log=None) -> dict:
             shutil.rmtree(run_dir)
             cpu[side].append(times)
         compared += len(seen["base"].keys() | seen["head"].keys())
-        diffs += [f"batch {index}: {k}" for k in differing(seen["base"], seen["head"])]
+        keys = differing(seen["base"], seen["head"])
+        diffs += [f"batch {index}: {k}" for k in keys]
+        largest = max([largest] + [relative_difference(seen["base"].get(k), seen["head"].get(k)) for k in keys])
         orders.append(list(order))
         if log is not None:
             print(f"batch {index} ({order[0]} first): base {sum(cpu['base'][-1]):.4f} s, "
                   f"head {sum(cpu['head'][-1]):.4f} s CPU", file=log)
-    return {"cpu": cpu, "orders": orders, "differing": diffs, "compared": compared}
+    return {"cpu": cpu, "orders": orders, "differing": diffs, "compared": compared, "largest": largest}
 
 
 def summarize(seed: int, tiny: bool, series: dict) -> dict:
@@ -154,6 +179,7 @@ def summarize(seed: int, tiny: bool, series: dict) -> dict:
         "head_wins": f"{wins}/{len(sums['base'])}",
         "artifacts_compared": series["compared"],
         "differing_artifacts": len(series["differing"]),
+        "largest_relative_difference": series["largest"],
         "differences": series["differing"][:50],
     }
 
@@ -193,7 +219,8 @@ def _run(args) -> int:
             entry = summarize(args.seed, args.tiny, series)
             differ |= entry["differing_artifacts"] > 0
             print(f"{workload}: head {entry['head_minus_base_rel']:+.1%} CPU ({entry['head_wins']} batches), "
-                  f"{entry['differing_artifacts']} of {entry['artifacts_compared']} artifacts differ",
+                  f"{entry['differing_artifacts']} of {entry['artifacts_compared']} artifacts differ "
+                  f"(largest relative difference {entry['largest_relative_difference']:.3g})",
                   file=sys.stderr)
             data = json.loads(args.out.read_text()) if args.out.exists() else {}
             data.setdefault("cpu_ab", {})[workload] = entry
