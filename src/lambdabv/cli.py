@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
@@ -363,18 +364,32 @@ def _format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+def _csv_text(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["schema_version", *header])
+    for row in rows:
+        writer.writerow([_format_cell(cell) for cell in (SCHEMA_VERSION, *row)])
+    return out.getvalue()
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
+def _write_artifacts(out: str, texts: dict[str, str]) -> None:
+    """Write each artifact under a temporary name, then move each into place;
+    a failed write or move removes every file made, so none is left."""
+    made = []
+    try:
+        for name, text in texts.items():
+            made.append(os.path.join(out, f".{name}.partial"))
+            with open(made[-1], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for i, name in enumerate(texts):
+            os.replace(made[i], os.path.join(out, name))
+            made[i] = os.path.join(out, name)
+    except OSError:
+        for path in made:
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def run(config: argparse.Namespace) -> int:
@@ -385,16 +400,13 @@ def run(config: argparse.Namespace) -> int:
         os.makedirs(config.out, exist_ok=True)
     header, rows, summary, extras, failure = _RUNNERS[config.command](config)
     summary.update(command=config.command, schema_version=SCHEMA_VERSION)
+    texts = {
+        f"{config.command}.csv": _csv_text(header, rows),
+        f"{config.command}.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+        **extras,
+    }
     with _field("out", OSError):
-        _write_csv(
-            os.path.join(config.out, f"{config.command}.csv"),
-            ["schema_version", *header],
-            ([SCHEMA_VERSION, *row] for row in rows),
-        )
-        _write_json(os.path.join(config.out, f"{config.command}.json"), summary)
-        for name, text in sorted(extras.items()):
-            with open(os.path.join(config.out, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_artifacts(config.out, texts)
     if failure is not None:
         print(f"phenomenon check failed: {failure}", file=sys.stderr)
         return 3

@@ -50,52 +50,93 @@ def _em_weight(j: int):
     return mp.bernoulli(2 * j) / mp.factorial(2 * j)
 
 
-def _power_block_sum(c: float, lo: int, hi: int) -> float:
-    """sum_{k=lo}^{hi} k^-c: term by term in floats for short ranges; for long
-    ones, at 40 digits, a head below |c| + 32 term by term and an
-    Euler-Maclaurin sum for f(x) = x^-c over the rest [a, hi].
+def _power_block_sums(c: float, blocks) -> list[float]:
+    """sum_{k=lo}^{hi} k^-c for each block (lo, hi), lo <= hi: term by term
+    in floats up to _DIRECT_SUM_LIMIT terms, the longer blocks together in
+    one 40-digit _em_power_sums call."""
+    if not math.isfinite(c):  # k^-c is 0 or inf for every k >= 2
+        blocks = [(lo, min(hi, lo + 1)) for lo, hi in blocks]
+    direct = [hi - lo + 1 <= _DIRECT_SUM_LIMIT for lo, hi in blocks]
+    long = iter(_em_power_sums(c, [block for block, short in zip(blocks, direct) if not short]))
+    return [float(np.sum(np.arange(lo, hi + 1, dtype=float) ** -c)) if short else next(long)
+            for (lo, hi), short in zip(blocks, direct)]
+
+
+def _em_power_sums(c: float, blocks) -> list[float]:
+    """sum_{k=lo}^{hi} k^-c for each block (lo, hi), at 40 digits: a head
+    below |c| + 32 term by term, then an Euler-Maclaurin sum for f(x) = x^-c
+    over the rest [a, b].  With r = b/a that sum is a^-c times
+    a F(r) + (1 + r^-c)/2 + sum_j L_j(r) a^(1-2j): the integral, with
+    F(r) = expm1((1-c) log r)/(1-c) (log r at c = 1), the trapezoid ends, and
+    the derivative terms, L_j(r) = B_2j/(2j)! c(c+1)...(c+2j-2) (1 - r^(1-c-2j)).
 
     f^(2m) keeps one sign on (0, inf), so the remainder after m - 1 terms is
     at most twice the m-th (DLMF 2.10.3); terms go in until that bound is
-    below 1e-36 of the total.  Term j + 1 is at most ((|c| + 2j)/(2 pi a))^2
+    below 1e-36 of the sum.  Term j + 1 is at most ((|c| + 2j)/(2 pi a))^2
     of term j, so from a >= |c| + 32 on, 32 terms always suffice.  For c > 1
     the head stops once the rest, at most a^-c (1 + a/(c - 1)), is that small.
+
+    Only a^-c and a^(1-2j) depend on a, so the blocks of one call share
+    F(r), r^-c and the L_j(r) per distinct reduced ratio, and a^-c per
+    distinct a.  For a >= |c| + 32 a block [a, 2a - 1] or [a + 1, 2a] is
+    summed as [a, 2a] less its end term, so every dyadic block has r = 2;
+    that term is within a factor e of its neighbour, so at most one digit
+    cancels.  This order of the 40-digit operations moves a sum by some
+    1e-39 of itself, so each double is the one a block-by-block sum gave:
+    the nearest to the 60-digit reference (the test
+    test_long_power_sum_is_the_rounded_reference).
     """
-    if not math.isfinite(c):  # k^-c is 0 or inf for every k >= 2
-        hi = min(hi, lo + 1)
-    if hi - lo + 1 <= _DIRECT_SUM_LIMIT:
-        k = np.arange(lo, hi + 1, dtype=float)
-        return float(np.sum(k**-c))
+    if not blocks:
+        return []
     import mpmath as mp  # deferred: only long power sums need it
     with mp.workdps(40):
         c, tol = mp.mpf(c), mp.mpf(10) ** -36
-        a, total = lo, mp.mpf(0)
-        fa = mp.mpf(a) ** -c
-        head_end = min(hi + 1, int(abs(c)) + 32)
-        while a < head_end:
-            total += fa
-            a += 1
-            fa = mp.mpf(a) ** -c
-            # past the double range, more positive terms change nothing
-            if (c > 1 and fa * (1 + a / (c - 1)) <= tol * total) or math.isinf(total):
-                return float(total)
-        if a > hi:
-            return float(total)
-        ma, mb = mp.mpf(a), mp.mpf(hi)
-        fb, log_ratio = mb**-c, mp.log(mb / ma)
-        # the integral of f over [a, hi], then the trapezoid ends
-        total += log_ratio if c == 1 else ma * fa * mp.expm1((1 - c) * log_ratio) / (1 - c)
-        total += (fa + fb) / 2
-        # f^(2j-1)(x) = -c(c+1)...(c+2j-2) x^(-c-2j+1)
-        da, db = -c * fa / ma, -c * fb / mb
-        inv_a2, inv_b2 = 1 / ma**2, 1 / mb**2
-        for j in itertools.count(1):
-            term = _em_weight(j) * (db - da)
-            if 2 * abs(term) <= tol * total:
-                return float(total)
-            total += term
-            step = (c + (2 * j - 1)) * (c + 2 * j)
-            da, db = da * step * inv_a2, db * step * inv_b2
+        head_end = int(abs(c)) + 32
+        power = functools.cache(lambda k: mp.mpf(k) ** -c)
+
+        @functools.cache
+        def ratio_terms(n: int, d: int):  # F(r), (1 + r^-c)/2 and r^-c at r = n/d
+            log_r = mp.log1p(mp.mpf(n - d) / d)  # 40 digits however close r is to 1
+            r_c = mp.exp(-c * log_r)
+            return log_r if c == 1 else mp.expm1((1 - c) * log_r) / (1 - c), (1 + r_c) / 2, r_c
+
+        @functools.cache
+        def rising(j: int):  # c(c+1)...(c+2j-2)
+            return c if j == 1 else rising(j - 1) * (c + 2 * j - 3) * (c + 2 * j - 2)
+
+        @functools.cache
+        def em_coefficient(n: int, d: int, j: int):  # L_j(n/d)
+            return _em_weight(j) * rising(j) * (1 - ratio_terms(n, d)[2] * (mp.mpf(d) / n) ** (2 * j - 1))
+
+        def block_sum(a: int, b: int):
+            total = mp.mpf(0)
+            while a < min(b + 1, head_end):
+                total += power(a)
+                a += 1
+                # past the double range, more positive terms change nothing
+                if (c > 1 and power(a) * (1 + a / (c - 1)) <= tol * total) or math.isinf(total):
+                    return total
+            if a > b:
+                return total
+            n, d = b // math.gcd(a, b), a // math.gcd(a, b)
+            integral, ends, _ = ratio_terms(n, d)
+            inner, z = a * integral + ends, 1 / mp.mpf(a)  # z = a^(1-2j)
+            bound, step = tol * inner / 2, z * z
+            for j in itertools.count(1):
+                term = em_coefficient(n, d, j) * z
+                if abs(term) <= bound:
+                    return total + power(a) * inner
+                inner += term
+                z *= step
+
+        def dyadic_sum(lo: int, hi: int):
+            if lo >= head_end and hi == 2 * lo - 1:
+                return block_sum(lo, hi + 1) - power(hi + 1)
+            if lo > head_end and hi == 2 * lo - 2:
+                return block_sum(lo - 1, hi) - power(lo - 1)
+            return block_sum(lo, hi)
+
+        return [float(dyadic_sum(lo, hi)) for lo, hi in blocks]
 
 
 def _integer(value, name: str) -> int:
@@ -115,8 +156,8 @@ class _Family(NamedTuple):
     params names the family's own parameters (they drive describe, the JSON
     format, equality and the exact growth exponents); checks pairs each
     validity condition with the error it raises; terms evaluates lambda at a
-    float array of indices; block_sum(lam, k_exp,
-    lam_exp, lo, hi) is the weighted block sum over lo..hi; growth maps the
+    float array of indices; block_sum(lam, k_exp, lam_exp, blocks) is the
+    list of weighted block sums over the nonempty blocks (lo, hi); growth maps the
     exact parameters to (sigma, tau) with lambda_k ~ 2^(n sigma) n^tau on
     dyadic block n.  Explicit prefixes have no growth exponents, because
     finite data settles no convergence question.
@@ -125,7 +166,7 @@ class _Family(NamedTuple):
     params: tuple[str, ...]
     checks: tuple[tuple[Callable[[LambdaSequence], bool], str], ...]
     terms: Callable[[LambdaSequence, np.ndarray], np.ndarray]
-    block_sum: Callable[[LambdaSequence, float, float, int, int], float]
+    block_sum: Callable[[LambdaSequence, float, float, list[tuple[int, int]]], list[float]]
     growth: Callable[..., tuple[Fraction, Fraction]] | None
 
 
@@ -155,21 +196,25 @@ def _direct_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int
     return float(np.sum(k**-k_exp * lam_k**-lam_exp))
 
 
-def _power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
-    # power_log has no closed form; cap the direct summation honestly
-    if hi - lo + 1 > _POWER_LOG_LIMIT:
+def _power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, blocks) -> list[float]:
+    # power_log has no closed form; cap the direct summation honestly, before any sum
+    if any(hi - lo + 1 > _POWER_LOG_LIMIT for lo, hi in blocks):
         raise ValueError("range too long for direct summation of the power_log family")
-    return _direct_block_sum(lam, k_exp, lam_exp, lo, hi)
+    return [_direct_block_sum(lam, k_exp, lam_exp, lo, hi) for lo, hi in blocks]
 
 
-def _block_power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
-    # lambda is constant on each dyadic block, so each block is a power sum
-    total = 0.0
-    while lo <= hi:
-        block_hi = min(hi, 2 ** (_block_index(lo) + 1) - 1)
-        total += _block_power_log_term(lam, lo) ** -lam_exp * _power_block_sum(k_exp, lo, block_hi)
-        lo = block_hi + 1
-    return total
+def _block_power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, blocks) -> list[float]:
+    # lambda is constant on each dyadic block, so each block is a sum of power
+    # sums, one per dyadic block it meets; all of them are summed in one call
+    pieces = []  # (block, lo, hi) of each piece
+    for i, (lo, hi) in enumerate(blocks):
+        while lo <= hi:
+            pieces.append((i, lo, min(hi, 2 ** (_block_index(lo) + 1) - 1)))
+            lo = pieces[-1][2] + 1
+    totals = [0.0] * len(blocks)
+    for (i, lo, _), power_sum in zip(pieces, _power_block_sums(k_exp, [piece[1:] for piece in pieces])):
+        totals[i] += _block_power_log_term(lam, lo) ** -lam_exp * power_sum
+    return totals
 
 
 _FAMILIES = {
@@ -184,14 +229,15 @@ _FAMILIES = {
              "sequence terms must be nondecreasing"),
         ),
         terms=lambda lam, k: lam.explicit_terms[k.astype(np.intp) - 1],
-        block_sum=_direct_block_sum,
+        block_sum=lambda lam, k_exp, lam_exp, blocks: [_direct_block_sum(lam, k_exp, lam_exp, *block)
+                                                       for block in blocks],
         growth=None,
     ),
     "power": _Family(
         params=("s",),
         checks=((lambda lam: lam.s >= 0.0, "power family needs s >= 0 to be nondecreasing"),),
         terms=lambda lam, k: k**lam.s,
-        block_sum=lambda lam, k_exp, lam_exp, lo, hi: _power_block_sum(k_exp + lam_exp * lam.s, lo, hi),
+        block_sum=lambda lam, k_exp, lam_exp, blocks: _power_block_sums(k_exp + lam_exp * lam.s, blocks),
         growth=lambda s: (s, 0),
     ),
     "power_log": _Family(
@@ -332,17 +378,32 @@ class LambdaSequence:
         return f"{self.family}({params})"
 
 
-def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
+def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo, hi):
     """sum_{k=lo}^{hi} k^-k_exp * lambda_k^-lam_exp, in closed form where the
     family allows it, so dyadic blocks far beyond direct summation stay exact.
+
+    lo, hi are two ints (one block, summed to a float) or two equal-length
+    integer sequences (a block each, summed to a list).  Every block is
+    checked, in order, before any is summed; an empty one (hi < lo) sums to
+    0.0.  The long power sums of a call share one 40-digit pass, so a series
+    costs one call per exponent, and each block's sum is the double its own
+    one-block call gives.
     """
-    lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
-    if lo < 1:
-        raise ValueError("block bounds start at 1")
-    if hi < lo:
-        return 0.0
-    lam.require(hi)
-    return _FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, lo, hi)
+    one = np.ndim(lo) == 0
+    los, his = ([lo], [hi]) if one else (list(lo), list(hi))
+    if len(los) != len(his):
+        raise ValueError("lo and hi must have equal length")
+    blocks = []
+    for a, b in zip(los, his):
+        a, b = _integer(a, "lo"), _integer(b, "hi")
+        if a < 1:
+            raise ValueError("block bounds start at 1")
+        if b >= a:
+            lam.require(b)
+        blocks.append((a, b))
+    sums = iter(_FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, [(a, b) for a, b in blocks if a <= b]))
+    out = [next(sums) if a <= b else 0.0 for a, b in blocks]
+    return out[0] if one else out
 
 
 def _growth(lam: LambdaSequence) -> tuple[Fraction, Fraction] | None:
@@ -430,7 +491,7 @@ def membership_report(lam: LambdaSequence, q: float, n_terms: int) -> Membership
     checkpoints = sorted({2**j for j in range(0, 64) if 2**j <= n_terms} | {n_terms})
 
     def rows(b):
-        sums = (weighted_block_sum(lam, 0.0, b, lo + 1, hi) for lo, hi in zip([0] + checkpoints, checkpoints))
+        sums = weighted_block_sum(lam, 0.0, b, [1] + [k + 1 for k in checkpoints[:-1]], checkpoints)
         return tuple(zip(checkpoints, itertools.accumulate(sums)))
 
     harmonic_sums = _condensation(lam, 0, 1, 1)
@@ -462,16 +523,14 @@ def criterion_partial_sums(lam: LambdaSequence, p: float, alpha: float, n_blocks
     Inner sums include both block endpoints 2^n and 2^(n+1); the boundary
     double count is harmless for convergence.  Every block is checked before
     any is summed: an explicit prefix fails at the first block past it, and
-    the last, longest block meets a family's range cap first.
+    a family's range cap before any direct sum.
     """
     p_prime, r, r_prime = embedding_exponents(p, alpha)
     if _integer(n_blocks, "n_blocks") < 0:
         raise ValueError("n_blocks must be nonnegative")
-    for n in range(n_blocks + 1):
-        lam.require(2 ** (n + 1))
-    inner = functools.partial(weighted_block_sum, lam, p_prime * (alpha - 1.0 / p), p_prime)
-    last = inner(2**n_blocks, 2 ** (n_blocks + 1))
-    inners = [inner(2**n, 2 ** (n + 1)) for n in range(n_blocks)] + [last]
+    ns = range(n_blocks + 1)
+    inners = weighted_block_sum(lam, p_prime * (alpha - 1.0 / p), p_prime,
+                                [2**n for n in ns], [2 ** (n + 1) for n in ns])
     terms = [inner ** (r_prime / p_prime) for inner in inners]
     # the same series in exact rationals: a = p'(alpha - 1/p), b = p', c = r'/p'
     ep, ea = _exact(p), _exact(alpha)
@@ -489,8 +548,9 @@ def wang_partial_sums(lam: LambdaSequence, alpha: float, n_blocks: int) -> WangR
     if _integer(n_blocks, "n_blocks") < 0:
         raise ValueError("n_blocks must be nonnegative")
     exponent = 1.0 / (1.0 - alpha)
+    ms = range(n_blocks)
     sums = itertools.accumulate(
-        weighted_block_sum(lam, 0.0, exponent, 2**m, 2 ** (m + 1) - 1) for m in range(n_blocks)
+        weighted_block_sum(lam, 0.0, exponent, [2**m for m in ms], [2 ** (m + 1) - 1 for m in ms])
     )
     converges = _condensation(lam, 0, 1 / (1 - _exact(alpha)), 1)
     return WangReport(tuple(sums), _SERIES_VERDICT[converges])

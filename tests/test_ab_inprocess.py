@@ -77,8 +77,9 @@ class TestStubbed:
         for workload in ("w", "v"):
             entry = data["cpu_ab"][workload]
             assert entry["order"] == [["base", "head"], ["head", "base"], ["base", "head"]]
-            assert entry["base"] == {"slot_median_batch_s": 4.0, "batch_sums_s": [4.0] * 3}
-            assert entry["head"] == {"slot_median_batch_s": 2.0, "batch_sums_s": [2.0] * 3}
+            assert entry["base"] == {"slot_median_batch_s": 4.0, "command_p50_s": 2.0, "batch_sums_s": [4.0] * 3}
+            assert entry["head"] == {"slot_median_batch_s": 2.0, "command_p50_s": 1.0, "batch_sums_s": [2.0] * 3}
+            assert entry["command_p50_head_minus_base_rel"] == -0.5
             assert entry["head_minus_base_rel"] == -0.5 and entry["head_wins"] == "3/3"
             # per command: its input, its result and its exit record
             assert entry["artifacts_compared"] == 3 * 2 * 3
@@ -103,6 +104,17 @@ class TestStubbed:
         assert entry["differing_artifacts"] == 4
         assert entry["largest_relative_difference"] == pytest.approx(math.ulp(0.1) / 0.1, rel=1e-6)
         assert 1e-16 < entry["largest_relative_difference"] < 2e-16
+
+    def test_command_median_is_over_every_command(self):
+        # slots (1, 2, 3) and (5, 6, 100): the slot medians sum to 2 + 6, while
+        # the median of all six commands is (3 + 5) / 2
+        series = {"cpu": {"base": [[1.0, 5.0], [2.0, 6.0], [3.0, 100.0]], "head": [[1.0, 1.0]] * 3},
+                  "orders": [], "differing": [], "compared": 0, "largest": 0.0}
+        entry = ab_inprocess.summarize(0, False, series)
+        assert entry["base"]["slot_median_batch_s"] == 8.0
+        assert entry["base"]["command_p50_s"] == 4.0
+        assert entry["head"]["command_p50_s"] == 1.0
+        assert entry["command_p50_head_minus_base_rel"] == -0.75
 
     @pytest.mark.parametrize(
         "a,b,want",

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import pathlib
+import platform
 import subprocess
 
 import pytest
@@ -94,6 +96,7 @@ class TestMain:
         assert {c[3] for c in calls} == {7}
         data = json.loads(out.read_text())
         assert data["claim"] is None and data["workloads"]["other"] == {"seeds": [1]}
+        assert data["machine"] == bench_pairs.machine()
         for workload in ("w", "v"):
             assert data["workloads"][workload]["seeds"] == [40, 41, 42]
             metrics = data["workloads"][workload]["metrics"]
@@ -105,3 +108,39 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1", "--first-seed", "1"])
         assert exc.value.code == 2
+
+
+class TestMachine:
+    def test_versions_and_cpu(self):
+        import mpmath
+        import numpy as np
+
+        info = bench_pairs.machine()
+        assert info["python"] == platform.python_version()
+        assert info["numpy"] == np.__version__ and info["mpmath"] == mpmath.__version__
+        assert info["cpu_count"] == os.cpu_count()
+        assert isinstance(info["numpy_dispatch"], list)
+        assert info["numpy_avx512"] is any(t.startswith("AVX512") or t == "X86_V4" for t in info["numpy_dispatch"])
+
+    def test_dispatch_is_what_numpy_built_and_the_cpu_has(self, monkeypatch):
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+
+        monkeypatch.setattr(umath, "__cpu_dispatch__", ["X86_V3", "X86_V4", "AVX512_SKX"], raising=False)
+        monkeypatch.setattr(umath, "__cpu_features__", {"X86_V3": True, "X86_V4": False, "AVX512_SKX": False},
+                            raising=False)
+        assert bench_pairs.numpy_dispatch() == ["X86_V3"]
+        assert bench_pairs.machine()["numpy_avx512"] is False
+        monkeypatch.setattr(umath, "__cpu_features__", {"X86_V3": True, "X86_V4": True, "AVX512_SKX": False},
+                            raising=False)
+        assert bench_pairs.machine()["numpy_avx512"] is True
+
+    @pytest.mark.parametrize("value, want", [(None, False), ("", False), ("1", True), ("x", True)])
+    def test_dont_write_bytecode(self, monkeypatch, value, want):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert bench_pairs.machine()["PYTHONDONTWRITEBYTECODE"] is want

@@ -409,17 +409,22 @@ class TestValidationFailures:
         proc = run_cli("--command", "variation", "--function", tri_file, "--out", str(target))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: out:")
-        # a directory where an artifact goes used to end in an IsADirectoryError traceback
+        # a directory where an artifact goes used to end in an IsADirectoryError
+        # traceback, and then in a partial set: criterion.csv with no summary
+        # beside it, or sharpness.csv and sharpness.json with no function file
         lam_path = tmp_path / "lam.json"
         lam_path.write_text(LAM_N_JSON)
-        for command, artifact in (("criterion", "criterion.csv"), ("sharpness", "sharpness_function.json")):
-            out = tmp_path / command
+        for command, artifact in (("criterion", "criterion.csv"), ("criterion", "criterion.json"),
+                                  ("sharpness", "sharpness_function.json")):
+            out = tmp_path / artifact
             (out / artifact).mkdir(parents=True)
             proc = run_cli("--command", command, "--sequence", str(lam_path), "--levels", "2",
                            "--out", str(out))
             assert proc.returncode == 2
             assert proc.stderr.startswith("error: out:")
             assert "Traceback" not in proc.stderr
+            # no artifact and no temporary is left beside the directory
+            assert [path.name for path in out.iterdir()] == [artifact]
 
     @pytest.mark.parametrize(
         "option,text",
@@ -576,8 +581,8 @@ class TestSharpnessCommand:
         assert witness["omega_ratio_norm"] == p_cont_ratio_norm(g, 2.0, 0.75, 4, 1)
 
     def test_one_build_for_every_level(self, tmp_path, lam_file, monkeypatch):
-        # levels 1..11 come from one call, which takes the inner sum and the
-        # S norm of each level once: 2 block sums a level, not 2 per truncation
+        # levels 1..11 come from one call, which takes the inner sums of every
+        # level in one block-sum call and their S norms in another
         calls = {"extremal_function": 0, "weighted_block_sum": 0}
 
         def counted(module, name):
@@ -594,7 +599,7 @@ class TestSharpnessCommand:
         out = tmp_path / "out"
         argv = ["--command", "sharpness", "--sequence", lam_file, "--levels", "11", "--out", str(out)]
         assert cli.main(argv) == 0
-        assert calls == {"extremal_function": 1, "weighted_block_sum": 22}
+        assert calls == {"extremal_function": 1, "weighted_block_sum": 2}
         assert [row[1] for row in read_csv(out / "sharpness.csv")[1:]] == [str(n) for n in range(1, 12)]
 
     def test_witness_heights_overflow_named(self, tmp_path, lam_file):

@@ -246,13 +246,73 @@ class TestWeightedBlockSum:
     @pytest.mark.parametrize(
         "lo, hi",
         [(1, 4097), (2, 100_000), (4096, 8192), (4097, 2**20), (2**30, 2**31),
-         (2**100, 2**101), (2**1022, 2**1023)],
+         (2**100, 2**101), (2**1022, 2**1023),
+         # the criterion's blocks, the Wang and S-norm blocks and the
+         # membership blocks, each series in one call; [2^12, 2^13 - 1] and
+         # [2^12 + 1, 2^13] have 4,096 terms, a direct float sum
+         pytest.param([2**n for n in range(12, 32)], [2 ** (n + 1) for n in range(12, 32)], id="dyadic-closed"),
+         pytest.param([2**n for n in range(13, 32)], [2 ** (n + 1) - 1 for n in range(13, 32)], id="dyadic-open"),
+         pytest.param([2**n + 1 for n in range(13, 32)], [2 ** (n + 1) for n in range(13, 32)], id="dyadic-upper")],
     )
     def test_long_power_sum_is_the_rounded_reference(self, c, lo, hi):
         # the Euler-Maclaurin sum and its head, for every c: the closest
         # double to the 60-digit zeta difference, with no fallback near c = 1
         got = weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, lo, hi)
-        assert got == mp_power_sum(c, lo, hi)
+        if isinstance(lo, list):
+            assert got == [mp_power_sum(c, a, b) for a, b in zip(lo, hi)]
+        else:
+            assert got == mp_power_sum(c, lo, hi)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("lo", [2**100, 2**200, 2**1000])
+    def test_long_power_sum_far_out(self, c, lo):
+        # hi/lo rounds to 1 at 40 digits from lo ~ 2^120 on, so a log of that
+        # rounded ratio put the integral at 0 and the sum at about lo^-c;
+        # the reference is every term at 50 digits
+        hi = lo + 5000
+        with mpmath.workdps(50):
+            want = float(mpmath.fsum(mpmath.mpf(k) ** -c for k in range(lo, hi + 1)))
+        assert weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, lo, hi) == want
+
+    @pytest.mark.parametrize("k_exp, lam_exp", [(0.3, 1.5), (40.0, 1.0)])
+    @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
+    def test_series_call_is_the_per_block_calls(self, lam, k_exp, lam_exp):
+        # dyadic blocks with both ends, without the top one and without the
+        # bottom one, empty blocks, long blocks whose head is summed term by
+        # term (from k = 1 and 3), and ranges of 4,096 and 4,097 terms; every
+        # sum is == its own call
+        top = 8999 if lam.family == "explicit" else 2**16
+        dyadic = [2**n for n in range(16) if 2 ** (n + 1) <= top]
+        lo = dyadic * 2 + [a + 1 for a in dyadic] + [5, 10**6, 1, 3, 100, 100, 1000]
+        hi = [2 * a for a in dyadic] + [2 * a - 1 for a in dyadic] + [2 * a for a in dyadic]
+        hi += [4, 3, 5000, 6000, 4195, 4196, top]
+        want = [weighted_block_sum(lam, k_exp, lam_exp, a, b) for a, b in zip(lo, hi)]
+        assert want[len(dyadic) * 3: len(dyadic) * 3 + 2] == [0.0, 0.0]
+        assert weighted_block_sum(lam, k_exp, lam_exp, lo, hi) == want
+        assert weighted_block_sum(lam, k_exp, lam_exp, np.array(lo), np.array(hi)) == want
+        assert weighted_block_sum(lam, k_exp, lam_exp, [], []) == []
+
+    @pytest.mark.parametrize("lo, hi, bad, error, message", [
+        ([1, 0], [2, 5], 1, ValueError, "^block bounds start at 1$"),
+        ([1, 2.0], [2, 5], 1, TypeError, "^lo must be an integer, not float$"),
+        ([1, 2], [2, np.float64(5.0)], 1, TypeError, "^hi must be an integer, not float64$"),
+        ([1, 2, 4, 8], [2, 4, 20, 30], 2, ValueError, "^explicit sequence has 10 terms, but 20 are required$"),
+    ])
+    def test_series_checks_every_block_before_any_sum(self, monkeypatch, lo, hi, bad, error, message):
+        # the first bad block raises what its own call raises, and no block
+        # before it has been summed
+        lam = LambdaSequence.explicit(np.arange(1.0, 11.0))
+        with pytest.raises(error, match=message):
+            weighted_block_sum(lam, 0.3, 1.5, lo[bad], hi[bad])
+        calls = []
+        monkeypatch.setattr(sequences, "_direct_block_sum", lambda *args: calls.append(args))
+        with pytest.raises(error, match=message):
+            weighted_block_sum(lam, 0.3, 1.5, lo, hi)
+        assert calls == []
+
+    def test_series_bounds_have_equal_length(self):
+        with pytest.raises(ValueError, match="^lo and hi must have equal length$"):
+            weighted_block_sum(LambdaSequence.power(1.0), 1.0, 1.0, [1, 2], [2])
 
     def test_harmonic_special_case(self):
         lam = LambdaSequence.power(1.0)

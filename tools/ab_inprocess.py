@@ -18,10 +18,12 @@ Every file a command leaves in its directory, its exit code and what it
 printed are compared byte for byte between the sides.  The summary goes
 into the --out file's `cpu_ab` object under W: each side's slot-median
 batch sum (the sum over the batch's command slots of each slot's median CPU
-time across batches, as perfbench's batch_s sums charged times), its
-per-batch CPU sums, the batches HEAD won, and the differing artifacts with
-their largest relative difference: the largest over their numeric tokens, or
-inf where any other text, the token count or an artifact's presence differs.
+time across batches, as perfbench's batch_s sums charged times), its median
+CPU time over every command of every batch (`command_p50_s`, as perfbench's
+op_p50_s is the median over commands), its per-batch CPU sums, the batches
+HEAD won, and the differing artifacts with their largest relative
+difference: the largest over their numeric tokens, or inf where any other
+text, the token count or an artifact's presence differs.
 The exit status is 1 when any artifact differs, 0 otherwise.
 """
 
@@ -165,6 +167,9 @@ def summarize(seed: int, tiny: bool, series: dict) -> dict:
     cpu = series["cpu"]
     sums = {side: [sum(b) for b in cpu[side]] for side in SIDES}
     slot = {side: slot_median_sum(cpu[side]) for side in SIDES}
+    p50 = {side: statistics.median(t for batch in cpu[side] for t in batch) for side in SIDES}
+    rel = {name: round((value["head"] - value["base"]) / value["base"], 4) if value["base"] else 0.0
+           for name, value in (("batch", slot), ("command", p50))}
     wins = sum(h < b for b, h in zip(sums["base"], sums["head"]))
     return {
         "seed": seed,
@@ -174,8 +179,10 @@ def summarize(seed: int, tiny: bool, series: dict) -> dict:
         "order": series["orders"],
         "clock": "time.process_time, CPU seconds of this process",
         **{side: {"slot_median_batch_s": round(slot[side], 6),
+                  "command_p50_s": round(p50[side], 6),
                   "batch_sums_s": [round(s, 6) for s in sums[side]]} for side in SIDES},
-        "head_minus_base_rel": round((slot["head"] - slot["base"]) / slot["base"], 4) if slot["base"] else 0.0,
+        "head_minus_base_rel": rel["batch"],
+        "command_p50_head_minus_base_rel": rel["command"],
         "head_wins": f"{wins}/{len(sums['base'])}",
         "artifacts_compared": series["compared"],
         "differing_artifacts": len(series["differing"]),
@@ -219,6 +226,7 @@ def _run(args) -> int:
             entry = summarize(args.seed, args.tiny, series)
             differ |= entry["differing_artifacts"] > 0
             print(f"{workload}: head {entry['head_minus_base_rel']:+.1%} CPU ({entry['head_wins']} batches), "
+                  f"median command {entry['command_p50_head_minus_base_rel']:+.1%}, "
                   f"{entry['differing_artifacts']} of {entry['artifacts_compared']} artifacts differ "
                   f"(largest relative difference {entry['largest_relative_difference']:.3g})",
                   file=sys.stderr)

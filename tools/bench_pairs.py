@@ -14,7 +14,8 @@ change's median is worse than the parent's by no more than the metric's
 relative `bound` (`within_bound`), the pairs the change won and tied, and
 the raw runs.  It goes into the --out file's
 `workloads` object under W, beside the other workloads already there, as
-soon as W's pairs are done.  A run that exits non-zero or reports
+soon as W's pairs are done, and the file's `machine` object is set to what
+the runs ran on (see `machine`).  A run that exits non-zero or reports
 `correct: false` stops the series with an error.
 """
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +49,45 @@ def read_result(proc: subprocess.CompletedProcess, where: str) -> dict:
     if result.get("correct") is not True:
         raise BenchError(f"{where}: run reported correct: {result.get('correct')}")
     return result
+
+
+def numpy_dispatch() -> list[str] | None:
+    """The SIMD targets numpy dispatches to here: those built into numpy
+    that this CPU supports; None where numpy does not report them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        try:
+            from numpy.core import _multiarray_umath as umath
+        except ImportError:
+            return None
+    features = getattr(umath, "__cpu_features__", None)
+    dispatch = getattr(umath, "__cpu_dispatch__", None)
+    if features is None or dispatch is None:
+        return None
+    return [target for target in dispatch if features.get(target)]
+
+
+def machine() -> dict:
+    """What the runs ran on, read in this process, whose interpreter and
+    environment they inherit: the Python, numpy and mpmath versions, the CPU
+    count, numpy's SIMD dispatch (numpy's vectorized power can differ from
+    Python's in the last bit with AVX-512, so a golden may depend on it),
+    and whether PYTHONDONTWRITEBYTECODE is set (each cold start then
+    compiles lambdabv's sources again)."""
+    import mpmath
+
+    dispatch = numpy_dispatch()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "mpmath": mpmath.__version__,
+        "cpu_count": os.cpu_count(),
+        "numpy_dispatch": dispatch,
+        "numpy_avx512": None if dispatch is None else any(
+            target.startswith("AVX512") or target == "X86_V4" for target in dispatch),
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -122,6 +164,7 @@ def main(argv=None) -> int:
             return 1
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
         data.setdefault("workloads", {})[workload] = summarize(seeds, parent, change, spec["end_to_end"])
+        data["machine"] = machine()
         args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
