@@ -148,9 +148,6 @@ def _check_embedding_params(config: argparse.Namespace) -> None:
         raise ValidationError("alpha", "must lie in (1/p, 1)")
 
 
-# every non-finite value is rejected below, so numpy's warnings would only
-# precede the error line
-@np.errstate(over="ignore", invalid="ignore")
 def _run_variation(config: argparse.Namespace):
     if config.p < 1.0:
         raise ValidationError("p", "must be at least 1")
@@ -194,11 +191,20 @@ def _run_variation(config: argparse.Namespace):
     return header, rows, summary, {}, None
 
 
+def _check_criterion(report) -> None:
+    """The first non-finite value names its cause: an inner sum the sequence, a partial sum p."""
+    for (n, inner, _), total in zip(report.block_terms, report.partial_sums):
+        for field, name, value in (("sequence", "inner sum", inner), ("p", "partial sum", total)):
+            if not math.isfinite(value):
+                raise ValidationError(field, f"criterion {name} {n} is not finite ({value})")
+
+
 def _run_criterion(config: argparse.Namespace):
     _check_embedding_params(config)
     lam = _load(config.sequence_path, "sequence", sequence_from_json)
     with _field("sequence"):
         report = criterion_partial_sums(lam, config.p, config.alpha, config.blocks)
+    _check_criterion(report)
     header = ["n", "inner_sum", "block_term", "partial_sum"]
     rows = [[n, inner, term, report.partial_sums[n]] for n, inner, term in report.block_terms]
     summary = {
@@ -213,8 +219,6 @@ def _run_criterion(config: argparse.Namespace):
     return header, rows, summary, {}, None
 
 
-# heights or power sums past the double range are rejected below, naming p
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_sharpness(config: argparse.Namespace):
     _check_embedding_params(config)
     if config.levels > MAX_WITNESS_LEVELS:
@@ -264,6 +268,7 @@ def _run_wang_demo(config: argparse.Namespace):
         lam = wang_gap_family(config.p, config.alpha, config.s)
     wang = wang_partial_sums(lam, config.alpha, config.blocks)
     crit = criterion_partial_sums(lam, config.p, config.alpha, config.blocks)
+    _check_criterion(crit)
     header = ["block", "wang_partial", "criterion_partial"]
     rows = [[m, wang.partial_sums[m], crit.partial_sums[m]] for m in range(config.blocks)]
     summary = {
@@ -398,7 +403,9 @@ def run(config: argparse.Namespace) -> int:
     the command and schema version added."""
     with _field("out", OSError):
         os.makedirs(config.out, exist_ok=True)
-    header, rows, summary, extras, failure = _RUNNERS[config.command](config)
+    # every command rejects the non-finite values numpy would warn of
+    with np.errstate(all="ignore"):
+        header, rows, summary, extras, failure = _RUNNERS[config.command](config)
     summary.update(command=config.command, schema_version=SCHEMA_VERSION)
     texts = {
         f"{config.command}.csv": _csv_text(header, rows),

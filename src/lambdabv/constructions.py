@@ -167,12 +167,12 @@ def extremal_function(spec: WitnessSpec) -> tuple[tuple[PiecewiseLinearPeriodic,
     ns = range(1, levels + 1)
 
     lows = [2**n for n in ns]
-    inner = np.array(weighted_block_sum(lam, p_prime * a_exp, p_prime, lows, [2 * lo for lo in lows]))
+    inner = np.array(weighted_block_sum(lam, p_prime * a_exp, p_prime, [(lo, 2 * lo) for lo in lows]))
     l_inclusive = inner ** (1.0 / p_prime)
     if l_inclusive[0] == 0.0:
         # every truncation's duality weights read L_1, a sum of positive terms
         raise ValueError("the first level sum underflows to 0 at this p")
-    s_sums = weighted_block_sum(lam, 0.0, p_prime, lows, [2 * lo - 1 for lo in lows])
+    s_sums = weighted_block_sum(lam, 0.0, p_prime, [(lo, 2 * lo - 1) for lo in lows])
     s_norms = np.array([s ** (1.0 / p_prime) for s in s_sums])
     criterion_partials = tuple(np.cumsum(inner ** (r_prime / p_prime)).tolist())
     terms = lam.terms(2 ** (levels + 1) - 1)

@@ -30,7 +30,6 @@ __all__ = [
     "hardy_two_sides",
     "dual_extremizer",
     "weighted_block_sum",
-    "sequence_to_json",
     "sequence_from_json",
 ]
 
@@ -146,6 +145,14 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y in Python floats (libm's pow), inf past the double range as in numpy."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def _block_index(k: int) -> int:
     return max(int(k).bit_length() - 1, 1)
 
@@ -172,7 +179,7 @@ class _Family(NamedTuple):
 
 def _block_power_log_term(lam: LambdaSequence, n: int) -> float:
     b = _block_index(n)
-    return 2.0 ** (b * (1.0 - lam.alpha)) * float(b) ** ((1.0 - lam.alpha) * lam.s)
+    return _pow(2.0, b * (1.0 - lam.alpha)) * _pow(float(b), (1.0 - lam.alpha) * lam.s)
 
 
 def _block_power_log_terms(lam: LambdaSequence, k: np.ndarray) -> np.ndarray:
@@ -248,6 +255,7 @@ _FAMILIES = {
             (lambda lam: lam.s >= 0.0, "power_log family needs s >= 0"),
             (lambda lam: lam.s * math.log(2.0) * 2.0 + lam.t >= 0.0,
              "power_log family decreases at n = 1 for these s, t"),
+            (lambda lam: _pow(math.log(2.0), lam.t) > 0.0, "power_log family's lambda_1 underflows to 0"),
         ),
         terms=lambda lam, k: k**lam.s * np.log(k + 1.0) ** lam.t,
         block_sum=_power_log_block_sum,
@@ -358,12 +366,6 @@ class LambdaSequence:
                 f"but {n} are required"
             )
 
-    def term(self, n: int) -> float:
-        self.require(n)
-        if n < 1:
-            raise ValueError("sequence indices start at 1")
-        return float(_FAMILIES[self.family].terms(self, np.array([float(n)]))[0])
-
     def terms(self, n: int) -> np.ndarray:
         """First n terms as an array."""
         self.require(n)
@@ -378,32 +380,26 @@ class LambdaSequence:
         return f"{self.family}({params})"
 
 
-def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo, hi):
-    """sum_{k=lo}^{hi} k^-k_exp * lambda_k^-lam_exp, in closed form where the
-    family allows it, so dyadic blocks far beyond direct summation stay exact.
+def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, blocks) -> list[float]:
+    """sum_{k=lo}^{hi} k^-k_exp * lambda_k^-lam_exp for each block (lo, hi) of
+    integers, in closed form where the family allows it, so dyadic blocks far
+    beyond direct summation stay exact.
 
-    lo, hi are two ints (one block, summed to a float) or two equal-length
-    integer sequences (a block each, summed to a list).  Every block is
-    checked, in order, before any is summed; an empty one (hi < lo) sums to
-    0.0.  The long power sums of a call share one 40-digit pass, so a series
-    costs one call per exponent, and each block's sum is the double its own
-    one-block call gives.
+    Every block is checked, in order, before any is summed; an empty one
+    (hi < lo) sums to 0.0.  The long power sums of a call share one 40-digit
+    pass, so a series costs one call per exponent, and each block's sum is
+    the double its own one-block call gives.
     """
-    one = np.ndim(lo) == 0
-    los, his = ([lo], [hi]) if one else (list(lo), list(hi))
-    if len(los) != len(his):
-        raise ValueError("lo and hi must have equal length")
-    blocks = []
-    for a, b in zip(los, his):
-        a, b = _integer(a, "lo"), _integer(b, "hi")
-        if a < 1:
+    checked = []
+    for lo, hi in blocks:
+        lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
+        if lo < 1:
             raise ValueError("block bounds start at 1")
-        if b >= a:
-            lam.require(b)
-        blocks.append((a, b))
-    sums = iter(_FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, [(a, b) for a, b in blocks if a <= b]))
-    out = [next(sums) if a <= b else 0.0 for a, b in blocks]
-    return out[0] if one else out
+        if hi >= lo:
+            lam.require(hi)
+        checked.append((lo, hi))
+    sums = iter(_FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, [b for b in checked if b[0] <= b[1]]))
+    return [next(sums) if lo <= hi else 0.0 for lo, hi in checked]
 
 
 def _growth(lam: LambdaSequence) -> tuple[Fraction, Fraction] | None:
@@ -491,7 +487,7 @@ def membership_report(lam: LambdaSequence, q: float, n_terms: int) -> Membership
     checkpoints = sorted({2**j for j in range(0, 64) if 2**j <= n_terms} | {n_terms})
 
     def rows(b):
-        sums = weighted_block_sum(lam, 0.0, b, [1] + [k + 1 for k in checkpoints[:-1]], checkpoints)
+        sums = weighted_block_sum(lam, 0.0, b, zip([1] + [k + 1 for k in checkpoints[:-1]], checkpoints))
         return tuple(zip(checkpoints, itertools.accumulate(sums)))
 
     harmonic_sums = _condensation(lam, 0, 1, 1)
@@ -529,14 +525,14 @@ def criterion_partial_sums(lam: LambdaSequence, p: float, alpha: float, n_blocks
     if _integer(n_blocks, "n_blocks") < 0:
         raise ValueError("n_blocks must be nonnegative")
     ns = range(n_blocks + 1)
-    inners = weighted_block_sum(lam, p_prime * (alpha - 1.0 / p), p_prime,
-                                [2**n for n in ns], [2 ** (n + 1) for n in ns])
-    terms = [inner ** (r_prime / p_prime) for inner in inners]
+    blocks = [(2**n, 2 ** (n + 1)) for n in ns]
+    inners = weighted_block_sum(lam, p_prime * (alpha - 1.0 / p), p_prime, blocks)
+    terms = [_pow(inner, r_prime / p_prime) for inner in inners]
     # the same series in exact rationals: a = p'(alpha - 1/p), b = p', c = r'/p'
     ep, ea = _exact(p), _exact(alpha)
     ep_prime, _, er_prime = embedding_exponents(ep, ea)
     converges = _condensation(lam, ep_prime * (ea - 1 / ep), ep_prime, er_prime / ep_prime)
-    return CriterionReport(r, r_prime, tuple(zip(range(n_blocks + 1), inners, terms)),
+    return CriterionReport(r, r_prime, tuple(zip(ns, inners, terms)),
                            tuple(itertools.accumulate(terms)), _SERIES_VERDICT[converges])
 
 
@@ -547,11 +543,8 @@ def wang_partial_sums(lam: LambdaSequence, alpha: float, n_blocks: int) -> WangR
         raise ValueError("alpha must lie in (0, 1)")
     if _integer(n_blocks, "n_blocks") < 0:
         raise ValueError("n_blocks must be nonnegative")
-    exponent = 1.0 / (1.0 - alpha)
-    ms = range(n_blocks)
-    sums = itertools.accumulate(
-        weighted_block_sum(lam, 0.0, exponent, [2**m for m in ms], [2 ** (m + 1) - 1 for m in ms])
-    )
+    blocks = [(2**m, 2 ** (m + 1) - 1) for m in range(n_blocks)]
+    sums = itertools.accumulate(weighted_block_sum(lam, 0.0, 1.0 / (1.0 - alpha), blocks))
     converges = _condensation(lam, 0, 1 / (1 - _exact(alpha)), 1)
     return WangReport(tuple(sums), _SERIES_VERDICT[converges])
 
@@ -645,16 +638,6 @@ def dual_extremizer(x, p: float) -> np.ndarray:
         raise ValueError(f"the l^{p:g} norm of the input underflows to 0"
                          if np.any(arr > 0.0) else "input must not be all zero")
     return (arr / norm) ** (p - 1.0)
-
-
-def sequence_to_json(lam: LambdaSequence) -> str:
-    """Serialize to the sequence file format."""
-    if lam.family == "explicit":
-        obj = {"family": "explicit", "terms": [float(v) for v in lam.explicit_terms]}
-    else:
-        params = {name: getattr(lam, name) for name in _FAMILIES[lam.family].params}
-        obj = {"family": lam.family, "params": params}
-    return json.dumps(obj)
 
 
 def sequence_from_json(text: str) -> LambdaSequence:

@@ -21,9 +21,11 @@ a direct block sum as one np.sum over every term at once, the bitwise
 reference for the library's chunked sum.  folded_lp_profile is the L^p
 modulus without the Lipschitz pruning: every shift sample integrated.
 witness_heights reads each level's tooth heights back off a witness.
+sequence_to_json writes a weight sequence in the sequence file format.
 """
 
 import functools
+import json
 import math
 import os
 import pathlib
@@ -49,15 +51,28 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
-    """Run the CLI in a child interpreter that imports this checkout's src."""
+    """Run the CLI in a child interpreter that imports this checkout's src;
+    a child that printed a traceback or a warning fails the calling test."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "lambdabv", *args],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": path},
     )
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, (args, proc.stderr)
+    return proc
+
+
+def sequence_to_json(lam):
+    """Serialize to the sequence file format."""
+    if lam.family == "explicit":
+        obj = {"family": "explicit", "terms": [float(v) for v in lam.explicit_terms]}
+    else:
+        params = {name: getattr(lam, name) for name in _FAMILIES[lam.family].params}
+        obj = {"family": lam.family, "params": params}
+    return json.dumps(obj)
 
 
 def random_plpf(rng, max_breaks=8, scale=1.5, min_gap=1e-3, min_breaks=2):

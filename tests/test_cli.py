@@ -6,8 +6,10 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +494,25 @@ OPTION_EXTRAS = {"p": ("5000",), "d-power": ("53", "60")}
 # s must lie in (1, (1 + 1/p - alpha)/(1 - alpha)), a window that closes as p
 # grows, so a large p rejects the default s by that name
 ALSO_NAMED = {("wang-demo", "p"): "s"}
+# sequences at the edges of the double range: weights past it from block 2
+# on, an inner sum past it, and a lambda_1 that underflows to 0
+EDGE_SEQUENCES = (
+    '{"family": "block_power_log", "params": {"s": 1e300, "alpha": 0.5}}',
+    '{"family": "power", "params": {"s": 0}}',
+    '{"family": "explicit", "terms": [1e-300, 1e300]}',
+    '{"family": "power_log", "params": {"s": 0, "t": 1e300}}',
+    LAM_N_JSON,
+)
+# r' = 1/(1 + 1/p - alpha) is about 1e10 here, so a block term
+# (inner sum)^(r'/p') is past the double range
+HUGE_R_PRIME = ("--p", "1e10", "--alpha", "0.9999999999999999")
+
+
+def _finite_or_label(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:  # a label or an empty cell
+        return True
 
 
 class TestExitCodeSweep:
@@ -518,6 +539,28 @@ class TestExitCodeSweep:
                     names = {option, ALSO_NAMED.get((command, option), option)}
                     assert any(f"error: {name}:" in err or f"argument --{name}:" in err
                                for name in names), (argv, err)
+
+    @pytest.mark.parametrize("command", ["variation", "criterion", "sharpness", "wang-demo"])
+    def test_edge_sequences_exit_cleanly(self, tmp_path, tri_file, capsys, command):
+        # each edge sequence at the default p and alpha and at a huge r': exit 0
+        # with only finite cells, or exit 2 with one line naming the sequence
+        # or p, and no numpy warning
+        out = tmp_path / "o"
+        for i, text in enumerate(EDGE_SEQUENCES):
+            (tmp_path / f"seq{i}.json").write_text(text)
+            for extra in ((), HUGE_R_PRIME):
+                for blocks in ("0", "30"):
+                    argv = ["--command", command, "--function", tri_file, "--sequence",
+                            str(tmp_path / f"seq{i}.json"), "--blocks", blocks, *extra, "--out", str(out)]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code = cli.main(argv)
+                    err = capsys.readouterr().err
+                    if code == 0:
+                        rows = read_csv(out / f"{command}.csv")[1:]
+                        assert all(_finite_or_label(cell) for row in rows for cell in row), (argv, rows)
+                    else:
+                        assert code == 2 and re.fullmatch(r"error: (sequence|p): [^\n]*\n", err), (argv, err)
 
 
 class TestCriterionCommand:

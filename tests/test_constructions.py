@@ -372,11 +372,11 @@ class TestPerlmanWitness:
         lam = perlman_witness(d, 2.0)
         for n in range(1, 6):
             harmonic = sum(1.0 / k for k in range(1, n + 1))
-            assert lam.term(n) == pytest.approx(harmonic * math.sqrt(n), rel=1e-12)
+            assert lam.terms(n)[n - 1] == pytest.approx(harmonic * math.sqrt(n), rel=1e-12)
 
     def test_single_term(self):
         lam = perlman_witness([1.0], 2.0)
-        assert lam.term(1) == 1.0
+        assert lam.terms(1)[0] == 1.0
 
     def test_companion_sums_behave(self):
         n = np.arange(1.0, 100_001.0)

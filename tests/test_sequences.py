@@ -15,16 +15,15 @@ from lambdabv import (
     membership_report,
     regularize_sequence,
     sequence_from_json,
-    sequence_to_json,
     wang_partial_sums,
     weighted_block_sum,
 )
 
 import lambdabv
 from lambdabv import sequences
-from lambdabv.sequences import _SUM_CHUNK
+from lambdabv.sequences import _FAMILIES, _SUM_CHUNK
 
-from helpers import mp_power_sum, one_array_block_sum, random_lambda_prefix
+from helpers import mp_power_sum, one_array_block_sum, random_lambda_prefix, sequence_to_json
 
 
 def _case_ids(cases):
@@ -62,20 +61,10 @@ WANG_CASES = [
 
 
 class TestLambdaSequence:
-    @pytest.mark.parametrize("lam", [
-        LambdaSequence.explicit(np.cumsum(np.linspace(0.5, 3.0, 64))),
-        LambdaSequence.power(0.7),
-        LambdaSequence.power_log(0.5, 1.3),
-        LambdaSequence.block_power_log(1.5, 0.6),
-    ], ids=lambda lam: lam.family)
-    def test_term_equals_terms(self, lam):
-        # one evaluator per family: term(n) reads entry n - 1 of terms
-        assert [lam.term(n) for n in range(1, 65)] == lam.terms(64).tolist()
-
     def test_explicit_basic(self):
         lam = LambdaSequence.explicit([1.0, 2.0, 4.0])
         assert len(lam.explicit_terms) == 3
-        assert lam.term(2) == 2.0
+        assert lam.terms(2)[1] == 2.0
         assert list(lam.terms(3)) == [1.0, 2.0, 4.0]
 
     def test_explicit_rejects_bad_input(self):
@@ -104,16 +93,16 @@ class TestLambdaSequence:
     def test_indices_must_be_integers(self, lam):
         # a float n used to be summed or sliced as if it were an integer:
         # terms(2.5) gave 3 terms
-        for method in (lam.term, lam.terms, lam.require):
+        for method in (lam.terms, lam.require):
             for n in (2.5, 2.0, np.float64(3.0)):
                 with pytest.raises(TypeError, match="n must be an integer"):
                     method(n)
-        assert lam.term(np.int64(3)) == lam.term(3)
+        assert np.array_equal(lam.terms(np.int64(3)), lam.terms(3))
         assert np.array_equal(lam.terms(np.int32(3)), lam.terms(3))
 
     def test_power_terms(self):
         lam = LambdaSequence.power(0.5)
-        assert lam.term(4) == 2.0
+        assert lam.terms(4)[3] == 2.0
         assert np.allclose(lam.terms(9), np.arange(1.0, 10.0) ** 0.5)
 
     def test_power_rejects_negative_exponent(self):
@@ -122,8 +111,8 @@ class TestLambdaSequence:
 
     def test_power_log_terms(self):
         lam = LambdaSequence.power_log(1.0, 1.0)
-        assert lam.term(1) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert lam.term(7) == pytest.approx(7.0 * math.log(8.0), rel=1e-15)
+        assert lam.terms(1)[0] == pytest.approx(math.log(2.0), rel=1e-15)
+        assert lam.terms(7)[6] == pytest.approx(7.0 * math.log(8.0), rel=1e-15)
 
     def test_power_log_rejects_decreasing_start(self):
         # n^0.1 log(n+1)^-1 decreases across the first step
@@ -133,12 +122,14 @@ class TestLambdaSequence:
 
     def test_block_family_shares_first_block(self):
         lam = LambdaSequence.block_power_log(2.0, 0.75)
-        assert lam.term(1) == lam.term(2)
-        assert lam.term(3) == lam.term(2)
-        assert lam.term(4) > lam.term(3)
-        # the block of 2^m - 1 is m - 1 up to 2^53
+        t = lam.terms(4)
+        assert t[0] == t[1] == t[2] < t[3]
+        # the block of 2^m - 1 is m - 1 up to 2^53; the family's evaluator
+        # takes these indices without a 2^53-term prefix
+        terms = _FAMILIES[lam.family].terms
         for m in range(2, 54):
-            assert lam.term(2**m - 1) == lam.term(2 ** (m - 1)) < lam.term(2**m)
+            below, start, top = terms(lam, np.array([2.0**m - 1, 2.0 ** (m - 1), 2.0**m]))
+            assert below == start < top
 
     def test_block_family_validation(self):
         with pytest.raises(ValueError):
@@ -211,22 +202,23 @@ class TestWeightedBlockSum:
     def test_bounds_must_be_integers(self, lo, hi, name):
         # lo = 2.5 used to sum over k = 2.5, 3.5, ..., and hi = 10.7 up to 11
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
-            weighted_block_sum(LambdaSequence.power(1.0), 1.0, 1.0, lo, hi)
+            weighted_block_sum(LambdaSequence.power(1.0), 1.0, 1.0, [(lo, hi)])
 
     @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
     @pytest.mark.parametrize("lo, hi", [(2, 10), (4096, 8191), (3, 8999)])
     def test_numpy_integer_bounds(self, lam, lo, hi):
         for kind in (np.int64, np.int32, np.uint64):
-            assert weighted_block_sum(lam, 0.3, 1.5, kind(lo), kind(hi)) == weighted_block_sum(lam, 0.3, 1.5, lo, hi)
+            assert (weighted_block_sum(lam, 0.3, 1.5, [(kind(lo), kind(hi))])
+                    == weighted_block_sum(lam, 0.3, 1.5, [(lo, hi)]))
 
     @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
     @pytest.mark.parametrize("lo", [1, 2, 4097, 2**40])
     def test_empty_range_is_zero(self, lam, lo):
-        assert weighted_block_sum(lam, 0.3, 1.5, lo, lo - 1) == 0.0
+        assert weighted_block_sum(lam, 0.3, 1.5, [(lo, lo - 1)]) == [0.0]
 
     def test_power_matches_direct_small(self):
         lam = LambdaSequence.power(0.5)
-        got = weighted_block_sum(lam, 0.25, 2.0, 3, 17)
+        got = weighted_block_sum(lam, 0.25, 2.0, [(3, 17)])[0]
         k = np.arange(3.0, 18.0)
         assert got == pytest.approx(float(np.sum(k**-0.25 * k**-1.0)), rel=1e-14)
 
@@ -235,7 +227,7 @@ class TestWeightedBlockSum:
         # Euler-Maclaurin sum; here it meets a float sum of every term
         lam = LambdaSequence.power(0.5)
         lo, hi = 2, 100_000
-        got = weighted_block_sum(lam, 0.3, 2.0, lo, hi)
+        got = weighted_block_sum(lam, 0.3, 2.0, [(lo, hi)])[0]
         k = np.arange(float(lo), float(hi) + 1.0)
         want = float(np.sum(k**-0.3 * (k**0.5) ** -2.0))
         assert got == pytest.approx(want, rel=1e-12)
@@ -257,11 +249,9 @@ class TestWeightedBlockSum:
     def test_long_power_sum_is_the_rounded_reference(self, c, lo, hi):
         # the Euler-Maclaurin sum and its head, for every c: the closest
         # double to the 60-digit zeta difference, with no fallback near c = 1
-        got = weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, lo, hi)
-        if isinstance(lo, list):
-            assert got == [mp_power_sum(c, a, b) for a, b in zip(lo, hi)]
-        else:
-            assert got == mp_power_sum(c, lo, hi)
+        blocks = list(zip(lo, hi)) if isinstance(lo, list) else [(lo, hi)]
+        got = weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, blocks)
+        assert got == [mp_power_sum(c, a, b) for a, b in blocks]
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("lo", [2**100, 2**200, 2**1000])
@@ -272,7 +262,7 @@ class TestWeightedBlockSum:
         hi = lo + 5000
         with mpmath.workdps(50):
             want = float(mpmath.fsum(mpmath.mpf(k) ** -c for k in range(lo, hi + 1)))
-        assert weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, lo, hi) == want
+        assert weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, [(lo, hi)]) == [want]
 
     @pytest.mark.parametrize("k_exp, lam_exp", [(0.3, 1.5), (40.0, 1.0)])
     @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
@@ -286,11 +276,11 @@ class TestWeightedBlockSum:
         lo = dyadic * 2 + [a + 1 for a in dyadic] + [5, 10**6, 1, 3, 100, 100, 1000]
         hi = [2 * a for a in dyadic] + [2 * a - 1 for a in dyadic] + [2 * a for a in dyadic]
         hi += [4, 3, 5000, 6000, 4195, 4196, top]
-        want = [weighted_block_sum(lam, k_exp, lam_exp, a, b) for a, b in zip(lo, hi)]
+        want = [weighted_block_sum(lam, k_exp, lam_exp, [(a, b)])[0] for a, b in zip(lo, hi)]
         assert want[len(dyadic) * 3: len(dyadic) * 3 + 2] == [0.0, 0.0]
-        assert weighted_block_sum(lam, k_exp, lam_exp, lo, hi) == want
-        assert weighted_block_sum(lam, k_exp, lam_exp, np.array(lo), np.array(hi)) == want
-        assert weighted_block_sum(lam, k_exp, lam_exp, [], []) == []
+        assert weighted_block_sum(lam, k_exp, lam_exp, list(zip(lo, hi))) == want
+        assert weighted_block_sum(lam, k_exp, lam_exp, np.array([lo, hi]).T) == want
+        assert weighted_block_sum(lam, k_exp, lam_exp, []) == []
 
     @pytest.mark.parametrize("lo, hi, bad, error, message", [
         ([1, 0], [2, 5], 1, ValueError, "^block bounds start at 1$"),
@@ -303,33 +293,40 @@ class TestWeightedBlockSum:
         # before it has been summed
         lam = LambdaSequence.explicit(np.arange(1.0, 11.0))
         with pytest.raises(error, match=message):
-            weighted_block_sum(lam, 0.3, 1.5, lo[bad], hi[bad])
+            weighted_block_sum(lam, 0.3, 1.5, [(lo[bad], hi[bad])])
         calls = []
         monkeypatch.setattr(sequences, "_direct_block_sum", lambda *args: calls.append(args))
         with pytest.raises(error, match=message):
-            weighted_block_sum(lam, 0.3, 1.5, lo, hi)
+            weighted_block_sum(lam, 0.3, 1.5, list(zip(lo, hi)))
         assert calls == []
 
-    def test_series_bounds_have_equal_length(self):
-        with pytest.raises(ValueError, match="^lo and hi must have equal length$"):
-            weighted_block_sum(LambdaSequence.power(1.0), 1.0, 1.0, [1, 2], [2])
+    @pytest.mark.parametrize("blocks, error", [
+        ([(1, 2), (3, 4, 5)], ValueError), ([(1, 2), (3,)], ValueError), ([(1, 2), 3], TypeError),
+        ((1, 2), TypeError),  # one block not in a list
+    ])
+    def test_blocks_must_be_pairs(self, monkeypatch, blocks, error):
+        calls = []
+        monkeypatch.setattr(sequences, "_power_block_sums", lambda *args: calls.append(args))
+        with pytest.raises(error):
+            weighted_block_sum(LambdaSequence.power(1.0), 1.0, 1.0, blocks)
+        assert calls == []
 
     def test_harmonic_special_case(self):
         lam = LambdaSequence.power(1.0)
         lo, hi = 5, 200_000
-        got = weighted_block_sum(lam, 0.0, 1.0, lo, hi)
+        got = weighted_block_sum(lam, 0.0, 1.0, [(lo, hi)])[0]
         want = float(mpmath.harmonic(hi) - mpmath.harmonic(lo - 1))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_explicit_direct(self):
         lam = LambdaSequence.explicit([1.0, 2.0, 3.0, 4.0])
-        got = weighted_block_sum(lam, 1.0, 1.0, 2, 4)
+        got = weighted_block_sum(lam, 1.0, 1.0, [(2, 4)])[0]
         assert got == pytest.approx(1.0 / (2.0 * 2.0) + 1.0 / (3.0 * 3.0) + 1.0 / (4.0 * 4.0), rel=1e-15)
 
     def test_power_log_range_cap(self):
         lam = LambdaSequence.power_log(1.0, 1.0)
         with pytest.raises(ValueError):
-            weighted_block_sum(lam, 0.0, 1.0, 1, 1 << 23)
+            weighted_block_sum(lam, 0.0, 1.0, [(1, 1 << 23)])
 
     @pytest.mark.parametrize(
         "length",
@@ -346,7 +343,7 @@ class TestWeightedBlockSum:
             lam = LambdaSequence.power_log(0.7, 1.3)
         else:
             lam = LambdaSequence.explicit(np.cumsum(np.random.default_rng(lo).uniform(0.5, 1.5, hi)))
-        got = weighted_block_sum(lam, 1.1, 0.6, lo, hi)
+        got = weighted_block_sum(lam, 1.1, 0.6, [(lo, hi)])[0]
         assert got == one_array_block_sum(lam, 1.1, 0.6, lo, hi)
 
     def test_long_direct_sum_memory(self):
@@ -355,7 +352,7 @@ class TestWeightedBlockSum:
         lam = LambdaSequence.power_log(0.5, 1.0)
         tracemalloc.start()
         try:
-            weighted_block_sum(lam, 1.2, 0.7, 2**21, 2**22)
+            weighted_block_sum(lam, 1.2, 0.7, [(2**21, 2**22)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -364,8 +361,8 @@ class TestWeightedBlockSum:
     def test_block_family_blockwise_closed_form(self):
         # inside one lambda-block the weight is constant
         lam = LambdaSequence.block_power_log(2.0, 0.75)
-        got = weighted_block_sum(lam, 0.0, 1.0, 4, 7)
-        assert got == pytest.approx(4.0 / lam.term(4), rel=1e-13)
+        got = weighted_block_sum(lam, 0.0, 1.0, [(4, 7)])[0]
+        assert got == pytest.approx(4.0 / lam.terms(4)[3], rel=1e-13)
 
 
 class TestCriterion:
