@@ -294,19 +294,22 @@ def _run_perlman_demo(config: argparse.Namespace):
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
     w = config.d_power if config.d_power is not None else 1.0 / config.p
-    d = np.arange(1, PERLMAN_TERMS + 1, dtype=float) ** -w
+    d = np.arange(1, PERLMAN_TERMS + 1, dtype=float)
+    d **= -w
     with _field("d-power"):
         lam = perlman_witness(d, config.p)
     terms = lam.explicit_terms
     p_prime = config.p / (config.p - 1.0)
-    # in place, so that at most three arrays of PERLMAN_TERMS are alive
+    # both series run in d's buffer, one after the other, so that at most
+    # two arrays of PERLMAN_TERMS (d and the weights) are alive
     divergent = np.cumsum(np.divide(d, terms, out=d), out=d)
-    convergent = terms**-p_prime
-    np.cumsum(convergent, out=convergent)
-    header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
-    rows = [[n_top, divergent[n_top - 1], convergent[n_top - 1]] for n_top in PERLMAN_DECADES]
+    rows = [[n_top, divergent[n_top - 1]] for n_top in PERLMAN_DECADES]
     inc_div = float(divergent[-1] - divergent[10**5 - 1])
+    convergent = np.cumsum(np.power(terms, -p_prime, out=d), out=d)
+    for row in rows:
+        row.append(convergent[row[0] - 1])
     inc_conv = float(convergent[-1] - convergent[10**5 - 1])
+    header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
     summary = {
         "p": config.p,
         "d_power": w,

@@ -114,6 +114,10 @@ class WitnessSpec:
         if not (1 <= _integer(self.levels, "levels") <= MAX_WITNESS_LEVELS):
             raise ValueError(f"levels must lie in 1..{MAX_WITNESS_LEVELS}")
         self.lam.require(2 ** (self.levels + 1))
+        # the heights read lambda_1..lambda_top: past the double range no p helps
+        top = 2 ** (self.levels + 1) - 1
+        if not math.isfinite(self.lam.terms(top)[-1]):
+            raise ValueError(f"lambda_{top} is past the double range")
 
     @property
     def exponents(self) -> tuple[float, float, float]:
@@ -262,14 +266,20 @@ def perlman_witness(d, p: float) -> LambdaSequence:
         raise ValueError("d entries must be positive and finite")
     if np.any(arr[1:] > arr[:-1]):
         raise ValueError("d must be nonincreasing")
-    # in place, so that at most two arrays of len(d) are alive here
-    partial = arr**p
-    alpha = np.divide(arr ** (p - 1.0), np.cumsum(partial, out=partial), out=partial)
+    # one array of len(d) beside d, divided in place by 2^16-term parts and
+    # handed to explicit() read-only, which keeps it uncopied
+    alpha = arr**p
+    np.cumsum(alpha, out=alpha)
+    for lo in range(0, arr.size, 1 << 16):
+        part = slice(lo, lo + (1 << 16))
+        np.divide(arr[part] ** (p - 1.0), alpha[part], out=alpha[part])
     if np.any(alpha[1:] > alpha[:-1]):
-        alpha = np.sort(alpha)[::-1]
+        alpha[::-1].sort()
     # explicit() rejects a weight past the double range
     with np.errstate(divide="ignore", over="ignore"):
-        return LambdaSequence.explicit(np.divide(1.0, alpha, out=alpha))
+        np.divide(1.0, alpha, out=alpha)
+    alpha.setflags(write=False)
+    return LambdaSequence.explicit(alpha)
 
 
 def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:

@@ -316,8 +316,12 @@ class LambdaSequence:
         for name in spec.params:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
-        terms = np.array(self.explicit_terms, dtype=float)
-        terms.setflags(write=False)
+        terms = self.explicit_terms
+        # only an owned read-only float64 array (perlman_witness's) goes uncopied
+        if not (type(terms) is np.ndarray and terms.dtype == float and terms.flags.owndata
+                and not terms.flags.writeable):
+            terms = np.array(terms, dtype=float)
+            terms.setflags(write=False)
         object.__setattr__(self, "explicit_terms", terms)
         for ok, message in spec.checks:
             if not ok(self):
@@ -605,21 +609,27 @@ def hardy_two_sides(beta: float, r: float, a, nu):
     if not np.all(a_arr >= 0.0):
         raise ValueError("a must be nonnegative")
     m = a_arr.shape[1]
-    prefix = np.pad(np.cumsum(a_arr, axis=1), ((0, 0), (1, 0)))
+    prefix = np.zeros((len(a_arr), m + 1))
+    np.cumsum(a_arr, axis=1, out=prefix[:, 1:])
     # integer k bounds clipped to the draw: the head is 1..top, block n is
-    # lo..hi, empty when hi < lo
+    # lo..hi, empty when hi < lo (it adds w * 0.0 = 0.0 and is left out)
     top = np.minimum(np.floor(nu_arr), m).astype(np.intp)
     lo = np.minimum(np.ceil(nu_arr[:-1]), m + 1).astype(np.intp)
     hi = np.maximum(top[1:], lo - 1)
-    heads = prefix[:, top].tolist()
-    blocks = np.where(hi >= lo, prefix[:, hi] - prefix[:, lo - 1], 0.0).tolist()
-    # term by term in Python floats, whose ** differs from numpy's array **
-    # in the last bit on some inputs
+    full = np.flatnonzero(hi >= lo)
+    # each distinct prefix[end] - prefix[start] (a head's start is 0) goes once
+    # through Python's pow (libm), whose result numpy's array ** can miss by 1 ulp
+    pairs = np.concatenate((top * (m + 1), hi[full] * (m + 1) + lo[full] - 1))
+    keys, col = np.unique(pairs, return_inverse=True)
+    sums = (prefix[:, keys // (m + 1)] - prefix[:, keys % (m + 1)]).ravel().tolist()
+    powers = np.fromiter(map(math.pow, sums, itertools.repeat(1.0 / r)), float, len(sums))
+    powers = powers.reshape(len(a_arr), len(keys))
+    # each side adds w_n s_n^(1/r) from left to right from 0.0, as sum() does in CPython 3.11
     weights = [2.0 ** (-n * beta) for n in range(len(nu_arr))]
-    lhs, rhs = (
-        np.array([sum(w * s ** (1.0 / r) for w, s in zip(ws, row)) for row in sums], dtype=float)
-        for ws, sums in ((weights, heads), (weights[1:], blocks))
-    )
+    lhs, rhs = np.zeros(len(a_arr)), np.zeros(len(a_arr))
+    for side, ns, cols in ((lhs, range(len(top)), col[: len(top)]), (rhs, full + 1, col[len(top) :])):
+        for n, c in zip(ns, cols):
+            side += weights[n] * powers[:, c]
     return lhs, rhs
 
 

@@ -21,6 +21,8 @@ a direct block sum as one np.sum over every term at once, the bitwise
 reference for the library's chunked sum.  folded_lp_profile is the L^p
 modulus without the Lipschitz pruning: every shift sample integrated.
 witness_heights reads each level's tooth heights back off a witness.
+hardy_by_loop is the bitwise reference for hardy_two_sides: one row at a
+time, every power and addition in Python floats from left to right.
 sequence_to_json writes a weight sequence in the sequence file format.
 """
 
@@ -427,6 +429,30 @@ def mp_power_sum(c, lo, hi):
         prec = mpmath.mp.prec + max(0, -mpmath.mag(largest))
     with mpmath.workprec(prec):
         return float(mpmath.zeta(c, lo) - mpmath.zeta(c, hi + 1))
+
+
+def hardy_by_loop(beta, r, a, nu):
+    """hardy_two_sides one row at a time in Python floats: the prefix sums,
+    each term 2^(-n beta) * pow(s_n, 1/r) (an empty block's s_n is 0.0) and
+    each side's total added explicitly from left to right, starting at 0.0."""
+    lhs, rhs = [], []
+    for row in np.asarray(a, dtype=float).tolist():
+        m = len(row)
+        prefix = [0.0]
+        for x in row:
+            prefix.append(prefix[-1] + x)
+        top = [min(math.floor(v), m) for v in nu]
+        head = 0.0
+        for n in range(len(nu)):
+            head = head + 2.0 ** (-n * beta) * pow(prefix[top[n]], 1.0 / r)
+        tail = 0.0
+        for n in range(1, len(nu)):
+            lo = min(math.ceil(nu[n - 1]), m + 1)
+            s = prefix[top[n]] - prefix[lo - 1] if top[n] >= lo else 0.0
+            tail = tail + 2.0 ** (-n * beta) * pow(s, 1.0 / r)
+        lhs.append(head)
+        rhs.append(tail)
+    return np.array(lhs), np.array(rhs)
 
 
 def one_array_block_sum(lam, k_exp, lam_exp, lo, hi):

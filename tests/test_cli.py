@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -655,6 +656,16 @@ class TestSharpnessCommand:
         assert proc.returncode == 2
         assert proc.stderr == "error: p: heights must be nonnegative and finite\n"
 
+    def test_weights_past_the_double_range_named(self, tmp_path):
+        # lambda_k = 2^(n/2) n^(s/2) is inf from block 2 on: no p helps, so
+        # the sequence is named before any height is built
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": "block_power_log", "params": {"s": 1e300, "alpha": 0.5}}\n')
+        proc = run_cli("--command", "sharpness", "--sequence", str(seq), "--levels", "3",
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: sequence: lambda_15 is past the double range\n"
+
     def test_short_explicit_sequence_named(self, tmp_path):
         # 8 weights cover the level-2 spec, but its witness has 12 arcs
         seq = tmp_path / "seq.json"
@@ -763,6 +774,18 @@ class TestDemos:
         assert [r[1] for r in rows[1:]] == ["1000", "10000", "100000", "1000000"]
         div = [float(r[2]) for r in rows[1:]]
         assert all(b > a for a, b in zip(div, div[1:]))
+
+    def test_perlman_demo_memory(self, tmp_path):
+        # the witness is built beside d, and both companion series run in d's
+        # buffer: two arrays of PERLMAN_TERMS doubles, plus chunk and
+        # comparison temporaries
+        tracemalloc.start()
+        try:
+            assert cli.main(["--command", "perlman-demo", "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 8 * cli.PERLMAN_TERMS
 
     def test_perlman_demo_convergent_d_exits_three(self, tmp_path):
         out = tmp_path / "out"

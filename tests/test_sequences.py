@@ -23,7 +23,13 @@ import lambdabv
 from lambdabv import sequences
 from lambdabv.sequences import _FAMILIES, _SUM_CHUNK
 
-from helpers import mp_power_sum, one_array_block_sum, random_lambda_prefix, sequence_to_json
+from helpers import (
+    hardy_by_loop,
+    mp_power_sum,
+    one_array_block_sum,
+    random_lambda_prefix,
+    sequence_to_json,
+)
 
 
 def _case_ids(cases):
@@ -81,6 +87,24 @@ class TestLambdaSequence:
         lam = LambdaSequence.explicit([1.0, 2.0])
         with pytest.raises(ValueError):
             lam.explicit_terms[0] = 5.0
+
+    def test_explicit_copies_a_writable_array(self):
+        terms = np.array([1.0, 2.0, 4.0])
+        lam = LambdaSequence.explicit(terms)
+        terms[0] = 1.5
+        assert lam.explicit_terms.tolist() == [1.0, 2.0, 4.0]
+        assert not lam.explicit_terms.flags.writeable
+        # a read-only view of a writable array is copied too
+        view = terms[:]
+        view.setflags(write=False)
+        lam = LambdaSequence.explicit(view)
+        terms[0] = 1.0
+        assert lam.explicit_terms.tolist() == [1.5, 2.0, 4.0]
+
+    def test_explicit_keeps_an_owned_read_only_array(self):
+        terms = np.array([1.0, 2.0, 4.0])
+        terms.setflags(write=False)
+        assert LambdaSequence.explicit(terms).explicit_terms is terms
 
     def test_require_explicit(self):
         lam = LambdaSequence.explicit([1.0, 2.0])
@@ -595,6 +619,23 @@ class TestHardy:
             for t, row in enumerate(a):
                 one_lhs, one_rhs = hardy_two_sides(beta, r, row[None], nu)
                 assert (lhs[t], rhs[t]) == (one_lhs[0], one_rhs[0])
+
+    @pytest.mark.parametrize(
+        "nu",
+        [NU, (1.0, 2.5, 7.25, 100.0, 1e6), (1.0,), (1.0, 3.0, 5.0, 9.0, 17.0, 40.0)],
+        ids=["dyadic-past-draw", "non-integer", "one-element", "within-draw"],
+    )
+    def test_equals_loop_reference(self, nu):
+        # bit for bit: Python's pow, and each side added from left to right
+        rng = np.random.default_rng(27)
+        a = rng.exponential(1.0, (60, 48))
+        a[:3] = 0.0
+        a[3, ::2] = 0.0
+        for beta, r in ((0.25, 1.5), (0.5, 2.0), (1.0, 3.0), (0.37, 1.13), (2.5, 7.0)):
+            lhs, rhs = hardy_two_sides(beta, r, a, nu)
+            ref_lhs, ref_rhs = hardy_by_loop(beta, r, a, nu)
+            assert lhs.tolist() == ref_lhs.tolist()
+            assert rhs.tolist() == ref_rhs.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
