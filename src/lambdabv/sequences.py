@@ -50,9 +50,9 @@ def _em_weight(j: int):
 
 
 def _power_block_sums(c: float, blocks) -> list[float]:
-    """sum_{k=lo}^{hi} k^-c for each block (lo, hi), lo <= hi: term by term
-    in floats up to _DIRECT_SUM_LIMIT terms, the longer blocks together in
-    one 40-digit _em_power_sums call."""
+    """sum_{k=lo}^{hi} k^-c for each block (lo, hi), +0.0 if empty: term by
+    term in floats up to _DIRECT_SUM_LIMIT terms, the longer blocks together
+    in one 40-digit _em_power_sums call."""
     if not math.isfinite(c):  # k^-c is 0 or inf for every k >= 2
         blocks = [(lo, min(hi, lo + 1)) for lo, hi in blocks]
     direct = [hi - lo + 1 <= _DIRECT_SUM_LIMIT for lo, hi in blocks]
@@ -164,10 +164,10 @@ class _Family(NamedTuple):
     format, equality and the exact growth exponents); checks pairs each
     validity condition with the error it raises; terms evaluates lambda at a
     float array of indices; block_sum(lam, k_exp, lam_exp, blocks) is the
-    list of weighted block sums over the nonempty blocks (lo, hi); growth maps the
-    exact parameters to (sigma, tau) with lambda_k ~ 2^(n sigma) n^tau on
-    dyadic block n.  Explicit prefixes have no growth exponents, because
-    finite data settles no convergence question.
+    list of weighted block sums over the blocks (lo, hi), +0.0 for an empty
+    one (hi < lo); growth maps the exact parameters to (sigma, tau) with
+    lambda_k ~ 2^(n sigma) n^tau on dyadic block n.  Explicit prefixes have
+    no growth exponents, because finite data settles no convergence question.
     """
 
     params: tuple[str, ...]
@@ -313,9 +313,11 @@ class LambdaSequence:
 
     def __post_init__(self) -> None:
         spec = _family(self.family)
-        for name in spec.params:
-            if not math.isfinite(getattr(self, name)):
+        for name in ("s", "t", "alpha"):
+            if name in spec.params and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
+            if name not in spec.params and getattr(self, name) != 0.0:
+                raise ValueError(f"{self.family} family has no parameter {name!r}")
         terms = self.explicit_terms
         # only an owned read-only float64 array (perlman_witness's) goes uncopied
         if not (type(terms) is np.ndarray and terms.dtype == float and terms.flags.owndata
@@ -323,6 +325,8 @@ class LambdaSequence:
             terms = np.array(terms, dtype=float)
             terms.setflags(write=False)
         object.__setattr__(self, "explicit_terms", terms)
+        if spec.params and terms.size:
+            raise ValueError(f"{self.family} family has no parameter 'explicit_terms'")
         for ok, message in spec.checks:
             if not ok(self):
                 raise ValueError(message)
@@ -402,8 +406,7 @@ def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, blocks
         if hi >= lo:
             lam.require(hi)
         checked.append((lo, hi))
-    sums = iter(_FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, [b for b in checked if b[0] <= b[1]]))
-    return [next(sums) if lo <= hi else 0.0 for lo, hi in checked]
+    return _FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, checked)
 
 
 def _growth(lam: LambdaSequence) -> tuple[Fraction, Fraction] | None:
@@ -608,6 +611,8 @@ def hardy_two_sides(beta: float, r: float, a, nu):
         raise ValueError("a must be a 2-D array of draws")
     if not np.all(a_arr >= 0.0):
         raise ValueError("a must be nonnegative")
+    if np.isinf(a_arr).any():
+        raise ValueError("a must be finite")
     m = a_arr.shape[1]
     prefix = np.zeros((len(a_arr), m + 1))
     np.cumsum(a_arr, axis=1, out=prefix[:, 1:])

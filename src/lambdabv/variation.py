@@ -57,11 +57,6 @@ MAX_DELTA_DEPTH = 1074
 _BLOCK_CELLS = 4096
 
 
-def _validate_lambda(lam: LambdaSequence) -> None:
-    if not isinstance(lam, LambdaSequence):
-        raise TypeError("lam must be a LambdaSequence")
-
-
 def _refined_cycle(f: PiecewiseLinearPeriodic, refinement: int):
     """Breakpoint cycle with ``refinement`` uniform interior points inserted
     per segment; positions ascend from the first breakpoint over one period."""
@@ -117,13 +112,13 @@ def _p_power_profile(
     x - inf, per hump the largest delta frees (the test is monotone in delta).
     A pair is empty (0) if delta is below the hump's shortest step less a
     2^-50 slack, relative and absolute: on the cut chain, in [0, 3), x - delta
-    rounds by at most 2^-52.  Other pairs take a column each.  Columns of
-    humps of up to 2^k steps (1 and 2 together; all together when every hump
-    fits in _BLOCK_CELLS cells at the longest one's rows) share blocks of at
-    most _BLOCK_CELLS cells, each hump padded with copies of its closing
-    point, which add no length and no increment.  A column does only its own
-    delta's additions and max is exact, so each value is that of its delta
-    alone.  The deltas run in groups of at most 16 * _BLOCK_CELLS pairs.
+    rounds by at most 2^-52.  Other pairs take a column each.  Sorted widest
+    hump first, the columns fill blocks in turn: a block whose first hump has
+    w steps takes _BLOCK_CELLS // (w + 1) columns (at least one), each hump
+    padded to w + 1 points with copies of its closing point, which add no
+    length and no increment.  A column does only its own delta's additions
+    and max is exact, so each value is that of its delta alone.  The deltas
+    run in groups of at most 16 * _BLOCK_CELLS pairs.
     Each delta sums its row of a (delta, hump) table: one entry per hump,
     summed pairwise in an order fixed by that length, so a grid entry equals
     its one-element grid bit for bit and is monotone in delta.
@@ -136,9 +131,6 @@ def _p_power_profile(
     cuts = np.flatnonzero(np.concatenate([[True], ys[1:-1] == ys.min(), [True]]))
     starts, ends = cuts[:-1], cuts[1:]
     width = ends - starts
-    keys = np.frexp((width - 1) | 1)[1]
-    if len(width) * (width.max() + 1) <= _BLOCK_CELLS:
-        keys[:] = keys.max()
     short = np.minimum.reduceat(xs[1:] - xs[:-1], starts) * (1.0 - 2.0**-50) - 2.0**-50
     # only the full period, of increment 0, can exceed 1: delta = 1 admits all
     limits = [d if d < 1.0 else math.inf for d in deltas]
@@ -150,17 +142,16 @@ def _p_power_profile(
         pick = ~free & (ds >= short)
         pick[0] = xs[starts] >= xs[ends] - max(limits) if g == 0 else False
         rows, hump = np.nonzero(pick)
+        order = np.argsort(-width[hump], kind="stable")
         table = np.zeros(pick.shape)
-        for key in range(keys.min(), keys.max() + 1):
-            sel = np.flatnonzero(keys[hump] == key)
-            per = max(1, _BLOCK_CELLS // (2**key + 1))
-            for c in range(0, len(sel), per):
-                block = sel[c : c + per]
-                h = hump[block]
-                span = np.arange(width[h].max() + 1)[:, None]
-                idx = np.minimum(starts[h] + span, ends[h])
-                lo = np.searchsorted(xs, xs[idx] - ds[rows[block]].T, side="left") - starts[h]
-                table[rows[block], h] = _hump_dp(ys[idx], np.maximum(lo, 0), p)
+        c = 0
+        while c < len(order):
+            block = order[c : c + max(1, _BLOCK_CELLS // (width[hump[order[c]]] + 1))]
+            c += len(block)
+            h = hump[block]
+            idx = np.minimum(starts[h] + np.arange(width[h[0]] + 1)[:, None], ends[h])
+            lo = np.searchsorted(xs, xs[idx] - ds[rows[block]].T, side="left") - starts[h]
+            table[rows[block], h] = _hump_dp(ys[idx], np.maximum(lo, 0), p)
         if g == 0:
             unconstrained = table[0]
         # Python's pow: numpy's vectorized power can differ in the last bit, by CPU
@@ -200,10 +191,6 @@ def modulus_p_continuity(
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
     return _p_power_profile(f, p, deltas, grid_refinement)
-
-
-def _sorted_weighted_sum(d_sorted: np.ndarray, lam: LambdaSequence) -> float:
-    return float(d_sorted @ (1.0 / lam.terms(len(d_sorted))))
 
 
 def _window_successors(v: list[float]) -> list[list[int]]:
@@ -305,11 +292,12 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     end values.  Other shapes raise, rather than silently undercounting the
     supremum.
     """
-    _validate_lambda(lam)
+    if not isinstance(lam, LambdaSequence):
+        raise TypeError("lam must be a LambdaSequence")
     dec = monotone_arcs(f)
     if dec.is_baseline_separated():
         d = np.sort(np.abs(dec.increments))[::-1]
-        return _sorted_weighted_sum(d, lam)
+        return float(d @ (1.0 / lam.terms(len(d))))
     if len(dec) <= MAX_EXACT_ARCS:
         return _cyclic_subset_max(dec.start_values, lam)
     raise ValueError(
@@ -424,9 +412,9 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     bound of _shift_bounds from its nearest integrated neighbours stays below
     the running max at the first delta whose prefix includes it.  Every 8th
     sample and the deltas' own samples are integrated first, then the
-    survivors in at most three rounds (every other one, every other one, the
-    rest).  A skipped sample cannot be the max of any delta's read, so the
-    values equal integrating every sample, bit for bit.
+    survivors in two rounds (every other one, then the rest).  A skipped
+    sample cannot be the max of any delta's read, so the values equal
+    integrating every sample, bit for bit.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
@@ -446,7 +434,7 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     first = np.concatenate([hs[todo], np.minimum(d, 1.0 - d)])
     norms[todo], own = np.split(_shift_norms(f, first, p), [len(todo)])
     lip, slack = derivative_lp_norm(f, p), _rounding_slack(f)
-    for step in (2, 2, 1):
+    for step in (2, 1):
         done[todo] = True
         rest = np.flatnonzero(~done)
         peak = np.maximum.accumulate(norms)

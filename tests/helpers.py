@@ -41,13 +41,7 @@ import numpy as np
 
 from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
 from lambdabv.sequences import _FAMILIES
-from lambdabv.variation import (
-    _refined_cycle,
-    _shift_norms,
-    _shift_samples,
-    _sorted_weighted_sum,
-    _validate_lambda,
-)
+from lambdabv.variation import _refined_cycle, _shift_norms, _shift_samples
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -155,11 +149,10 @@ def system_p_sum(f, system, p):
 
 def system_lambda_sum(f, system, lam):
     """Sorted-weighted increment sum for one explicit interval system."""
-    _validate_lambda(lam)
     if not system.intervals:
         return 0.0
     incs = np.sort(np.abs([increment(f, iv) for iv in system.intervals]))[::-1]
-    return _sorted_weighted_sum(incs, lam)
+    return float(incs @ (1.0 / lam.terms(len(incs))))
 
 
 def chain_dp(xs, ys, p, delta):
@@ -299,7 +292,6 @@ def brute_lambda_variation(f, lam, candidate_points):
     nonoverlapping intervals with endpoints among the candidates and all
     weight assignments sigma (sorted-decreasing is optimal by rearrangement).
     """
-    _validate_lambda(lam)
     pts = np.unique(np.mod(np.asarray(candidate_points, dtype=float), 1.0))
     if len(pts) > 14:
         raise ValueError("brute enumeration supports at most 14 candidate points")

@@ -192,6 +192,23 @@ class TestLambdaSequence:
         assert "power" in LambdaSequence.power(1.0).describe()
         assert "explicit" in LambdaSequence.explicit([1.0]).describe()
 
+    @pytest.mark.parametrize("family, params, foreign", [
+        (family, params, foreign)
+        for family, params in (("power", {"s": 1.0}), ("power_log", {"s": 1.0, "t": 1.0}),
+                               ("block_power_log", {"s": 1.0, "alpha": 0.5}),
+                               ("explicit", {"explicit_terms": [1.0, 2.0]}))
+        for foreign in ("s", "t", "alpha", "explicit_terms")
+        if foreign not in params and not (family == "explicit" and foreign == "explicit_terms")
+    ])
+    def test_foreign_parameter_rejected(self, family, params, foreign):
+        # power with t = 5 used to load, equal power(1) and describe itself as power(s=1)
+        value = [5.0, 6.0] if foreign == "explicit_terms" else 5.0
+        with pytest.raises(ValueError, match=f"^{family} family has no parameter '{foreign}'$"):
+            LambdaSequence(family, **params, **{foreign: value})
+        # a zero foreign field is the default, so it is no parameter of any kind
+        if foreign != "explicit_terms":
+            assert LambdaSequence(family, **params, **{foreign: 0.0}) == LambdaSequence(family, **params)
+
 
 FOUR_FAMILIES = [
     LambdaSequence.power(0.5),
@@ -238,7 +255,15 @@ class TestWeightedBlockSum:
     @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
     @pytest.mark.parametrize("lo", [1, 2, 4097, 2**40])
     def test_empty_range_is_zero(self, lam, lo):
-        assert weighted_block_sum(lam, 0.3, 1.5, [(lo, lo - 1)]) == [0.0]
+        # every block goes to the family unfiltered, and each family sums an
+        # empty one to +0.0 itself
+        block_sum = _FAMILIES[lam.family].block_sum
+        for got in (weighted_block_sum(lam, 0.3, 1.5, [(lo, lo - 1)]),
+                    block_sum(lam, 0.3, 1.5, [(lo, lo - 1)]), block_sum(lam, 0.3, 1.5, [(lo, lo - 9)])):
+            assert got == [0.0] and math.copysign(1.0, got[0]) == 1.0
+        mixed = weighted_block_sum(lam, 0.3, 1.5, [(2, 10), (lo, lo - 1), (3, 5000)])
+        assert mixed == [*weighted_block_sum(lam, 0.3, 1.5, [(2, 10)]), 0.0,
+                         *weighted_block_sum(lam, 0.3, 1.5, [(3, 5000)])]
 
     def test_power_matches_direct_small(self):
         lam = LambdaSequence.power(0.5)
@@ -658,6 +683,16 @@ class TestHardy:
     def test_nan_draw_named(self, a):
         with pytest.raises(ValueError, match="^a must be nonnegative$"):
             hardy_two_sides(0.5, 2.0, a, self.NU)
+
+    @pytest.mark.parametrize(
+        "a", [[[math.inf, 1.0]], [[1.0, 2.0], [1.0, math.inf]]], ids=["one-row", "two-rows"]
+    )
+    def test_infinite_draw_named(self, a):
+        # an infinite draw passed the sign check and gave inf sides
+        with pytest.raises(ValueError, match="^a must be finite$"):
+            hardy_two_sides(0.5, 2.0, a, self.NU)
+        with pytest.raises(ValueError, match="^a must be nonnegative$"):
+            hardy_two_sides(0.5, 2.0, -np.asarray(a), self.NU)
 
 
 class TestDualExtremizer:

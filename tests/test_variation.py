@@ -468,8 +468,8 @@ class TestModulus:
 DYADIC = [2.0**-j for j in range(7)]
 
 # baseline 0 with zero plateaus (two consecutive minima), one-apex teeth, a
-# two-apex hump and one long hump, so humps of 1 to 13 steps fall in several
-# length buckets and are padded to different lengths inside them
+# two-apex hump and one long hump, so humps of 1 to 13 steps share a block,
+# each padded to the widest one's length
 PLATEAU_HUMPS = make_plpf(
     [(0.0, 0.0), (0.05, 0.0), (0.08, 1.0), (0.1, 0.0), (0.13, 0.7), (0.15, 0.2), (0.2, 1.1),
      (0.22, 0.0), (0.3, 0.0), (0.32, 0.4), (0.34, 0.0)]
@@ -477,6 +477,17 @@ PLATEAU_HUMPS = make_plpf(
         [0.0, 0.9, 0.3, 1.4, 0.6, 0.8, 0.1, 1.9, 0.5, 1.2, 0.2, 0.7, 0.4, 0.0])]
     + [(0.85, 0.3), (0.9, 0.0), (0.95, 0.0)]
 )
+
+
+def mixed_width_comb(rng, teeth=120, long=(50, 120, 300)):
+    """Baseline-0 teeth of two steps and a few long humps of the given step
+    counts, in random order at jittered uniform positions; a last tooth of
+    apex 2 holds the global maximum, so the cut leaves every long hump whole."""
+    widths = [2] * teeth + list(long)
+    rng.shuffle(widths)
+    vals = np.concatenate([[0.0, *rng.uniform(0.1, 1.0, w - 1)] for w in widths] + [[0.0, 2.0]])
+    pos = (np.arange(len(vals)) + rng.uniform(0.1, 0.9, len(vals))) / len(vals)
+    return make_plpf(list(zip(pos.tolist(), vals.tolist())))
 
 
 def hump_extents(f, m):
@@ -597,6 +608,36 @@ class TestHumpProfile:
             got = _p_power_profile(TRIANGLE, p, grid, 1)
             assert got == [_p_power_profile(TRIANGLE, p, [d], 1)[0] for d in grid]
             assert got == pytest.approx(chain_dp_profile(TRIANGLE, p, grid, 1), rel=1e-12, abs=0.0)
+
+    def test_mixed_width_comb(self):
+        # two-step teeth share blocks with humps of up to 600 steps: a block
+        # takes _BLOCK_CELLS // (w + 1) columns of its first, widest hump,
+        # so the teeth behind a long hump are padded to its length
+        f = mixed_width_comb(np.random.default_rng(128))
+        for m in (0, 1):
+            for grid in (_dyadic_grid(6), _dyadic_grid(60)):
+                got = _p_power_profile(f, 2.0, grid, m)
+                assert got == [_p_power_profile(f, 2.0, [d], m)[0] for d in grid]
+                assert got == pytest.approx(chain_dp_profile(f, 2.0, grid, m), rel=1e-12, abs=0.0)
+
+    def test_blocks_hold_at_most_block_cells(self, monkeypatch):
+        # a DP call over more than _BLOCK_CELLS cells has one column only; the
+        # 1,100-step hump has 4,401 points at refinement 3
+        calls = []
+
+        def recorded(ys, lo, p):
+            calls.append(ys.shape)
+            return _hump_dp(ys, lo, p)
+
+        monkeypatch.setattr(variation, "_hump_dp", recorded)
+        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 10))[-1]
+        generic = random_plpf(np.random.default_rng(129), 64, min_gap=1e-5, min_breaks=64)
+        long = mixed_width_comb(np.random.default_rng(130), teeth=40, long=(50, 1100))
+        for f in (mixed_width_comb(np.random.default_rng(131)), long, comb, generic, PLATEAU_HUMPS):
+            for m in (0, 1, 3):
+                _p_power_profile(f, 2.0, _dyadic_grid(30), m)
+        assert max(rows for rows, _ in calls) + 1 > _BLOCK_CELLS
+        assert all(rows * cols <= _BLOCK_CELLS or cols == 1 for rows, cols in calls)
 
     def test_single_minimum_and_constant(self):
         constant = make_plpf([(0.0, 2.0), (0.5, 2.0)])
@@ -779,7 +820,7 @@ class TestLpModulusPruning:
 
         monkeypatch.setattr(variation, "_shift_norms", counted)
         got = lp_modulus(f, 2.0, DYADIC)
-        assert 2 <= len(seen) <= 4 and sum(seen) < len(hs) / 2
+        assert 2 <= len(seen) <= 3 and sum(seen) < len(hs) / 2
         monkeypatch.undo()
         assert got == folded_lp_profile(f, 2.0, DYADIC)
 
