@@ -24,9 +24,9 @@ import numpy as np
 
 from .constructions import (
     MAX_WITNESS_LEVELS,
+    PERLMAN_PART,
     WitnessSpec,
     extremal_function,
-    perlman_witness,
     wang_gap_family,
 )
 from .periodic import function_from_json, function_to_json, monotone_arcs
@@ -293,22 +293,42 @@ def _run_wang_demo(config: argparse.Namespace):
 def _run_perlman_demo(config: argparse.Namespace):
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
-    w = config.d_power if config.d_power is not None else 1.0 / config.p
-    d = np.arange(1, PERLMAN_TERMS + 1, dtype=float)
-    d **= -w
-    with _field("d-power"):
-        lam = perlman_witness(d, config.p)
-    terms = lam.explicit_terms
-    p_prime = config.p / (config.p - 1.0)
-    # both series run in d's buffer, one after the other, so that at most
-    # two arrays of PERLMAN_TERMS (d and the weights) are alive
-    divergent = np.cumsum(np.divide(d, terms, out=d), out=d)
-    rows = [[n_top, divergent[n_top - 1]] for n_top in PERLMAN_DECADES]
-    inc_div = float(divergent[-1] - divergent[10**5 - 1])
-    convergent = np.cumsum(np.power(terms, -p_prime, out=d), out=d)
-    for row in rows:
-        row.append(convergent[row[0] - 1])
-    inc_conv = float(convergent[-1] - convergent[10**5 - 1])
+    p = config.p
+    w = config.d_power if config.d_power is not None else 1.0 / p
+    # perlman_witness and both companion series in one pass over parts of d,
+    # its errors in its order; np.cumsum adds from left to right, so a sum
+    # carried into a part's first term gives the whole-array sums bit for bit
+    least = last_d = math.inf
+    power_sum, carry, unsorted, rows = 0.0, np.zeros(2), False, []
+    for lo in range(0, PERLMAN_TERMS, PERLMAN_PART):
+        both = np.empty((2, min(PERLMAN_PART, PERLMAN_TERMS - lo)))
+        d, terms = both
+        d[:] = np.arange(lo + 1, lo + d.size + 1)
+        d **= -w
+        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+            raise ValidationError("d-power", "d entries must be positive and finite")
+        unsorted = unsorted or d[0] > last_d or bool(np.any(d[1:] > d[:-1]))
+        last_d = d[-1]
+        terms[:] = d**p
+        terms[0] += power_sum
+        power_sum = np.cumsum(terms, out=terms)[-1]
+        np.divide(d ** (p - 1.0), terms, out=terms)
+        # the reciprocal weights' running minimum, taken only where they rise
+        if terms[0] > least or np.any(terms[1:] > terms[:-1]):
+            terms[0] = min(terms[0], least)
+            np.minimum.accumulate(terms, out=terms)
+        least = terms[-1]
+        np.divide(d, np.divide(1.0, terms, out=terms), out=d)
+        np.power(terms, -p / (p - 1.0), out=terms)
+        both[:, 0] += carry
+        carry = np.cumsum(both, axis=1, out=both)[:, -1].copy()
+        rows += [[n, *both[:, n - lo - 1].tolist()] for n in PERLMAN_DECADES if lo < n <= lo + d.size]
+    if unsorted:
+        raise ValidationError("d-power", "d must be nonincreasing")
+    # the weights are nondecreasing, so the last, 1/least, is the largest
+    if not np.isfinite(1.0 / least):
+        raise ValidationError("d-power", "sequence terms must be positive and finite")
+    inc_div, inc_conv = (carry - rows[PERLMAN_DECADES.index(10**5)][1:]).tolist()
     header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
     summary = {
         "p": config.p,

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 MAX_WITNESS_LEVELS = 12
+PERLMAN_PART = 1 << 16  # terms per part in perlman_witness and perlman-demo
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def perlman_witness(d, p: float) -> LambdaSequence:
     diverges whenever sum d_n^p does, while sum lambda_n^-p' converges, the
     classical divergent/convergent companion pair.  The reciprocal weights
     are nonincreasing already (numerator nonincreasing, denominator
-    nondecreasing); a sorting fallback guards the float edge case.
+    nondecreasing); their running minimum guards the float edge case.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
@@ -266,15 +267,15 @@ def perlman_witness(d, p: float) -> LambdaSequence:
         raise ValueError("d entries must be positive and finite")
     if np.any(arr[1:] > arr[:-1]):
         raise ValueError("d must be nonincreasing")
-    # one array of len(d) beside d, divided in place by 2^16-term parts and
-    # handed to explicit() read-only, which keeps it uncopied
+    # one array of len(d) beside d, divided in place by parts and handed to
+    # explicit() read-only, which keeps it uncopied
     alpha = arr**p
     np.cumsum(alpha, out=alpha)
-    for lo in range(0, arr.size, 1 << 16):
-        part = slice(lo, lo + (1 << 16))
+    for lo in range(0, arr.size, PERLMAN_PART):
+        part = slice(lo, lo + PERLMAN_PART)
         np.divide(arr[part] ** (p - 1.0), alpha[part], out=alpha[part])
     if np.any(alpha[1:] > alpha[:-1]):
-        alpha[::-1].sort()
+        np.minimum.accumulate(alpha, out=alpha)
     # explicit() rejects a weight past the double range
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, alpha, out=alpha)

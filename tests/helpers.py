@@ -23,6 +23,8 @@ modulus without the Lipschitz pruning: every shift sample integrated.
 witness_heights reads each level's tooth heights back off a witness.
 hardy_by_loop is the bitwise reference for hardy_two_sides: one row at a
 time, every power and addition in Python floats from left to right.
+perlman_demo_by_arrays is the bitwise reference for the perlman-demo
+runner: perlman_witness over all of d and whole-array cumulative sums.
 sequence_to_json writes a weight sequence in the sequence file format.
 """
 
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from lambdabv import Interval, TriangleCombSpec, increment, make_plpf
+from lambdabv import Interval, TriangleCombSpec, increment, make_plpf, perlman_witness
+from lambdabv.cli import PERLMAN_DECADES, PERLMAN_TERMS, ValidationError, _field
 from lambdabv.sequences import _FAMILIES
 from lambdabv.variation import _refined_cycle, _shift_norms, _shift_samples
 
@@ -445,6 +448,38 @@ def hardy_by_loop(beta, r, a, nu):
         lhs.append(head)
         rhs.append(tail)
     return np.array(lhs), np.array(rhs)
+
+
+def perlman_demo_by_arrays(config):
+    """The perlman-demo runner over arrays of PERLMAN_TERMS doubles: d,
+    perlman_witness's weights and each companion series' np.cumsum."""
+    if not config.p > 1.0:
+        raise ValidationError("p", "must satisfy p > 1")
+    w = config.d_power if config.d_power is not None else 1.0 / config.p
+    d = np.arange(1, PERLMAN_TERMS + 1, dtype=float)
+    d **= -w
+    with _field("d-power"):
+        terms = perlman_witness(d, config.p).explicit_terms
+    p_prime = config.p / (config.p - 1.0)
+    divergent = np.cumsum(d / terms)
+    convergent = np.cumsum(np.power(terms, -p_prime))
+    rows = [[n, divergent[n - 1], convergent[n - 1]] for n in PERLMAN_DECADES]
+    inc_div = float(divergent[-1] - divergent[10**5 - 1])
+    summary = {
+        "p": config.p,
+        "d_power": w,
+        "terms": PERLMAN_TERMS,
+        "last_decade_increment_divergent": inc_div,
+        "last_decade_increment_convergent": float(convergent[-1] - convergent[10**5 - 1]),
+    }
+    failure = None
+    if inc_div < 0.05:
+        failure = (
+            "expected the divergent companion sum to grow by at least 0.05 over the "
+            f"last decade, got {inc_div:.6g}"
+        )
+    header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
+    return header, rows, summary, {}, failure
 
 
 def one_array_block_sum(lam, k_exp, lam_exp, lo, hi):

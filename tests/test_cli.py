@@ -41,6 +41,7 @@ from helpers import (
     chain_dp_profile,
     chunked_subset_scan_max,
     mp_lp_modulus_profile,
+    perlman_demo_by_arrays,
     run_cli,
 )
 
@@ -748,6 +749,22 @@ class TestSharpnessCommand:
         assert proc.stderr.startswith("error: levels:")
 
 
+def _perlman_cases():
+    # the benchmark's grid: p = 1.2..4.0 by default and with a d-power w of
+    # hundredths inside 0.5 <= w p <= 0.95; then the edges, the exit-3 case
+    # and each out-of-range message
+    cases = []
+    for tenths in range(12, 41):
+        p = f"{tenths / 10}"
+        ws = [k for k in range(1, 100) if 50 * 10 <= k * tenths <= 95 * 10]
+        cases += [("--p", p), ("--p", p, "--d-power", f"{ws[len(ws) // 2] / 100}")]
+    return cases + [("--d-power", "0"), ("--d-power", "1.0"), ("--p", "1.5", "--d-power", "1"),
+                    ("--d-power", "53"), ("--d-power", "60"), ("--p", "400", "--d-power", "1")]
+
+
+PERLMAN_CASES = _perlman_cases()
+
+
 class TestDemos:
     def test_wang_demo_inside_window(self, tmp_path):
         out = tmp_path / "out"
@@ -776,16 +793,30 @@ class TestDemos:
         assert all(b > a for a, b in zip(div, div[1:]))
 
     def test_perlman_demo_memory(self, tmp_path):
-        # the witness is built beside d, and both companion series run in d's
-        # buffer: two arrays of PERLMAN_TERMS doubles, plus chunk and
-        # comparison temporaries
+        # one pass over parts: d and the weights (then the two series) in two
+        # rows of one part, beside a few one-part temporaries; an array of
+        # PERLMAN_TERMS doubles alone would be 15 parts
         tracemalloc.start()
         try:
             assert cli.main(["--command", "perlman-demo", "--out", str(tmp_path / "o")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * 8 * cli.PERLMAN_TERMS
+        assert peak < 8 * 8 * constructions.PERLMAN_PART
+
+    @pytest.mark.parametrize("args", PERLMAN_CASES, ids=" ".join)
+    def test_perlman_demo_matches_whole_arrays(self, tmp_path, monkeypatch, capsys, args):
+        # the streamed runner writes the bytes, exit code and message of
+        # perlman_witness over all of d and whole-array cumulative sums
+        def demo(out):
+            code = cli.main(["--command", "perlman-demo", *args, "--out", str(out)])
+            files = [(out / f"perlman-demo.{ext}").read_bytes() for ext in ("csv", "json")
+                     if (out / f"perlman-demo.{ext}").exists()]
+            return code, capsys.readouterr().err, files
+
+        streamed = demo(tmp_path / "streamed")
+        monkeypatch.setitem(cli._RUNNERS, "perlman-demo", perlman_demo_by_arrays)
+        assert streamed == demo(tmp_path / "arrays")
 
     def test_perlman_demo_convergent_d_exits_three(self, tmp_path):
         out = tmp_path / "out"
