@@ -24,9 +24,9 @@ import numpy as np
 
 from .constructions import (
     MAX_WITNESS_LEVELS,
-    PERLMAN_PART,
     WitnessSpec,
     extremal_function,
+    perlman_witness,
     wang_gap_family,
 )
 from .periodic import function_from_json, function_to_json, monotone_arcs
@@ -52,7 +52,6 @@ SCHEMA_VERSION = 1
 COMMANDS = ("variation", "criterion", "sharpness", "wang-demo", "perlman-demo", "hardy-demo")
 # the block bound 2^(blocks + 1) must be a finite double
 MAX_BLOCKS = 1022
-PERLMAN_TERMS = 1_000_000
 PERLMAN_DECADES = (10**3, 10**4, 10**5, 10**6)
 HARDY_TRIALS = 500
 HARDY_BETAS = (0.25, 0.5, 1.0)
@@ -293,47 +292,16 @@ def _run_wang_demo(config: argparse.Namespace):
 def _run_perlman_demo(config: argparse.Namespace):
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
-    p = config.p
-    w = config.d_power if config.d_power is not None else 1.0 / p
-    # perlman_witness and both companion series in one pass over parts of d,
-    # its errors in its order; np.cumsum adds from left to right, so a sum
-    # carried into a part's first term gives the whole-array sums bit for bit
-    least = last_d = math.inf
-    power_sum, carry, unsorted, rows = 0.0, np.zeros(2), False, []
-    for lo in range(0, PERLMAN_TERMS, PERLMAN_PART):
-        both = np.empty((2, min(PERLMAN_PART, PERLMAN_TERMS - lo)))
-        d, terms = both
-        d[:] = np.arange(lo + 1, lo + d.size + 1)
-        d **= -w
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-            raise ValidationError("d-power", "d entries must be positive and finite")
-        unsorted = unsorted or d[0] > last_d or bool(np.any(d[1:] > d[:-1]))
-        last_d = d[-1]
-        terms[:] = d**p
-        terms[0] += power_sum
-        power_sum = np.cumsum(terms, out=terms)[-1]
-        np.divide(d ** (p - 1.0), terms, out=terms)
-        # the reciprocal weights' running minimum, taken only where they rise
-        if terms[0] > least or np.any(terms[1:] > terms[:-1]):
-            terms[0] = min(terms[0], least)
-            np.minimum.accumulate(terms, out=terms)
-        least = terms[-1]
-        np.divide(d, np.divide(1.0, terms, out=terms), out=d)
-        np.power(terms, -p / (p - 1.0), out=terms)
-        both[:, 0] += carry
-        carry = np.cumsum(both, axis=1, out=both)[:, -1].copy()
-        rows += [[n, *both[:, n - lo - 1].tolist()] for n in PERLMAN_DECADES if lo < n <= lo + d.size]
-    if unsorted:
-        raise ValidationError("d-power", "d must be nonincreasing")
-    # the weights are nondecreasing, so the last, 1/least, is the largest
-    if not np.isfinite(1.0 / least):
-        raise ValidationError("d-power", "sequence terms must be positive and finite")
-    inc_div, inc_conv = (carry - rows[PERLMAN_DECADES.index(10**5)][1:]).tolist()
+    w = config.d_power if config.d_power is not None else 1.0 / config.p
+    with _field("d-power"):
+        sums = perlman_witness(w, config.p, PERLMAN_DECADES)
+    rows = [[n, *pair] for n, pair in zip(PERLMAN_DECADES, sums.tolist())]
+    inc_div, inc_conv = (sums[-1] - sums[PERLMAN_DECADES.index(10**5)]).tolist()
     header = ["N", "sum_d_over_lambda", "sum_lambda_minus_pprime"]
     summary = {
         "p": config.p,
         "d_power": w,
-        "terms": PERLMAN_TERMS,
+        "terms": PERLMAN_DECADES[-1],
         "last_decade_increment_divergent": inc_div,
         "last_decade_increment_convergent": inc_conv,
     }

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 MAX_WITNESS_LEVELS = 12
-PERLMAN_PART = 1 << 16  # terms per part in perlman_witness and perlman-demo
+PERLMAN_PART = 1 << 16  # terms per part in perlman_witness
 
 
 @dataclass(frozen=True)
@@ -248,39 +248,57 @@ def embedding_bound_check(
     return lhs, rhs_core, lhs / rhs_core
 
 
-def perlman_witness(d, p: float) -> LambdaSequence:
-    """Weight sequence lambda_n = (sum_{k<=n} d_k^p) / d_n^(p-1) built from a
-    nonincreasing positive sequence d.
+def perlman_witness(d_power: float, p: float, checkpoints) -> np.ndarray:
+    """Companion sums of lambda_n = (sum_{k<=n} d_k^p) / d_n^(p-1), d_n =
+    n^-d_power: row i is (sum_{n<=N} d_n/lambda_n, sum_{n<=N} lambda_n^-p')
+    at N = checkpoints[i].  The first, sum d_n^p / sum_{k<=n} d_k^p, diverges
+    whenever sum d_n^p does; the second converges.
 
-    Its defining property: sum d_n/lambda_n = sum d_n^p / sum_{k<=n} d_k^p
-    diverges whenever sum d_n^p does, while sum lambda_n^-p' converges, the
-    classical divergent/convergent companion pair.  The reciprocal weights
-    are nonincreasing already (numerator nonincreasing, denominator
-    nondecreasing); their running minimum guards the float edge case.
+    One pass in parts of PERLMAN_PART terms carries the running sums and the
+    reciprocal weights' running minimum (a float guard: they are
+    nonincreasing already) into each part's first term; np.cumsum adds from
+    left to right, so each sum is the whole-array one bit for bit.  Every d_n
+    is checked before the weights are.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError("p must satisfy p > 1")
-    arr = np.asarray(d, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("d must be a nonempty sequence")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("d entries must be positive and finite")
-    if np.any(arr[1:] > arr[:-1]):
-        raise ValueError("d must be nonincreasing")
-    # one array of len(d) beside d, divided in place by parts and handed to
-    # explicit() read-only, which keeps it uncopied
-    alpha = arr**p
-    np.cumsum(alpha, out=alpha)
-    for lo in range(0, arr.size, PERLMAN_PART):
-        part = slice(lo, lo + PERLMAN_PART)
-        np.divide(arr[part] ** (p - 1.0), alpha[part], out=alpha[part])
-    if np.any(alpha[1:] > alpha[:-1]):
-        np.minimum.accumulate(alpha, out=alpha)
-    # explicit() rejects a weight past the double range
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(1.0, alpha, out=alpha)
-    alpha.setflags(write=False)
-    return LambdaSequence.explicit(alpha)
+    checkpoints = [_integer(n, "checkpoints") for n in checkpoints]
+    if not checkpoints or min(checkpoints) < 1:
+        raise ValueError("checkpoints must be a nonempty sequence of positive term counts")
+    power_sum, carry, unsorted, least, last_d = 0.0, np.zeros(2), False, math.inf, math.inf
+    sums = np.empty((len(checkpoints), 2))
+    with np.errstate(all="ignore"):  # a term out of range raises below
+        for lo in range(0, max(checkpoints), PERLMAN_PART):
+            both = np.empty((2, min(PERLMAN_PART, max(checkpoints) - lo)))
+            d, terms = both
+            d[:] = np.arange(lo + 1, lo + d.size + 1)
+            d **= -d_power
+            if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+                raise ValueError("d entries must be positive and finite")
+            unsorted = unsorted or d[0] > last_d or bool(np.any(d[1:] > d[:-1]))
+            last_d = d[-1]
+            terms[:] = d**p
+            terms[0] += power_sum
+            power_sum = np.cumsum(terms, out=terms)[-1]
+            np.divide(d ** (p - 1.0), terms, out=terms)
+            # the reciprocal weights' running minimum, taken only where they rise
+            if terms[0] > least or np.any(terms[1:] > terms[:-1]):
+                terms[0] = min(terms[0], least)
+                np.minimum.accumulate(terms, out=terms)
+            least = terms[-1]
+            np.divide(d, np.divide(1.0, terms, out=terms), out=d)
+            np.power(terms, -p / (p - 1.0), out=terms)
+            both[:, 0] += carry
+            carry = np.cumsum(both, axis=1, out=both)[:, -1].copy()
+            for i, n in enumerate(checkpoints):
+                if lo < n <= lo + d.size:
+                    sums[i] = both[:, n - lo - 1]
+        if unsorted:
+            raise ValueError("d must be nonincreasing")
+        # the weights are nondecreasing, so the last, 1/least, is the largest
+        if not np.isfinite(1.0 / least):
+            raise ValueError("sequence terms must be positive and finite")
+    return sums
 
 
 def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -51,11 +52,11 @@ def _em_weight(j: int):
 
 def _power_block_sums(c: float, blocks) -> list[float]:
     """sum_{k=lo}^{hi} k^-c for each block (lo, hi), +0.0 if empty: term by
-    term in floats up to _DIRECT_SUM_LIMIT terms, the longer blocks together
-    in one 40-digit _em_power_sums call."""
-    if not math.isfinite(c):  # k^-c is 0 or inf for every k >= 2
-        blocks = [(lo, min(hi, lo + 1)) for lo, hi in blocks]
-    direct = [hi - lo + 1 <= _DIRECT_SUM_LIMIT for lo, hi in blocks]
+    term in floats up to _DIRECT_SUM_LIMIT terms below the largest double,
+    the other blocks together in one 40-digit _em_power_sums call."""
+    if not math.isfinite(c):  # k^-c is 0 or inf for every k >= 2, so a block may start at 2
+        blocks = [(min(lo, 2), min(lo, 2) + min(hi - lo, 1)) for lo, hi in blocks]
+    direct = [hi - lo + 1 <= _DIRECT_SUM_LIMIT and hi <= sys.float_info.max for lo, hi in blocks]
     long = iter(_em_power_sums(c, [block for block, short in zip(blocks, direct) if not short]))
     return [float(np.sum(np.arange(lo, hi + 1, dtype=float) ** -c)) if short else next(long)
             for (lo, hi), short in zip(blocks, direct)]
@@ -77,8 +78,8 @@ def _em_power_sums(c: float, blocks) -> list[float]:
 
     Only a^-c and a^(1-2j) depend on a, so the blocks of one call share
     F(r), r^-c and the L_j(r) per distinct reduced ratio, and a^-c per
-    distinct a.  For a >= |c| + 32 a block [a, 2a - 1] or [a + 1, 2a] is
-    summed as [a, 2a] less its end term, so every dyadic block has r = 2;
+    distinct a.  For a >= |c| + 32 a block [a, 2a - 1] is summed as
+    [a, 2a] less its end term, so every dyadic block has r = 2;
     that term is within a factor e of its neighbour, so at most one digit
     cancels.  This order of the 40-digit operations moves a sum by some
     1e-39 of itself, so each double is the one a block-by-block sum gave:
@@ -131,8 +132,6 @@ def _em_power_sums(c: float, blocks) -> list[float]:
         def dyadic_sum(lo: int, hi: int):
             if lo >= head_end and hi == 2 * lo - 1:
                 return block_sum(lo, hi + 1) - power(hi + 1)
-            if lo > head_end and hi == 2 * lo - 2:
-                return block_sum(lo - 1, hi) - power(lo - 1)
             return block_sum(lo, hi)
 
         return [float(dyadic_sum(lo, hi)) for lo, hi in blocks]
@@ -207,6 +206,8 @@ def _power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, bloc
     # power_log has no closed form; cap the direct summation honestly, before any sum
     if any(hi - lo + 1 > _POWER_LOG_LIMIT for lo, hi in blocks):
         raise ValueError("range too long for direct summation of the power_log family")
+    if any(hi > sys.float_info.max for lo, hi in blocks):
+        raise ValueError("block bound past the largest double in the power_log family")
     return [_direct_block_sum(lam, k_exp, lam_exp, lo, hi) for lo, hi in blocks]
 
 
@@ -220,7 +221,7 @@ def _block_power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float
             lo = pieces[-1][2] + 1
     totals = [0.0] * len(blocks)
     for (i, lo, _), power_sum in zip(pieces, _power_block_sums(k_exp, [piece[1:] for piece in pieces])):
-        totals[i] += _block_power_log_term(lam, lo) ** -lam_exp * power_sum
+        totals[i] += _pow(_block_power_log_term(lam, lo), -lam_exp) * power_sum
     return totals
 
 
@@ -318,12 +319,8 @@ class LambdaSequence:
                 raise ValueError(f"parameter {name} must be finite")
             if name not in spec.params and getattr(self, name) != 0.0:
                 raise ValueError(f"{self.family} family has no parameter {name!r}")
-        terms = self.explicit_terms
-        # only an owned read-only float64 array (perlman_witness's) goes uncopied
-        if not (type(terms) is np.ndarray and terms.dtype == float and terms.flags.owndata
-                and not terms.flags.writeable):
-            terms = np.array(terms, dtype=float)
-            terms.setflags(write=False)
+        terms = np.array(self.explicit_terms, dtype=float)
+        terms.setflags(write=False)
         object.__setattr__(self, "explicit_terms", terms)
         if spec.params and terms.size:
             raise ValueError(f"{self.family} family has no parameter 'explicit_terms'")
@@ -405,7 +402,7 @@ def weighted_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, blocks
             raise ValueError("block bounds start at 1")
         if hi >= lo:
             lam.require(hi)
-        checked.append((lo, hi))
+        checked.append((lo, hi) if hi >= lo else (1, 0))  # however far out, empty sums to 0.0
     return _FAMILIES[lam.family].block_sum(lam, k_exp, lam_exp, checked)
 
 

@@ -23,8 +23,10 @@ modulus without the Lipschitz pruning: every shift sample integrated.
 witness_heights reads each level's tooth heights back off a witness.
 hardy_by_loop is the bitwise reference for hardy_two_sides: one row at a
 time, every power and addition in Python floats from left to right.
-perlman_demo_by_arrays is the bitwise reference for the perlman-demo
-runner: perlman_witness over all of d and whole-array cumulative sums.
+perlman_weights_by_arrays is Perlman's weight sequence over a whole
+array d; perlman_sums_by_arrays takes its companion series as whole-array
+cumulative sums, the bitwise reference for perlman_witness, and
+perlman_demo_by_arrays is the perlman-demo runner on those sums.
 sequence_to_json writes a weight sequence in the sequence file format.
 """
 
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from lambdabv import Interval, TriangleCombSpec, increment, make_plpf, perlman_witness
-from lambdabv.cli import PERLMAN_DECADES, PERLMAN_TERMS, ValidationError, _field
+from lambdabv import Interval, LambdaSequence, TriangleCombSpec, increment, make_plpf
+from lambdabv.cli import PERLMAN_DECADES, ValidationError, _field
 from lambdabv.sequences import _FAMILIES
 from lambdabv.variation import _refined_cycle, _shift_norms, _shift_samples
 
@@ -450,25 +452,50 @@ def hardy_by_loop(beta, r, a, nu):
     return np.array(lhs), np.array(rhs)
 
 
+def perlman_weights_by_arrays(d, p: float) -> np.ndarray:
+    """lambda_n = (sum_{k<=n} d_k^p) / d_n^(p-1) for a nonincreasing
+    positive array d, as whole arrays: the cumulative sum, the reciprocal
+    weights made monotone by their running minimum, and their reciprocals."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError("p must satisfy p > 1")
+    arr = np.asarray(d, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("d must be a nonempty sequence")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("d entries must be positive and finite")
+    if np.any(arr[1:] > arr[:-1]):
+        raise ValueError("d must be nonincreasing")
+    alpha = arr ** (p - 1.0) / np.cumsum(arr**p)
+    if np.any(alpha[1:] > alpha[:-1]):
+        np.minimum.accumulate(alpha, out=alpha)
+    with np.errstate(divide="ignore", over="ignore"):
+        # explicit() rejects a weight past the double range
+        return LambdaSequence.explicit(1.0 / alpha).explicit_terms
+
+
+def perlman_sums_by_arrays(d_power: float, p: float, n_terms: int):
+    """d_n = n^-d_power for n <= n_terms and the whole-array cumulative
+    sums of sum d_n/lambda_n and sum lambda_n^-p'."""
+    d = np.arange(1, n_terms + 1, dtype=float)
+    d **= -d_power
+    terms = perlman_weights_by_arrays(d, p)
+    return np.cumsum(d / terms), np.cumsum(np.power(terms, -p / (p - 1.0)))
+
+
 def perlman_demo_by_arrays(config):
-    """The perlman-demo runner over arrays of PERLMAN_TERMS doubles: d,
-    perlman_witness's weights and each companion series' np.cumsum."""
+    """The perlman-demo runner over arrays of 10^6 doubles: d, Perlman's
+    weights and each companion series' np.cumsum."""
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
     w = config.d_power if config.d_power is not None else 1.0 / config.p
-    d = np.arange(1, PERLMAN_TERMS + 1, dtype=float)
-    d **= -w
     with _field("d-power"):
-        terms = perlman_witness(d, config.p).explicit_terms
-    p_prime = config.p / (config.p - 1.0)
-    divergent = np.cumsum(d / terms)
-    convergent = np.cumsum(np.power(terms, -p_prime))
+        divergent, convergent = perlman_sums_by_arrays(w, config.p, PERLMAN_DECADES[-1])
     rows = [[n, divergent[n - 1], convergent[n - 1]] for n in PERLMAN_DECADES]
     inc_div = float(divergent[-1] - divergent[10**5 - 1])
     summary = {
         "p": config.p,
         "d_power": w,
-        "terms": PERLMAN_TERMS,
+        "terms": PERLMAN_DECADES[-1],
         "last_decade_increment_divergent": inc_div,
         "last_decade_increment_convergent": float(convergent[-1] - convergent[10**5 - 1]),
     }

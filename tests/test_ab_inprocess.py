@@ -55,6 +55,7 @@ def stubbed(tmp_path, monkeypatch):
     monkeypatch.setattr(ab_inprocess, "load_cli", lambda checkout, name, into: FakeCli(
         name.rpartition("_")[2], costs[name.rpartition("_")[2]], clock, calls, texts[name.rpartition("_")[2]]))
     monkeypatch.setattr(ab_inprocess, "load_workloads", lambda checkout: fake_workloads(plans))
+    monkeypatch.setattr(ab_inprocess, "workload_names", lambda checkout: ["w", "v"])
     return types.SimpleNamespace(calls=calls, plans=plans, texts=texts)
 
 
@@ -130,6 +131,21 @@ class TestStubbed:
     def test_relative_difference(self, a, b, want):
         assert ab_inprocess.relative_difference(a, b) == want
 
+    def test_an_unknown_workload_exits_2_before_any_load(self, tmp_path, monkeypatch, capsys):
+        def load(*args):
+            raise AssertionError("a checkout was loaded")
+
+        monkeypatch.setattr(ab_inprocess, "load_cli", load)
+        monkeypatch.setattr(ab_inprocess, "load_workloads", load)
+        out = tmp_path / "BENCH.json"
+        argv = [str(ROOT), str(ROOT), "--workload", "series-table", "--workload", "series_table",
+                "--batches", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            ab_inprocess.main(argv)
+        assert exc.value.code == 2
+        assert "error: unknown workload 'series_table'; BENCHMARK.json declares witness-sweep" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batches_must_be_positive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             ab_inprocess.main(["a", "b", "--workload", "w", "--batches", "0", "--out", str(tmp_path / "o")])
@@ -139,6 +155,7 @@ class TestStubbed:
 def _checkout(root, src):
     shutil.copytree(src, root / "src" / "lambdabv", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(ROOT / "perfbench", root / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", root)
     return root
 
 

@@ -244,13 +244,9 @@ def test_acceptance_8_perlman_companions():
     t0 = time.perf_counter()
     from lambdabv import perlman_witness
 
-    n = np.arange(1.0, 1_000_001.0)
-    lam = perlman_witness(n**-0.5, 2.0)
-    terms = lam.explicit_terms
-    conv = np.cumsum(terms**-2.0)
-    div = np.cumsum(n**-0.5 / terms)
-    conv_inc = float(conv[-1] - conv[10**5 - 1])
-    div_inc = float(div[-1] - div[10**5 - 1])
+    # (sum d_n/lambda_n, sum lambda_n^-2) at N = 10^5 and 10^6, d_n = n^-0.5
+    sums = perlman_witness(0.5, 2.0, [10**5, 10**6])
+    div_inc, conv_inc = (sums[1] - sums[0]).tolist()
     elapsed = time.perf_counter() - t0
 
     assert elapsed < 30.0

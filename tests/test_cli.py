@@ -795,7 +795,7 @@ class TestDemos:
     def test_perlman_demo_memory(self, tmp_path):
         # one pass over parts: d and the weights (then the two series) in two
         # rows of one part, beside a few one-part temporaries; an array of
-        # PERLMAN_TERMS doubles alone would be 15 parts
+        # 10^6 doubles alone would be 15 parts
         tracemalloc.start()
         try:
             assert cli.main(["--command", "perlman-demo", "--out", str(tmp_path / "o")]) == 0
@@ -804,10 +804,21 @@ class TestDemos:
             tracemalloc.stop()
         assert peak < 8 * 8 * constructions.PERLMAN_PART
 
+    def test_perlman_demo_is_one_perlman_witness_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return constructions.perlman_witness(*args)
+
+        monkeypatch.setattr(cli, "perlman_witness", counted)
+        assert cli.main(["--command", "perlman-demo", "--p", "3", "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(1.0 / 3.0, 3.0, cli.PERLMAN_DECADES)]
+
     @pytest.mark.parametrize("args", PERLMAN_CASES, ids=" ".join)
     def test_perlman_demo_matches_whole_arrays(self, tmp_path, monkeypatch, capsys, args):
         # the streamed runner writes the bytes, exit code and message of
-        # perlman_witness over all of d and whole-array cumulative sums
+        # Perlman's weights over all of d and whole-array cumulative sums
         def demo(out):
             code = cli.main(["--command", "perlman-demo", *args, "--out", str(out)])
             files = [(out / f"perlman-demo.{ext}").read_bytes() for ext in ("csv", "json")

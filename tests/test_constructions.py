@@ -29,7 +29,16 @@ from lambdabv import (
     wang_partial_sums,
 )
 
-from helpers import brute_lambda_variation, brute_p_variation, random_comb_spec, witness_heights
+from lambdabv.constructions import PERLMAN_PART
+
+from helpers import (
+    brute_lambda_variation,
+    brute_p_variation,
+    perlman_sums_by_arrays,
+    perlman_weights_by_arrays,
+    random_comb_spec,
+    witness_heights,
+)
 
 LAM_N = LambdaSequence.power(1.0)
 
@@ -366,26 +375,28 @@ class TestEmbeddingBoundCheck:
         assert max(ratios) / min(ratios) < 5.0
 
 
+# checkpoints on and beside the part boundaries, out of order and repeated
+PART_EDGES = [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16, 10**6, 5, 2**16]
+
+
 class TestPerlmanWitness:
     def test_harmonic_sqrt_closed_form(self):
-        d = np.arange(1.0, 6.0) ** -0.5
-        lam = perlman_witness(d, 2.0)
-        for n in range(1, 6):
-            harmonic = sum(1.0 / k for k in range(1, n + 1))
-            assert lam.terms(n)[n - 1] == pytest.approx(harmonic * math.sqrt(n), rel=1e-12)
+        # d_n = n^-1/2 at p = 2 makes lambda_n = H_n sqrt(n), so the companion
+        # terms are 1/(n H_n) and 1/(n H_n^2)
+        n = np.arange(1.0, 6.0)
+        harmonic = np.cumsum(1.0 / n)
+        sums = perlman_witness(0.5, 2.0, range(1, 6))
+        assert sums[:, 0] == pytest.approx(np.cumsum(1.0 / (n * harmonic)), rel=1e-12)
+        assert sums[:, 1] == pytest.approx(np.cumsum(1.0 / (n * harmonic**2)), rel=1e-12)
 
-    def test_single_term(self):
-        lam = perlman_witness([1.0], 2.0)
-        assert lam.terms(1)[0] == 1.0
+    @pytest.mark.parametrize("w", [0.0, 0.5, 3.0])
+    def test_single_term(self, w):
+        # lambda_1 = d_1 = 1
+        assert perlman_witness(w, 2.0, [1]).tolist() == [[1.0, 1.0]]
 
     def test_companion_sums_behave(self):
-        n = np.arange(1.0, 100_001.0)
-        lam = perlman_witness(n**-0.5, 2.0)
-        terms = lam.explicit_terms
-        div_partial = np.cumsum(n**-0.5 / terms)
-        conv_partial = np.cumsum(terms**-2.0)
-        div_incs = [div_partial[10**k - 1] - div_partial[10 ** (k - 1) - 1] for k in (3, 4, 5)]
-        conv_incs = [conv_partial[10**k - 1] - conv_partial[10 ** (k - 1) - 1] for k in (3, 4, 5)]
+        sums = perlman_witness(0.5, 2.0, [10**k for k in range(2, 6)])
+        div_incs, conv_incs = np.diff(sums, axis=0).T
         # the divergent companion adds a near-constant amount per decade,
         # the convergent one (a 1/(n log^2 n) tail) adds less each decade
         assert all(inc > 0.1 for inc in div_incs)
@@ -394,39 +405,70 @@ class TestPerlmanWitness:
 
     def test_geometric_d_makes_both_converge(self):
         d = 0.5 ** np.arange(60.0)
-        lam = perlman_witness(d, 2.0)
-        partial = np.cumsum(d / lam.explicit_terms)
+        terms = perlman_weights_by_arrays(d, 2.0)
+        partial = np.cumsum(d / terms)
         assert partial[-1] - partial[29] < 1e-8
 
-    def test_weights_nondecreasing(self):
-        rng = np.random.default_rng(202)
-        d = np.sort(rng.uniform(0.1, 2.0, 100))[::-1]
-        lam = perlman_witness(d, 1.5)
-        t = lam.terms(100)
-        assert np.all(np.diff(t) >= -1e-12 * t[:-1])
+    @pytest.mark.parametrize("w", [0.2, 2.0 / 3.0, 1.0, 2.0])
+    def test_weights_nondecreasing(self, w):
+        # the convergent companion's increments are lambda_n^-p', each read
+        # to within the rounding of the partial sums
+        sums = perlman_witness(w, 1.5, range(1, 101))
+        t = np.diff(sums[:, 1], prepend=0.0)
+        assert np.all(np.diff(t) <= 2.0 * np.spacing(sums[-1, 1]))
 
     def test_memory(self):
-        # the cumulative sum, the chunked division and the reciprocal run in
-        # place and explicit() keeps the result uncopied: one array of 8 MB
-        # beside the caller's d, plus chunk and comparison temporaries
-        d = np.arange(1.0, 10**6 + 1.0) ** -0.5
+        # one pass over parts: d and the weights (then the two series) in two
+        # rows of one part beside a few one-part temporaries; an array of
+        # 10^6 doubles alone would be 15 parts
         tracemalloc.start()
         try:
-            perlman_witness(d, 2.0)
+            perlman_witness(0.5, 2.0, [10**6])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * d.nbytes
+        assert peak < 8 * 8 * PERLMAN_PART
+
+    @pytest.mark.parametrize("p, w", [(2.0, 0.5), (1.2, 0.8), (1.5, 1.0), (3.7, 0.2), (4.0, 2.0)])
+    def test_sums_are_the_whole_array_sums(self, p, w):
+        # a sum carried into each part's first term gives np.cumsum's bits
+        divergent, convergent = perlman_sums_by_arrays(w, p, max(PART_EDGES))
+        want = np.array([[divergent[n - 1], convergent[n - 1]] for n in PART_EDGES])
+        assert perlman_witness(w, p, PART_EDGES).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p, w, message", [
+        (1.0, 0.5, "p must satisfy p > 1"),
+        (math.inf, 0.5, "p must satisfy p > 1"),
+        (2.0, math.nan, "d entries must be positive and finite"),
+        # d underflows to 0 in the part after the first infinite weight
+        (2.0, 60.0, "d entries must be positive and finite"),
+        (2.0, -0.5, "d must be nonincreasing"),
+        (2.0, 53.0, "sequence terms must be positive and finite"),
+        (400.0, 1.0, "sequence terms must be positive and finite"),
+    ])
+    def test_errors_are_the_whole_array_errors(self, p, w, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            perlman_sums_by_arrays(w, p, max(PART_EDGES))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            perlman_witness(w, p, PART_EDGES)
+
+    def test_checkpoints_are_positive_integers(self):
+        with pytest.raises(ValueError, match="^checkpoints must be"):
+            perlman_witness(0.5, 2.0, [])
+        with pytest.raises(ValueError, match="^checkpoints must be"):
+            perlman_witness(0.5, 2.0, [5, 0])
+        with pytest.raises(TypeError, match="^checkpoints must be an integer, not float$"):
+            perlman_witness(0.5, 2.0, [5.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            perlman_witness([1.0, 2.0], 2.0)
+            perlman_weights_by_arrays([1.0, 2.0], 2.0)
         with pytest.raises(ValueError):
-            perlman_witness([1.0, -1.0], 2.0)
+            perlman_weights_by_arrays([1.0, -1.0], 2.0)
         with pytest.raises(ValueError):
-            perlman_witness([], 2.0)
+            perlman_weights_by_arrays([], 2.0)
         with pytest.raises(ValueError):
-            perlman_witness([1.0], 1.0)
+            perlman_weights_by_arrays([1.0], 1.0)
 
 
 class TestEmbeddingParameters:

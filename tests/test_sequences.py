@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -100,11 +101,6 @@ class TestLambdaSequence:
         lam = LambdaSequence.explicit(view)
         terms[0] = 1.0
         assert lam.explicit_terms.tolist() == [1.5, 2.0, 4.0]
-
-    def test_explicit_keeps_an_owned_read_only_array(self):
-        terms = np.array([1.0, 2.0, 4.0])
-        terms.setflags(write=False)
-        assert LambdaSequence.explicit(terms).explicit_terms is terms
 
     def test_require_explicit(self):
         lam = LambdaSequence.explicit([1.0, 2.0])
@@ -312,6 +308,48 @@ class TestWeightedBlockSum:
         with mpmath.workdps(50):
             want = float(mpmath.fsum(mpmath.mpf(k) ** -c for k in range(lo, hi + 1)))
         assert weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, [(lo, hi)]) == [want]
+
+    def test_bounds_past_the_largest_double(self, monkeypatch):
+        # np.arange raises OverflowError on an index that rounds past the
+        # largest double: power and block_power_log sum such blocks at 40
+        # digits, power_log rejects them before any sum, and short blocks up
+        # to the largest double keep their term-by-term sums
+        long, em_power_sums = [], sequences._em_power_sums
+
+        def recorded(c, blocks):
+            long.extend(blocks)
+            return em_power_sums(c, blocks)
+
+        monkeypatch.setattr(sequences, "_em_power_sums", recorded)
+        top, far = int(sys.float_info.max), 2**1100
+        blocks = [(2**1023, 2**1023 + 7), (top - 3, top), (top + 1, top + 1), (far, far + 5)]
+        with mpmath.workdps(50):
+            want = [float(mpmath.fsum(mpmath.mpf(k) ** -0.001 for k in range(lo, hi + 1))) for lo, hi in blocks[2:]]
+        lam = LambdaSequence.power(0.0)
+        direct = [one_array_block_sum(lam, 0.001, 1.0, lo, hi) for lo, hi in blocks[:2]]
+        assert weighted_block_sum(lam, 0.001, 1.0, blocks) == direct + want
+        # at an infinite exponent only k = 1 and one k >= 2 are summed, never at 40 digits
+        infinite = [(far, far + 5), (far, 5), (1, far), (3, 3), (3, 2)]
+        assert weighted_block_sum(lam, math.inf, 1.0, infinite) == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert weighted_block_sum(lam, -math.inf, 1.0, infinite) == [math.inf, 0.0, math.inf, math.inf, 0.0]
+        assert long == blocks[2:]
+        assert weighted_block_sum(LambdaSequence.power(1.0), 0.0, 1.0, [(far, far)]) == [0.0]
+        long.clear()
+        lam = LambdaSequence.block_power_log(1.0, 0.5)
+        # past the double range, lambda_k^2 overflows to inf, not OverflowError
+        assert weighted_block_sum(lam, -2.0, -2.0, blocks[3:]) == [math.inf]
+        assert long == blocks[3:]
+        lam = LambdaSequence.power_log(0.0, 1.0)
+        assert weighted_block_sum(lam, 0.001, 1.0, blocks[:2]) == [
+            one_array_block_sum(lam, 0.001, 1.0, lo, hi) for lo, hi in blocks[:2]]
+        for block in blocks[2:]:
+            with pytest.raises(ValueError, match="^block bound past the largest double in the power_log family$"):
+                weighted_block_sum(lam, 0.001, 1.0, [(1, 2), block])
+
+    @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)
+    def test_an_empty_block_far_out_sums_to_zero(self, lam):
+        # np.arange(lo, hi + 1) cannot span an empty range that starts at 2^64
+        assert weighted_block_sum(lam, 0.3, 1.5, [(2**64, 5), (2**1100, 2**70), (3, 2)]) == [0.0] * 3
 
     @pytest.mark.parametrize("k_exp, lam_exp", [(0.3, 1.5), (40.0, 1.0)])
     @pytest.mark.parametrize("lam", FOUR_FAMILIES, ids=lambda lam: lam.family)

@@ -8,8 +8,10 @@ packages lambdabv_base and lambdabv_head, and both are imported here, so the
 two sides share one interpreter, one heap and the machine's same moments.
 The commands are perfbench's: HEAD's perfbench/workloads.py draws the warm-up
 commands and N batches of workload W from seed S, as `perfbench/run.py
---workload W --seed S` would.  Both sides run the warm-up untimed, then each
-batch in turn, BASE first on even batches and HEAD first on odd ones.  A
+--workload W --seed S` would; a W that HEAD's BENCHMARK.json does not
+declare exits 2 before either checkout is loaded.  Both sides run the
+warm-up untimed, then each batch in turn, BASE first on even batches and
+HEAD first on odd ones.  A
 command runs through the side's cli.main(argv) in the same directory on both
 sides, and is timed in CPU seconds (time.process_time); its outputs are
 not checked against perfbench's oracle.
@@ -65,6 +67,11 @@ def load_cli(checkout: Path, name: str, into: Path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     importlib.invalidate_caches()  # the import system may have listed ``into`` before the copy
     return importlib.import_module(f"{name}.cli")
+
+
+def workload_names(checkout: Path) -> list[str]:
+    """The workloads ``checkout``'s BENCHMARK.json declares."""
+    return [w["name"] for w in json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load_workloads(checkout: Path):
@@ -203,6 +210,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.batches < 1:
         parser.error("--batches must be at least 1")
+    names = workload_names(args.head)
+    for workload in args.workload:
+        if workload not in names:
+            parser.error(f"unknown workload {workload!r}; BENCHMARK.json declares {', '.join(names)}")
     saved_path = sys.path[:]
     try:
         return _run(args)
