@@ -15,6 +15,7 @@ import numpy as np
 from .periodic import Interval, PiecewiseLinearPeriodic, make_plpf
 from .sequences import (
     LambdaSequence,
+    _exact,
     _integer,
     criterion_partial_sums,
     dual_extremizer,
@@ -308,6 +309,8 @@ def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:
     [2^n, 2^(n+1)), for s strictly inside (1, (1+1/p-alpha)/(1-alpha))."""
     embedding_exponents(p, alpha)
     upper = (1.0 + 1.0 / p - alpha) / (1.0 - alpha)
-    if not (math.isfinite(s) and 1.0 < s < upper):
+    # the series verdicts read p, alpha and s as the decimals they were written as
+    ep, ea = _exact(p), _exact(alpha)
+    if not (math.isfinite(s) and 1 < _exact(s) < (1 + 1 / ep - ea) / (1 - ea)):
         raise ValueError(f"s must lie strictly inside the gap window (1, {upper:g})")
     return LambdaSequence.block_power_log(s, alpha)

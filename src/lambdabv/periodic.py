@@ -77,18 +77,11 @@ class PiecewiseLinearPeriodic:
         return hash(self._key())
 
     @cached_property
-    def _pos_ext(self) -> np.ndarray:
-        # one wrapped segment on each side so every x in [0, 1) falls strictly
-        # inside some segment of the extended table, plus a constant segment
-        # after p[0] + 1: an x just below an integer rounds to frac = 1.0,
-        # which is p[0] + 1 when the first breakpoint sits at 0.0
-        p = self.positions
-        return _frozen(np.concatenate([[p[-1] - 1.0], p, [p[0] + 1.0, p[0] + 2.0]]))
-
-    @cached_property
-    def _val_ext(self) -> np.ndarray:
-        v = self.values
-        return _frozen(np.concatenate([[v[-1]], v, [v[0], v[0]]]))
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        # one wrapped segment on each side, so every frac in [0, 1] lies on it
+        p, v = self.positions, self.values
+        return (_frozen(np.concatenate([[p[-1] - 1.0], p, [p[0] + 1.0]])),
+                _frozen(np.concatenate([[v[-1]], v, [v[0]]])))
 
     def eval(self, x):
         """Evaluate at ``x`` (scalar or array); ``x`` is reduced modulo 1.
@@ -99,14 +92,7 @@ class PiecewiseLinearPeriodic:
         """
         scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
         xs = np.asarray(x, dtype=float)
-        frac = xs - np.floor(xs)
-        pe, ve = self._pos_ext, self._val_ext
-        # a non-finite x has frac NaN, which sorts past the end of the table;
-        # the clamp puts it on the last segment, where it interpolates to NaN
-        idx = np.minimum(np.searchsorted(pe, frac, side="right"), len(pe) - 1) - 1
-        x0 = pe[idx]
-        y0 = ve[idx]
-        out = y0 + (frac - x0) * (ve[idx + 1] - y0) / (pe[idx + 1] - x0)
+        out = np.interp(xs - np.floor(xs), *self._table)
         return float(out) if scalar else out
 
 

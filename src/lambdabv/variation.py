@@ -309,10 +309,9 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
 def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
     """||f(.+h) - f||_p for each shift h in ``hs``, 0 <= h < 1, by exact
     integration of the difference D = f(.+h) - f, linear between its kinks:
-    the breakpoints x_i, where D = f(x_i + h) - y_i, and the shifted
-    breakpoints x_j - h (wrapped by adding 1 where negative), where
-    D = y_j - f(x_j - h).  So each kink takes one interpolation, and the kinks
-    are sorted together with their D values.  They are not deduplicated: a
+    the breakpoints and the breakpoints shifted back by h (wrapped by adding
+    1 where negative).  Each row's kinks are sorted once and D is taken at
+    every sorted kink k as f(k + h) - f(k).  They are not deduplicated: a
     repeated kink is a zero-width piece and adds exactly 0.
 
     A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
@@ -323,20 +322,16 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
     replaces it (the dropped terms are O(x^6)).  Each shift's row is
     integrated on its own, so its norm does not depend on the other shifts.
     """
-    pos, val = f.positions, f.values
-    n = len(pos)
-    rows = max(1, _BLOCK_CELLS // n)
+    pos = f.positions
+    rows = max(1, _BLOCK_CELLS // len(pos))
     c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
     out = np.empty(len(hs))
     for s in range(0, len(hs), rows):
         h = hs[s : s + rows, None]
         back = pos - h
         back += back < 0.0
-        k = np.concatenate([np.broadcast_to(pos, back.shape), back], axis=1)
-        u = np.concatenate([f.eval(pos + h) - val, val - f.eval(back)], axis=1)
-        order = np.argsort(k, axis=1)
-        k = np.take_along_axis(k, order, axis=1)
-        u = np.take_along_axis(u, order, axis=1)
+        k = np.sort(np.concatenate([np.broadcast_to(pos, back.shape), back], axis=1), axis=1)
+        u = f.eval(k + h) - f.eval(k)
         w = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1) - k
         g = np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
         v = np.concatenate([u[:, 1:], u[:, :1]], axis=1)

@@ -338,6 +338,16 @@ class TestValidationFailures:
         assert proc.stderr.startswith("error: s:")
         assert "(1, 3)" in proc.stderr
 
+    def test_wang_demo_s_past_the_decimal_edge(self, tmp_path):
+        # below the float edge 11.101010101010106, but above the edge 1099/99
+        # of p = 1.1 and alpha = 0.91 as written, where the criterion converges
+        proc = run_cli(
+            "--command", "wang-demo", "--p", "1.1", "--alpha", "0.91",
+            "--s", "11.101010101010104", "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: s: s must lie strictly inside the gap window")
+
     def test_negative_blocks(self, tmp_path, lam_file):
         proc = run_cli(
             "--command", "criterion", "--sequence", lam_file,
@@ -781,6 +791,21 @@ class TestDemos:
         assert summary["wang_verdict"] == "converges"
         assert summary["criterion_verdict"] == "diverges"
         assert summary["gap_window_upper"] == 3.0
+
+    def test_wang_demo_outside_window_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a family past the window's top, s = 4 > 3: both series converge
+        monkeypatch.setattr(cli, "wang_gap_family",
+                            lambda p, alpha, s: LambdaSequence.block_power_log(4.0, alpha))
+        out = tmp_path / "out"
+        assert cli.main(["--command", "wang-demo", "--blocks", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "phenomenon check failed: expected the necessary-condition series to converge "
+            "and the criterion to diverge, got converges/converges\n"
+        )
+        # artifacts are still written for inspection
+        assert len(read_csv(out / "wang-demo.csv")) == 11
+        summary = json.loads((out / "wang-demo.json").read_text())
+        assert summary["criterion_verdict"] == "converges"
 
     def test_perlman_demo_default(self, tmp_path):
         out = tmp_path / "out"

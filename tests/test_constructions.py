@@ -512,6 +512,22 @@ class TestWangGapFamily:
         with pytest.raises(ValueError, match="gap window"):
             wang_gap_family(2.0, 0.75, s)
 
+    def test_top_of_window_never_converges(self):
+        # the float edge and the double below it, on a decimal grid: an
+        # accepted s lies below the edge of p and alpha as written, where the
+        # criterion's verdict is decided
+        for p in [i / 10 for i in range(11, 100)]:
+            for alpha in [j / 100 for j in range(1, 100)]:
+                if not 1.0 / p < alpha:
+                    continue
+                upper = (1.0 + 1.0 / p - alpha) / (1.0 - alpha)
+                for s in (math.nextafter(upper, 0.0), upper):
+                    try:
+                        fam = wang_gap_family(p, alpha, s)
+                    except ValueError:
+                        continue
+                    assert criterion_partial_sums(fam, p, alpha, 2).symbolic_verdict == "diverges"
+
     def test_produces_the_gap_verdicts(self):
         fam = wang_gap_family(2.0, 0.75, 2.0)
         assert wang_partial_sums(fam, 0.75, 2).symbolic_verdict == "converges"

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,15 +180,17 @@ class TestEval:
         assert np.isnan(out[1:4]).all()
         assert out[[0, 4]].tolist() == [f.eval(0.3), f.eval(2.7)]
 
-    def test_finite_arguments_match_unclamped_lookup(self):
-        # the segment lookup before non-finite arguments were clamped
-        def unclamped(f, x):
-            p, v = f.positions, f.values
-            pe = np.concatenate([[p[-1] - 1.0], p, [p[0] + 1.0, p[0] + 2.0]])
-            ve = np.concatenate([[v[-1]], v, [v[0], v[0]]])
-            frac = x - np.floor(x)
-            i = np.searchsorted(pe, frac, side="right") - 1
-            return ve[i] + (frac - pe[i]) * (ve[i + 1] - ve[i]) / (pe[i + 1] - pe[i])
+    def test_finite_arguments_match_exact_interpolant(self):
+        # the exact rational interpolant of frac = x - floor(x) on the wrapped
+        # float table: the breakpoints wrapped by one segment on each side
+        def exact_error(f, x):
+            p, v = f.positions.tolist(), f.values.tolist()
+            pe, ve = [p[-1] - 1.0, *p, p[0] + 1.0], [v[-1], *v, v[0]]
+            frac = x - math.floor(x)
+            i = min(int(np.searchsorted(pe, frac, side="right")) - 1, len(pe) - 2)
+            x0, x1, y0, y1 = map(Fraction, (pe[i], pe[i + 1], ve[i], ve[i + 1]))
+            want = y0 + (Fraction(frac) - x0) * (y1 - y0) / (x1 - x0)
+            return abs(Fraction(f.eval(x)) - want), abs(ve[i]) + abs(ve[i + 1])
 
         rng = np.random.default_rng(131)
         for _ in range(50):
@@ -196,9 +199,11 @@ class TestEval:
                 rng.uniform(-3.0, 3.0, 200), f.positions, f.positions + 1.0,
                 [0.0, 1.0, -1e-20, 1.0 - 1e-17, 1e300, -1e300],
             ])
-            want = unclamped(f, xs)
-            assert f.eval(xs).tobytes() == want.tobytes()
-            assert [f.eval(float(x)) for x in xs] == want.tolist()
+            out = f.eval(xs)
+            assert [f.eval(float(x)) for x in xs] == out.tolist()
+            for x in xs.tolist():
+                err, scale = exact_error(f, x)
+                assert err <= 2.0 * np.finfo(float).eps * scale
 
     @given(plpf_strategy())
     def test_values_within_breakpoint_range(self, f):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -231,6 +232,31 @@ def test_integer_arguments_named(call, name):
     # a float count used to fail as the wrong argument, or with no name at all
     with pytest.raises(TypeError, match=f"^{name} must be an integer, not float$"):
         call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: lambdabv.make_plpf([0.0, 1.0]), ValueError, "points must be (position, value) pairs"),
+    (lambda: _LAM_N.terms(-1), ValueError, "n must be nonnegative"),
+    (lambda: wang_partial_sums(_LAM_N, 0.5, -1), ValueError, "n_blocks must be nonnegative"),
+    (lambda: regularize_sequence([], 2.0, 1.0), ValueError, "input must be a nonempty sequence"),
+    (lambda: regularize_sequence([0.0, 0.0], 2.0, 1.0), ValueError, "input must have a positive term"),
+    (lambda: hardy_two_sides(1.0, 2.0, np.ones((1, 4)), []), ValueError,
+     "nu must be a nonempty sequence"),
+    (lambda: dual_extremizer([1.0, -1.0], 2.0), ValueError,
+     "input terms must be nonnegative and finite"),
+    (lambda: lambdabv.lambda_variation(_TENT, [1.0, 2.0]), TypeError, "lam must be a LambdaSequence"),
+    (lambda: lambdabv.lip_norm(_TENT, 1.0, 0.5, 2), ValueError, "p must satisfy p > 1"),
+    (lambda: lambdabv.lip_norm(_TENT, 2.0, 0.0, 2), ValueError, "alpha must lie in (0, 1]"),
+    (lambda: lambdabv.p_cont_ratio_norm(_TENT, 1.0, 0.5, 2), ValueError, "p must satisfy p > 1"),
+], ids=["plpf_pairs", "terms", "wang_blocks", "regularize_empty", "regularize_zeros",
+        "hardy_nu", "dual_negative", "lambda_type", "lip_p", "lip_alpha", "p_cont_p"])
+def test_rejections_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sequence_never_equals_a_number():
+    assert (_LAM_N == 1) is False
 
 
 class TestWeightedBlockSum:
