@@ -42,7 +42,6 @@ from .variation import (
     lambda_variation,
     lp_modulus,
     modulus_p_continuity,
-    p_cont_ratio_norm,
     p_variation,
 )
 
@@ -234,12 +233,12 @@ def _run_sharpness(config: argparse.Namespace):
             spec = WitnessSpec(lam, config.p, config.alpha, config.levels)
         with _field("p"):
             builds = extremal_function(spec)
-    for g, report in builds:
+    for comb, report in builds:
         # the witness has more monotone arcs than the spec requires weights
         with _field("sequence"):
-            vlam = lambda_variation(g, lam)
+            vlam = comb.lambda_variation(lam)
         with _field("p"):
-            omega = p_cont_ratio_norm(g, config.p, config.alpha, config.delta_depth, config.refine)
+            omega = comb.ratio_norm(config.p, config.alpha, config.delta_depth)
         crit_pow = report.criterion_partials[-1] ** (1.0 / spec.exponents[2])
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
             if not value > 0.0:
@@ -253,11 +252,12 @@ def _run_sharpness(config: argparse.Namespace):
     }
     extras = {}
     if rows:
-        # the deepest level's witness, built and measured last in the loop
+        # the deepest level's witness, measured last in the loop and the only one built
         summary["witness"] = asdict(report)
         summary["witness"].update(measured_lambda_variation=vlam, omega_ratio_norm=omega)
         summary["function_file"] = "sharpness_function.json"
-        extras["sharpness_function.json"] = function_to_json(g) + "\n"
+        with _field("p"):
+            extras["sharpness_function.json"] = function_to_json(comb.function()) + "\n"
     return header, rows, summary, extras, None
 
 

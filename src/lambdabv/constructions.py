@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodic import Interval, PiecewiseLinearPeriodic, make_plpf
+from .periodic import Interval, PiecewiseLinearPeriodic, _frozen, make_plpf
 from .sequences import (
     LambdaSequence,
     _exact,
@@ -23,12 +23,13 @@ from .sequences import (
     regularize_sequence,
     weighted_block_sum,
 )
-from .variation import lambda_variation, p_cont_ratio_norm
+from .variation import _dyadic_grid, lambda_variation, p_cont_ratio_norm
 
 __all__ = [
     "TriangleCombSpec",
     "WitnessSpec",
     "WitnessReport",
+    "WitnessComb",
     "triangle_comb",
     "duality_weights",
     "extremal_function",
@@ -154,18 +155,98 @@ class WitnessReport:
     criterion_partials: tuple
 
 
-def extremal_function(spec: WitnessSpec) -> tuple[tuple[PiecewiseLinearPeriodic, WitnessReport], ...]:
+@dataclass(frozen=True, eq=False)
+class WitnessComb:
+    """One truncation of the witness as level data.  Level n = 1..L carries
+    2^n triangular teeth on the tile [starts[n-1], starts[n-1] + lengths[n-1]],
+    each rising from 0.0 to its apex height over half its base and falling
+    back; ``heights`` holds every level's apex heights in order, level n's at
+    2^n - 2 .. 2^(n+1) - 3.  The three fields are read-only float arrays
+    copied from the input; equality and hashing go by value.
+    """
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    heights: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("starts", "lengths", "heights"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if not np.all(np.isfinite(self.heights) & (self.heights >= 0.0)):
+            raise ValueError("heights must be nonnegative and finite")
+
+    def _key(self) -> tuple:
+        return tuple((getattr(self, name) + 0.0).tobytes() for name in ("starts", "lengths", "heights"))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WitnessComb):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _level_heights(self):
+        return [self.heights[2**n - 2 : 2 ** (n + 1) - 2] for n in range(1, len(self.starts) + 1)]
+
+    def function(self) -> PiecewiseLinearPeriodic:
+        """The comb as a function, its nodes laid out in one pass: each
+        tile's half-base marks, valued exactly 0.0 at feet and exactly the
+        heights at apexes; a tile's final foot is the next tile's first foot
+        (the last tile's: 0.0)."""
+        tiles = zip(self.starts, self.lengths, self._level_heights())
+        nodes = [_comb_nodes(a, length, h) for a, length, h in tiles]
+        return PiecewiseLinearPeriodic(*map(np.concatenate, zip(*nodes)))
+
+    def lambda_variation(self, lam: LambdaSequence) -> float:
+        """lambda_variation(self.function(), lam), bit for bit.  Valleys are
+        exactly 0.0, so the comb is baseline-separated, and each tooth of
+        positive height is two arcs, rising and falling by that height: the
+        sorted arc increments are the sorted heights, each counted twice."""
+        h = self.heights[self.heights > 0.0]
+        d = np.sort(np.repeat(h, 2))[::-1]
+        return float(d @ (1.0 / lam.terms(len(d))))
+
+    def ratio_norm(self, p: float, alpha: float, dyadic_depth: int) -> float:
+        """max over delta = 2^-j, j = 0..dyadic_depth, of omega_{1-1/p}(g;
+        delta) / delta^(alpha - 1/p) for g = self.function(), the modulus
+        taken over all intervals, not a grid.
+
+        Each arc of g is one segment and g is baseline-separated, so an
+        optimal system cuts each arc on its own into floor(x) pieces of length
+        delta and one remainder, x = arc / delta: omega^p = sum_n 2 P_n
+        phi_p(a_n / delta), P_n level n's sum of H^p, a_n = lengths[n-1] /
+        2^(n+1), phi_p(x) = 1 for x <= 1 and (floor(x) + frac(x)^p) / x^p
+        above.  phi_p is taken from 1/x = delta / a_n and frac(x)/x =
+        fmod(a_n, delta) / a_n (fmod is exact), which stay finite where
+        a_n / delta overflows; the p-th root comes last.
+        """
+        if not (math.isfinite(p) and p > 1.0):
+            raise ValueError("p must satisfy p > 1")
+        if not (1.0 / p < alpha <= 1.0):
+            raise ValueError("alpha must lie in (1/p, 1]")
+        deltas = np.array(_dyadic_grid(dyadic_depth))[:, None]
+        arc = self.lengths / 2.0 ** np.arange(2, len(self.lengths) + 2)
+        power_sums = np.array([np.sum(h**p) for h in self._level_heights()])
+        # 1/x and frac(x)/x; at x <= 1 they read 1 and 1 (0 at x = 1), so phi = 1
+        y, fy = np.minimum(deltas / arc, 1.0), np.fmod(arc, deltas) / arc
+        phi = (1.0 - fy) * y ** (p - 1.0) + fy**p
+        omega = (phi @ (2.0 * power_sums)) ** (1.0 / p)
+        return float(np.max(omega / deltas[:, 0] ** (alpha - 1.0 / p)))
+
+
+def extremal_function(spec: WitnessSpec) -> tuple[tuple[WitnessComb, WitnessReport], ...]:
     """Build the witness truncated at each level L = 1..spec.levels and
-    report how each was built: item L - 1 is (g, report) of levels 1..L.
+    report how each was built: item L - 1 is (comb, report) of levels 1..L.
 
     Level n contributes a comb with 2^n teeth of heights
     H_k = (2^-n beta_n)^(alpha-1/p) lambda_k^(-1/(p-1)) S_n^(-p'/p) for
     k in [2^n, 2^(n+1)-1]; tiles partition the circle proportionally to the
     regularized weights beta (theta = 3/2, gamma = 1).  The block sums, S
     norms and weights of level n do not depend on L and are computed once;
-    each truncation has its own beta, tiles and heights.  Valleys are
-    exactly 0.0, so the sorted-arc fast path for the weighted variation
-    applies no matter how many levels are requested.
+    each truncation has its own beta, tiles and heights, kept as level data:
+    comb.function() builds the function, and comb.lambda_variation and
+    comb.ratio_norm measure it from the level data alone.
     """
     lam, p, alpha, levels = spec.lam, spec.p, spec.alpha, spec.levels
     p_prime, _, r_prime = spec.exponents
@@ -192,17 +273,10 @@ def extremal_function(spec: WitnessSpec) -> tuple[tuple[PiecewiseLinearPeriodic,
         cuts = np.cumsum(beta)
         boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
         tile_lengths = np.diff(boundaries)
-        # a tile's final foot is the next tile's first foot (the last: 0.0)
-        nodes = []
-        pair_sum = 0.0
-        for idx in range(top):
-            scale = (2.0 ** -(idx + 1) * beta[idx]) ** a_exp
-            heights = scale * lam_pow[idx] * s_norms[idx] ** (-p_prime / p)
-            pair_sum += 2.0 * float(np.sum(heights / lam_k[idx]))
-            nodes.append(_comb_nodes(boundaries[idx], tile_lengths[idx], heights))
-        positions, values = map(np.concatenate, zip(*nodes))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("heights must be nonnegative and finite")
+        heights = [(2.0 ** -(idx + 1) * beta[idx]) ** a_exp * lam_pow[idx] * s_norms[idx] ** (-p_prime / p)
+                   for idx in range(top)]
+        pair_sum = sum(2.0 * float(np.sum(h / lam_n)) for h, lam_n in zip(heights, lam_k))
+        comb = WitnessComb(boundaries[:-1], tile_lengths, np.concatenate(heights))
         report = WitnessReport(
             p=p,
             alpha=alpha,
@@ -216,7 +290,7 @@ def extremal_function(spec: WitnessSpec) -> tuple[tuple[PiecewiseLinearPeriodic,
             analytic_lower_bound=2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive[:top])),
             criterion_partials=criterion_partials[:top],
         )
-        builds.append((PiecewiseLinearPeriodic(positions, values), report))
+        builds.append((comb, report))
     return tuple(builds)
 
 

@@ -20,7 +20,9 @@ power sums: Hurwitz zeta differences at 60 digits.  one_array_block_sum is
 a direct block sum as one np.sum over every term at once, the bitwise
 reference for the library's chunked sum.  folded_lp_profile is the L^p
 modulus without the Lipschitz pruning: every shift sample integrated.
-witness_heights reads each level's tooth heights back off a witness.
+witness_heights reads each level's tooth heights back off a witness, and
+comb_ratio_norm_by_arcs measures a built witness's continuum ratio norm one
+arc at a time.
 hardy_by_loop is the bitwise reference for hardy_two_sides: one row at a
 time, every power and addition in Python floats from left to right.
 perlman_weights_by_arrays is Perlman's weight sequence over a whole
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from lambdabv import Interval, LambdaSequence, TriangleCombSpec, increment, make_plpf
+from lambdabv import Interval, LambdaSequence, TriangleCombSpec, increment, make_plpf, monotone_arcs
 from lambdabv.cli import PERLMAN_DECADES, ValidationError, _field
 from lambdabv.sequences import _FAMILIES
 from lambdabv.variation import _refined_cycle, _shift_norms, _shift_samples
@@ -110,6 +112,27 @@ def witness_heights(g, levels):
     """Tooth heights of a witness of levels 1..levels, one array per level:
     its apexes g.values[1::2] in layout order, 2^n of them for level n."""
     return np.split(g.values[1::2], np.cumsum([2**n for n in range(1, levels)]))
+
+
+def comb_ratio_norm_by_arcs(g, p, alpha, deltas):
+    """max over deltas of omega_{1-1/p}(g; delta) / delta^(alpha - 1/p), the
+    modulus over all intervals, for a baseline-separated g whose monotone
+    arcs are single segments, summed one arc of g at a time: an arc of length
+    l and rise h cut into floor(l/delta) pieces of length delta and one
+    remainder, as the exact branch of perfbench's oracle.comb_modulus."""
+    assert monotone_arcs(g).is_baseline_separated()
+    dx = np.diff(g.positions, append=g.positions[0] + 1.0)
+    dy = np.diff(g.values, append=g.values[0])
+    sign = np.sign(dy[dy != 0.0])
+    assert np.all(sign != np.roll(sign, 1)), "an arc spans more than one segment"
+    lengths, h = dx[dy != 0.0], np.abs(dy[dy != 0.0])
+    best = 0.0
+    for d in deltas:
+        full = np.floor(lengths / d)
+        rest = lengths / d - full
+        total = np.sum(full * (h * d / lengths) ** p + (h * rest * d / lengths) ** p)
+        best = max(best, float(total) ** (1.0 / p) / d ** (alpha - 1.0 / p))
+    return best
 
 
 def random_lambda_prefix(rng, n, start=0.2):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lambdabv
-from lambdabv import cli, constructions
+from lambdabv import cli, constructions, variation
 from lambdabv import (
     LambdaSequence,
     WitnessSpec,
@@ -28,7 +28,6 @@ from lambdabv import (
     lambda_variation,
     make_plpf,
     monotone_arcs,
-    p_cont_ratio_norm,
     sequence_from_json,
 )
 
@@ -38,8 +37,8 @@ from lambdabv.variation import MAX_DELTA_DEPTH
 from helpers import (
     SRC,
     alternating_plpf,
-    chain_dp_profile,
     chunked_subset_scan_max,
+    comb_ratio_norm_by_arcs,
     mp_lp_modulus_profile,
     perlman_demo_by_arrays,
     run_cli,
@@ -101,6 +100,22 @@ COMMAND_CASES = {
     "sharpness": "sharpness",
     "variation": "variation",
     "wang-demo": "wang-demo",
+}
+
+# name -> (input option -> JSON text, CLI arguments, sha256 of the level-12
+# witness file), the digests taken while the witness was still the superpose
+# of one comb per level
+WITNESS_PINS = {
+    "block_power_log": (
+        {"--sequence": '{"family": "block_power_log", "params": {"s": -0.4, "alpha": 0.8}}'},
+        ("--command", "sharpness", "--levels", "12", "--p", "2", "--alpha", "0.6"),
+        "bc83d00999e54cffeee8efea98c78cb44232226c302b347a6828e8175f22b4c2",
+    ),
+    "power_log": (
+        {"--sequence": '{"family": "power_log", "params": {"s": 0.5, "t": 1.0}}'},
+        ("--command", "sharpness", "--levels", "12"),
+        "6493e56511a3804da355228830b8d0ba58679831c31551917e9b79653d69a999",
+    ),
 }
 
 
@@ -622,18 +637,45 @@ class TestSharpnessCommand:
         assert summary["witness"]["levels"] == 2
         assert summary["function_file"] == "sharpness_function.json"
 
-    def test_witness_measures_are_direct_calls(self, tmp_path, lam_file):
-        out = tmp_path / "out"
-        proc = run_cli(
-            "--command", "sharpness", "--sequence", lam_file, "--levels", "3",
-            "--delta-depth", "4", "--refine", "1", "--out", str(out),
-        )
-        assert proc.returncode == 0, proc.stderr
+    def test_witness_measures_are_direct_calls(self, tmp_path, lam_file, monkeypatch):
+        # the rows come from the level data: no chain DP, no Lambda search,
+        # and one function built, for the witness file; --refine is accepted
+        # and changes no value
+        def refused(*args, **kwargs):
+            raise AssertionError("sharpness measured a built function")
+
+        for name in ("_p_power_profile", "p_cont_ratio_norm", "lambda_variation"):
+            monkeypatch.setattr(variation, name, refused)
+        built = []
+        function = constructions.WitnessComb.function
+        monkeypatch.setattr(constructions.WitnessComb, "function",
+                            lambda comb: built.append(comb) or function(comb))
+        outs = [tmp_path / "r1", tmp_path / "r0"]
+        for out, refine in zip(outs, ("1", "0")):
+            argv = ["--command", "sharpness", "--sequence", lam_file, "--levels", "3",
+                    "--delta-depth", "4", "--refine", refine, "--out", str(out)]
+            assert cli.main(argv) == 0
+        assert len(built) == 2
+        assert (outs[0] / "sharpness.csv").read_bytes() == (outs[1] / "sharpness.csv").read_bytes()
         lam = LambdaSequence.power(1.0)
-        g, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))[-1]
-        witness = json.loads((out / "sharpness.json").read_text())["witness"]
-        assert witness["measured_lambda_variation"] == lambda_variation(g, lam)
-        assert witness["omega_ratio_norm"] == p_cont_ratio_norm(g, 2.0, 0.75, 4, 1)
+        comb, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))[-1]
+        assert built[0] == comb
+        witness = json.loads((outs[0] / "sharpness.json").read_text())["witness"]
+        assert witness["measured_lambda_variation"] == comb.lambda_variation(lam)
+        assert witness["omega_ratio_norm"] == comb.ratio_norm(2.0, 0.75, 4)
+
+    def test_deepest_delta_grid(self, tmp_path, lam_file):
+        # at depth 1074, arc / delta overflows to inf; the ratio there tends
+        # to 0 and the max is the depth-60 run's
+        rows = []
+        for depth in ("1074", "60"):
+            out = tmp_path / depth
+            proc = run_cli("--command", "sharpness", "--sequence", lam_file, "--levels", "12",
+                           "--delta-depth", depth, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            rows.append(read_csv(out / "sharpness.csv"))
+        assert [r[4::2] for r in rows[0]] == [r[4::2] for r in rows[1]]
+        assert rows[0] == rows[1]
 
     def test_one_build_for_every_level(self, tmp_path, lam_file, monkeypatch):
         # levels 1..11 come from one call, which takes the inner sums of every
@@ -701,25 +743,13 @@ class TestSharpnessCommand:
         assert monotone_arcs(g).is_baseline_separated()
         assert len(read_csv(out / "sharpness.csv")) == 11
 
-    @pytest.mark.parametrize(
-        "family,args,digest",
-        [
-            ('{"family": "block_power_log", "params": {"s": -0.4, "alpha": 0.8}}',
-             ("--p", "2", "--alpha", "0.6"),
-             "bc83d00999e54cffeee8efea98c78cb44232226c302b347a6828e8175f22b4c2"),
-            ('{"family": "power_log", "params": {"s": 0.5, "t": 1.0}}', (),
-             "6493e56511a3804da355228830b8d0ba58679831c31551917e9b79653d69a999"),
-        ],
-        ids=["block_power_log", "power_log"],
-    )
-    def test_deepest_witness_pinned(self, tmp_path, family, args, digest):
-        # sha256 of the level-12 witness file, taken while the witness was
-        # still the superpose of one comb per level
+    @pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+    def test_deepest_witness_pinned(self, tmp_path, name):
+        inputs, args, digest = WITNESS_PINS[name]
         seq = tmp_path / "seq.json"
-        seq.write_text(family + "\n")
+        seq.write_text(inputs["--sequence"] + "\n")
         out = tmp_path / "out"
-        proc = run_cli("--command", "sharpness", "--sequence", str(seq), "--levels", "12",
-                       *args, "--out", str(out))
+        proc = run_cli(*args, "--sequence", str(seq), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         text = (out / "sharpness_function.json").read_bytes()
         assert hashlib.sha256(text).hexdigest() == digest
@@ -988,9 +1018,9 @@ class TestDeterminism:
 
 def _held_omega_cells(got, want, summary, sequence_json):
     """Check the sharpness CSV's omega_ratio and omega_quotient cells, whose
-    last bits move with the chain DP's summation order, against the whole-chain
-    reference at 1e-12 relative (the golden's own cells included), and return
-    both CSVs with those cells blanked for the byte comparison."""
+    last bits move with the order of summation, against the per-arc sum on
+    the built witness at 1e-12 relative (the golden's own cells included),
+    and return both CSVs with those cells blanked for the byte comparison."""
     lam = sequence_from_json(sequence_json)
     p, alpha = summary["witness"]["p"], summary["witness"]["alpha"]
     deltas = [2.0**-j for j in range(summary["delta_depth"] + 1)]
@@ -998,9 +1028,8 @@ def _held_omega_cells(got, want, summary, sequence_json):
     for line_got, line_want in zip(got, want):
         rows = [line.decode().rstrip("\n").split(",") for line in (line_got, line_want)]
         if rows[0][0] != "schema_version":
-            g, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))[-1]
-            moduli = chain_dp_profile(g, p, deltas, summary["refinement"])
-            omega = max(m / d ** (alpha - 1.0 / p) for m, d in zip(moduli, deltas))
+            comb, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))[-1]
+            omega = comb_ratio_norm_by_arcs(comb.function(), p, alpha, deltas)
             for row in rows:
                 assert float(row[4]) == pytest.approx(omega, rel=1e-12)
                 assert float(row[6]) == pytest.approx(float(row[3]) / omega, rel=1e-12)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lambdabv import (
     Interval,
     LambdaSequence,
     TriangleCombSpec,
+    WitnessComb,
     WitnessSpec,
     criterion_partial_sums,
     derivative_lp_norm,
@@ -21,6 +23,7 @@ from lambdabv import (
     lambda_variation,
     make_plpf,
     monotone_arcs,
+    p_cont_ratio_norm,
     p_variation,
     perlman_witness,
     superpose,
@@ -34,6 +37,7 @@ from lambdabv.constructions import PERLMAN_PART
 from helpers import (
     brute_lambda_variation,
     brute_p_variation,
+    comb_ratio_norm_by_arcs,
     perlman_sums_by_arrays,
     perlman_weights_by_arrays,
     random_comb_spec,
@@ -165,7 +169,8 @@ class TestWitness:
 
     def test_level_one_from_first_principles(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 1)
-        g, rep = extremal_function(spec)[-1]
+        comb, rep = extremal_function(spec)[-1]
+        g = comb.function()
 
         k = np.arange(2.0, 5.0)
         inner = float(np.sum(k**-2.5))
@@ -190,9 +195,15 @@ class TestWitness:
         assert g.positions.tolist() == [0.0, 0.25, 0.5, 0.75]
         assert g.eval(0.25) == pytest.approx(h2, rel=1e-13)
         assert g.eval(0.75) == pytest.approx(h3, rel=1e-13)
+        assert comb.lambda_variation(LAM_N) == lambda_variation(g, LAM_N)
+        # four arcs of length 1/4: omega^2 = 2(h2^2 + h3^2) down to delta =
+        # 1/4, then half and a quarter of that at 1/8 and 1/16, so the ratio
+        # omega / delta^(1/4) peaks at delta = 1/4
+        assert comb.ratio_norm(2.0, 0.75, 6) == pytest.approx(2.0 * math.hypot(h2, h3), rel=1e-13)
 
     def test_level_one_regression_anchor(self):
-        g, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))[-1]
+        comb, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))[-1]
+        g = comb.function()
         assert lambda_variation(g, LAM_N) == pytest.approx(
             1.321595318547927, rel=1e-12
         )
@@ -202,7 +213,8 @@ class TestWitness:
 
     def test_small_witness_matches_brute_force(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 2)
-        g, _ = extremal_function(spec)[-1]
+        comb, _ = extremal_function(spec)[-1]
+        g = comb.function()
         pts = list(g.positions)
         assert lambda_variation(g, LAM_N) == pytest.approx(
             brute_lambda_variation(g, LAM_N, pts), rel=1e-12
@@ -214,7 +226,8 @@ class TestWitness:
     def test_per_level_identities(self):
         lam = LambdaSequence.power(0.25)
         spec = WitnessSpec(lam, 2.0, 0.75, 3)
-        g, rep = extremal_function(spec)[-1]
+        comb, rep = extremal_function(spec)[-1]
+        g = comb.function()
         for idx in range(3):
             n = idx + 1
             k = np.arange(float(2**n), float(2 ** (n + 1)))
@@ -243,7 +256,8 @@ class TestWitness:
         for lam in families:
             for p, alphas in ((1.5, (0.7, 0.9)), (2.0, (0.6, 0.8)), (3.0, (0.4, 0.75))):
                 for alpha in alphas:
-                    for g, rep in extremal_function(WitnessSpec(lam, p, alpha, 10)):
+                    for comb, rep in extremal_function(WitnessSpec(lam, p, alpha, 10)):
+                        g = comb.function()
                         assert min(g.values) == 0.0
                         assert set(valleys(g)) == {0.0}, (lam, p, alpha, rep.levels)
 
@@ -257,7 +271,8 @@ class TestWitness:
         # reference: one comb per level with its final foot pinned to the next
         # tile boundary, summed with superpose; the witness lays the same
         # nodes out in one pass and must match it bit for bit
-        for g, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+        for comb, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+            g = comb.function()
             cuts = np.cumsum(rep.beta)
             boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
             assert tuple(np.diff(boundaries).tolist()) == rep.tile_lengths
@@ -293,10 +308,64 @@ class TestWitness:
             assert builds[levels - 1] == extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
             assert builds[levels - 1][1].levels == levels
 
+    @pytest.mark.parametrize(
+        "lam",
+        [LambdaSequence.power(0.5), LambdaSequence.power_log(0.5, 1.0),
+         LambdaSequence.block_power_log(-0.4, 0.8)],
+        ids=lambda lam: lam.family,
+    )
+    @pytest.mark.parametrize("p,alpha", [(1.5, 0.8), (2.0, 0.75), (3.0, 0.6)])
+    def test_comb_measures_match_the_built_function(self, lam, p, alpha):
+        # the level-data closed forms against the built function at every
+        # level: the per-arc sum at 1e-14, every grid value of the chain DP
+        # at or below it, and the general Lambda-variation bit for bit
+        for comb, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+            g = comb.function()
+            for depth in (6, 20):
+                grid = [2.0**-j for j in range(depth + 1)]
+                want = comb_ratio_norm_by_arcs(g, p, alpha, grid)
+                assert comb.ratio_norm(p, alpha, depth) == pytest.approx(want, rel=1e-14, abs=0.0)
+            exact = comb.ratio_norm(p, alpha, 6)
+            for r in range(4):
+                assert exact >= p_cont_ratio_norm(g, p, alpha, 6, r) * (1.0 - 1e-14), (rep.levels, r)
+            assert comb.lambda_variation(lam) == lambda_variation(g, lam), rep.levels
+
+    def test_comb_is_read_only_level_data(self):
+        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 3))[-1]
+        assert len(comb.starts) == len(comb.lengths) == 3 and len(comb.heights) == 2 + 4 + 8
+        for field in (comb.starts, comb.lengths, comb.heights):
+            with pytest.raises(ValueError):
+                field[0] = 0.5
+        same = WitnessComb(list(comb.starts), list(comb.lengths), list(comb.heights))
+        assert same == comb and hash(same) == hash(comb)
+        assert WitnessComb(comb.starts, comb.lengths, comb.heights * 2.0) != comb
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            comb.heights = comb.heights
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^heights must be nonnegative and finite$"):
+                WitnessComb(comb.starts, comb.lengths, np.append(comb.heights[:-1], bad))
+
+    def test_ratio_norm_on_the_deepest_grid(self):
+        # arc / delta overflows past depth ~1000; phi reads it from delta /
+        # arc and fmod(arc, delta) instead, with no warning and no NaN
+        for lam in (LAM_N, LambdaSequence.power_log(0.5, 1.0)):
+            for p, alpha in ((1.5, 0.8), (2.0, 0.75), (3.0, 0.6)):
+                comb, _ = extremal_function(WitnessSpec(lam, p, alpha, 12))[-1]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert comb.ratio_norm(p, alpha, 1074) == comb.ratio_norm(p, alpha, 60)
+        with pytest.raises(ValueError, match="dyadic_depth"):
+            comb.ratio_norm(2.0, 0.75, 0)
+        with pytest.raises(ValueError, match="p must satisfy"):
+            comb.ratio_norm(1.0, 0.75, 6)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            comb.ratio_norm(2.0, 0.5, 6)
+
     def test_measured_dominates_certified_bounds(self):
         for lam in (LAM_N, LambdaSequence.power(0.25)):
             for levels in (2, 4, 6):
-                g, rep = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))[-1]
+                comb, rep = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))[-1]
+                g = comb.function()
                 v = lambda_variation(g, lam)
                 # one arc per tooth with rank-dominated weights is always achievable
                 assert v >= 0.5 * rep.arc_pair_sum * (1.0 - 1e-12)
