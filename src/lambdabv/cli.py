@@ -136,7 +136,7 @@ def _field(name: str, error: type[Exception] = ValueError):
         raise ValidationError(name, str(exc)) from exc
 
 
-def _check_embedding_params(config: argparse.Namespace) -> None:
+def _check_embedding_params(config: argparse.Namespace) -> tuple[Fraction, Fraction]:
     if not config.p > 1.0:
         raise ValidationError("p", "must satisfy p > 1")
     # the criterion's verdict reads p and alpha as the decimals they were
@@ -144,6 +144,7 @@ def _check_embedding_params(config: argparse.Namespace) -> None:
     p, alpha = Fraction(repr(config.p)), Fraction(repr(config.alpha))
     if not (1.0 / config.p < config.alpha < 1.0 and 1 / p < alpha):
         raise ValidationError("alpha", "must lie in (1/p, 1)")
+    return p, alpha
 
 
 def _run_variation(config: argparse.Namespace):
@@ -164,10 +165,10 @@ def _run_variation(config: argparse.Namespace):
     deltas = [2.0**-j for j in range(config.delta_depth + 1)]
     for delta, value in zip(deltas, lp_modulus(f, config.p, deltas)):
         rows.append(["lp_modulus", config.p, "", delta, value, H_SAMPLES])
-    if config.p > 1.0:
-        for delta, value in zip(deltas, modulus_p_continuity(f, config.p, deltas, config.refine)):
-            rows.append(["modulus_p_continuity", config.p, "", delta, value, config.refine])
-    vp = p_variation(f, config.p)
+    moduli = modulus_p_continuity(f, config.p, deltas, config.refine) if config.p > 1.0 else []
+    for delta, value in zip(deltas, moduli):
+        rows.append(["modulus_p_continuity", config.p, "", delta, value, config.refine])
+    vp = moduli[0] if moduli and config.refine == 0 else p_variation(f, config.p)  # delta = 1: the same bits
     rows.append(["p_variation", config.p, "", "", vp, ""])
     values["p_variation"] = vp
     # |increment|^p overflows at a huge p, so a non-finite value names p. It
@@ -262,7 +263,7 @@ def _run_sharpness(config: argparse.Namespace):
 
 
 def _run_wang_demo(config: argparse.Namespace):
-    _check_embedding_params(config)
+    p, alpha = _check_embedding_params(config)
     with _field("s"):
         lam = wang_gap_family(config.p, config.alpha, config.s)
     wang = wang_partial_sums(lam, config.alpha, config.blocks)
@@ -274,7 +275,7 @@ def _run_wang_demo(config: argparse.Namespace):
         "p": config.p,
         "alpha": config.alpha,
         "s": config.s,
-        "gap_window_upper": (1.0 + 1.0 / config.p - config.alpha) / (1.0 - config.alpha),
+        "gap_window_upper": float((1 + 1 / p - alpha) / (1 - alpha)),  # the edge the window test reads
         "n_blocks": config.blocks,
         "wang_verdict": wang.symbolic_verdict,
         "criterion_verdict": crit.symbolic_verdict,

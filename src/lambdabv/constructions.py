@@ -382,9 +382,9 @@ def wang_gap_family(p: float, alpha: float, s: float) -> LambdaSequence:
     diverges): lambda_k = 2^(n(1-alpha)) n^((1-alpha)s) on k in
     [2^n, 2^(n+1)), for s strictly inside (1, (1+1/p-alpha)/(1-alpha))."""
     embedding_exponents(p, alpha)
-    upper = (1.0 + 1.0 / p - alpha) / (1.0 - alpha)
     # the series verdicts read p, alpha and s as the decimals they were written as
     ep, ea = _exact(p), _exact(alpha)
-    if not (math.isfinite(s) and 1 < _exact(s) < (1 + 1 / ep - ea) / (1 - ea)):
-        raise ValueError(f"s must lie strictly inside the gap window (1, {upper:g})")
+    upper = (1 + 1 / ep - ea) / (1 - ea)
+    if not (math.isfinite(s) and 1 < _exact(s) < upper):
+        raise ValueError(f"s must lie strictly inside the gap window (1, {float(upper):g})")
     return LambdaSequence.block_power_log(s, alpha)

@@ -6,6 +6,7 @@ comparison, and the l^p duality extremizer."""
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import json
@@ -40,14 +41,23 @@ _DIRECT_SUM_LIMIT = 4096
 _POWER_LOG_LIMIT = 1 << 22
 # longer direct sums run in parts of at most this many terms (256 KB a temporary)
 _SUM_CHUNK = 1 << 15
+# the 40-digit pass's own context, whatever the caller's: a sum past MAX_EMAX reads inf
+_CONTEXT = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[decimal.InvalidOperation])
 
 
 @functools.cache
-def _em_weight(j: int):
-    """B_2j / (2j)!, the weight of the j-th Euler-Maclaurin term, in the
-    40-digit context of its one caller."""
-    import mpmath as mp
-    return mp.bernoulli(2 * j) / mp.factorial(2 * j)
+def _em_weight(j: int) -> Fraction:
+    """B_2j / (2j)! exactly: sum_{k<=n} B_k/(k! (n+1-k)!) = 0 (n >= 1), B_1 = -1/2, 0 = B_3 = B_5..."""
+    return Fraction(2 * j - 1, 2 * math.factorial(2 * j + 1)) - sum(
+        _em_weight(i) / math.factorial(2 * (j - i) + 1) for i in range(1, j))
+
+
+@functools.lru_cache(maxsize=1024)
+def _ln(k: int) -> decimal.Decimal:
+    """ln k at 40 digits, kept across calls; below 2^16, ln p + ln(k/p) for k's least prime factor p."""
+    p = next((p for p in range(2, math.isqrt(k) + 1) if k % p == 0), k) if k < 1 << 16 else k
+    with decimal.localcontext(_CONTEXT):
+        return decimal.Decimal(k).ln() if p == k else _ln(p) + _ln(k // p)
 
 
 def _power_block_sums(c: float, blocks) -> list[float]:
@@ -63,10 +73,10 @@ def _power_block_sums(c: float, blocks) -> list[float]:
 
 
 def _em_power_sums(c: float, blocks) -> list[float]:
-    """sum_{k=lo}^{hi} k^-c for each block (lo, hi), at 40 digits: a head
-    below |c| + 32 term by term, then an Euler-Maclaurin sum for f(x) = x^-c
-    over the rest [a, b].  With r = b/a that sum is a^-c times
-    a F(r) + (1 + r^-c)/2 + sum_j L_j(r) a^(1-2j): the integral, with
+    """sum_{k=lo}^{hi} k^-c for each block (lo, hi), at 40 significant digits
+    in decimal: a head below |c| + 32 term by term, then an Euler-Maclaurin
+    sum for f(x) = x^-c over the rest [a, b].  With r = b/a that sum is a^-c
+    times a F(r) + (1 + r^-c)/2 + sum_j L_j(r) a^(1-2j): the integral, with
     F(r) = expm1((1-c) log r)/(1-c) (log r at c = 1), the trapezoid ends, and
     the derivative terms, L_j(r) = B_2j/(2j)! c(c+1)...(c+2j-2) (1 - r^(1-c-2j)).
 
@@ -76,29 +86,27 @@ def _em_power_sums(c: float, blocks) -> list[float]:
     of term j, so from a >= |c| + 32 on, 32 terms always suffice.  For c > 1
     the head stops once the rest, at most a^-c (1 + a/(c - 1)), is that small.
 
-    Only a^-c and a^(1-2j) depend on a, so the blocks of one call share
-    F(r), r^-c and the L_j(r) per distinct reduced ratio, and a^-c per
-    distinct a.  For a >= |c| + 32 a block [a, 2a - 1] is summed as
-    [a, 2a] less its end term, so every dyadic block has r = 2;
-    that term is within a factor e of its neighbour, so at most one digit
-    cancels.  This order of the 40-digit operations moves a sum by some
-    1e-39 of itself, so each double is the one a block-by-block sum gave:
-    the nearest to the 60-digit reference (the test
-    test_long_power_sum_is_the_rounded_reference).
-    """
+    The blocks of one call share F(r), r^-c and the L_j(r) per reduced ratio,
+    and a^-c per a: (2^-c)^n, one integer power, at a = 2^n, else e^(-c ln a).
+    log r and expm1 carry the digits that r - 1 and 1 - c cancel.  A block
+    [a, 2a - 1] from a >= |c| + 32 on is [a, 2a] less its end term, so every
+    dyadic block has r = 2 and at most one digit cancels.  Each double is the
+    nearest to the 60-digit reference (test_long_power_sum_random_draws)."""
     if not blocks:
         return []
-    import mpmath as mp  # deferred: only long power sums need it
-    with mp.workdps(40):
-        c, tol = mp.mpf(c), mp.mpf(10) ** -36
-        head_end = int(abs(c)) + 32
-        power = functools.cache(lambda k: mp.mpf(k) ** -c)
+    with decimal.localcontext(_CONTEXT):
+        c, tol = decimal.Decimal(c), decimal.Decimal("1e-36")
+        head_end, two_c = int(abs(c)) + 32, (-c * _ln(2)).exp()
+        power = functools.cache(lambda k: two_c ** (k.bit_length() - 1) if k & (k - 1) == 0 else (-c * _ln(k)).exp())
 
         @functools.cache
         def ratio_terms(n: int, d: int):  # F(r), (1 + r^-c)/2 and r^-c at r = n/d
-            log_r = mp.log1p(mp.mpf(n - d) / d)  # 40 digits however close r is to 1
-            r_c = mp.exp(-c * log_r)
-            return log_r if c == 1 else mp.expm1((1 - c) * log_r) / (1 - c), (1 + r_c) / 2, r_c
+            with decimal.localcontext() as wide:
+                wide.prec += len(str(d // max(n - d, 1))) + max(0, -(1 - c).adjusted())
+                log_r = _ln(n) if d == 1 else (decimal.Decimal(n) / d).ln()
+                r_c = (-c * log_r).exp()
+                integral = log_r if c == 1 else (((1 - c) * log_r).exp() - 1) / (1 - c)
+            return +integral, (1 + r_c) / 2, +r_c
 
         @functools.cache
         def rising(j: int):  # c(c+1)...(c+2j-2)
@@ -106,10 +114,11 @@ def _em_power_sums(c: float, blocks) -> list[float]:
 
         @functools.cache
         def em_coefficient(n: int, d: int, j: int):  # L_j(n/d)
-            return _em_weight(j) * rising(j) * (1 - ratio_terms(n, d)[2] * (mp.mpf(d) / n) ** (2 * j - 1))
+            weight = _em_weight(j).numerator * rising(j) / _em_weight(j).denominator
+            return weight * (1 - ratio_terms(n, d)[2] * (decimal.Decimal(d) / n) ** (2 * j - 1))
 
         def block_sum(a: int, b: int):
-            total = mp.mpf(0)
+            total = decimal.Decimal(0)
             while a < min(b + 1, head_end):
                 total += power(a)
                 a += 1
@@ -120,7 +129,7 @@ def _em_power_sums(c: float, blocks) -> list[float]:
                 return total
             n, d = b // math.gcd(a, b), a // math.gcd(a, b)
             integral, ends, _ = ratio_terms(n, d)
-            inner, z = a * integral + ends, 1 / mp.mpf(a)  # z = a^(1-2j)
+            inner, z = a * integral + ends, 1 / decimal.Decimal(a)  # z = a^(1-2j)
             bound, step = tol * inner / 2, z * z
             for j in itertools.count(1):
                 term = em_coefficient(n, d, j) * z
@@ -129,8 +138,8 @@ def _em_power_sums(c: float, blocks) -> list[float]:
                 inner += term
                 z *= step
 
-        def dyadic_sum(lo: int, hi: int):
-            if lo >= head_end and hi == 2 * lo - 1:
+        def dyadic_sum(lo: int, hi: int):  # an infinite end term would leave inf - inf
+            if lo >= head_end and hi == 2 * lo - 1 and power(hi + 1).is_finite():
                 return block_sum(lo, hi + 1) - power(hi + 1)
             return block_sum(lo, hi)
 

@@ -16,7 +16,8 @@ the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
 at 40 digits, one piece at a time.  mp_power_sum is the reference for long
-power sums: Hurwitz zeta differences at 60 digits.  one_array_block_sum is
+power sums: Hurwitz zeta differences at 60 digits (a per-block
+Euler-Maclaurin sum at c <= 0), rounded once by nearest_double.  one_array_block_sum is
 a direct block sum as one np.sum over every term at once, the bitwise
 reference for the library's chunked sum.  folded_lp_profile is the L^p
 modulus without the Lipschitz pruning: every shift sample integrated.
@@ -33,6 +34,7 @@ sequence_to_json writes a weight sequence in the sequence file format.
 """
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -41,6 +43,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -431,24 +434,70 @@ def mp_shift_norm(f, h, p):
         return float(total ** (1 / p))
 
 
+def nearest_double(x) -> float:
+    """The double nearest to the mpf x, rounded once.  float(x) rounds a
+    value below the normal range twice, to 53 bits and then to the bits the
+    subnormal keeps, and can land one ulp off."""
+    man, exp = x.man_exp
+    try:
+        return float(Fraction(man) * Fraction(2) ** exp)
+    except OverflowError:
+        return math.inf if man > 0 else -math.inf
+
+
 def mp_power_sum(c, lo, hi):
-    """sum_{k=lo}^{hi} k^-c for c >= 0 as zeta(c, lo) - zeta(c, hi + 1) at 60
-    significant digits (digamma at c = 1), rounded to a double.
+    """sum_{k=lo}^{hi} k^-c at 60 significant digits, rounded to the nearest
+    double: zeta(c, lo) - zeta(c, hi + 1) for c >= 0 (digamma at c = 1), and
+    for c < 0, where mpmath's Hurwitz zeta takes seconds to minutes a block,
+    the terms below -c + 64 one by one and an Euler-Maclaurin sum of the rest,
+    this block alone, with mpmath's Bernoulli numbers.
 
     mpmath's Hurwitz zeta stops its tail at an absolute 2^-prec, so a sum far
-    below 1 would keep only the digits above that; the precision grows by the
-    binary exponent of the largest term lo^-c.  A sum that bounds itself below
-    2^-1100 by (hi - lo + 1) lo^-c rounds to 0.0.
+    below 1 would keep only the digits above that, and the difference cancels
+    the digits of zeta(c, lo) ~ lo^(1-c)/(c-1) (digamma(lo) ~ log lo) above
+    the sum; the precision grows by the larger of the binary exponent of the
+    largest term lo^-c and the bits that cancel, against the least the sum can
+    be, the larger of lo^-c and (hi - lo + 1) hi^-c.  A sum that bounds itself below 2^-1100 by
+    (hi - lo + 1) lo^-c rounds to 0.0.
     """
+    if c < 0:
+        return nearest_double(_mp_em_power_sum(c, lo, hi))
     with mpmath.workdps(60):
         largest = mpmath.mpf(lo) ** -c
         if largest * (hi - lo + 1) < mpmath.mpf(2) ** -1100:
             return 0.0
-        if c == 1:
-            return float(mpmath.digamma(hi + 1) - mpmath.digamma(lo))
-        prec = mpmath.mp.prec + max(0, -mpmath.mag(largest))
+        size = mpmath.log(lo + 1) if c == 1 else mpmath.mpf(lo) ** (1 - c) / abs(c - 1)
+        least = max(largest, (hi - lo + 1) * mpmath.mpf(hi) ** -c)
+        prec = mpmath.mp.prec + max(0, -mpmath.mag(largest), mpmath.mag(size) - mpmath.mag(least))
     with mpmath.workprec(prec):
-        return float(mpmath.zeta(c, lo) - mpmath.zeta(c, hi + 1))
+        if c == 1:
+            return nearest_double(mpmath.digamma(hi + 1) - mpmath.digamma(lo))
+        return nearest_double(mpmath.zeta(c, lo) - mpmath.zeta(c, hi + 1))
+
+
+def _mp_em_power_sum(c, lo, hi):
+    """sum_{k=lo}^{hi} k^-c for c < 0 at 60 digits, more by the digits that
+    b^(1-c) - a^(1-c) cancels: int f + (f(a) + f(b))/2 +
+    sum_j B_2j/(2j)! (f^(2j-1)(b) - f^(2j-1)(a)) over [a, b] for f(x) = x^-c,
+    from a = -c + 64 on, until a term is below 1e-70 of the sum."""
+    a = min(hi + 1, max(lo, int(-c) + 64))
+    with mpmath.workdps(60 + len(str(a // max(hi - a, 1)))):
+        s = -mpmath.mpf(c)
+        total = mpmath.fsum(mpmath.mpf(k) ** s for k in range(lo, a))
+        if a > hi:
+            return total
+        # f^(m)(x) = s (s - 1) ... (s - m + 1) x^(s - m)
+        total += (mpmath.mpf(hi) ** (s + 1) - mpmath.mpf(a) ** (s + 1)) / (s + 1)
+        total += (mpmath.mpf(hi) ** s + mpmath.mpf(a) ** s) / 2
+        falling = s
+        for j in itertools.count(1):
+            m = 2 * j - 1
+            term = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * falling * (
+                mpmath.mpf(hi) ** (s - m) - mpmath.mpf(a) ** (s - m))
+            total += term
+            if abs(term) <= mpmath.mpf(10) ** -70 * abs(total):
+                return total
+            falling *= (s - m) * (s - m - 1)
 
 
 def hardy_by_loop(beta, r, a, nu):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,27 @@ class TestVariationCommand:
         assert float(pv[0][5]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
         summary = json.loads((out / "variation.json").read_text())
         assert summary["command"] == "variation"
+
+    @pytest.mark.parametrize("p, refine, profiles", [
+        ("1.5", 0, 1), ("2", 0, 1), ("3", 0, 1), ("1", 0, 1), ("2", 1, 2), ("3", 2, 2)])
+    def test_one_chain_dp_profile_at_refinement_0(self, tmp_path, monkeypatch, p, refine, profiles):
+        # at refinement 0 the delta = 1 entry of the modulus grid is p_variation
+        # bit for bit, so the command runs one chain-DP profile, not two; at
+        # p = 1 there is no modulus row and p_variation runs its own
+        (tmp_path / "f.json").write_text(GOLDEN_FUNCTION_JSON)
+        calls, profile = [], variation._p_power_profile
+        monkeypatch.setattr(variation, "_p_power_profile", lambda *args: calls.append(args) or profile(*args))
+        out = tmp_path / "out"
+        argv = ["--command", "variation", "--function", str(tmp_path / "f.json"), "--p", p,
+                "--refine", str(refine), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(calls) == profiles
+        rows = read_csv(out / "variation.csv")
+        f = function_from_json(GOLDEN_FUNCTION_JSON)
+        assert [row[5] for row in rows if row[1] == "p_variation"] == [f"{variation.p_variation(f, float(p)):.17g}"]
+        moduli = [row[5] for row in rows if row[1] == "modulus_p_continuity"]
+        want = variation.modulus_p_continuity(f, float(p), [2.0**-j for j in range(len(moduli))], refine) if moduli else []
+        assert moduli == [f"{value:.17g}" for value in want]
 
     def test_without_sequence_skips_lambda_row(self, tmp_path, tri_file):
         out = tmp_path / "out"
@@ -362,6 +384,20 @@ class TestValidationFailures:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: s: s must lie strictly inside the gap window")
+
+    def test_wang_demo_reports_the_decimal_edge(self, tmp_path):
+        # p = 1.1 and alpha = 0.94 as written put the edge at 533/33, whose
+        # nearest double 16.151515151515152 the summary reports; the float
+        # expression reads 16.151515151515138, an s the window accepts
+        out = tmp_path / "o"
+        wang = ("--command", "wang-demo", "--p", "1.1", "--alpha", "0.94", "--blocks", "6")
+        proc = run_cli(*wang, "--s", "16.151515151515138", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        upper = json.loads((out / "wang-demo.json").read_text())["gap_window_upper"]
+        assert upper == float(Fraction(533, 33)) == 16.151515151515152
+        proc = run_cli(*wang, "--s", "16.151515151515152", "--out", str(tmp_path / "o2"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: s: s must lie strictly inside the gap window (1, 16.1515)\n"
 
     def test_negative_blocks(self, tmp_path, lam_file):
         proc = run_cli(
@@ -1078,13 +1114,25 @@ class TestPublicSurface:
             short = module.removeprefix("lambdabv.")
             assert name in spans.TRACED.get(short, ()) or name in unwrapped, f"{module}.{name}"
 
-    def test_cli_import_leaves_mpmath_unloaded(self):
-        # only long power sums need mpmath, and they import it themselves
-        code = "import sys, lambdabv.cli; print('mpmath' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    def test_cli_import_leaves_mpmath_unloaded(self, tmp_path):
+        # long power sums run on the standard library's decimal, so neither the
+        # import nor a command whose block sums take the 40-digit pass loads mpmath
+        (tmp_path / "lam.json").write_text(LAM_N_JSON)
+        seq = ["--sequence", str(tmp_path / "lam.json")]
+        runs = [["--command", "criterion", *seq], ["--command", "wang-demo"],
+                ["--command", "sharpness", *seq, "--levels", "12"]]
+        runs = [[*argv, "--out", str(tmp_path / argv[1])] for argv in runs]
+        code = (
+            "import json, sys, lambdabv.cli as cli, lambdabv.sequences as s\n"
+            "print('mpmath' in sys.modules)\n"
+            "em, calls = s._em_power_sums, []\n"
+            "s._em_power_sums = lambda c, blocks: calls.append(len(blocks)) or em(c, blocks)\n"
+            "print([cli.main(argv) for argv in json.loads(sys.argv[1])], len(calls) > 0, 'mpmath' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split("\n") == ["False", "[0, 0, 0] True False", ""]
 
     def test_commands_leave_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma on its first call; no command needs it

@@ -71,7 +71,28 @@ class TestStubbed:
         # sharpness_function.json; the pin's witness file
         assert report["files_compared"] == 3 + 5
         assert report["files"] == {} and report["cells_differing"] == 0 and report["shape_changes"] == 0
+        assert report["stale"] == {}
         assert capsys.readouterr().out == "no golden file differs\n"
+
+    def test_a_stale_golden_file_is_listed_and_refreshed(self, tmp_path, stubbed, capsys):
+        # both sides write crit.csv alike and the file on disk is a last bit
+        # off: "stale", not a difference (exit 0), and --write refreshes it;
+        # a golden file equal to the runs is not listed
+        golden = tmp_path / "head" / "tests" / "golden"
+        (golden / "crit.csv").write_text("schema_version,n,value\n1,0,0.10000000000000002\n1,1,2\n")
+        (golden / "criterion.json").write_text(OUTPUTS["criterion.json"])
+        rc, report = run(tmp_path)
+        assert rc == 0 and report["files"] == {}
+        assert list(report["stale"]) == ["crit.csv"]
+        entry = report["stale"]["crit.csv"]
+        assert entry["case"] == "crit" and entry["shape"] == []
+        [c] = entry["cells"]
+        assert (c["cell"], c["base"], c["head"], c["ulps"]) == ("row 1, value", "0.10000000000000002", "0.1", 1)
+        out = capsys.readouterr().out
+        assert "stale golden files" in out and "| crit.csv | row 1, value | 0.10000000000000002 | 0.1 | 1 |" in out
+        assert run(tmp_path, "--write") == (0, report)
+        assert (golden / "crit.csv").read_text() == OUTPUTS["criterion.csv"]
+        assert run(tmp_path)[1]["stale"] == {}
 
     def test_a_last_bit_edit_reports_one_ulp(self, tmp_path, stubbed, capsys):
         outputs, _, _ = stubbed
@@ -169,7 +190,7 @@ class TestRealRun:
         report = json.loads(out.read_text())
         held = golden_diff.held_files(cases)
         assert report["files_compared"] == len(held) + len(cases["golden"]) + len(cases["pins"])
-        assert report["files"] == {}
+        assert report["files"] == {} and report["stale"] == {}
         # nothing moved, so nothing was written
         for path in (head / "tests" / "golden").iterdir():
             assert path.read_bytes() == (ROOT / "tests" / "golden" / path.name).read_bytes()

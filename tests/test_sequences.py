@@ -1,4 +1,6 @@
+import decimal
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -334,6 +336,74 @@ class TestWeightedBlockSum:
         with mpmath.workdps(50):
             want = float(mpmath.fsum(mpmath.mpf(k) ** -c for k in range(lo, hi + 1)))
         assert weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, [(lo, hi)]) == [want]
+
+    @pytest.mark.parametrize("kind", ["c=1", "|c-1|<1e-9", "c<0", "c>0"])
+    def test_long_power_sum_random_draws(self, kind):
+        # 500 (c, block) draws a kind, 10 blocks to an exponent in one call,
+        # each the double nearest to the 60-digit reference: dyadic blocks
+        # with and without their top end, heads from k < |c| + 32, other
+        # ratios, some near 1 (40 digits of log r and of expm1), and bounds
+        # past the largest double
+        rng = random.Random(f"power sums {kind}")
+        exponent = {"c=1": lambda: 1.0, "|c-1|<1e-9": lambda: 1.0 + rng.choice([-1, 1]) * 10 ** rng.uniform(-16, -9),
+                    "c<0": lambda: rng.uniform(-6.0, 0.0), "c>0": lambda: rng.uniform(0.0, 8.0)}[kind]
+        for i in range(50):
+            c = exponent()
+            n = [rng.randint(13, 60) for _ in range(5)]
+            blocks = [(2**m, 2 ** (m + 1) - rng.randint(0, 1)) for m in n]
+            heads = [rng.randint(1, int(abs(c)) + 31) for _ in range(1 if i % 4 == 0 else 2)]
+            blocks += [(lo, lo + rng.randint(4097, 10**6)) for lo in heads]
+            others = [rng.randint(4097, 10**12) for _ in range(2)]
+            blocks += [(lo, lo + rng.randint(4097, 10**6)) for lo in others]
+            if i % 4 == 0:  # a ratio within 1e-7 of 1 and a block past the largest double
+                lo, far = rng.randint(2**40, 2**200), rng.randint(2**1024, 2**1100)
+                blocks += [(lo, lo + rng.randint(4097, 10**5)),
+                           (far, rng.choice([2 * far - 1, 2 * far, far + rng.randint(4097, 10**4)]))]
+            else:
+                lo = rng.randint(4097, 10**12)
+                blocks.append((lo, 2 * lo + rng.randint(-1000, 1000)))
+            assert len(blocks) == 10
+            got = weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, blocks)
+            assert got == [mp_power_sum(c, lo, hi) for lo, hi in blocks], c
+
+    def test_a_subnormal_sum_is_rounded_once(self):
+        # float() of an mpf rounds to 53 bits and then to the bits a subnormal
+        # keeps, here one ulp off; the pass and the reference round once
+        c, lo, hi = 46.31116894917245, 5748475, 5986533
+        with mpmath.workdps(80):
+            exact = mpmath.zeta(c, lo) - mpmath.zeta(c, hi + 1)
+        assert float(exact) == 9.66813881662785e-309
+        got = weighted_block_sum(LambdaSequence.power(0.0), c, 1.0, [(lo, hi)])
+        assert got == [mp_power_sum(c, lo, hi)] == [9.668138816627843e-309]
+
+    def test_long_power_sums_keep_their_own_decimal_context(self):
+        # the pass builds a fresh 40-digit context: a caller's 5 digits, small
+        # Emax and Emin, and trapped Inexact, Underflow and FloatOperation
+        # change no double, also where a sum reaches inf
+        blocks = [(2**n, 2 ** (n + 1)) for n in range(12, 31)]
+        blocks += [(2**20, 2**21 - 1), (3, 10**6), (10**12, 10**12 + 5000), (2**1030, 2**1031 - 1)]
+        exponents = [1.0, 1.5, 1.0 + 1e-12, -2.0, -40.0, 300.0]
+        lam = LambdaSequence.power(0.0)
+        want = [weighted_block_sum(lam, c, 1.0, blocks) for c in exponents]
+        assert math.isinf(want[4][-1]) and want[5][-1] == 0.0
+        assert sequences._em_power_sums(-1e17, [(2**57, 2**58 - 1)]) == [math.inf]
+        sequences._ln.cache_clear()
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 5, 10, -10
+            for signal in (decimal.Inexact, decimal.Underflow, decimal.FloatOperation):
+                ctx.traps[signal] = True
+            assert [weighted_block_sum(lam, c, 1.0, blocks) for c in exponents] == want
+            assert sequences._em_power_sums(-1e17, [(2**57, 2**58 - 1)]) == [math.inf]
+            assert decimal.getcontext().prec == 5 and not any(ctx.flags.values())
+
+    def test_em_weights_are_bernoulli_numbers_over_factorials(self):
+        # B_2j / (2j)! exactly, as mpmath's Bernoulli numbers give it
+        for j in range(1, 33):
+            weight = sequences._em_weight(j)
+            assert weight == Fraction(*mpmath.bernfrac(2 * j)) / math.factorial(2 * j)
+            with mpmath.workdps(50):
+                want = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                assert abs(mpmath.mpf(weight.numerator) / weight.denominator - want) <= 1e-48 * abs(want)
 
     def test_bounds_past_the_largest_double(self, monkeypatch):
         # np.arange raises OverflowError on an index that rounds past the

@@ -15,12 +15,14 @@ A CSV is compared cell by cell and a JSON file leaf by leaf.  For each cell
 whose text differs the --out file lists both values and, where both are
 numbers, their distance in ulps and their relative difference.  A changed
 row count, column count, list length or key set is named under "shape".
-The same table goes to stdout as Markdown.  With --write, each of HEAD's
-tests/golden/ files that differs between the sides is rewritten from HEAD's
-run, and each pin whose witness file moved prints its new sha256; a file
-both sides write alike is left as it is, also where the tests hold it to a
-tolerance and its bytes have drifted.  The exit status is 1 when any file
-differs, 0 otherwise.
+The same table goes to stdout as Markdown.  A golden file that both sides
+write alike but that differs from HEAD's file on disk is stale (a cell the
+tests hold to a tolerance can drift so); the --out file lists it under
+"stale", its "base" the file on disk and its "head" the runs, and stdout
+shows a second table.  With --write, each of HEAD's tests/golden/ files that
+differs between the sides or is stale is rewritten from HEAD's run, and each
+pin whose witness file moved prints its new sha256.  The exit status is 1
+when any file differs between the sides, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -239,13 +241,20 @@ def main(argv=None) -> int:
             if case not in runs:
                 runs[case] = {side: run_case(checkout, inputs, case_args, Path(tmp, side, case.replace(" ", "_")))
                               for side, checkout in (("base", args.base), ("head", args.head))}
-    files = {}
+    files, stale = {}, {}
     compared = [(f"{case} (exit)", case, "(exit)") for case in runs]
     compared += [(golden, case, output) for golden, case, _, _, output in held]
     for name, case, output in compared:
         shape, cells = diff_file(output, runs[case]["base"].get(output), runs[case]["head"].get(output))
         if shape or cells:
             files[name] = {"case": case, "shape": shape, "cells": cells}
+    golden = args.head / "tests" / "golden"
+    for name, case, _, _, output in held:
+        text = runs[case]["head"].get(output)
+        if name not in files and text is not None and (golden / name).is_file():
+            shape, cells = diff_file(output, (golden / name).read_bytes(), text)
+            if shape or cells:
+                stale[name] = {"case": case, "shape": shape, "cells": cells}
     report = {
         "base": str(args.base),
         "head": str(args.head),
@@ -254,14 +263,16 @@ def main(argv=None) -> int:
         "cells_differing": sum(len(entry["cells"]) for entry in files.values()),
         "shape_changes": sum(len(entry["shape"]) for entry in files.values()),
         "files": files,
+        "stale": stale,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(table(files) if files else "no golden file differs", end="" if files else "\n")
+    if stale:
+        print("\nstale golden files, written alike by both sides (base: the file on disk)\n\n" + table(stale), end="")
     if args.write:
-        golden = args.head / "tests" / "golden"
         for name, case, _, _, output in held:
             text = runs[case]["head"].get(output)
-            if name not in files or text is None:
+            if (name not in files and name not in stale) or text is None:
                 continue
             if name.startswith("pin "):
                 print(f"{name}: new sha256 {hashlib.sha256(text).hexdigest()}")
