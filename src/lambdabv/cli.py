@@ -168,7 +168,7 @@ def _run_variation(config: argparse.Namespace):
     moduli = modulus_p_continuity(f, config.p, deltas, config.refine) if config.p > 1.0 else []
     for delta, value in zip(deltas, moduli):
         rows.append(["modulus_p_continuity", config.p, "", delta, value, config.refine])
-    vp = moduli[0] if moduli and config.refine == 0 else p_variation(f, config.p)  # delta = 1: the same bits
+    vp = moduli[0] if moduli and config.refine == 0 else p_variation(f, config.p)  # delta = 1 at refine 0 is v_p
     rows.append(["p_variation", config.p, "", "", vp, ""])
     values["p_variation"] = vp
     # |increment|^p overflows at a huge p, so a non-finite value names p. It
