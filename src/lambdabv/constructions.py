@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodic import Interval, PiecewiseLinearPeriodic, _frozen, make_plpf
+from .periodic import Interval, PiecewiseLinearPeriodic, _ValueEquality, _frozen, make_plpf
 from .sequences import (
     LambdaSequence,
     _exact,
@@ -23,7 +23,7 @@ from .sequences import (
     regularize_sequence,
     weighted_block_sum,
 )
-from .variation import _dyadic_grid, lambda_variation, p_cont_ratio_norm
+from .variation import _dyadic_grid, _sorted_lambda_sum, lambda_variation, p_cont_ratio_norm
 
 __all__ = [
     "TriangleCombSpec",
@@ -156,7 +156,7 @@ class WitnessReport:
 
 
 @dataclass(frozen=True, eq=False)
-class WitnessComb:
+class WitnessComb(_ValueEquality):
     """One truncation of the witness as level data.  Level n = 1..L carries
     2^n triangular teeth on the tile [starts[n-1], starts[n-1] + lengths[n-1]],
     each rising from 0.0 to its apex height over half its base and falling
@@ -174,17 +174,6 @@ class WitnessComb:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         if not np.all(np.isfinite(self.heights) & (self.heights >= 0.0)):
             raise ValueError("heights must be nonnegative and finite")
-
-    def _key(self) -> tuple:
-        return tuple((getattr(self, name) + 0.0).tobytes() for name in ("starts", "lengths", "heights"))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WitnessComb):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _level_heights(self):
         return [self.heights[2**n - 2 : 2 ** (n + 1) - 2] for n in range(1, len(self.starts) + 1)]
@@ -204,8 +193,7 @@ class WitnessComb:
         positive height is two arcs, rising and falling by that height: the
         sorted arc increments are the sorted heights, each counted twice."""
         h = self.heights[self.heights > 0.0]
-        d = np.sort(np.repeat(h, 2))[::-1]
-        return float(d @ (1.0 / lam.terms(len(d))))
+        return _sorted_lambda_sum(np.repeat(h, 2), 1.0 / lam.terms(2 * len(h)))
 
     def ratio_norm(self, p: float, alpha: float, dyadic_depth: int) -> float:
         """max over delta = 2^-j, j = 0..dyadic_depth, of omega_{1-1/p}(g;

@@ -3,6 +3,7 @@ arc decomposition, superposition, and exact derivative/sup norms."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -31,8 +32,27 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+class _ValueEquality:
+    """Equality and hashing of a dataclass by its fields: arrays by their
+    bytes after adding 0.0, which maps -0.0 to 0.0 (so finite values are
+    equal exactly when their bytes are), other fields by ==.  An object of
+    another type is never equal."""
+
+    def _key(self) -> tuple:
+        fields = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return tuple((v + 0.0).tobytes() if isinstance(v, np.ndarray) else v for v in fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False)
-class PiecewiseLinearPeriodic:
+class PiecewiseLinearPeriodic(_ValueEquality):
     """A continuous 1-periodic function, linear between breakpoints.
 
     ``positions`` are strictly increasing and lie in [0, 1).  The function
@@ -62,19 +82,6 @@ class PiecewiseLinearPeriodic:
             raise ValueError("breakpoint positions must be strictly increasing")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", val)
-
-    def _key(self) -> tuple:
-        # adding 0.0 maps -0.0 to 0.0, so finite values are equal exactly
-        # when their bytes are
-        return (self.positions + 0.0).tobytes(), (self.values + 0.0).tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiecewiseLinearPeriodic):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .periodic import _ValueEquality, _frozen
+
 __all__ = [
     "LambdaSequence",
     "MembershipReport",
@@ -185,15 +187,15 @@ class _Family(NamedTuple):
     growth: Callable[..., tuple[Fraction, Fraction]] | None
 
 
-def _block_power_log_term(lam: LambdaSequence, n: int) -> float:
-    b = _block_index(n)
+def _block_power_log_term(lam: LambdaSequence, b: int) -> float:
+    """The one weight of dyadic block b, in libm's pow, whatever numpy's SIMD dispatch."""
     return _pow(2.0, b * (1.0 - lam.alpha)) * _pow(float(b), (1.0 - lam.alpha) * lam.s)
 
 
 def _block_power_log_terms(lam: LambdaSequence, k: np.ndarray) -> np.ndarray:
     # frexp gives floor(log2 k) + 1 exactly; log2 rounds 2^m - 1 up to m from m = 50
-    b = np.maximum(np.frexp(k)[1] - 1.0, 1.0)
-    return 2.0 ** (b * (1.0 - lam.alpha)) * b ** ((1.0 - lam.alpha) * lam.s)
+    b = np.maximum(np.frexp(k)[1] - 1, 1)
+    return np.array([_block_power_log_term(lam, j) for j in range(1, b.max(initial=1) + 1)])[b - 1]
 
 
 def _direct_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float, lo: int, hi: int) -> float:
@@ -230,7 +232,7 @@ def _block_power_log_block_sum(lam: LambdaSequence, k_exp: float, lam_exp: float
             lo = pieces[-1][2] + 1
     totals = [0.0] * len(blocks)
     for (i, lo, _), power_sum in zip(pieces, _power_block_sums(k_exp, [piece[1:] for piece in pieces])):
-        totals[i] += _pow(_block_power_log_term(lam, lo), -lam_exp) * power_sum
+        totals[i] += _pow(_block_power_log_term(lam, _block_index(lo)), -lam_exp) * power_sum
     return totals
 
 
@@ -298,7 +300,7 @@ def _exact(x: float) -> Fraction:
 
 
 @dataclass(frozen=True, eq=False)
-class LambdaSequence:
+class LambdaSequence(_ValueEquality):
     """Positive nondecreasing weight sequence, 1-indexed.
 
     Either an explicit finite prefix or a named closed-form family:
@@ -312,7 +314,8 @@ class LambdaSequence:
     Positivity and monotonicity are validated at construction: numerically on
     the accessible prefix for explicit sequences, symbolically on the
     parameters for named families.  Equality and hashing go by value: the
-    family, its own parameters, and the explicit terms.
+    family, the parameters (0.0 where the family has none) and the explicit
+    terms.
     """
 
     family: str
@@ -328,27 +331,12 @@ class LambdaSequence:
                 raise ValueError(f"parameter {name} must be finite")
             if name not in spec.params and getattr(self, name) != 0.0:
                 raise ValueError(f"{self.family} family has no parameter {name!r}")
-        terms = np.array(self.explicit_terms, dtype=float)
-        terms.setflags(write=False)
-        object.__setattr__(self, "explicit_terms", terms)
-        if spec.params and terms.size:
+        object.__setattr__(self, "explicit_terms", _frozen(self.explicit_terms))
+        if spec.params and self.explicit_terms.size:
             raise ValueError(f"{self.family} family has no parameter 'explicit_terms'")
         for ok, message in spec.checks:
             if not ok(self):
                 raise ValueError(message)
-
-    def _key(self) -> tuple:
-        # positive finite terms are equal exactly when their bytes are
-        params = tuple(getattr(self, name) for name in _FAMILIES[self.family].params)
-        return self.family, params, self.explicit_terms.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaSequence):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     # constructors
 

@@ -215,6 +215,16 @@ def _window_successors(v: list[float]) -> list[list[int]]:
     return succ
 
 
+def _sorted_lambda_sum(d, inv: np.ndarray) -> float:
+    """sum of the increments ``d`` sorted nonincreasing against the first
+    len(d) entries of ``inv`` = 1/lambda, the rearrangement optimum: one
+    contiguous copy sorted in place through a reversed view, then one dot
+    product, so every caller scores the same increments to the same bits."""
+    s = np.array(d, dtype=float)
+    s[::-1].sort()
+    return float(s @ inv[: len(s)])
+
+
 def _cyclic_subset_max(values: np.ndarray, lam: LambdaSequence) -> float:
     """Exact max of the sorted-weighted increment sum F over all systems whose
     endpoints take the given cyclic values.
@@ -242,9 +252,8 @@ def _cyclic_subset_max(values: np.ndarray, lam: LambdaSequence) -> float:
       the bound holds.  It is widened by a relative 1e-12 so that rounding
       cannot drop the best path.
 
-    A complete path is scored as a scan over all subsets scores one (its
-    increments sorted against 1/lambda in one dot product); the tests hold
-    the result to that scan bit for bit.
+    A complete path is scored by _sorted_lambda_sum, as a scan over all
+    subsets scores one; the tests hold the result to that scan bit for bit.
     """
     m = len(values)
     inv = 1.0 / lam.terms(m)
@@ -266,11 +275,7 @@ def _cyclic_subset_max(values: np.ndarray, lam: LambdaSequence) -> float:
         for j in succ[i]:
             d.append(abs(v[j] - v[i]))
             if j == m:
-                s = np.array(d)
-                s[::-1].sort()
-                s = float(s @ inv[: len(s)])
-                if s > best:
-                    best = s
+                best = max(best, _sorted_lambda_sum(d, inv))
             elif sum(map(operator.mul, sorted(d + rest[j], reverse=True), w)) * (1.0 + 1e-12) > best:
                 visit(j)
             d.pop()
@@ -296,8 +301,7 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
         raise TypeError("lam must be a LambdaSequence")
     dec = monotone_arcs(f)
     if dec.is_baseline_separated():
-        d = np.sort(np.abs(dec.increments))[::-1]
-        return float(d @ (1.0 / lam.terms(len(d))))
+        return _sorted_lambda_sum(np.abs(dec.increments), 1.0 / lam.terms(len(dec)))
     if len(dec) <= MAX_EXACT_ARCS:
         return _cyclic_subset_max(dec.start_values, lam)
     raise ValueError(

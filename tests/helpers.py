@@ -21,9 +21,10 @@ Euler-Maclaurin sum at c <= 0), rounded once by nearest_double.  one_array_block
 a direct block sum as one np.sum over every term at once, the bitwise
 reference for the library's chunked sum.  folded_lp_profile is the L^p
 modulus without the Lipschitz pruning: every shift sample integrated.
-witness_heights reads each level's tooth heights back off a witness, and
+witness_heights reads each level's tooth heights back off a witness,
 comb_ratio_norm_by_arcs measures a built witness's continuum ratio norm one
-arc at a time.
+arc at a time, and comb_grid_modulus is a witness's grid modulus in closed
+form from its level data.
 hardy_by_loop is the bitwise reference for hardy_two_sides: one row at a
 time, every power and addition in Python floats from left to right.
 perlman_weights_by_arrays is Perlman's weight sequence over a whole
@@ -136,6 +137,28 @@ def comb_ratio_norm_by_arcs(g, p, alpha, deltas):
         total = np.sum(full * (h * d / lengths) ** p + (h * rest * d / lengths) ** p)
         best = max(best, float(total) ** (1.0 / p) / d ** (alpha - 1.0 / p))
     return best
+
+
+def comb_grid_modulus(comb, p, deltas, refinement=0):
+    """omega_{1-1/p} of comb.function() on its grid of ``refinement`` points
+    per segment, per delta, in closed form from the WitnessComb level data
+    (all heights positive), as the grid branch of perfbench's
+    oracle.comb_modulus: the comb is baseline-separated and each of its arcs,
+    two per tooth, is one segment of refinement + 1 grid steps, cut on its
+    own into q pieces of K steps, K the most steps within delta, and one
+    remainder of r steps."""
+    steps = refinement + 1
+    ns = np.arange(1, len(comb.lengths) + 1)
+    arcs = np.repeat(comb.lengths / 2.0 ** (ns + 1), 2**ns)
+    rise = (comb.heights / steps) ** p
+    out = []
+    for d in deltas:
+        # a hair below the step, so that a float tie never admits a piece the grid would not
+        k = np.minimum(np.floor(d / (arcs * (1.0 + 1e-12) / steps)), steps)
+        q = np.where(k > 0, steps // np.maximum(k, 1), 0)
+        r = np.where(k > 0, steps - q * k, 0)
+        out.append(float(np.sum(2.0 * (q * k**p + r**p) * rise)) ** (1.0 / p))
+    return out
 
 
 def random_lambda_prefix(rng, n, start=0.2):

@@ -105,12 +105,13 @@ COMMAND_CASES = {
 
 # name -> (input option -> JSON text, CLI arguments, sha256 of the level-12
 # witness file), the digests taken while the witness was still the superpose
-# of one comb per level
+# of one comb per level; block_power_log's retaken when its weights became
+# one libm pow per dyadic block, which moved its 1,024 level-10 apexes by 2 ulps
 WITNESS_PINS = {
     "block_power_log": (
         {"--sequence": '{"family": "block_power_log", "params": {"s": -0.4, "alpha": 0.8}}'},
         ("--command", "sharpness", "--levels", "12", "--p", "2", "--alpha", "0.6"),
-        "bc83d00999e54cffeee8efea98c78cb44232226c302b347a6828e8175f22b4c2",
+        "e6d3cc1a8c94959040be82870e35565a66960b5aea1c3fcc3c6ba10b669dc25c",
     ),
     "power_log": (
         {"--sequence": '{"family": "power_log", "params": {"s": 0.5, "t": 1.0}}'},

@@ -330,6 +330,22 @@ class TestWitness:
                 assert exact >= p_cont_ratio_norm(g, p, alpha, 6, r) * (1.0 - 1e-14), (rep.levels, r)
             assert comb.lambda_variation(lam) == lambda_variation(g, lam), rep.levels
 
+    @pytest.mark.parametrize(
+        "lam",
+        [LAM_N, LambdaSequence.power(0.5), LambdaSequence.power_log(0.5, 1.0),
+         LambdaSequence.block_power_log(-0.4, 0.8)],
+        ids=["power(1)", "power(0.5)", "power_log", "block_power_log"],
+    )
+    @pytest.mark.parametrize("p,alpha", [(1.5, 0.8), (2.0, 0.75), (3.0, 0.6)])
+    def test_lambda_variation_tracks_fsum(self, lam, p, alpha):
+        # the sorted products h_k / lambda_k of the level-12 witness, summed
+        # by fsum: a dot product over a reversed view was up to 4e-13 off
+        comb, _ = extremal_function(WitnessSpec(lam, p, alpha, 12))[-1]
+        h = np.sort(np.repeat(comb.heights[comb.heights > 0.0], 2))[::-1]
+        want = math.fsum(h * (1.0 / lam.terms(len(h))))
+        for got in (comb.lambda_variation(lam), lambda_variation(comb.function(), lam)):
+            assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+
     def test_comb_is_read_only_level_data(self):
         comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 3))[-1]
         assert len(comb.starts) == len(comb.lengths) == 3 and len(comb.heights) == 2 + 4 + 8
@@ -339,6 +355,13 @@ class TestWitness:
         same = WitnessComb(list(comb.starts), list(comb.lengths), list(comb.heights))
         assert same == comb and hash(same) == hash(comb)
         assert WitnessComb(comb.starts, comb.lengths, comb.heights * 2.0) != comb
+        # -0.0 is 0.0, and a comb is never its function or a sequence
+        signed = WitnessComb(np.where(comb.starts == 0.0, -0.0, comb.starts), comb.lengths,
+                             np.append(comb.heights, -0.0))
+        zero = WitnessComb(comb.starts, comb.lengths, np.append(comb.heights, 0.0))
+        assert signed == zero and hash(signed) == hash(zero)
+        g = comb.function()
+        assert comb != g and g != comb and comb != LAM_N and LAM_N != comb
         with pytest.raises(dataclasses.FrozenInstanceError):
             comb.heights = comb.heights
         for bad in (-1.0, math.inf, math.nan):

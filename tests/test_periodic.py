@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lambdabv import (
     Interval,
+    LambdaSequence,
     PiecewiseLinearPeriodic,
     derivative_lp_norm,
     function_from_json,
@@ -119,6 +120,8 @@ class TestConstruction:
         assert f != make_plpf([(0.0, 1.0), (0.5, 1e-300)])
         assert f != make_plpf([(0.0, 1.0), (0.25, 0.0)])
         assert f != (0.0, 0.5)
+        lam = LambdaSequence.explicit([1.0, 2.0])
+        assert f != lam and lam != f
 
     def test_position_outside_period_rejected(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,15 @@ class TestLambdaSequence:
             below, start, top = terms(lam, np.array([2.0**m - 1, 2.0 ** (m - 1), 2.0**m]))
             assert below == start < top
 
+    def test_block_family_terms_are_the_block_sums_weights(self):
+        # one libm weight per dyadic block, which the block sums read too;
+        # numpy's vectorized power differed from it in the last bit
+        rng = np.random.default_rng(3401)
+        for _ in range(3600):
+            lam = LambdaSequence.block_power_log(rng.uniform(-1.0, 5.0), rng.uniform(0.01, 0.99))
+            k = max(1, 2 ** int(rng.integers(1, 14)) + int(rng.integers(-1, 2)))
+            assert weighted_block_sum(lam, 0.0, -1.0, [(k, k)]) == [lam.terms(k)[-1]], (lam, k)
+
     def test_block_family_validation(self):
         with pytest.raises(ValueError):
             LambdaSequence.block_power_log(2.0, 1.0)
@@ -186,6 +195,11 @@ class TestLambdaSequence:
         assert hash(a) == hash(b)
         assert hash(LambdaSequence.power(1.0)) == hash(LambdaSequence.power(1.0))
         assert len({a, b, LambdaSequence.power(1.0), LambdaSequence.power(1.0)}) == 2
+        # -0.0 is 0.0, in a parameter and in one the family does not have
+        for c in (LambdaSequence.power(-0.0), LambdaSequence("power", s=0.0, t=-0.0)):
+            assert c == LambdaSequence.power(0.0) and hash(c) == hash(LambdaSequence.power(0.0))
+        f = lambdabv.make_plpf([(0.0, 1.0), (0.5, 2.0), (0.75, 4.0)])
+        assert a != f and f != a and a != a.explicit_terms.tolist()
 
     def test_describe_mentions_family(self):
         assert "power" in LambdaSequence.power(1.0).describe()

@@ -46,6 +46,7 @@ from helpers import (
     chain_humps,
     chunked_subset_scan_max,
     circle_oracle,
+    comb_grid_modulus,
     folded_lp_profile,
     hump_pair_classes,
     lambda_sum_score,
@@ -511,11 +512,16 @@ class TestHumpProfile:
 
     @pytest.mark.parametrize("levels", [6, 7, 8, 9, 10])
     def test_witnesses(self, levels):
+        # the whole-chain DP is O(n^2) in the grid size, so it runs up to
+        # level 8; the closed form from the level data holds every level
         for p in (1.5, 2.0, 3.0):
             comb, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels))[-1]
             g = comb.function()
             for m in (0, 1, 3):
-                assert_profile_matches_chain_dp(g, p, m)
+                got = _p_power_profile(g, p, DYADIC, m)
+                assert got == pytest.approx(comb_grid_modulus(comb, p, DYADIC, m), rel=1e-12, abs=0.0)
+                if levels <= 8:
+                    assert got == pytest.approx(chain_dp_profile(g, p, DYADIC, m), rel=1e-12, abs=0.0)
 
     def test_random_generic_functions(self):
         rng = np.random.default_rng(125)
