@@ -18,7 +18,6 @@ from .sequences import (
     _exact,
     _integer,
     criterion_partial_sums,
-    dual_extremizer,
     embedding_exponents,
     regularize_sequence,
     weighted_block_sum,
@@ -89,15 +88,16 @@ def triangle_comb(spec: TriangleCombSpec) -> PiecewiseLinearPeriodic:
 
 
 def duality_weights(l_terms, p: float, alpha: float) -> np.ndarray:
-    """Level weights delta_n proportional to L_n^(r'(r-1)) and summing to 1,
-    the choice for which sum delta_n^(alpha-1/p) L_n equals the l^r' norm of
-    L up to normalization rounding; in particular the sum is at least half of
-    ||L||_r'."""
-    _, r, r_prime = embedding_exponents(p, alpha)
+    """Level weights delta_n = L_n^r' / sum_m L_m^r': L_n^r' is the
+    criterion's block term, so delta_n is level n's share of the criterion
+    partial sum, and sum delta_n^(alpha-1/p) L_n = ||L||_r' up to rounding.
+    One power of L / max L, which can neither overflow nor sum to 0."""
+    r_prime = embedding_exponents(p, alpha)[2]
     arr = np.asarray(l_terms, dtype=float)
-    u = dual_extremizer(arr, r_prime)
-    delta = u**r
-    return delta / delta.sum()
+    if arr.ndim != 1 or not (np.all(np.isfinite(arr) & (arr >= 0.0)) and np.any(arr > 0.0)):
+        raise ValueError("l_terms must be a nonempty 1-D sequence of finite nonnegative terms, not all zero")
+    w = (arr / arr.max()) ** r_prime
+    return w / w.sum()
 
 
 @dataclass(frozen=True)

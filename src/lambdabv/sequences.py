@@ -293,10 +293,12 @@ def _family(name) -> _Family:
         raise ValueError(f"unknown sequence family {name!r}; expected one of {tuple(_FAMILIES)}") from None
 
 
-def _exact(x: float) -> Fraction:
+@functools.lru_cache(maxsize=1024, typed=True)  # typed: 0.1 and Fraction(0.1) hash alike
+def _exact(x: float | Fraction) -> Fraction:
     """The decimal a float was written as: 0.7 becomes 7/10, not the double
-    nearest to it, so that boundaries such as s = 1 - alpha hold exactly."""
-    return Fraction(repr(float(x)))
+    nearest to it, so that boundaries such as s = 1 - alpha hold exactly; a
+    Fraction is already exact."""
+    return x if isinstance(x, Fraction) else Fraction(repr(float(x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,11 +506,12 @@ def embedding_exponents(p, alpha):
     """(p', r, r') of the embedding criterion: p' = p/(p-1), r = 1/(alpha-1/p)
     and r' = 1/(1+1/p-alpha), for p > 1 and 1/p < alpha < 1.
 
-    Floats give floats and Fractions give exact Fractions.
+    Floats give floats and Fractions give exact Fractions.  Floats must
+    also satisfy 1/p < alpha as the decimals they were written as.
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError("p must satisfy p > 1")
-    if not (1 / p < alpha < 1):
+    if not (1 / p < alpha < 1 and 1 / _exact(p) < _exact(alpha)):
         raise ValueError("alpha must lie in (1/p, 1)")
     return p / (p - 1), 1 / (alpha - 1 / p), 1 / (1 + 1 / p - alpha)
 

@@ -16,7 +16,8 @@ spec.loader.exec_module(ab_inprocess)
 
 class FakeCli:
     """cli.main stand-in: logs its side, advances the fake clock by its
-    cost and writes one artifact."""
+    cost and writes one CSV artifact, its text followed by the input (no
+    artifact where its text is None)."""
 
     def __init__(self, side, cost, clock, calls, text="same\n"):
         self.side, self.cost, self.clock, self.calls, self.text = side, cost, clock, calls, text
@@ -25,7 +26,8 @@ class FakeCli:
         self.calls.append((self.side, argv[argv.index("--cid") + 1]))
         self.clock[0] += self.cost
         out = pathlib.Path(argv[argv.index("--out") + 1])
-        (out / "result.txt").write_text(self.text + (out / "in.txt").read_text())
+        if self.text is not None:
+            (out / "result.csv").write_text(self.text + (out / "in.txt").read_text())
         print("done")
         return 0
 
@@ -85,7 +87,7 @@ class TestStubbed:
             # per command: its input, its result and its exit record
             assert entry["artifacts_compared"] == 3 * 2 * 3
             assert entry["differing_artifacts"] == 0 and entry["differences"] == []
-            assert entry["largest_relative_difference"] == 0.0
+            assert entry["largest_relative_difference"] == 0.0 and entry["moved_cells"] == {}
 
     def test_a_differing_artifact_exits_1(self, tmp_path, stubbed):
         stubbed.texts["head"] = "other\n"
@@ -93,24 +95,28 @@ class TestStubbed:
         assert ab_inprocess.main(["base", "head", "--workload", "w", "--batches", "2", "--out", str(out)]) == 1
         entry = json.loads(out.read_text())["cpu_ab"]["w"]
         assert entry["differing_artifacts"] == 4
-        assert entry["differences"][:2] == ["batch 0: 0.0/result.txt", "batch 0: 0.1/result.txt"]
+        assert entry["differences"][:2] == ["batch 0: 0.0/result.csv", "batch 0: 0.1/result.csv"]
         # a changed word has no numeric distance
         assert entry["largest_relative_difference"] == math.inf
+        assert entry["moved_cells"] == {"result.csv: column 0": {"artifacts": 4, "ulps": math.inf}}
 
-    def test_a_last_bit_change_reports_its_relative_size(self, tmp_path, stubbed):
-        stubbed.texts.update(base="x,0.1,2\n", head="x,0.10000000000000002,2\n")
+    def test_a_last_bit_change_names_its_column(self, tmp_path, stubbed):
+        # row 1's value moves by 1 ulp; row 2's is written otherwise, equal in value
+        stubbed.texts.update(base="name,value,n\nx,0.1,2\ny,3.0,2\n",
+                             head="name,value,n\nx,0.10000000000000002,2\ny,3,2\n")
         out = tmp_path / "BENCH.json"
         assert ab_inprocess.main(["base", "head", "--workload", "w", "--batches", "2", "--out", str(out)]) == 1
         entry = json.loads(out.read_text())["cpu_ab"]["w"]
         assert entry["differing_artifacts"] == 4
         assert entry["largest_relative_difference"] == pytest.approx(math.ulp(0.1) / 0.1, rel=1e-6)
         assert 1e-16 < entry["largest_relative_difference"] < 2e-16
+        assert entry["moved_cells"] == {"result.csv: value": {"artifacts": 4, "ulps": 1}}
 
     def test_command_median_is_over_every_command(self):
         # slots (1, 2, 3) and (5, 6, 100): the slot medians sum to 2 + 6, while
         # the median of all six commands is (3 + 5) / 2
         series = {"cpu": {"base": [[1.0, 5.0], [2.0, 6.0], [3.0, 100.0]], "head": [[1.0, 1.0]] * 3},
-                  "orders": [], "differing": [], "compared": 0, "largest": 0.0}
+                  "orders": [], "differing": [], "compared": 0, "moved": {}}
         entry = ab_inprocess.summarize(0, False, series)
         assert entry["base"]["slot_median_batch_s"] == 8.0
         assert entry["base"]["command_p50_s"] == 4.0
@@ -118,18 +124,26 @@ class TestStubbed:
         assert entry["command_p50_head_minus_base_rel"] == -0.75
 
     @pytest.mark.parametrize(
-        "a,b,want",
+        "a,b,want,moved",
         [
-            (b"v,1.5e-3\n", b"v,1.5e-3\n", 0.0),
-            (b"v,2\n", b"v,-2\n", 2.0),
-            (b"v,1,2\n", b"v,1\n", math.inf),
-            (b"v 1\n", b"v  1\n", math.inf),
-            (b"v,1\n", None, math.inf),
-            (b"v,1e308\n", b"v,1e999\n", math.inf),
+            ("v\n2\n", "v\n-2\n", 2.0, {"result.csv: v": 2**63}),
+            # a lost column and a last-bit change
+            ("v,w\n1,2\n", "v\n1.0000000000000002\n", math.inf,
+             {"result.csv: (shape)": math.inf, "result.csv: v": 1}),
+            # other line ends, every cell equal
+            ("v\n1\n", "v\r\n1\r\n", math.inf, {"result.csv: (shape)": math.inf}),
+            ("v\n1\n", None, math.inf, {"result.csv: (shape)": math.inf}),
+            ("v\n1e308\n", "v\n1e999\n", math.inf,
+             {"result.csv: v": ab_inprocess.golden_diff.ulps(1e308, math.inf)}),
         ],
     )
-    def test_relative_difference(self, a, b, want):
-        assert ab_inprocess.relative_difference(a, b) == want
+    def test_cell_differences(self, tmp_path, stubbed, a, b, want, moved):
+        stubbed.texts.update(base=a, head=b)
+        out = tmp_path / "BENCH.json"
+        assert ab_inprocess.main(["base", "head", "--workload", "w", "--batches", "1", "--out", str(out)]) == 1
+        entry = json.loads(out.read_text())["cpu_ab"]["w"]
+        assert entry["largest_relative_difference"] == want
+        assert {k: v["ulps"] for k, v in entry["moved_cells"].items()} == moved
 
     def test_an_unknown_workload_exits_2_before_any_load(self, tmp_path, monkeypatch, capsys):
         def load(*args):

@@ -106,17 +106,19 @@ COMMAND_CASES = {
 # name -> (input option -> JSON text, CLI arguments, sha256 of the level-12
 # witness file), the digests taken while the witness was still the superpose
 # of one comb per level; block_power_log's retaken when its weights became
-# one libm pow per dyadic block, which moved its 1,024 level-10 apexes by 2 ulps
+# one libm pow per dyadic block, which moved its 1,024 level-10 apexes by 2 ulps;
+# both retaken when the duality weights became one power of L_n / max L, which
+# moved block_power_log's coordinates by up to 5 ulps and power_log's by up to 3
 WITNESS_PINS = {
     "block_power_log": (
         {"--sequence": '{"family": "block_power_log", "params": {"s": -0.4, "alpha": 0.8}}'},
         ("--command", "sharpness", "--levels", "12", "--p", "2", "--alpha", "0.6"),
-        "e6d3cc1a8c94959040be82870e35565a66960b5aea1c3fcc3c6ba10b669dc25c",
+        "8f4c9f815df7186256e85c3f3418fb8395f6e0ad878dca1aa4a06d871f343910",
     ),
     "power_log": (
         {"--sequence": '{"family": "power_log", "params": {"s": 0.5, "t": 1.0}}'},
         ("--command", "sharpness", "--levels", "12"),
-        "6493e56511a3804da355228830b8d0ba58679831c31551917e9b79653d69a999",
+        "90f0ce436d4dceffe5ecf59726cd79d9d71a5df24f26dfbb23c318a10ad73d6d",
     ),
 }
 
@@ -802,12 +804,24 @@ class TestSharpnessCommand:
         assert proc.returncode == 0, proc.stderr
 
     def test_level_sum_norm_underflow_named(self, tmp_path, lam_file):
-        # the level sums are positive, but their l^r' norm underflows at
-        # r' ~ 2308; this read "input must not be all zero"
+        # the level sums are positive, but each block term L_n^r' of the
+        # criterion partial sum underflows at r' ~ 2308; the duality weights
+        # take powers of L_n / max L, so they are built, and the command stops
+        # at the criterion column (this read "the l^2307.69 norm of the input
+        # underflows to 0" while the weights went through dual_extremizer)
         proc = run_cli("--command", "sharpness", "--sequence", lam_file, "--levels", "12",
                        "--p", "3000", "--alpha", "0.9999", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert proc.stderr == "error: p: the l^2307.69 norm of the input underflows to 0\n"
+        assert proc.stderr == "error: p: the criterion partial sum underflows at this p\n"
+
+    @pytest.mark.parametrize("p,alpha", [("16.876", "0.05925574780753734"), ("7.3", "0.13698630136986303")])
+    def test_r_prime_rounding_to_one_builds(self, tmp_path, lam_file, p, alpha):
+        # alpha lies one or two doubles above 1.0/p, and above 1/p as written,
+        # so r' = 1/(1+1/p-alpha) rounds to 1.0: the witness is still built
+        proc = run_cli("--command", "sharpness", "--sequence", lam_file, "--levels", "3",
+                       "--p", p, "--alpha", alpha, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_csv(tmp_path / "o" / "sharpness.csv")) == 4
 
     def test_level_sums_underflow_named(self, tmp_path, lam_file):
         # at p' = 10^7 every level sum L_n underflows to 0; this read
@@ -1100,8 +1114,7 @@ class TestPublicSurface:
         # every library function the CLI calls gets a span in a traced
         # benchmark run, except the JSON helpers spans.py leaves unwrapped so
         # that their time stays in cli.main
-        unwrapped = {"function_from_json", "sequence_from_json", "function_to_json",
-                     "sequence_to_json"}
+        unwrapped = {"function_from_json", "sequence_from_json", "function_to_json"}
         spans = load_spans()
         source = pathlib.Path(spans.__file__).read_text()
         assert all(name in source for name in unwrapped)

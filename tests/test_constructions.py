@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -151,6 +152,31 @@ class TestDualityWeights:
     def test_single_entry_gets_everything(self):
         delta = duality_weights([0.7], 2.0, 0.75)
         assert np.allclose(delta, [1.0])
+
+    def test_weights_are_the_shares_near_r_prime_one(self):
+        # alpha one double above 1/p: r' = 1/(1+1/p-alpha) rounds to 1, so
+        # each weight is L_n / sum L; a second power of exponent r ~ 2e16
+        # read [0.0022, 0.1189, 0.8789]
+        delta = duality_weights([1.0, 2.0, 3.0], 3.0, 0.33333333333333337)
+        assert delta == pytest.approx([1 / 6, 1 / 3, 1 / 2], rel=0.0, abs=1e-12)
+
+    def test_weights_track_a_50_digit_reference(self):
+        # L_n^r' / sum L_m^r' with r' from the doubles p and alpha, in
+        # 50-digit arithmetic; through a second power of exponent r the
+        # worst of these draws was 4.1e-14 off
+        rng = np.random.default_rng(3501)
+        worst = 0.0
+        for _ in range(3000):
+            p = float(rng.choice([1.5, 2.0, 2.5, 3.0, 4.0]))
+            alpha = float(rng.uniform(1.0 / p + 0.02, 0.98))
+            l_terms = rng.uniform(0.01, 3.0, int(rng.integers(1, 13)))
+            got = duality_weights(l_terms, p, alpha)
+            with mpmath.workdps(50):
+                r_prime = 1 / (1 + 1 / mpmath.mpf(p) - mpmath.mpf(alpha))
+                w = [mpmath.mpf(x) ** r_prime for x in l_terms]
+                want = [float(x / mpmath.fsum(w)) for x in w]
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst < 4e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -345,6 +371,21 @@ class TestWitness:
         want = math.fsum(h * (1.0 / lam.terms(len(h))))
         for got in (comb.lambda_variation(lam), lambda_variation(comb.function(), lam)):
             assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [LAM_N, LambdaSequence.power_log(0.5, 1.0), LambdaSequence.block_power_log(-0.4, 0.8)],
+        ids=["power", "power_log", "block_power_log"],
+    )
+    @pytest.mark.parametrize("p,alpha", [(1.5, 0.8), (2.0, 0.75), (3.0, 0.6)])
+    def test_analytic_bound_is_the_criterion_partial_sum(self, lam, p, alpha):
+        # the duality weights give sum delta_n^(alpha-1/p) L_n = ||L||_r', and
+        # L_n^r' is the criterion's block term: the bound ties the witness to
+        # the criterion at every level
+        r_prime = embedding_exponents(p, alpha)[2]
+        for _, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+            want = 2.0 ** (alpha - 1.0 / p) * rep.criterion_partials[-1] ** (1.0 / r_prime)
+            assert rep.analytic_lower_bound == pytest.approx(want, rel=1e-14, abs=0.0), rep.levels
 
     def test_comb_is_read_only_level_data(self):
         comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 3))[-1]
@@ -573,6 +614,8 @@ class TestEmbeddingParameters:
             (2.0, 0.5, "alpha must lie in (1/p, 1)"),
             (2.0, 1.0, "alpha must lie in (1/p, 1)"),
             (2.0, math.nan, "alpha must lie in (1/p, 1)"),
+            # above 1.0/p as doubles, below 1/p as the decimals written
+            (16.876, 0.05925574780753733, "alpha must lie in (1/p, 1)"),
         ],
     )
     def test_every_caller_keeps_its_message(self, p, alpha, message):

@@ -963,3 +963,13 @@ class TestEmbeddingExponents:
         got = embedding_exponents(Fraction(3), Fraction(7, 10))
         assert all(type(x) is Fraction for x in got)
         assert got == (Fraction(3, 2), Fraction(30, 11), Fraction(30, 19))
+
+    def test_floats_are_read_as_written_and_fractions_as_given(self):
+        # alpha is above 1.0/p as a double and below 1/p as the decimals
+        # written; the doubles' exact values, as Fractions that hash like the
+        # floats, still satisfy 1/p < alpha, in either order of the calls
+        p, alpha = 16.876, 0.05925574780753733
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \(1/p, 1\)$"):
+                embedding_exponents(p, alpha)
+            assert embedding_exponents(Fraction(p), Fraction(alpha))[2] > 1

@@ -17,16 +17,19 @@ sides, and is timed in CPU seconds (time.process_time); its outputs are
 not checked against perfbench's oracle.
 
 Every file a command leaves in its directory, its exit code and what it
-printed are compared byte for byte between the sides.  The summary goes
+printed are compared between the sides, and each one that differs is
+compared cell by cell by tools/golden_diff.py's diff_file.  The summary goes
 into the --out file's `cpu_ab` object under W: each side's slot-median
 batch sum (the sum over the batch's command slots of each slot's median CPU
 time across batches, as perfbench's batch_s sums charged times), its median
 CPU time over every command of every batch (`command_p50_s`, as perfbench's
 op_p50_s is the median over commands), its per-batch CPU sums, the batches
-HEAD won, and the differing artifacts with their largest relative
-difference: the largest over their numeric tokens, or inf where any other
-text, the token count or an artifact's presence differs.
-The exit status is 1 when any artifact differs, 0 otherwise.
+HEAD won, the differing artifacts with their largest relative difference
+over cells, and `moved_cells`: per file name and column or leaf path (row
+numbers and list indices folded), the number of artifacts the cell moved in
+and its largest ulps.  A shape change, and a cell that is not a number on
+both sides, read inf.  The exit status is 1 when any artifact differs, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -52,12 +55,15 @@ import time  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import golden_diff  # noqa: E402
+
 SIDES = ("base", "head")
 CLOCK = time.process_time
 # the names this tool imports, dropped again when it returns
 OWN_MODULES = ("lambdabv_base", "lambdabv_head", "workloads", "oracle")
-# a decimal number; split() keeps it, so the text between numbers sits at even indices
-NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+# a CSV cell's row number and a JSON leaf's list indices, folded out of its name
+INDEX = re.compile(r"^row \d+, |(?<=\[)\d+(?=\])")
 
 
 def load_cli(checkout: Path, name: str, into: Path):
@@ -114,27 +120,6 @@ def run_batch(cli, commands, root: Path) -> tuple[list[float], dict[str, bytes]]
     return times, artifacts
 
 
-def differing(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
-    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-
-
-def relative_difference(a: bytes | None, b: bytes | None) -> float:
-    """The largest relative difference between the numeric tokens of two
-    artifacts; inf if either is missing, or if any other text or the number
-    of tokens differs."""
-    if a is None or b is None:
-        return math.inf
-    pa, pb = (NUMBER.split(x.decode(errors="replace")) for x in (a, b))
-    if len(pa) != len(pb) or pa[::2] != pb[::2]:
-        return math.inf
-    worst = 0.0
-    for x, y in zip(map(float, pa[1::2]), map(float, pb[1::2])):
-        if x != y:
-            finite = math.isfinite(x) and math.isfinite(y)
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
-    return worst
-
-
 def slot_median_sum(batches: list[list[float]]) -> float:
     """The sum over slots of each slot's median across batches."""
     return sum(statistics.median(slot) for slot in zip(*batches))
@@ -143,14 +128,14 @@ def slot_median_sum(batches: list[list[float]]) -> float:
 def run_series(clis: dict, plan, workdir: Path, log=None) -> dict:
     """Run the warm-up and the batches of ``plan`` on both sides, alternating
     which goes first; return CPU times per side and batch, the order each
-    batch ran in, and the artifacts that differ."""
+    batch ran in, the artifacts that differ and the cells that moved in them."""
     warm, batches = plan
     run_dir = workdir / "run"
     for side in SIDES:
         run_batch(clis[side], warm, run_dir)
         shutil.rmtree(run_dir)
     cpu = {side: [] for side in SIDES}
-    orders, diffs, compared, largest = [], [], 0, 0.0
+    orders, diffs, compared, moved = [], [], 0, {}
     for index, commands in enumerate(batches):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
         seen = {}
@@ -159,15 +144,22 @@ def run_series(clis: dict, plan, workdir: Path, log=None) -> dict:
             times, seen[side] = run_batch(clis[side], commands, run_dir)
             shutil.rmtree(run_dir)
             cpu[side].append(times)
-        compared += len(seen["base"].keys() | seen["head"].keys())
-        keys = differing(seen["base"], seen["head"])
-        diffs += [f"batch {index}: {k}" for k in keys]
-        largest = max([largest] + [relative_difference(seen["base"].get(k), seen["head"].get(k)) for k in keys])
+        keys = sorted(seen["base"].keys() | seen["head"].keys())
+        compared += len(keys)
+        for key in (k for k in keys if seen["base"].get(k) != seen["head"].get(k)):
+            diffs.append(f"batch {index}: {key}")
+            shape, cells = golden_diff.diff_file(key, seen["base"].get(key), seen["head"].get(key))
+            # bytes that differ with every cell equal (a CSV's line ends) count as a shape change
+            for c in cells + [{"cell": "(shape)", "ulps": None, "rel": None}] * (bool(shape) or not cells):
+                where = f"{key.rpartition('/')[2]}: {INDEX.sub('', c['cell'])}"
+                ulps, rel = (math.inf if c[field] is None else c[field] for field in ("ulps", "rel"))
+                last, count, most_ulps, most_rel = moved.get(where, (None, 0, 0, 0.0))
+                moved[where] = diffs[-1], count + (last != diffs[-1]), max(most_ulps, ulps), max(most_rel, rel)
         orders.append(list(order))
         if log is not None:
             print(f"batch {index} ({order[0]} first): base {sum(cpu['base'][-1]):.4f} s, "
                   f"head {sum(cpu['head'][-1]):.4f} s CPU", file=log)
-    return {"cpu": cpu, "orders": orders, "differing": diffs, "compared": compared, "largest": largest}
+    return {"cpu": cpu, "orders": orders, "differing": diffs, "compared": compared, "moved": moved}
 
 
 def summarize(seed: int, tiny: bool, series: dict) -> dict:
@@ -193,7 +185,9 @@ def summarize(seed: int, tiny: bool, series: dict) -> dict:
         "head_wins": f"{wins}/{len(sums['base'])}",
         "artifacts_compared": series["compared"],
         "differing_artifacts": len(series["differing"]),
-        "largest_relative_difference": series["largest"],
+        "largest_relative_difference": max((most for *_, most in series["moved"].values()), default=0.0),
+        "moved_cells": {where: {"artifacts": count, "ulps": ulps}
+                        for where, (_, count, ulps, _) in sorted(series["moved"].items())},
         "differences": series["differing"][:50],
     }
 
