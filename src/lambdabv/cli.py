@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 
@@ -228,23 +227,24 @@ def _run_sharpness(config: argparse.Namespace):
     header = ["level", "criterion_partial_pow", "lambda_variation", "omega_ratio",
               "vlam_quotient", "omega_quotient"]
     rows = []
-    builds = ()
+    combs = ()
     if config.levels:
         with _field("sequence"):
             spec = WitnessSpec(lam, config.p, config.alpha, config.levels)
         with _field("p"):
-            builds = extremal_function(spec)
-    for comb, report in builds:
+            combs = extremal_function(spec)
+        r_prime = spec.exponents[2]
+    for comb in combs:
         # the witness has more monotone arcs than the spec requires weights
         with _field("sequence"):
             vlam = comb.lambda_variation(lam)
-        with _field("p"):
-            omega = comb.ratio_norm(config.p, config.alpha, config.delta_depth)
-        crit_pow = report.criterion_partials[-1] ** (1.0 / spec.exponents[2])
+        omega = comb.ratio_norm(config.delta_depth)
+        crit_pow = comb.criterion_partials[-1] ** (1.0 / r_prime)
         for name, value in (("criterion partial sum", crit_pow), ("witness modulus", omega)):
-            if not value > 0.0:
-                raise ValidationError("p", f"the {name} underflows at this p")
-        rows.append([report.levels, crit_pow, vlam, omega, vlam / crit_pow, vlam / omega])
+            if not 0.0 < value < math.inf:
+                problem = "underflows" if value == 0.0 else "is not finite"
+                raise ValidationError("p", f"the {name} {problem} at this p")
+        rows.append([len(comb.starts), crit_pow, vlam, omega, vlam / crit_pow, vlam / omega])
     summary = {
         "levels": config.levels,
         "delta_depth": config.delta_depth,
@@ -254,8 +254,9 @@ def _run_sharpness(config: argparse.Namespace):
     extras = {}
     if rows:
         # the deepest level's witness, measured last in the loop and the only one built
-        summary["witness"] = asdict(report)
-        summary["witness"].update(measured_lambda_variation=vlam, omega_ratio_norm=omega)
+        summary["witness"] = {name: value.tolist() if isinstance(value, np.ndarray) else value
+                              for name, value in vars(comb).items() if name not in ("starts", "heights")}
+        summary["witness"].update(levels=len(comb.starts), measured_lambda_variation=vlam, omega_ratio_norm=omega)
         summary["function_file"] = "sharpness_function.json"
         with _field("p"):
             extras["sharpness_function.json"] = function_to_json(comb.function()) + "\n"

@@ -27,7 +27,6 @@ from .variation import _dyadic_grid, _sorted_lambda_sum, lambda_variation, p_con
 __all__ = [
     "TriangleCombSpec",
     "WitnessSpec",
-    "WitnessReport",
     "WitnessComb",
     "triangle_comb",
     "duality_weights",
@@ -128,63 +127,53 @@ class WitnessSpec:
         return embedding_exponents(self.p, self.alpha)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Everything derived while building a witness.
-
-    S is the per-level weight norm over k in [2^n, 2^(n+1)-1]; L_inclusive
-    extends the range to 2^(n+1) (the criterion's inner sums); beta is the
-    raw regularized weight entering the heights and tile_lengths its
-    normalization; criterion_partials[m-1] sums the criterion block terms
-    over n = 1..m.  arc_pair_sum counts every tooth height twice against its
-    own 1/lambda_k; it is NOT in general a lower bound for the measured
-    variation, which assigns sorted arcs to the weight prefix, but half of it
-    is (one arc per tooth, weight indices dominated by ranks).
-    """
-
-    p: float
-    alpha: float
-    levels: int
-    delta: tuple
-    beta: tuple
-    tile_lengths: tuple
-    S: tuple
-    L_inclusive: tuple
-    arc_pair_sum: float
-    analytic_lower_bound: float
-    criterion_partials: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class WitnessComb(_ValueEquality):
-    """One truncation of the witness as level data.  Level n = 1..L carries
-    2^n triangular teeth on the tile [starts[n-1], starts[n-1] + lengths[n-1]],
-    each rising from 0.0 to its apex height over half its base and falling
-    back; ``heights`` holds every level's apex heights in order, level n's at
-    2^n - 2 .. 2^(n+1) - 3.  The three fields are read-only float arrays
-    copied from the input; equality and hashing go by value.
+    """One truncation of the witness: its level data and how it was built.
+    Level n = 1..L carries 2^n triangular teeth on the tile [starts[n-1],
+    starts[n-1] + tile_lengths[n-1]], each rising from 0.0 to its apex
+    height over half its base and falling back; ``heights`` holds every
+    level's apex heights in order, level n's at 2^n - 2 .. 2^(n+1) - 3.
+
+    p and alpha are the spec's; delta are the duality weights and beta
+    their regularization, which sets the tiles and heights.  S is the
+    per-level weight norm over k in [2^n, 2^(n+1)-1]; L_inclusive extends
+    the range to 2^(n+1) (the criterion's inner sums); criterion_partials[m-1]
+    sums the criterion block terms over n = 1..m.  arc_pair_sum counts every
+    tooth height twice against its own 1/lambda_k; it is NOT in general a
+    lower bound for the measured variation, which assigns sorted arcs to the
+    weight prefix, but half of it is (one arc per tooth, weight indices
+    dominated by ranks).  The array fields are read-only float arrays copied
+    from the input; equality and hashing go by value.
     """
 
     starts: np.ndarray
-    lengths: np.ndarray
+    tile_lengths: np.ndarray
     heights: np.ndarray
+    p: float
+    alpha: float
+    delta: np.ndarray
+    beta: np.ndarray
+    S: np.ndarray
+    L_inclusive: np.ndarray
+    criterion_partials: np.ndarray
+    arc_pair_sum: float
+    analytic_lower_bound: float
 
     def __post_init__(self) -> None:
-        for name in ("starts", "lengths", "heights"):
+        for name in ("starts", "tile_lengths", "heights", "delta", "beta", "S", "L_inclusive",
+                     "criterion_partials"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         if not np.all(np.isfinite(self.heights) & (self.heights >= 0.0)):
             raise ValueError("heights must be nonnegative and finite")
-
-    def _level_heights(self):
-        return [self.heights[2**n - 2 : 2 ** (n + 1) - 2] for n in range(1, len(self.starts) + 1)]
 
     def function(self) -> PiecewiseLinearPeriodic:
         """The comb as a function, its nodes laid out in one pass: each
         tile's half-base marks, valued exactly 0.0 at feet and exactly the
         heights at apexes; a tile's final foot is the next tile's first foot
         (the last tile's: 0.0)."""
-        tiles = zip(self.starts, self.lengths, self._level_heights())
-        nodes = [_comb_nodes(a, length, h) for a, length, h in tiles]
+        heights = (self.heights[2**n - 2 : 2 ** (n + 1) - 2] for n in range(1, len(self.starts) + 1))
+        nodes = [_comb_nodes(a, length, h) for a, length, h in zip(self.starts, self.tile_lengths, heights)]
         return PiecewiseLinearPeriodic(*map(np.concatenate, zip(*nodes)))
 
     def lambda_variation(self, lam: LambdaSequence) -> float:
@@ -195,7 +184,7 @@ class WitnessComb(_ValueEquality):
         h = self.heights[self.heights > 0.0]
         return _sorted_lambda_sum(np.repeat(h, 2), 1.0 / lam.terms(2 * len(h)))
 
-    def ratio_norm(self, p: float, alpha: float, dyadic_depth: int) -> float:
+    def ratio_norm(self, dyadic_depth: int) -> float:
         """max over delta = 2^-j, j = 0..dyadic_depth, of omega_{1-1/p}(g;
         delta) / delta^(alpha - 1/p) for g = self.function(), the modulus
         taken over all intervals, not a grid.
@@ -203,29 +192,32 @@ class WitnessComb(_ValueEquality):
         Each arc of g is one segment and g is baseline-separated, so an
         optimal system cuts each arc on its own into floor(x) pieces of length
         delta and one remainder, x = arc / delta: omega^p = sum_n 2 P_n
-        phi_p(a_n / delta), P_n level n's sum of H^p, a_n = lengths[n-1] /
-        2^(n+1), phi_p(x) = 1 for x <= 1 and (floor(x) + frac(x)^p) / x^p
-        above.  phi_p is taken from 1/x = delta / a_n and frac(x)/x =
-        fmod(a_n, delta) / a_n (fmod is exact), which stay finite where
-        a_n / delta overflows; the p-th root comes last.
+        phi_p(a_n / delta), a_n = tile_lengths[n-1] / 2^(n+1), phi_p(x) = 1
+        for x <= 1 and (floor(x) + frac(x)^p) / x^p above.  P_n, level n's
+        sum of H^p, is (2^-n beta_n)^((alpha-1/p)p) by construction:
+        H_k^p = (2^-n beta_n)^((alpha-1/p)p) lambda_k^-p' S_n^-p' and
+        S_n^p' = sum_k lambda_k^-p'.  phi_p is taken from 1/x = delta / a_n
+        and frac(x)/x = fmod(a_n, delta) / a_n (fmod is exact), which stay
+        finite where a_n / delta overflows.  Every term is held by its log
+        and the levels are summed by log-sum-exp, so no power underflows at
+        a large p; the exponential comes last.
         """
-        if not (math.isfinite(p) and p > 1.0):
-            raise ValueError("p must satisfy p > 1")
-        if not (1.0 / p < alpha <= 1.0):
-            raise ValueError("alpha must lie in (1/p, 1]")
+        p, a_exp = self.p, self.alpha - 1.0 / self.p
         deltas = np.array(_dyadic_grid(dyadic_depth))[:, None]
-        arc = self.lengths / 2.0 ** np.arange(2, len(self.lengths) + 2)
-        power_sums = np.array([np.sum(h**p) for h in self._level_heights()])
+        n = np.arange(1, len(self.starts) + 1)
+        arc = self.tile_lengths / 2.0 ** (n + 1)
+        log_sums = math.log(2.0) + a_exp * p * np.log(self.beta / 2.0**n)  # log 2 P_n
         # 1/x and frac(x)/x; at x <= 1 they read 1 and 1 (0 at x = 1), so phi = 1
         y, fy = np.minimum(deltas / arc, 1.0), np.fmod(arc, deltas) / arc
-        phi = (1.0 - fy) * y ** (p - 1.0) + fy**p
-        omega = (phi @ (2.0 * power_sums)) ** (1.0 / p)
-        return float(np.max(omega / deltas[:, 0] ** (alpha - 1.0 / p)))
+        with np.errstate(divide="ignore"):  # log 0 is -inf: a term that is 0
+            log_phi = np.logaddexp(np.log1p(-fy) + (p - 1.0) * np.log(y), p * np.log(fy))
+        log_omega = np.logaddexp.reduce(log_sums + log_phi, axis=1) / p
+        return float(np.exp(np.max(log_omega - a_exp * np.log(deltas[:, 0]))))
 
 
-def extremal_function(spec: WitnessSpec) -> tuple[tuple[WitnessComb, WitnessReport], ...]:
-    """Build the witness truncated at each level L = 1..spec.levels and
-    report how each was built: item L - 1 is (comb, report) of levels 1..L.
+def extremal_function(spec: WitnessSpec) -> tuple[WitnessComb, ...]:
+    """Build the witness truncated at each level L = 1..spec.levels: item
+    L - 1 is the comb of levels 1..L, with how it was built.
 
     Level n contributes a comb with 2^n teeth of heights
     H_k = (2^-n beta_n)^(alpha-1/p) lambda_k^(-1/(p-1)) S_n^(-p'/p) for
@@ -249,37 +241,26 @@ def extremal_function(spec: WitnessSpec) -> tuple[tuple[WitnessComb, WitnessRepo
         raise ValueError("the first level sum underflows to 0 at this p")
     s_sums = weighted_block_sum(lam, 0.0, p_prime, [(lo, 2 * lo - 1) for lo in lows])
     s_norms = np.array([s ** (1.0 / p_prime) for s in s_sums])
-    criterion_partials = tuple(np.cumsum(inner ** (r_prime / p_prime)).tolist())
+    criterion_partials = np.cumsum(inner ** (r_prime / p_prime))
     terms = lam.terms(2 ** (levels + 1) - 1)
     lam_k = [terms[2**n - 1 : 2 ** (n + 1) - 1] for n in ns]
     lam_pow = [lam_n ** (-1.0 / (p - 1.0)) for lam_n in lam_k]
 
-    builds = []
+    combs = []
     for top in ns:
         delta = duality_weights(l_inclusive[:top], p, alpha)
         beta = regularize_sequence(delta, 1.5, 1.0)
         cuts = np.cumsum(beta)
         boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
-        tile_lengths = np.diff(boundaries)
         heights = [(2.0 ** -(idx + 1) * beta[idx]) ** a_exp * lam_pow[idx] * s_norms[idx] ** (-p_prime / p)
                    for idx in range(top)]
-        pair_sum = sum(2.0 * float(np.sum(h / lam_n)) for h, lam_n in zip(heights, lam_k))
-        comb = WitnessComb(boundaries[:-1], tile_lengths, np.concatenate(heights))
-        report = WitnessReport(
-            p=p,
-            alpha=alpha,
-            levels=top,
-            delta=tuple(delta.tolist()),
-            beta=tuple(beta.tolist()),
-            tile_lengths=tuple(tile_lengths.tolist()),
-            S=tuple(s_norms[:top].tolist()),
-            L_inclusive=tuple(l_inclusive[:top].tolist()),
-            arc_pair_sum=pair_sum,
-            analytic_lower_bound=2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive[:top])),
+        combs.append(WitnessComb(
+            starts=boundaries[:-1], tile_lengths=np.diff(boundaries), heights=np.concatenate(heights),
+            p=p, alpha=alpha, delta=delta, beta=beta, S=s_norms[:top], L_inclusive=l_inclusive[:top],
             criterion_partials=criterion_partials[:top],
-        )
-        builds.append((comb, report))
-    return tuple(builds)
+            arc_pair_sum=sum(2.0 * float(np.sum(h / lam_n)) for h, lam_n in zip(heights, lam_k)),
+            analytic_lower_bound=2.0**a_exp * float(np.sum(delta**a_exp * l_inclusive[:top]))))
+    return tuple(combs)
 
 
 def embedding_bound_check(

@@ -139,6 +139,27 @@ def comb_ratio_norm_by_arcs(g, p, alpha, deltas):
     return best
 
 
+def mp_comb_ratio_norm(comb, depth):
+    """WitnessComb.ratio_norm's dyadic formula at 50 digits over the built
+    heights: each level's sum of H^p taken term by term, each arc cut into
+    floor(x) pieces of length delta and one remainder, x = arc / delta."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(comb.p)
+        a_exp = mpmath.mpf(comb.alpha) - 1 / p
+        levels = range(1, len(comb.starts) + 1)
+        sums = [mpmath.fsum(mpmath.mpf(h) ** p for h in comb.heights[2**n - 2 : 2 ** (n + 1) - 2]) for n in levels]
+        best = mpmath.mpf(0)
+        for j in range(depth + 1):
+            delta = mpmath.mpf(2) ** -j
+            total = mpmath.mpf(0)
+            for n, power_sum in zip(levels, sums):
+                x = mpmath.mpf(comb.tile_lengths[n - 1]) / 2 ** (n + 1) / delta
+                phi = 1 if x <= 1 else (mpmath.floor(x) + (x - mpmath.floor(x)) ** p) / x**p
+                total += 2 * power_sum * phi
+            best = max(best, total ** (1 / p) / delta**a_exp)
+        return float(best)
+
+
 def comb_grid_modulus(comb, p, deltas, refinement=0):
     """omega_{1-1/p} of comb.function() on its grid of ``refinement`` points
     per segment, per delta, in closed form from the WitnessComb level data
@@ -148,8 +169,8 @@ def comb_grid_modulus(comb, p, deltas, refinement=0):
     own into q pieces of K steps, K the most steps within delta, and one
     remainder of r steps."""
     steps = refinement + 1
-    ns = np.arange(1, len(comb.lengths) + 1)
-    arcs = np.repeat(comb.lengths / 2.0 ** (ns + 1), 2**ns)
+    ns = np.arange(1, len(comb.starts) + 1)
+    arcs = np.repeat(comb.tile_lengths / 2.0 ** (ns + 1), 2**ns)
     rise = (comb.heights / steps) ** p
     out = []
     for d in deltas:

@@ -181,7 +181,7 @@ def test_acceptance_6_witness_sharpness_band():
     quotients = []
     omega_values = {}
     for levels in range(4, 11):
-        comb, rep = extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
+        comb = rep = extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
         g = comb.function()
         crit = rep.criterion_partials[-1] ** (1.0 / r_prime)
         quotients.append(lambda_variation(g, lam) / crit)
@@ -217,7 +217,7 @@ def test_acceptance_7_wang_refutation_demo():
     vlams = []
     omegas = {}
     for levels in range(4, 11):
-        comb, _ = extremal_function(WitnessSpec(fam, p, alpha, levels))[-1]
+        comb = extremal_function(WitnessSpec(fam, p, alpha, levels))[-1]
         g = comb.function()
         vlams.append(lambda_variation(g, fam))
         omegas[levels] = p_cont_ratio_norm(g, p, alpha, 6)

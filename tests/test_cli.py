@@ -40,6 +40,7 @@ from helpers import (
     alternating_plpf,
     chunked_subset_scan_max,
     comb_ratio_norm_by_arcs,
+    mp_comb_ratio_norm,
     mp_lp_modulus_profile,
     perlman_demo_by_arrays,
     run_cli,
@@ -697,11 +698,11 @@ class TestSharpnessCommand:
         assert len(built) == 2
         assert (outs[0] / "sharpness.csv").read_bytes() == (outs[1] / "sharpness.csv").read_bytes()
         lam = LambdaSequence.power(1.0)
-        comb, _ = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))[-1]
+        comb = extremal_function(WitnessSpec(lam, 2.0, 0.75, 3))[-1]
         assert built[0] == comb
         witness = json.loads((outs[0] / "sharpness.json").read_text())["witness"]
         assert witness["measured_lambda_variation"] == comb.lambda_variation(lam)
-        assert witness["omega_ratio_norm"] == comb.ratio_norm(2.0, 0.75, 4)
+        assert witness["omega_ratio_norm"] == comb.ratio_norm(4)
 
     def test_deepest_delta_grid(self, tmp_path, lam_file):
         # at depth 1074, arc / delta overflows to inf; the ratio there tends
@@ -793,15 +794,17 @@ class TestSharpnessCommand:
         text = (out / "sharpness_function.json").read_bytes()
         assert hashlib.sha256(text).hexdigest() == digest
 
-    def test_witness_modulus_underflow_named(self, tmp_path, lam_file):
-        # at p = 5000 the witness's p-power sums underflow and its ratio norm
-        # reads 0, which divided the last column
-        args = ("--command", "sharpness", "--sequence", lam_file, "--alpha", "0.5")
-        proc = run_cli(*args, "--p", "5000", "--out", str(tmp_path / "o"))
-        assert proc.returncode == 2
-        assert proc.stderr == "error: p: the witness modulus underflows at this p\n"
-        proc = run_cli(*args, "--p", "1000", "--out", str(tmp_path / "o"))
+    def test_witness_modulus_does_not_underflow(self, tmp_path, lam_file):
+        # at p = 5000 every height power underflows, and the ratio norm read
+        # 0 and exited 2; it is read from beta in logs, so each row matches
+        # the 50-digit sum over the built heights
+        out = tmp_path / "o"
+        proc = run_cli("--command", "sharpness", "--sequence", lam_file, "--alpha", "0.5", "--p", "5000",
+                       "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+        combs = extremal_function(WitnessSpec(LambdaSequence.power(1.0), 5000.0, 0.5, 8))
+        for row, comb in zip(read_csv(out / "sharpness.csv")[1:], combs, strict=True):
+            assert float(row[4]) == pytest.approx(mp_comb_ratio_norm(comb, 6), rel=1e-14, abs=0.0), row[1]
 
     def test_level_sum_norm_underflow_named(self, tmp_path, lam_file):
         # the level sums are positive, but each block term L_n^r' of the
@@ -1079,7 +1082,7 @@ def _held_omega_cells(got, want, summary, sequence_json):
     for line_got, line_want in zip(got, want):
         rows = [line.decode().rstrip("\n").split(",") for line in (line_got, line_want)]
         if rows[0][0] != "schema_version":
-            comb, _ = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))[-1]
+            comb = extremal_function(WitnessSpec(lam, p, alpha, int(rows[0][1])))[-1]
             omega = comb_ratio_norm_by_arcs(comb.function(), p, alpha, deltas)
             for row in rows:
                 assert float(row[4]) == pytest.approx(omega, rel=1e-12)

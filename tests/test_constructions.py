@@ -33,12 +33,14 @@ from lambdabv import (
     wang_partial_sums,
 )
 
+from lambdabv import cli
 from lambdabv.constructions import PERLMAN_PART
 
 from helpers import (
     brute_lambda_variation,
     brute_p_variation,
     comb_ratio_norm_by_arcs,
+    mp_comb_ratio_norm,
     perlman_sums_by_arrays,
     perlman_weights_by_arrays,
     random_comb_spec,
@@ -195,7 +197,7 @@ class TestWitness:
 
     def test_level_one_from_first_principles(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 1)
-        comb, rep = extremal_function(spec)[-1]
+        comb = extremal_function(spec)[-1]
         g = comb.function()
 
         k = np.arange(2.0, 5.0)
@@ -205,15 +207,13 @@ class TestWitness:
         h2 = 0.5**0.25 / (2.0 * s1)
         h3 = 0.5**0.25 / (3.0 * s1)
 
-        assert rep.delta == (1.0,)
-        assert rep.beta == (1.0,)
-        assert rep.tile_lengths == (1.0,)
-        assert rep.L_inclusive[0] == pytest.approx(l1, rel=1e-13)
-        assert rep.S[0] == pytest.approx(s1, rel=1e-13)
+        assert comb.delta.tolist() == comb.beta.tolist() == comb.tile_lengths.tolist() == [1.0]
+        assert comb.L_inclusive[0] == pytest.approx(l1, rel=1e-13)
+        assert comb.S[0] == pytest.approx(s1, rel=1e-13)
         assert witness_heights(g, 1)[0] == pytest.approx((h2, h3), rel=1e-13)
-        assert rep.arc_pair_sum == pytest.approx(2.0 * (h2 / 2.0 + h3 / 3.0), rel=1e-13)
-        assert rep.analytic_lower_bound == pytest.approx(2.0**0.25 * l1, rel=1e-13)
-        assert rep.criterion_partials[0] == pytest.approx(inner ** (2.0 / 3.0), rel=1e-13)
+        assert comb.arc_pair_sum == pytest.approx(2.0 * (h2 / 2.0 + h3 / 3.0), rel=1e-13)
+        assert comb.analytic_lower_bound == pytest.approx(2.0**0.25 * l1, rel=1e-13)
+        assert comb.criterion_partials[0] == pytest.approx(inner ** (2.0 / 3.0), rel=1e-13)
         # best system stacks both sides of each tooth against weights 1..4
         expected_var = h2 + h2 / 2.0 + h3 / 3.0 + h3 / 4.0
         assert lambda_variation(g, LAM_N) == pytest.approx(expected_var, rel=1e-13)
@@ -225,21 +225,21 @@ class TestWitness:
         # four arcs of length 1/4: omega^2 = 2(h2^2 + h3^2) down to delta =
         # 1/4, then half and a quarter of that at 1/8 and 1/16, so the ratio
         # omega / delta^(1/4) peaks at delta = 1/4
-        assert comb.ratio_norm(2.0, 0.75, 6) == pytest.approx(2.0 * math.hypot(h2, h3), rel=1e-13)
+        assert comb.ratio_norm(6) == pytest.approx(2.0 * math.hypot(h2, h3), rel=1e-13)
 
     def test_level_one_regression_anchor(self):
-        comb, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))[-1]
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 1))[-1]
         g = comb.function()
         assert lambda_variation(g, LAM_N) == pytest.approx(
             1.321595318547927, rel=1e-12
         )
-        assert rep.criterion_partials[0] ** (1.0 / (4.0 / 3.0)) == pytest.approx(
-            rep.L_inclusive[0], rel=1e-12
+        assert comb.criterion_partials[0] ** (1.0 / (4.0 / 3.0)) == pytest.approx(
+            comb.L_inclusive[0], rel=1e-12
         )
 
     def test_small_witness_matches_brute_force(self):
         spec = WitnessSpec(LAM_N, 2.0, 0.75, 2)
-        comb, _ = extremal_function(spec)[-1]
+        comb = extremal_function(spec)[-1]
         g = comb.function()
         pts = list(g.positions)
         assert lambda_variation(g, LAM_N) == pytest.approx(
@@ -252,26 +252,26 @@ class TestWitness:
     def test_per_level_identities(self):
         lam = LambdaSequence.power(0.25)
         spec = WitnessSpec(lam, 2.0, 0.75, 3)
-        comb, rep = extremal_function(spec)[-1]
+        comb = extremal_function(spec)[-1]
         g = comb.function()
         for idx in range(3):
             n = idx + 1
             k = np.arange(float(2**n), float(2 ** (n + 1)))
             lam_k = k**0.25
             h = witness_heights(g, 3)[idx]
-            scale = (2.0**-n * rep.beta[idx]) ** 0.25
+            scale = (2.0**-n * comb.beta[idx]) ** 0.25
             # sum H_k / lambda_k = (2^-n beta_n)^(alpha-1/p) S_n
             assert float(np.sum(h / lam_k)) == pytest.approx(
-                scale * rep.S[idx], rel=1e-12
+                scale * comb.S[idx], rel=1e-12
             )
             # sum H_k^p = (2^-n beta_n)^(p(alpha-1/p))
             assert float(np.sum(h**2.0)) == pytest.approx(scale**2.0, rel=1e-12)
 
     def test_tiles_partition_the_period(self):
         for levels in (1, 3, 6):
-            _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, levels))[-1]
-            assert abs(sum(rep.tile_lengths) - 1.0) < 1e-12
-            assert all(t > 0.0 for t in rep.tile_lengths)
+            comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, levels))[-1]
+            assert abs(sum(comb.tile_lengths) - 1.0) < 1e-12
+            assert all(t > 0.0 for t in comb.tile_lengths)
 
     def test_valleys_on_baseline(self):
         # adjacent tiles share a bit-identical foot, so no valley is left a few
@@ -282,10 +282,10 @@ class TestWitness:
         for lam in families:
             for p, alphas in ((1.5, (0.7, 0.9)), (2.0, (0.6, 0.8)), (3.0, (0.4, 0.75))):
                 for alpha in alphas:
-                    for comb, rep in extremal_function(WitnessSpec(lam, p, alpha, 10)):
+                    for comb in extremal_function(WitnessSpec(lam, p, alpha, 10)):
                         g = comb.function()
                         assert min(g.values) == 0.0
-                        assert set(valleys(g)) == {0.0}, (lam, p, alpha, rep.levels)
+                        assert set(valleys(g)) == {0.0}, (lam, p, alpha, len(comb.starts))
 
     @pytest.mark.parametrize(
         "lam,p,alpha",
@@ -297,15 +297,16 @@ class TestWitness:
         # reference: one comb per level with its final foot pinned to the next
         # tile boundary, summed with superpose; the witness lays the same
         # nodes out in one pass and must match it bit for bit
-        for comb, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+        for comb in extremal_function(WitnessSpec(lam, p, alpha, 12)):
             g = comb.function()
-            cuts = np.cumsum(rep.beta)
+            levels = len(comb.starts)
+            cuts = np.cumsum(comb.beta)
             boundaries = np.concatenate([[0.0], cuts / cuts[-1]])
-            assert tuple(np.diff(boundaries).tolist()) == rep.tile_lengths
+            assert np.diff(boundaries).tobytes() == comb.tile_lengths.tobytes()
             combs = []
-            for idx, heights in enumerate(witness_heights(g, rep.levels)):
+            for idx, heights in enumerate(witness_heights(g, levels)):
                 n_teeth = len(heights)
-                a, length = boundaries[idx], rep.tile_lengths[idx]
+                a, length = boundaries[idx], comb.tile_lengths[idx]
                 positions = a + length * (np.arange(2 * n_teeth + 1) / (2 * n_teeth))
                 positions[-1] = boundaries[idx + 1] % 1.0
                 values = np.zeros(2 * n_teeth + 1)
@@ -314,9 +315,9 @@ class TestWitness:
                     positions, values = positions[:-1], values[:-1]
                 combs.append(make_plpf(np.column_stack([positions, values])))
             reference = superpose(combs)
-            assert set(valleys(g)) == {0.0}, rep.levels
-            assert g.positions.tobytes() == reference.positions.tobytes(), rep.levels
-            assert g.values.tobytes() == reference.values.tobytes(), rep.levels
+            assert set(valleys(g)) == {0.0}, levels
+            assert g.positions.tobytes() == reference.positions.tobytes(), levels
+            assert g.values.tobytes() == reference.values.tobytes(), levels
 
     @pytest.mark.parametrize(
         "lam",
@@ -332,7 +333,7 @@ class TestWitness:
         assert type(builds) is tuple and len(builds) == 12
         for levels in range(1, 13):
             assert builds[levels - 1] == extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
-            assert builds[levels - 1][1].levels == levels
+            assert len(builds[levels - 1].starts) == levels
 
     @pytest.mark.parametrize(
         "lam",
@@ -345,16 +346,16 @@ class TestWitness:
         # the level-data closed forms against the built function at every
         # level: the per-arc sum at 1e-14, every grid value of the chain DP
         # at or below it, and the general Lambda-variation bit for bit
-        for comb, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+        for comb in extremal_function(WitnessSpec(lam, p, alpha, 12)):
             g = comb.function()
             for depth in (6, 20):
                 grid = [2.0**-j for j in range(depth + 1)]
                 want = comb_ratio_norm_by_arcs(g, p, alpha, grid)
-                assert comb.ratio_norm(p, alpha, depth) == pytest.approx(want, rel=1e-14, abs=0.0)
-            exact = comb.ratio_norm(p, alpha, 6)
+                assert comb.ratio_norm(depth) == pytest.approx(want, rel=1e-14, abs=0.0)
+            exact = comb.ratio_norm(6)
             for r in range(4):
-                assert exact >= p_cont_ratio_norm(g, p, alpha, 6, r) * (1.0 - 1e-14), (rep.levels, r)
-            assert comb.lambda_variation(lam) == lambda_variation(g, lam), rep.levels
+                assert exact >= p_cont_ratio_norm(g, p, alpha, 6, r) * (1.0 - 1e-14), (len(comb.starts), r)
+            assert comb.lambda_variation(lam) == lambda_variation(g, lam), len(comb.starts)
 
     @pytest.mark.parametrize(
         "lam",
@@ -366,7 +367,7 @@ class TestWitness:
     def test_lambda_variation_tracks_fsum(self, lam, p, alpha):
         # the sorted products h_k / lambda_k of the level-12 witness, summed
         # by fsum: a dot product over a reversed view was up to 4e-13 off
-        comb, _ = extremal_function(WitnessSpec(lam, p, alpha, 12))[-1]
+        comb = extremal_function(WitnessSpec(lam, p, alpha, 12))[-1]
         h = np.sort(np.repeat(comb.heights[comb.heights > 0.0], 2))[::-1]
         want = math.fsum(h * (1.0 / lam.terms(len(h))))
         for got in (comb.lambda_variation(lam), lambda_variation(comb.function(), lam)):
@@ -383,23 +384,28 @@ class TestWitness:
         # L_n^r' is the criterion's block term: the bound ties the witness to
         # the criterion at every level
         r_prime = embedding_exponents(p, alpha)[2]
-        for _, rep in extremal_function(WitnessSpec(lam, p, alpha, 12)):
-            want = 2.0 ** (alpha - 1.0 / p) * rep.criterion_partials[-1] ** (1.0 / r_prime)
-            assert rep.analytic_lower_bound == pytest.approx(want, rel=1e-14, abs=0.0), rep.levels
+        for comb in extremal_function(WitnessSpec(lam, p, alpha, 12)):
+            want = 2.0 ** (alpha - 1.0 / p) * comb.criterion_partials[-1] ** (1.0 / r_prime)
+            assert comb.analytic_lower_bound == pytest.approx(want, rel=1e-14, abs=0.0), len(comb.starts)
 
     def test_comb_is_read_only_level_data(self):
-        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 3))[-1]
-        assert len(comb.starts) == len(comb.lengths) == 3 and len(comb.heights) == 2 + 4 + 8
-        for field in (comb.starts, comb.lengths, comb.heights):
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 3))[-1]
+        assert len(comb.starts) == len(comb.tile_lengths) == 3 and len(comb.heights) == 2 + 4 + 8
+        arrays = [f.name for f in dataclasses.fields(comb) if isinstance(getattr(comb, f.name), np.ndarray)]
+        assert arrays == ["starts", "tile_lengths", "heights", "delta", "beta", "S", "L_inclusive",
+                          "criterion_partials"]
+        for name in arrays:
             with pytest.raises(ValueError):
-                field[0] = 0.5
-        same = WitnessComb(list(comb.starts), list(comb.lengths), list(comb.heights))
+                getattr(comb, name)[0] = 0.5
+        same = dataclasses.replace(comb, **{name: list(getattr(comb, name)) for name in arrays})
         assert same == comb and hash(same) == hash(comb)
-        assert WitnessComb(comb.starts, comb.lengths, comb.heights * 2.0) != comb
+        assert dataclasses.replace(comb, heights=comb.heights * 2.0) != comb
+        assert dataclasses.replace(comb, beta=comb.beta * 2.0) != comb
+        assert dataclasses.replace(comb, arc_pair_sum=2.0 * comb.arc_pair_sum) != comb
         # -0.0 is 0.0, and a comb is never its function or a sequence
-        signed = WitnessComb(np.where(comb.starts == 0.0, -0.0, comb.starts), comb.lengths,
-                             np.append(comb.heights, -0.0))
-        zero = WitnessComb(comb.starts, comb.lengths, np.append(comb.heights, 0.0))
+        signed = dataclasses.replace(comb, starts=np.where(comb.starts == 0.0, -0.0, comb.starts),
+                                     heights=np.append(comb.heights, -0.0))
+        zero = dataclasses.replace(comb, heights=np.append(comb.heights, 0.0))
         assert signed == zero and hash(signed) == hash(zero)
         g = comb.function()
         assert comb != g and g != comb and comb != LAM_N and LAM_N != comb
@@ -407,46 +413,62 @@ class TestWitness:
             comb.heights = comb.heights
         for bad in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="^heights must be nonnegative and finite$"):
-                WitnessComb(comb.starts, comb.lengths, np.append(comb.heights[:-1], bad))
+                dataclasses.replace(comb, heights=np.append(comb.heights[:-1], bad))
 
     def test_ratio_norm_on_the_deepest_grid(self):
         # arc / delta overflows past depth ~1000; phi reads it from delta /
         # arc and fmod(arc, delta) instead, with no warning and no NaN
         for lam in (LAM_N, LambdaSequence.power_log(0.5, 1.0)):
             for p, alpha in ((1.5, 0.8), (2.0, 0.75), (3.0, 0.6)):
-                comb, _ = extremal_function(WitnessSpec(lam, p, alpha, 12))[-1]
+                comb = extremal_function(WitnessSpec(lam, p, alpha, 12))[-1]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    assert comb.ratio_norm(p, alpha, 1074) == comb.ratio_norm(p, alpha, 60)
+                    assert comb.ratio_norm(1074) == comb.ratio_norm(60)
         with pytest.raises(ValueError, match="dyadic_depth"):
-            comb.ratio_norm(2.0, 0.75, 0)
-        with pytest.raises(ValueError, match="p must satisfy"):
-            comb.ratio_norm(1.0, 0.75, 6)
-        with pytest.raises(ValueError, match="alpha must lie"):
-            comb.ratio_norm(2.0, 0.5, 6)
+            comb.ratio_norm(0)
+
+    @pytest.mark.parametrize(
+        "lam,p,alpha,levels",
+        [(LambdaSequence.block_power_log(3.5, 0.75), 1000.0, 0.5, 7),
+         (LambdaSequence.block_power_log(-0.4, 0.8), 1000.0, 0.9, 2),
+         (LAM_N, 5000.0, 0.5, 8),
+         (LAM_N, 1.5, 0.8, 12),
+         (LambdaSequence.power_log(0.5, 1.0), 2.0, 0.75, 12),
+         (LambdaSequence.block_power_log(-0.4, 0.8), 3.0, 0.6, 12)],
+        ids=["block_power_log-p1000", "block_power_log-p1000-level2", "power-p5000",
+             "power-p1.5", "power_log-p2", "block_power_log-p3"],
+    )
+    def test_ratio_norm_does_not_underflow(self, lam, p, alpha, levels):
+        # each level's sum of H^p is read from beta in logs: at p = 1000 the
+        # height powers are subnormal or 0 (the sums read 13% and 36% low),
+        # and at p = 5000 every one underflows (the ratio norm read 0.0)
+        comb = extremal_function(WitnessSpec(lam, p, alpha, levels))[-1]
+        for depth in (6, 20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = comb.ratio_norm(depth)
+            assert got == pytest.approx(mp_comb_ratio_norm(comb, depth), rel=1e-14, abs=0.0), depth
 
     def test_measured_dominates_certified_bounds(self):
         for lam in (LAM_N, LambdaSequence.power(0.25)):
             for levels in (2, 4, 6):
-                comb, rep = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))[-1]
+                comb = extremal_function(WitnessSpec(lam, 2.0, 0.75, levels))[-1]
                 g = comb.function()
                 v = lambda_variation(g, lam)
                 # one arc per tooth with rank-dominated weights is always achievable
-                assert v >= 0.5 * rep.arc_pair_sum * (1.0 - 1e-12)
-                assert v >= rep.analytic_lower_bound * (1.0 - 1e-12)
+                assert v >= 0.5 * comb.arc_pair_sum * (1.0 - 1e-12)
+                assert v >= comb.analytic_lower_bound * (1.0 - 1e-12)
 
     def test_auto_delta_attains_duality(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))[-1]
-        l_arr = np.asarray(rep.L_inclusive)
-        delta = np.asarray(rep.delta)
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))[-1]
+        l_arr, delta = comb.L_inclusive, comb.delta
         r_prime = 4.0 / 3.0
         lhs = float(np.sum(delta**0.25 * l_arr))
         rhs = float(np.sum(l_arr**r_prime) ** (1.0 / r_prime))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_criterion_partials_increasing(self):
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))[-1]
-        ps = np.asarray(rep.criterion_partials)
+        ps = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 5))[-1].criterion_partials
         assert len(ps) == 5
         assert np.all(np.diff(ps) > 0.0)
 
@@ -462,13 +484,27 @@ class TestWitness:
         with pytest.raises(ValueError):
             WitnessSpec(LambdaSequence.explicit([1.0, 2.0]), 2.0, 0.75, 2)
 
-    def test_report_json_round_trips(self):
-        # the sharpness summary writes the report through dataclasses.asdict
-        _, rep = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 2))[-1]
-        back = json.loads(json.dumps(dataclasses.asdict(rep)))
-        assert back["levels"] == 2
-        assert back["criterion_partials"] == list(rep.criterion_partials)
-        assert back == {k: list(v) if isinstance(v, tuple) else v for k, v in vars(rep).items()}
+    def test_report_json_round_trips(self, tmp_path):
+        # the sharpness summary's witness is the deepest comb, every field but
+        # its starts and heights, with its level count and both measures
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": "power", "params": {"s": 1.0}}\n')
+        argv = ["--command", "sharpness", "--sequence", str(seq), "--levels", "2", "--delta-depth", "4",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        witness = json.loads((tmp_path / "out" / "sharpness.json").read_text())["witness"]
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 2))[-1]
+        arrays = ("delta", "beta", "tile_lengths", "S", "L_inclusive", "criterion_partials")
+        assert witness == {
+            "p": 2.0,
+            "alpha": 0.75,
+            "levels": 2,
+            **{name: getattr(comb, name).tolist() for name in arrays},
+            "arc_pair_sum": comb.arc_pair_sum,
+            "analytic_lower_bound": comb.analytic_lower_bound,
+            "measured_lambda_variation": comb.lambda_variation(LAM_N),
+            "omega_ratio_norm": comb.ratio_norm(4),
+        }
 
 
 class TestEmbeddingBoundCheck:

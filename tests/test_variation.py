@@ -350,7 +350,7 @@ class TestModulus:
         # groups of four deltas, its last block at refinement 1 taking four
         # deltas a call; and the long hump of a 64-breakpoint function at
         # refinement 2, which takes its 61 deltas in three calls
-        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 9))[-1][0].function()
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 9))[-1].function()
         generic = random_plpf(rng, 64, min_gap=1e-5, min_breaks=64)
         for f, p, grid, m in (
             (random_plpf(rng, 12, min_breaks=12), 1.5, _dyadic_grid(60), 0),
@@ -367,7 +367,7 @@ class TestModulus:
         # delta would take 4 MB for a 61-delta grid and 70 MB for the
         # 1,075-delta one, and the deltas' groups keep their (delta, hump)
         # pairs to 16 * _BLOCK_CELLS, like each DP call's cells to _BLOCK_CELLS
-        comb, _ = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))[-1]
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))[-1]
         g = comb.function()
         tracemalloc.start()
         try:
@@ -414,7 +414,7 @@ class TestModulus:
         deltas = sorted([2.0**-j for j in range(8)] + rng.random(8).tolist(), reverse=True)
         lams = [LAM_N, LambdaSequence.power_log(0.5, 1.0), LambdaSequence.block_power_log(-0.4, 0.8)]
         witnesses = [comb.function() for lam in lams
-                     for comb, _ in extremal_function(WitnessSpec(lam, 2.0, 0.75, 12))]
+                     for comb in extremal_function(WitnessSpec(lam, 2.0, 0.75, 12))]
         for f in witnesses + [random_plpf(rng, max_breaks=40) for _ in range(36)]:
             for p in (1.5, 2.0, 3.0):
                 for m in (0, 1):
@@ -515,7 +515,7 @@ class TestHumpProfile:
         # the whole-chain DP is O(n^2) in the grid size, so it runs up to
         # level 8; the closed form from the level data holds every level
         for p in (1.5, 2.0, 3.0):
-            comb, _ = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels))[-1]
+            comb = extremal_function(WitnessSpec(LAM_N, p, 0.75, levels))[-1]
             g = comb.function()
             for m in (0, 1, 3):
                 got = _p_power_profile(g, p, DYADIC, m)
@@ -576,7 +576,7 @@ class TestHumpProfile:
 
         monkeypatch.setattr(variation, "_hump_dp", recorded)
         empty = 0
-        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))[-1][0].function()
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 12))[-1].function()
         generic = random_plpf(np.random.default_rng(127), 64, min_gap=1e-5, min_breaks=64)
         humps = hump_extents(PLATEAU_HUMPS, 0)
         assert any(last - d == first for first, last, d, step in humps if d > step)
@@ -639,7 +639,7 @@ class TestHumpProfile:
             return _hump_dp(ys, lo, p)
 
         monkeypatch.setattr(variation, "_hump_dp", recorded)
-        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 10))[-1][0].function()
+        comb = extremal_function(WitnessSpec(LAM_N, 2.0, 0.75, 10))[-1].function()
         generic = random_plpf(np.random.default_rng(129), 64, min_gap=1e-5, min_breaks=64)
         long = mixed_width_comb(np.random.default_rng(130), teeth=40, long=(50, 1100))
         for f in (mixed_width_comb(np.random.default_rng(131)), long, comb, generic, PLATEAU_HUMPS):
