@@ -13,11 +13,12 @@ two such points; and for the Lambda-variation neither does inserting an
 extremum that a system's interval skips unless it lies strictly between the
 interval's end values, so its search steps only through such windows.
 
-The L^p modulus is a max over sampled shifts h of ||f(.+h) - f||_p, which is
-symmetric under h -> 1 - h and Lipschitz in h with constant ||f'||_p; so the
-samples are fixed on (0, 1/2], each delta adds only its own sample folded
-there, and a sample whose Lipschitz bound from integrated neighbours cannot
-reach the running max is skipped.
+The L^p modulus is a sup over shifts h of ||f(.+h) - f||_p, symmetric under
+h -> 1 - h: exact at p = 2 from one sweep over the sorted breakpoint
+differences, and elsewhere a max over samples fixed on (0, 1/2], each delta
+adding only its own sample folded there, where a sample whose Lipschitz
+bound (constant ||f'||_p) from integrated neighbours cannot reach the
+running max is skipped.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ H_SAMPLES = 64
 
 # deepest dyadic scale of a ratio norm: 2^-1074 is the smallest positive double
 MAX_DELTA_DEPTH = 1074
+
+# breakpoint differences serve as shift samples, and at p = 2 as sweep knots, up to this n^2
+_MAX_DIFFERENCES = 1_000_000
 
 # cells per vectorized block: shift x breakpoint cells in the L^p modulus,
 # hump x chain-point cells in the chain DP; temporaries stay small
@@ -310,26 +314,13 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     )
 
 
-def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
-    """||f(.+h) - f||_p for each shift h in ``hs``, 0 <= h < 1, by exact
-    integration of the difference D = f(.+h) - f, linear between its kinks:
-    the breakpoints and the breakpoints shifted back by h (wrapped by adding
-    1 where negative).  Each row's kinks are sorted once and D is taken at
-    every sorted kink k as f(k + h) - f(k).  They are not deduplicated: a
-    repeated kink is a zero-width piece and adds exactly 0.
-
-    A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
-    G(c) = sign(c)|c|^(p+1)/(p+1), and a piece's v is the next piece's u, so
-    G is taken once per kink.  That cancels on a nearly flat piece, so where
-    |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
-    w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
-    replaces it (the dropped terms are O(x^6)).  Each shift's row is
-    integrated on its own, so its norm does not depend on the other shifts.
-    """
+def _difference_pieces(f: PiecewiseLinearPeriodic, hs: np.ndarray):
+    """Per block of shifts h = hs[rows], (rows, h, k, u, v, w): the pieces of
+    D = f(.+h) - f, linear between its kinks k, the breakpoints and the
+    breakpoints shifted back by h (wrapped by adding 1 where negative), sorted
+    per row; a piece runs from D(k) = f(k + h) - f(k) = u to v over width w."""
     pos = f.positions
     rows = max(1, _BLOCK_CELLS // len(pos))
-    c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
-    out = np.empty(len(hs))
     for s in range(0, len(hs), rows):
         h = hs[s : s + rows, None]
         back = pos - h
@@ -337,16 +328,92 @@ def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.nda
         k = np.sort(np.concatenate([np.broadcast_to(pos, back.shape), back], axis=1), axis=1)
         u = f.eval(k + h) - f.eval(k)
         w = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1) - k
+        yield slice(s, s + len(h)), h, k, u, np.concatenate([u[:, 1:], u[:, :1]], axis=1), w
+
+
+def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
+    """||f(.+h) - f||_p for each shift h in ``hs``, 0 <= h < 1, by exact
+    integration of the pieces of _difference_pieces, so a shift's norm does
+    not depend on the other shifts; a zero-width piece adds exactly 0.
+
+    A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
+    G(c) = sign(c)|c|^(p+1)/(p+1), and a piece's v is the next piece's u, so
+    G is taken once per kink.  That cancels on a nearly flat piece, so where
+    |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
+    w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
+    replaces it (the dropped terms are O(x^6)).
+    """
+    c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
+    out = np.empty(len(hs))
+    for rows, _, _, u, v, w in _difference_pieces(f, hs):
         g = np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
-        v = np.concatenate([u[:, 1:], u[:, :1]], axis=1)
         m, d = 0.5 * (u + v), v - u
         near = np.abs(d) <= 1e-3 * np.abs(m)
         piece = np.diff(g, axis=1, append=g[:, :1]) / np.where(near, 1.0, d)
         mn = m[near]
         x2 = (d[near] / np.where(mn == 0.0, 1.0, mn)) ** 2
         piece[near] = np.abs(mn) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
-        out[s : s + len(h)] = np.sum(w * piece, axis=1)
+        out[rows] = np.sum(w * piece, axis=1)
     return out ** (1.0 / p)
+
+
+def _l2_terms(f: PiecewiseLinearPeriodic, hs: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Rows Q = N^2 / 2, Q' = int D(x) f'(x + h) dx and C = int f'(x) f'(x + h) dx at
+    the shifts ``hs``: per piece of _difference_pieces w (u^2 + uv + v^2) / 6,
+    w s(x + h) (u + v) / 2 and w s(x) s(x + h), s = ``slope`` at its midpoint."""
+    out = np.empty((3, len(hs)))
+    for rows, h, k, u, v, w in _difference_pieces(f, hs):
+        here, ahead = (slope[np.searchsorted(f.positions, np.mod(x, 1.0), side="right") - 1]
+                       for x in (k + 0.5 * w, k + 0.5 * w + h))
+        out[:, rows] = [np.sum(w * (u * u + u * v + v * v), axis=1) / 6.0,
+                        np.sum(w * ahead * (u + v), axis=1) / 2.0, np.sum(w * here * ahead, axis=1)]
+    return out
+
+
+def _l2_modulus(f: PiecewiseLinearPeriodic, deltas: np.ndarray) -> list[float]:
+    """The exact max of N(h) = sqrt(2 Q(h)) over h in [0, min(delta, 1/2)].
+
+    Q = R(0) - R(h), R the autocorrelation of f, so Q'' = C, continuous and
+    piecewise linear: C' starts at -1/2 sum J_i^2 (J_i the slope jump at
+    breakpoint i; C is even) and drops by J_i J_j at (x_j - x_i) mod 1.  So Q
+    is a cubic between these knots; running sums over the knots sorted on
+    (0, 1/2], restarted from _l2_terms every n knots, give every piece, whose
+    max lies at its ends or at the root of Q' where Q'' < 0.  Each delta
+    reads the pieces before its own, and its own up to delta, so entry i
+    equals the grid [deltas[i]] bit for bit.  Values of f are multiplied only
+    in pairs: 2^k f reads 2^k times the values exactly."""
+    pos, val, n = f.positions, f.values, len(f.positions)
+    slope = np.diff(val, append=val[0]) / np.diff(pos, append=pos[0] + 1.0)
+    jump = slope - np.roll(slope, 1)
+    gap = np.mod(pos[None, :] - pos[:, None], 1.0)
+    keep = (gap > 0.0) & (gap <= min(deltas.max(initial=0.0), 0.5))
+    order = np.argsort(gap[keep], kind="stable")
+    knots = np.concatenate([[0.0], gap[keep][order]])
+    count, blocks = len(knots), -(-len(knots) // n)
+    # one row per restart, padded with zero-width pieces; dc is C' after each knot
+    dc = -np.cumsum(np.append(0.5 * (jump @ jump), np.outer(jump, jump)[keep][order]))
+    t, dc = (np.pad(a, (0, blocks * n - count)).reshape(blocks, n) for a in (np.diff(knots, append=knots[-1]), dc))
+    q, q1, c = (start[:, None] for start in _l2_terms(f, knots[::n], slope))
+    # Q(t + tau) - Q(t) on a piece where Q', Q'' and Q''' are q1, c and dc at t
+    rise = lambda q1, c, dc, tau: q1 * tau + c * (tau * tau / 2.0) + dc * (tau * tau * tau / 6.0)
+    after = lambda start, step: start + np.cumsum(np.pad(step[:, :-1], ((0, 0), (1, 0))), axis=1)
+    c = after(c, dc * t)
+    q1 = after(q1, c * t + dc * (t * t / 2.0))
+    q, q1, c, dc, t = (a.ravel()[:count] for a in (after(q, rise(q1, c, dc, t)), q1, c, dc, t))
+    # Q' = a + b tau + e tau^2 on a piece, scaled so that no square overflows
+    scale = math.ldexp(1.0, -math.frexp(c[0])[1])
+    a, b, e = q1 * scale, c * scale, dc * (scale / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * e), b))
+        top = np.where(np.signbit(b), a / r, r / e)
+    # the root clipped to the piece (NaN to 0) is a point of it either way
+    peak = q + rise(q1, c, dc, np.fmin(np.fmax(top, 0.0), t))
+    best = np.maximum.accumulate(np.maximum(q, np.append(0.0, peak[:-1])))
+    d = np.minimum(deltas, 0.5)
+    k = np.searchsorted(knots, d, side="right") - 1
+    tau = d - knots[k]
+    own = [rise(q1[k], c[k], dc[k], x) for x in (tau, np.fmin(np.fmax(top[k], 0.0), tau))]
+    return np.sqrt(2.0 * np.maximum(best[k], q[k] + np.maximum(*own))).tolist()
 
 
 _DYADIC_SHIFTS = tuple(2.0 ** (-j) for j in range(1, 41))
@@ -362,7 +429,7 @@ def _shift_samples(f: PiecewiseLinearPeriodic) -> np.ndarray:
     """
     pos = f.positions
     hs = [np.asarray(_DYADIC_SHIFTS), np.linspace(0.0, 0.5, H_SAMPLES // 2 + 1)]
-    if len(pos) ** 2 <= 1_000_000:
+    if len(pos) ** 2 <= _MAX_DIFFERENCES:
         hs.append(np.mod(pos[None, :] - pos[:, None], 1.0).ravel())
     h = np.concatenate(hs)
     h = np.sort(h[(h > 0.0) & (h <= 0.5)])
@@ -400,11 +467,12 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     """omega(f; delta)_p for each delta in ``deltas``: sup over shifts h in
     [0, delta] of N(h) = ||f(.+h) - f||_p.
 
-    The shift integral is exact in closed form; the sup is taken over the
-    samples of _shift_samples up to min(delta, 1/2) and delta's own sample
-    min(delta, 1 - delta), since N(h) = N(1 - h) (substitute x -> x - h).
-    Each value is thus a lower bound of the true modulus that depends on
-    delta alone: entry i equals the one-element grid [deltas[i]] for every
+    At p = 2 with n^2 <= _MAX_DIFFERENCES, _l2_modulus gives the exact sup.
+    Otherwise the shift integral is exact in closed form; the sup is taken
+    over the samples of _shift_samples up to min(delta, 1/2) and delta's own
+    sample min(delta, 1 - delta), since N(h) = N(1 - h) (substitute x -> x - h),
+    and is a lower bound of the true modulus.  Either way each value depends
+    on delta alone: entry i equals the one-element grid [deltas[i]] for every
     grid, and the values are monotone along a dyadic grid.
 
     N is Lipschitz with constant ||f'||_p, so a sample is skipped when the
@@ -421,6 +489,8 @@ def lp_modulus(f: PiecewiseLinearPeriodic, p: float, deltas) -> list[float]:
     if not all(math.isfinite(d) and 0.0 <= d <= 1.0 for d in deltas):
         raise ValueError("delta must lie in [0, 1]")
     d = np.asarray(deltas, dtype=float)
+    if p == 2.0 and len(f.positions) ** 2 <= _MAX_DIFFERENCES:
+        return _l2_modulus(f, d)
     hs = _shift_samples(f)
     ends = np.searchsorted(hs, np.minimum(d, 0.5), side="right")
     hs = hs[: ends.max(initial=0)]

@@ -15,7 +15,12 @@ values.  The brute_* oracles run these on arbitrary candidate grids, with
 the circle cut at every candidate instead of at a global maximum.
 IntervalSystem and system_*_sum score one explicit system of intervals.
 mp_shift_norm is the matching reference for the L^p shift integral: mpmath
-at 40 digits, one piece at a time.  mp_power_sum is the reference for long
+at 40 digits, one piece at a time (mp_shift_power, before the root).
+mp_l2_modulus_profile is the exact L^2 modulus: per interval between
+breakpoint differences, the cubic through four squared shift norms,
+maximized in mpmath; assert_matches_lp_reference holds the library's
+modulus to it at p = 2 and to mp_lp_modulus_profile, the max over the
+library's shift samples, otherwise.  mp_power_sum is the reference for long
 power sums: Hurwitz zeta differences at 60 digits (a per-block
 Euler-Maclaurin sum at c <= 0), rounded once by nearest_double.  one_array_block_sum is
 a direct block sum as one np.sum over every term at once, the bitwise
@@ -48,6 +53,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 
 from lambdabv import Interval, LambdaSequence, TriangleCombSpec, increment, make_plpf, monotone_arcs
 from lambdabv.cli import PERLMAN_DECADES, ValidationError, _field
@@ -456,15 +462,15 @@ def _mp_pieces(f, h):
     return tuple(zip([b - a for a, b in zip(kinks, ends)], diff, diff[1:] + diff[:1]))
 
 
-def mp_shift_norm(f, h, p):
-    """Reference ||f(. + h) - f||_p in mpmath at 40 digits.
+def mp_shift_power(f, h, p):
+    """||f(. + h) - f||_p^p in mpmath at 40 digits, as an mpf.
 
     The kinks are exact at this precision, the difference is evaluated at
     each kink, and each linear piece is integrated exactly in closed form;
     only a piece flat to 1e-20 takes |midpoint|^p, whose error is below 1e-40.
     """
-    if len(f.positions) == 1 or h == 0.0:
-        return 0.0
+    if len(f.positions) == 1 or h == 0:
+        return mpmath.mpf(0)
     with mpmath.workdps(40):
         p = mpmath.mpf(p)
         g = lambda c: mpmath.sign(c) * abs(c) ** (p + 1) / (p + 1)
@@ -475,7 +481,13 @@ def mp_shift_norm(f, h, p):
                 total += w * abs(m) ** p
             else:
                 total += w * (g(v) - g(u)) / (v - u)
-        return float(total ** (1 / p))
+        return total
+
+
+def mp_shift_norm(f, h, p):
+    """Reference ||f(. + h) - f||_p: mp_shift_power's root, rounded once."""
+    with mpmath.workdps(40):
+        return float(mp_shift_power(f, h, p) ** (1 / mpmath.mpf(p)))
 
 
 def nearest_double(x) -> float:
@@ -643,6 +655,63 @@ def mp_lp_modulus_profile(f, p, deltas):
         max(float(ref[hs <= min(d, 0.5)].max(initial=0.0)), mp_shift_norm(f, min(d, 1.0 - d), p))
         for d in deltas
     ]
+
+
+def mp_l2_modulus_profile(f, deltas, squares=None):
+    """The exact L^2 modulus per delta, max N(h) over h in [0, min(delta, 1/2)]
+    with N(h) = ||f(. + h) - f||_2, sharing nothing with the library's sweep.
+
+    N^2 is a cubic between consecutive breakpoint differences (x_j - x_i)
+    mod 1, taken exactly at 40 digits, so on each such interval up to
+    min(max delta, 1/2) the cubic through N^2 at four equally spaced points
+    is maximized in mpmath: at the interval's ends (the second one clipped
+    to delta) and at the roots of its derivative between them.
+    ``squares(hs)`` gives N(h)^2 at a list of mpf shifts; by default
+    mp_shift_power at 40 digits.
+    """
+    with mpmath.workdps(40):
+        squares = squares or (lambda hs: [mp_shift_power(f, h, 2) for h in hs])
+        pos = [mpmath.mpf(x) for x in f.positions]
+        top = mpmath.mpf(min(max(deltas, default=0.0), 0.5))
+        gaps = {b - a - mpmath.floor(b - a) for a in pos for b in pos}
+        knots = sorted({k for k in gaps if k < top} | {mpmath.mpf(0), top})
+        hs = [a + i * (b - a) / 3 for a, b in zip(knots, knots[1:]) for i in range(3)] + [top]
+        ys = [mpmath.mpf(y) for y in squares(hs)]
+
+        def peak(i, end):
+            # the cubic y0 + d1 u + d2 u(u-1)/2 + d3 u(u-1)(u-2)/6 through
+            # u = 0..3, maximized over u in [0, end]
+            y0, y1, y2, y3 = ys[3 * i : 3 * i + 4]
+            d1, d2, d3 = y1 - y0, y2 - 2 * y1 + y0, y3 - 3 * y2 + 3 * y1 - y0
+            cubic = lambda u: y0 + d1 * u + d2 * u * (u - 1) / 2 + d3 * u * (u - 1) * (u - 2) / 6
+            a, b, c = d3 / 2, d2 - d3, d1 - d2 / 2 + d3 / 3
+            if a != 0 and b * b >= 4 * a * c:
+                roots = [(-b + s * mpmath.sqrt(b * b - 4 * a * c)) / (2 * a) for s in (-1, 1)]
+            else:
+                roots = [-c / b] if a == 0 and b != 0 else []
+            return max(cubic(u) for u in [mpmath.mpf(0), end] + [u for u in roots if 0 < u < end])
+
+        whole = [peak(i, 3) for i in range(len(knots) - 1)]
+        out = []
+        for d in deltas:
+            d = mpmath.mpf(min(d, 0.5))
+            i = bisect_right(knots, d) - 1
+            if i + 1 < len(knots):
+                best = max(whole[:i] + [peak(i, 3 * (d - knots[i]) / (knots[i + 1] - knots[i]))])
+            else:
+                best = max(whole, default=0)
+            out.append(float(mpmath.sqrt(max(best, 0))))
+        return out
+
+
+def assert_matches_lp_reference(f, p, deltas, got):
+    """``got`` within 1e-12 of the mpmath reference: the sampled sup, or at
+    p = 2 the exact sup, which must also reach the sampled one."""
+    want = mp_lp_modulus_profile(f, p, deltas)
+    if p == 2.0:
+        assert all(g >= s * (1.0 - 1e-12) for g, s in zip(got, want)), (got, want)
+        want = mp_l2_modulus_profile(f, deltas)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def folded_lp_profile(f, p, deltas):

@@ -98,7 +98,8 @@ class TestStubbed:
         assert entry["differences"][:2] == ["batch 0: 0.0/result.csv", "batch 0: 0.1/result.csv"]
         # a changed word has no numeric distance
         assert entry["largest_relative_difference"] == math.inf
-        assert entry["moved_cells"] == {"result.csv: column 0": {"artifacts": 4, "ulps": math.inf}}
+        assert entry["moved_cells"] == {"result.csv: column 0": {"artifacts": 4, "ulps": math.inf, "rises": 0,
+                                                                 "falls": 0}}
 
     def test_a_last_bit_change_names_its_column(self, tmp_path, stubbed):
         # row 1's value moves by 1 ulp; row 2's is written otherwise, equal in value
@@ -110,7 +111,18 @@ class TestStubbed:
         assert entry["differing_artifacts"] == 4
         assert entry["largest_relative_difference"] == pytest.approx(math.ulp(0.1) / 0.1, rel=1e-6)
         assert 1e-16 < entry["largest_relative_difference"] < 2e-16
-        assert entry["moved_cells"] == {"result.csv: value": {"artifacts": 4, "ulps": 1}}
+        # row 1 rose in each artifact; row 2's equal value counts in neither
+        assert entry["moved_cells"] == {"result.csv: value": {"artifacts": 4, "ulps": 1, "rises": 4, "falls": 0}}
+
+    def test_rises_and_falls_are_counted_per_cell(self, tmp_path, stubbed):
+        # v rises in row 1 and falls in row 2; w falls and rises; a word in x
+        # has no sign
+        stubbed.texts.update(base="v,w,x\n1,5,a\n2,-3,b\n", head="v,w,x\n1.5,4,c\n1,-2,b\n")
+        out = tmp_path / "BENCH.json"
+        assert ab_inprocess.main(["base", "head", "--workload", "w", "--batches", "2", "--out", str(out)]) == 1
+        moved = json.loads(out.read_text())["cpu_ab"]["w"]["moved_cells"]
+        assert {k: (v["rises"], v["falls"]) for k, v in moved.items()} == {
+            "result.csv: v": (4, 4), "result.csv: w": (4, 4), "result.csv: x": (0, 0)}
 
     def test_command_median_is_over_every_command(self):
         # slots (1, 2, 3) and (5, 6, 100): the slot medians sum to 2 + 6, while

@@ -38,10 +38,10 @@ from lambdabv.variation import MAX_DELTA_DEPTH
 from helpers import (
     SRC,
     alternating_plpf,
+    assert_matches_lp_reference,
     chunked_subset_scan_max,
     comb_ratio_norm_by_arcs,
     mp_comb_ratio_norm,
-    mp_lp_modulus_profile,
     perlman_demo_by_arrays,
     run_cli,
 )
@@ -327,6 +327,17 @@ class TestVariationCommand:
         # numpy's overflow warnings are silenced: the error is the only line
         assert proc.stderr == f"error: {error}\n"
         assert not (out / "variation.csv").exists()
+
+    def test_l2_modulus_of_a_wide_tent_is_finite(self, tmp_path):
+        # at p = 2 the modulus only squares values, so a spread of 2e120,
+        # whose cube overflows, is measured; N(1/2) = 2e120 / sqrt(3) is the sup
+        f_path = tmp_path / "f.json"
+        f_path.write_text('{"breakpoints": [[0.0, 1e120], [0.5, -1e120]]}')
+        out = tmp_path / "out"
+        proc = run_cli("--command", "variation", "--function", str(f_path), "--p", "2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = [r for r in read_csv(out / "variation.csv")[1:] if r[1] == "lp_modulus"]
+        assert float(rows[0][5]) == pytest.approx(2.0 / math.sqrt(3.0) * 1e120, rel=1e-15)
 
 
 class TestValidationFailures:
@@ -1041,8 +1052,7 @@ class TestDeterminism:
         if got_lp:
             f = function_from_json(inputs["--function"])
             p, deltas = float(got_lp[0][2]), [float(r[4]) for r in got_lp]
-            values = [float(r[5]) for r in got_lp]
-            assert values == pytest.approx(mp_lp_modulus_profile(f, p, deltas), rel=1e-12)
+            assert_matches_lp_reference(f, p, deltas, [float(r[5]) for r in got_lp])
 
     @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
     def test_json_matches_golden(self, tmp_path, command):

@@ -104,7 +104,7 @@ class TestStubbed:
         assert entry["case"] == "crit" and entry["shape"] == []
         [c] = entry["cells"]
         after = "0.10000000000000002"
-        assert (c["cell"], c["base"], c["head"], c["ulps"]) == ("row 1, value", "0.1", after, 1)
+        assert (c["cell"], c["base"], c["head"], c["ulps"], c["sign"]) == ("row 1, value", "0.1", after, 1, 1)
         assert c["rel"] == pytest.approx(math.ulp(0.1) / float(after), rel=1e-12)
         assert f"| crit.csv | row 1, value | 0.1 | {after} | 1 | 1.39e-16 |" in capsys.readouterr().out
 
@@ -132,7 +132,8 @@ class TestStubbed:
         cells = {c["cell"]: c for c in entry["cells"]}
         assert set(cells) == {"b.c", "command"}
         assert cells["b.c"]["rel"] == 2.0 and cells["b.c"]["ulps"] == 2 * golden_diff.ulps(0.0, 0.1)
-        assert cells["command"]["ulps"] is None and cells["command"]["rel"] is None
+        assert cells["b.c"]["sign"] == -1
+        assert cells["command"]["ulps"] is None and cells["command"]["rel"] is None and cells["command"]["sign"] is None
 
     def test_a_changed_exit_is_named(self, tmp_path, stubbed):
         _, exits, _ = stubbed
@@ -157,6 +158,14 @@ class TestStubbed:
         assert not any((tmp_path / "base" / "tests" / "golden").iterdir())
         digest = hashlib.sha256(witness.encode()).hexdigest()
         assert f"pin deep: new sha256 {digest}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "a,b,want",
+        [("0.1", "0.2", 1), ("2", "-2", -1), ("3.0", "3", 0), ("1e308", "inf", 1), ("nan", "1", None),
+         ("x", "1", None)],
+    )
+    def test_cell_sign(self, a, b, want):
+        assert golden_diff.cell("c", a, b)["sign"] == want
 
     @pytest.mark.parametrize(
         "a,b,want",

@@ -26,10 +26,11 @@ CPU time over every command of every batch (`command_p50_s`, as perfbench's
 op_p50_s is the median over commands), its per-batch CPU sums, the batches
 HEAD won, the differing artifacts with their largest relative difference
 over cells, and `moved_cells`: per file name and column or leaf path (row
-numbers and list indices folded), the number of artifacts the cell moved in
-and its largest ulps.  A shape change, and a cell that is not a number on
-both sides, read inf.  The exit status is 1 when any artifact differs, 0
-otherwise.
+numbers and list indices folded), the number of artifacts the cell moved in,
+its largest ulps, and how many of its moves rose and fell in value (`rises`,
+`falls`; a move with no numeric sign counts in neither).  A shape change,
+and a cell that is not a number on both sides, read inf.  The exit status is
+1 when any artifact differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -153,8 +154,10 @@ def run_series(clis: dict, plan, workdir: Path, log=None) -> dict:
             for c in cells + [{"cell": "(shape)", "ulps": None, "rel": None}] * (bool(shape) or not cells):
                 where = f"{key.rpartition('/')[2]}: {INDEX.sub('', c['cell'])}"
                 ulps, rel = (math.inf if c[field] is None else c[field] for field in ("ulps", "rel"))
-                last, count, most_ulps, most_rel = moved.get(where, (None, 0, 0, 0.0))
-                moved[where] = diffs[-1], count + (last != diffs[-1]), max(most_ulps, ulps), max(most_rel, rel)
+                last, count, most_ulps, most_rel, rises, falls = moved.get(where, (None, 0, 0, 0.0, 0, 0))
+                sign = c.get("sign")
+                moved[where] = (diffs[-1], count + (last != diffs[-1]), max(most_ulps, ulps), max(most_rel, rel),
+                                rises + (sign == 1), falls + (sign == -1))
         orders.append(list(order))
         if log is not None:
             print(f"batch {index} ({order[0]} first): base {sum(cpu['base'][-1]):.4f} s, "
@@ -185,9 +188,9 @@ def summarize(seed: int, tiny: bool, series: dict) -> dict:
         "head_wins": f"{wins}/{len(sums['base'])}",
         "artifacts_compared": series["compared"],
         "differing_artifacts": len(series["differing"]),
-        "largest_relative_difference": max((most for *_, most in series["moved"].values()), default=0.0),
-        "moved_cells": {where: {"artifacts": count, "ulps": ulps}
-                        for where, (_, count, ulps, _) in sorted(series["moved"].items())},
+        "largest_relative_difference": max((most for _, _, _, most, _, _ in series["moved"].values()), default=0.0),
+        "moved_cells": {where: {"artifacts": count, "ulps": ulps, "rises": rises, "falls": falls}
+                        for where, (_, count, ulps, _, rises, falls) in sorted(series["moved"].items())},
         "differences": series["differing"][:50],
     }
 

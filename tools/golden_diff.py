@@ -13,8 +13,10 @@ compared too.
 
 A CSV is compared cell by cell and a JSON file leaf by leaf.  For each cell
 whose text differs the --out file lists both values and, where both are
-numbers, their distance in ulps and their relative difference.  A changed
-row count, column count, list length or key set is named under "shape".
+numbers, their distance in ulps, their relative difference and the sign of
+the move (1 where HEAD's value is the larger, -1 the smaller, 0 equal).  A
+changed row count, column count, list length or key set is named under
+"shape".
 The same table goes to stdout as Markdown.  A golden file that both sides
 write alike but that differs from HEAD's file on disk is stale (a cell the
 tests hold to a tolerance can drift so); the --out file lists it under
@@ -124,12 +126,15 @@ def _number(value):
 
 
 def cell(where: str, base, head) -> dict:
-    """One differing cell: both values, and their ulps and relative
-    difference when both are numbers (both None otherwise)."""
+    """One differing cell: both values, and their ulps, relative difference
+    and sign of head - base when both are numbers (all None otherwise, and
+    the sign where either is NaN)."""
     a, b = _number(base), _number(head)
-    entry = {"cell": where, "base": base, "head": head, "ulps": None, "rel": None}
+    entry = {"cell": where, "base": base, "head": head, "ulps": None, "rel": None, "sign": None}
     if a is not None and b is not None:
         entry["ulps"] = ulps(a, b)
+        if entry["ulps"] is not None:
+            entry["sign"] = (b > a) - (b < a)
         if a != b and math.isfinite(a) and math.isfinite(b):
             entry["rel"] = abs(a - b) / max(abs(a), abs(b))
         elif a == b:
