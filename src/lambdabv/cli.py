@@ -173,7 +173,8 @@ def _run_variation(config: argparse.Namespace):
     # |increment|^p overflows at a huge p, so a non-finite value names p. It
     # names the function where the spread of values overflows even at
     # min(p, 2): the L^p modulus integrates a power p + 1 of the spread (at
-    # p = 2 only its square), and lambda_variation does not depend on p
+    # p = 2 none: it scales f first), the p-continuity modulus a power p, and
+    # lambda_variation does not depend on p
     huge = not np.isfinite(np.ptp(f.values) ** (min(config.p, 2.0) + 1.0))
     for functional, _, _, _, value, _ in rows:
         if not math.isfinite(value):

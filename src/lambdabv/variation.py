@@ -314,13 +314,26 @@ def lambda_variation(f: PiecewiseLinearPeriodic, lam: LambdaSequence) -> float:
     )
 
 
-def _difference_pieces(f: PiecewiseLinearPeriodic, hs: np.ndarray):
-    """Per block of shifts h = hs[rows], (rows, h, k, u, v, w): the pieces of
-    D = f(.+h) - f, linear between its kinks k, the breakpoints and the
-    breakpoints shifted back by h (wrapped by adding 1 where negative), sorted
-    per row; a piece runs from D(k) = f(k + h) - f(k) = u to v over width w."""
+def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
+    """||f(.+h) - f||_p for each shift h in ``hs``, 0 <= h < 1, by exact
+    integration of the difference D = f(.+h) - f, linear between its kinks:
+    the breakpoints and the breakpoints shifted back by h (wrapped by adding
+    1 where negative).  Each row's kinks are sorted once and D is taken at
+    every sorted kink k as f(k + h) - f(k).  They are not deduplicated: a
+    repeated kink is a zero-width piece and adds exactly 0.
+
+    A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
+    G(c) = sign(c)|c|^(p+1)/(p+1), and a piece's v is the next piece's u, so
+    G is taken once per kink.  That cancels on a nearly flat piece, so where
+    |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
+    w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
+    replaces it (the dropped terms are O(x^6)).  Each shift's row is
+    integrated on its own, so its norm does not depend on the other shifts.
+    """
     pos = f.positions
     rows = max(1, _BLOCK_CELLS // len(pos))
+    c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
+    out = np.empty(len(hs))
     for s in range(0, len(hs), rows):
         h = hs[s : s + rows, None]
         back = pos - h
@@ -328,45 +341,66 @@ def _difference_pieces(f: PiecewiseLinearPeriodic, hs: np.ndarray):
         k = np.sort(np.concatenate([np.broadcast_to(pos, back.shape), back], axis=1), axis=1)
         u = f.eval(k + h) - f.eval(k)
         w = np.concatenate([k[:, 1:], k[:, :1] + 1.0], axis=1) - k
-        yield slice(s, s + len(h)), h, k, u, np.concatenate([u[:, 1:], u[:, :1]], axis=1), w
-
-
-def _shift_norms(f: PiecewiseLinearPeriodic, hs: np.ndarray, p: float) -> np.ndarray:
-    """||f(.+h) - f||_p for each shift h in ``hs``, 0 <= h < 1, by exact
-    integration of the pieces of _difference_pieces, so a shift's norm does
-    not depend on the other shifts; a zero-width piece adds exactly 0.
-
-    A piece from u to v of width w integrates to w (G(v) - G(u)) / (v - u),
-    G(c) = sign(c)|c|^(p+1)/(p+1), and a piece's v is the next piece's u, so
-    G is taken once per kink.  That cancels on a nearly flat piece, so where
-    |v - u| <= 1e-3 |m|, m = (u + v)/2, the midpoint expansion
-    w |m|^p (1 + p(p-1)x^2/24 + p(p-1)(p-2)(p-3)x^4/1920), x = (v - u)/m,
-    replaces it (the dropped terms are O(x^6)).
-    """
-    c2, c4 = p * (p - 1.0) / 24.0, p * (p - 1.0) * (p - 2.0) * (p - 3.0) / 1920.0
-    out = np.empty(len(hs))
-    for rows, _, _, u, v, w in _difference_pieces(f, hs):
         g = np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
+        v = np.concatenate([u[:, 1:], u[:, :1]], axis=1)
         m, d = 0.5 * (u + v), v - u
         near = np.abs(d) <= 1e-3 * np.abs(m)
         piece = np.diff(g, axis=1, append=g[:, :1]) / np.where(near, 1.0, d)
         mn = m[near]
         x2 = (d[near] / np.where(mn == 0.0, 1.0, mn)) ** 2
         piece[near] = np.abs(mn) ** p * (1.0 + c2 * x2 + c4 * x2 * x2)
-        out[rows] = np.sum(w * piece, axis=1)
+        out[s : s + len(h)] = np.sum(w * piece, axis=1)
     return out ** (1.0 / p)
 
 
-def _l2_terms(f: PiecewiseLinearPeriodic, hs: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """Rows Q = N^2 / 2, Q' = int D(x) f'(x + h) dx and C = int f'(x) f'(x + h) dx at
-    the shifts ``hs``: per piece of _difference_pieces w (u^2 + uv + v^2) / 6,
-    w s(x + h) (u + v) / 2 and w s(x) s(x + h), s = ``slope`` at its midpoint."""
-    out = np.empty((3, len(hs)))
-    for rows, h, k, u, v, w in _difference_pieces(f, hs):
-        here, ahead = (slope[np.searchsorted(f.positions, np.mod(x, 1.0), side="right") - 1]
-                       for x in (k + 0.5 * w, k + 0.5 * w + h))
-        out[:, rows] = [np.sum(w * (u * u + u * v + v * v), axis=1) / 6.0,
-                        np.sum(w * ahead * (u + v), axis=1) / 2.0, np.sum(w * here * ahead, axis=1)]
+def _carried_sum(a, b, low) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of a * b + low along each row as s + carry: s those of the
+    rounded products, carry those of low and of the rounding of each product
+    (Dekker's split) and each sum (two-sum), so large terms cancel cleanly."""
+    ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+    x = a * b
+    low = low + ((ah * bh - x) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    s = np.cumsum(x, axis=1)
+    before = np.concatenate([np.zeros_like(s[:, :1]), s[:, :-1]], axis=1)
+    return s, np.cumsum((before - (s - (s - before))) + (x - (s - before)) + low, axis=1)
+
+
+def _l2_terms(val, slope, jump, lo, gap, i, j, knots, at) -> np.ndarray:
+    """Rows Q = N^2 / 2, Q' = int D(x) f'(x + h) dx, C = int f'(x) f'(x + h) dx
+    and C' = sum_j J_j f'(x_j - h) (two parts) at h = knots[at], the pairs
+    (i, j) of knots 1 ... at crossed.  D = f(.+h) - f is linear between its
+    kinks x_i and x_j - h.  If x_i + h crossed x_m last, D(x_i) = v_m - v_i +
+    s_m (h - gap(i, m)); if x_j - h crossed x_m last (or m = j), D(x_j - h) =
+    v_j - v_m + s_{m-1} (h - gap(m, j)), g_{m-1} - (h - gap(m, j)) into piece
+    m - 1: no D or width is a difference of nearby values or positions.  A
+    piece from u to v of width w adds w (u^2 + uv + v^2) / 6 to Q,
+    w s(x + h) (u + v) / 2 to Q' and w s(x) s(x + h) to C."""
+    n, ix = len(val), np.arange(len(val))
+    # per shift and breakpoint, how many of its pairs have been crossed, forward from x_i and back from x_j
+    first = np.searchsorted(at, np.arange(1, len(knots))) * n
+    fwd, back = ((ix + sign * np.cumsum(np.bincount(first + e, minlength=(len(at) + 1) * n)
+                                        .reshape(-1, n)[:-1], axis=0)) % n for e, sign in ((i, 1), (j, -1)))
+    g = gap[ix, (ix + 1) % n]
+    out = np.empty((5, len(at)))
+    out[3:] = [a[:, -1] for a in _carried_sum(jump, slope[back - 1], lo * slope[back - 1])]
+    rows = max(1, _BLOCK_CELLS // n)
+    nxt = lambda a: np.concatenate([a[:, 1:], a[:, :1]], axis=1)
+    for s in range(0, len(at), rows):
+        m, b, h = fwd[s : s + rows], back[s : s + rows], knots[at[s : s + rows], None]
+        # per kink, x_i then x_j - h: its piece, how far into it, D and s(x + h)
+        piece = np.concatenate([np.broadcast_to(ix, m.shape), (b - 1) % n], axis=1)
+        into = np.concatenate([np.zeros(m.shape), np.clip(g[b - 1] - (h - gap[b, ix]), 0.0, g[b - 1])], axis=1)
+        d = np.concatenate([val[m] - val + slope[m] * (h - gap[ix, m]),
+                            val - val[b] + slope[b - 1] * (h - gap[b, ix])], axis=1)
+        ahead = np.concatenate([slope[m], np.broadcast_to(slope, b.shape)], axis=1)
+        o = np.lexsort((into, piece))
+        piece, into, u, ahead = (np.take_along_axis(a, o, axis=1) for a in (piece, into, d, ahead))
+        # to the next kink: the rest of the piece, into the piece, or x_j - h to x_{j+1} - h
+        w = np.where(nxt(o) < n, g[piece] - into, np.where(o < n, nxt(into), g[o - n]))
+        v = nxt(u)
+        out[:3, s : s + rows] = [np.sum(w * (u * u + u * v + v * v), axis=1) / 6.0,
+                                 np.sum(w * ahead * (u + v), axis=1) / 2.0,
+                                 np.sum(w * slope[piece] * ahead, axis=1)]
     return out
 
 
@@ -374,29 +408,43 @@ def _l2_modulus(f: PiecewiseLinearPeriodic, deltas: np.ndarray) -> list[float]:
     """The exact max of N(h) = sqrt(2 Q(h)) over h in [0, min(delta, 1/2)].
 
     Q = R(0) - R(h), R the autocorrelation of f, so Q'' = C, continuous and
-    piecewise linear: C' starts at -1/2 sum J_i^2 (J_i the slope jump at
-    breakpoint i; C is even) and drops by J_i J_j at (x_j - x_i) mod 1.  So Q
-    is a cubic between these knots; running sums over the knots sorted on
-    (0, 1/2], restarted from _l2_terms every n knots, give every piece, whose
-    max lies at its ends or at the root of Q' where Q'' < 0.  Each delta
-    reads the pieces before its own, and its own up to delta, so entry i
-    equals the grid [deltas[i]] bit for bit.  Values of f are multiplied only
-    in pairs: 2^k f reads 2^k times the values exactly."""
-    pos, val, n = f.positions, f.values, len(f.positions)
+    piecewise linear: C' = sum_j J_j f'(x_j - h) (J_j the slope jump at x_j)
+    drops by J_j (s_i - s_{i-1}) at each knot x_j - x_i mod 1.  So Q is a
+    cubic between the knots sorted on (0, 1/2]; running sums, restarted from
+    _l2_terms every n knots, give every piece, whose max lies at its ends or
+    at the root of Q' where Q'' < 0.  C' carries every rounding (each jump's
+    too), so each breakpoint's drops add up to J_j times a slope exactly and
+    large drops near steep breakpoints cancel cleanly.  Each delta reads the
+    pieces up to it: entry i equals the grid [deltas[i]] bit for bit.  f is
+    divided by 2^ex, ex the exponent of max |f|, and values are multiplied
+    only in pairs: no square under- or overflows, and 2^k f reads exactly
+    2^k times the values."""
+    pos, n, ix = f.positions, len(f.positions), np.arange(len(f.positions))
+    ex = math.frexp(np.abs(f.values).max())[1]
+    val = np.ldexp(f.values, -ex)
     slope = np.diff(val, append=val[0]) / np.diff(pos, append=pos[0] + 1.0)
-    jump = slope - np.roll(slope, 1)
+    jump = slope - slope[ix - 1]
+    # each jump's rounding (two-sum): jump + lo is s_j - s_{j-1} exactly
+    lo = (slope - (jump - (jump - slope))) + (-slope[ix - 1] - (jump - slope))
     gap = np.mod(pos[None, :] - pos[:, None], 1.0)
     keep = (gap > 0.0) & (gap <= min(deltas.max(initial=0.0), 0.5))
-    order = np.argsort(gap[keep], kind="stable")
-    knots = np.concatenate([[0.0], gap[keep][order]])
+    i, j = np.nonzero(keep)
+    order = np.argsort(gap[i, j], kind="stable")
+    i, j = i[order], j[order]
+    knots = np.concatenate([[0.0], gap[i, j]])
     count, blocks = len(knots), -(-len(knots) // n)
-    # one row per restart, padded with zero-width pieces; dc is C' after each knot
-    dc = -np.cumsum(np.append(0.5 * (jump @ jump), np.outer(jump, jump)[keep][order]))
-    t, dc = (np.pad(a, (0, blocks * n - count)).reshape(blocks, n) for a in (np.diff(knots, append=knots[-1]), dc))
-    q, q1, c = (start[:, None] for start in _l2_terms(f, knots[::n], slope))
+    starts = _l2_terms(val, slope, jump, lo, gap, i, j, knots, np.arange(0, count, n))
+    q, q1, c, dc, dc_low = (a[:, None] for a in starts)
+    # one row per restart, padded with zero-width pieces: t, and the drops of C'
+    t, a, b, low = (np.concatenate([z, np.zeros(blocks * n - count)]).reshape(blocks, n)
+                    for z in (np.diff(knots, append=knots[-1]), np.append(0.0, -jump[i]),
+                              np.append(0.0, jump[j]), np.append(0.0, -(lo[i] * jump[j] + jump[i] * lo[j]))))
+    a[:, 0], b[:, 0], low[:, 0] = dc[:, 0], 1.0, dc_low[:, 0]
+    dc = np.add(*_carried_sum(a, b, low))
     # Q(t + tau) - Q(t) on a piece where Q', Q'' and Q''' are q1, c and dc at t
     rise = lambda q1, c, dc, tau: q1 * tau + c * (tau * tau / 2.0) + dc * (tau * tau * tau / 6.0)
-    after = lambda start, step: start + np.cumsum(np.pad(step[:, :-1], ((0, 0), (1, 0))), axis=1)
+    after = lambda start, step: start + np.cumsum(
+        np.concatenate([np.zeros_like(step[:, :1]), step[:, :-1]], axis=1), axis=1)
     c = after(c, dc * t)
     q1 = after(q1, c * t + dc * (t * t / 2.0))
     q, q1, c, dc, t = (a.ravel()[:count] for a in (after(q, rise(q1, c, dc, t)), q1, c, dc, t))
@@ -413,7 +461,7 @@ def _l2_modulus(f: PiecewiseLinearPeriodic, deltas: np.ndarray) -> list[float]:
     k = np.searchsorted(knots, d, side="right") - 1
     tau = d - knots[k]
     own = [rise(q1[k], c[k], dc[k], x) for x in (tau, np.fmin(np.fmax(top[k], 0.0), tau))]
-    return np.sqrt(2.0 * np.maximum(best[k], q[k] + np.maximum(*own))).tolist()
+    return np.ldexp(np.sqrt(2.0 * np.maximum(best[k], q[k] + np.maximum(*own))), ex).tolist()
 
 
 _DYADIC_SHIFTS = tuple(2.0 ** (-j) for j in range(1, 41))

@@ -711,7 +711,7 @@ def assert_matches_lp_reference(f, p, deltas, got):
     if p == 2.0:
         assert all(g >= s * (1.0 - 1e-12) for g, s in zip(got, want)), (got, want)
         want = mp_l2_modulus_profile(f, deltas)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def folded_lp_profile(f, p, deltas):

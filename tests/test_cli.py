@@ -305,13 +305,14 @@ class TestVariationCommand:
             (GOLDEN_FUNCTION_JSON, "1e100", True, "p: lp_modulus is not finite (nan)"),
             (GOLDEN_FUNCTION_JSON, "1e300", True, "p: lp_modulus is not finite (nan)"),
             # increments of 2e308 overflow the weighted variation itself, and
-            # without it the moduli, at any p
+            # without it the p-continuity modulus (at p = 2 the L^p modulus
+            # scales f by a power of two first, and stays finite)
             (HUGE_JSON, "2", True, "function: lambda_variation is not finite (inf)"),
-            (HUGE_JSON, "2", False, "function: lp_modulus is not finite (nan)"),
-            # a spread of 2e200 is finite, but the L^p modulus integrates its
-            # cube at p = 2
+            (HUGE_JSON, "2", False, "function: modulus_p_continuity is not finite (nan)"),
+            # a spread of 2e200 is finite, but the p-continuity modulus raises
+            # increments to the power p
             ('{"breakpoints": [[0.0, 1e200], [0.5, -1e200]]}', "2", True,
-             "function: lp_modulus is not finite (nan)"),
+             "function: modulus_p_continuity is not finite (inf)"),
         ],
         ids=["triangle-1e100", "triangle-1e300", "golden-1e100", "golden-1e300", "huge-values",
              "huge-values-no-sequence", "wide-spread"],
@@ -328,16 +329,20 @@ class TestVariationCommand:
         assert proc.stderr == f"error: {error}\n"
         assert not (out / "variation.csv").exists()
 
-    def test_l2_modulus_of_a_wide_tent_is_finite(self, tmp_path):
-        # at p = 2 the modulus only squares values, so a spread of 2e120,
-        # whose cube overflows, is measured; N(1/2) = 2e120 / sqrt(3) is the sup
+    @pytest.mark.parametrize("height", [1e120, 1e-160])
+    def test_l2_modulus_of_a_tent_is_finite(self, tmp_path, height):
+        # at p = 2 the modulus scales f by a power of two and only squares
+        # values, so a spread of 2e120, whose cube overflows, is measured, and
+        # so is one of 2e-160, whose slopes' square (1.6e-319) is subnormal;
+        # N(1/2) = 2 height / sqrt(3) is the sup
         f_path = tmp_path / "f.json"
-        f_path.write_text('{"breakpoints": [[0.0, 1e120], [0.5, -1e120]]}')
+        f_path.write_text(f'{{"breakpoints": [[0.0, {height!r}], [0.5, {-height!r}]]}}')
         out = tmp_path / "out"
         proc = run_cli("--command", "variation", "--function", str(f_path), "--p", "2", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         rows = [r for r in read_csv(out / "variation.csv")[1:] if r[1] == "lp_modulus"]
-        assert float(rows[0][5]) == pytest.approx(2.0 / math.sqrt(3.0) * 1e120, rel=1e-15)
+        want = 2.0 / math.sqrt(3.0) * height
+        assert float(rows[0][5]) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestValidationFailures:

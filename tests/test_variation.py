@@ -752,16 +752,43 @@ class TestLpModulusProfile:
             assert got == [lp_modulus(f, p, [d])[0] for d in deltas], (i, p, deltas)
 
     def test_l2_scales_exactly_by_powers_of_two(self):
-        # at p = 2 only products of two values of f enter, so 2^k f reads
-        # 2^k times the values exactly, where a cube of 2^-400 underflows
+        # at p = 2, f is scaled to max |f| in [1/2, 1) by a power of two and
+        # only products of two values enter, so 2^k f reads 2^k times the
+        # values exactly wherever 2^k f is normal, where a square of 2^-600
+        # underflows and one of 2^600 overflows
         f = random_plpf(np.random.default_rng(124), 12)
         want = lp_modulus(f, 2.0, DYADIC)
-        for k in range(-400, 401):
+        for k in range(-1000, 1001):
             scaled = make_plpf(list(zip(f.positions.tolist(), (f.values * 2.0**k).tolist())))
             assert lp_modulus(scaled, 2.0, DYADIC) == [2.0**k * v for v in want], k
-        # N(1/2) = 2 ||f||_2 on this tent, the sup
-        tent = make_plpf([(0.0, 1e-120), (0.5, -1e-120)])
-        assert lp_modulus(tent, 2.0, [1.0])[0] == pytest.approx(2.0 / math.sqrt(3.0) * 1e-120, rel=1e-15)
+
+    @pytest.mark.parametrize("height", [1e-300, 1e-160, 1e-120, 1e120, 1e300])
+    def test_l2_tent_is_exact_at_every_scale(self, height):
+        # N(1/2) = 2 ||f||_2 on this tent, the sup; at 1e-160 the slopes'
+        # square (1.6e-319) is subnormal, at 1e300 the values' square overflows
+        tent = make_plpf([(0.0, height), (0.5, -height)])
+        got = lp_modulus(tent, 2.0, [1.0, 0.5, 2.0**-10])
+        want = [2.0 / math.sqrt(3.0) * height] * 2 + mp_l2_modulus_profile(tent, [2.0**-10])
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert math.isfinite(lip_norm(tent, 2.0, 0.5, 10))
+
+    @pytest.mark.parametrize("steep", [False, True], ids=["gentle", "steep"])
+    def test_l2_clustered_breakpoints_match_reference(self, steep):
+        # 12 of 16 breakpoints lie within 1e-6, so the sweep restarts at
+        # shifts 1e-7 ... 9e-7 inside the cluster, and the block after the
+        # last of them runs past it.  Values 1e-8 apart there give slopes up
+        # to ~2e2; 1e-2 apart give slopes up to ~7e7, whose drops of C' (up
+        # to ~1e15) cancel to ~1e7 past the cluster
+        rng = np.random.default_rng(126)
+        cluster = 0.3 + np.sort(rng.uniform(0.0, 1e-6, 12))
+        pos = np.sort(np.concatenate([cluster, rng.uniform(0.0, 1.0, 4)]))
+        vals = rng.normal(size=16)
+        inside = (pos >= 0.3) & (pos <= 0.3 + 1e-6)
+        vals[inside] = 0.5 + np.cumsum(rng.normal(size=12)) * (1e-2 if steep else 1e-8)
+        f = make_plpf(list(zip(pos.tolist(), vals.tolist())))
+        deltas = [2.0**-j for j in (1, 3, 6, 9, 12, 15, 20, 22, 25, 28)]
+        got = lp_modulus(f, 2.0, deltas)
+        assert got == pytest.approx(mp_l2_modulus_profile(f, deltas), rel=1e-12, abs=0.0)
 
     def test_l2_monotone_and_below_the_lipschitz_line(self):
         # the exact sup never falls as delta grows along a dyadic grid down to
